@@ -179,16 +179,23 @@ def _check_golden_expansion_c():
 
 def _check_transition_step():
     w = parse_oneline("-3,4,-1,5,2")
-    stepB = expand_mod.transition_step("B", w)
-    stepC = expand_mod.transition_step("C", w)
+    # (coefficient, beta exponent l(u) - l(w)) of every term
     expected = {
-        parse_oneline("-3,4,2,-1"): TruncPoly.const(1),
-        parse_oneline("-3,4,-2,1"): TruncPoly.const(1),
-        parse_oneline("-3,4,-2,-1"): TruncPoly.beta(1),
-        parse_oneline("-3,4,1,-2"): TruncPoly.beta(1),
-        parse_oneline("-3,4,-1,-2"): TruncPoly.beta(2),
+        parse_oneline("-3,4,2,-1"): (1, 0),
+        parse_oneline("-3,4,-2,1"): (1, 0),
+        parse_oneline("-3,4,-2,-1"): (1, 1),
+        parse_oneline("-3,4,1,-2"): (1, 1),
+        parse_oneline("-3,4,-1,-2"): (1, 2),
     }
-    return stepB == expected and stepC == expected, f"B gave {len(stepB)} terms"
+    for t in ("B", "C"):
+        lw = weyl.length(t, w)
+        got = {
+            u: (coeff, weyl.length(t, u) - lw)
+            for u, coeff in expand_mod.transition_step(t, w).items()
+        }
+        if got != expected:
+            return False, f"{t} gave {sorted((u.window, c) for u, c in got.items())}"
+    return True, ""
 
 
 def _check_skew(num_vars=3, bound=6):
@@ -452,8 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"K-theoretic Schur {name[-1].upper()}-function")
         p.add_argument("--shape", type=_shape_arg, required=True)
         p.add_argument("--inner", type=_shape_arg, default=())
-        p.add_argument("--N", type=int, default=3)
-        p.add_argument("--D", type=int, default=6)
+        p.add_argument("--N", type=positive_int, default=3)
+        p.add_argument("--D", type=nonneg_int, default=6)
         p.add_argument("--json", action="store_true")
         p.set_defaults(fn=lambda a, f=fn: _cmd_gpgq(a, f))
 
@@ -484,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_kn_transition)
 
     p = sub.add_parser("verify-suite", help="run the identity battery")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_verify_suite)
 
@@ -511,10 +518,17 @@ def _merge_value_flags(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    """Run one command: exit 0 ok, 1 verification failure, 2 usage error."""
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_merge_value_flags(list(argv)))
-    return args.fn(args)
+    parser = build_parser()
+    args = parser.parse_args(_merge_value_flags(list(argv)))
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        # malformed windows, shapes and group elements are usage errors
+        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -2,9 +2,10 @@
 terms with nonnegative coefficients.
 
 Everything here is symbolic: a combination maps signed permutations to
-polynomials in beta, where the basis symbol of u implicitly carries degree
-l(u).  Each coefficient must therefore be a single monomial a * beta^e with
-e = l(u) - l(source); that bookkeeping is asserted on every step.
+plain integers, where the basis symbol of u implicitly carries degree l(u).
+A coefficient a of u in the expansion of a source of length l therefore
+stands for the single monomial a * beta^(l(u) - l); the transition step
+counts R_k's chains in the Weyl group and never builds a polynomial.
 """
 
 from __future__ import annotations
@@ -12,77 +13,50 @@ from __future__ import annotations
 import io
 import os
 import struct
+import tempfile
 from dataclasses import dataclass, field
 
 from .hecke import fstanley
-from .rings import TruncPoly, poly_str
+from .rings import TruncPoly
 from .tableaux import ShiftedSkewShape, gp, gq, w_shape
 from .weyl import (
     SignedPermutation,
-    is_valid_reflection,
     ld_less,
     length,
     length_increment_ok,
-    reflection,
+    r_chains,
     shape,
+    transition_data,
 )
 
-from .kn import transition_data
 
-
-def transition_step(t: str, w: SignedPermutation) -> dict[SignedPermutation, TruncPoly]:
+def transition_step(t: str, w: SignedPermutation) -> dict[SignedPermutation, int]:
     """One application of the symbolic transition: F_w as a nonnegative
-    Z[beta]-combination of F_u with u strictly below w in the LD order.
+    combination of F_u with u strictly below w in the LD order.
 
-    In type B the sign-change factor acts first, then the t-moves sweep j
-    upward from -(support+1); the formal division by beta must be exact.
+    A coefficient a of u stands for a * beta^(l(u) - l(w)).  At y = 0 the
+    transition identity reads F_w = (R_a F_v - F_v) / beta, and R_a's chain
+    counts give a = plain + via_n - [u == v]; since v * t_{ab} = w raises
+    length by one, the division by beta lowers every exponent l(u) - l(v)
+    to l(u) - l(w).
     """
     if t not in ("B", "C", "D"):
         raise ValueError(f"transition needs type B, C, or D, not {t!r}")
     if not w.in_group(t):
         raise ValueError(f"{w} is not in the group of type {t}")
-    v, a, _, _ = transition_data(w)
-    combo: dict[SignedPermutation, TruncPoly] = {v: TruncPoly.const(1)}
-    beta = TruncPoly.beta()
-
-    def add(d, u, c):
-        d[u] = d.get(u, TruncPoly.zero()) + c
-
-    if t == "B":
-        extra: dict[SignedPermutation, TruncPoly] = {}
-        for u, c in combo.items():
-            if length_increment_ok("B", u, 0, a):
-                add(extra, u * reflection(0, a), c * beta)
-        for u, c in extra.items():
-            add(combo, u, c)
-    j_min = -(max(v.support, a) + 1)
-    for j in range(j_min, a):
-        if not is_valid_reflection(t, j, a):
+    v, a, b, _ = transition_data(w)
+    if not length_increment_ok(t, v, a, b):
+        raise AssertionError(f"{v} * t_({a},{b}) = {w} does not raise length by one")
+    result: dict[SignedPermutation, int] = {}
+    for u, (plain, via_n) in r_chains(t, a, v).items():
+        coeff = plain + via_n - (u == v)
+        if not coeff:
             continue
-        extra = {}
-        for u, c in combo.items():
-            if length_increment_ok(t, u, j, a):
-                add(extra, u * reflection(j, a), c * beta)
-        for u, c in extra.items():
-            add(combo, u, c)
-    combo[v] = combo[v] - 1
-    lw = length(t, w)
-    result: dict[SignedPermutation, TruncPoly] = {}
-    for u, c in combo.items():
-        if c.is_zero():
-            continue
-        c = c.divide_beta()
-        expected = length(t, u) - lw
-        if c.beta_degrees() != {expected} or any(
-            coeff <= 0 for coeff in c.terms.values()
-        ):
-            raise AssertionError(
-                f"transition coefficient of {u} is {poly_str(c)}, "
-                f"not a positive multiple of b^{expected}"
-            )
+        if coeff < 0:
+            raise AssertionError(f"transition coefficient of {u} is {coeff} < 0")
         if not ld_less(u, w):
             raise AssertionError(f"transition produced {u} not below {w} in LD order")
-        result[u] = c
+        result[u] = coeff
     return result
 
 
@@ -153,13 +127,11 @@ def expand_grassmannian(t: str, w: SignedPermutation) -> ExpansionResult:
                 for g, c in sub.items():
                     grassmannian[g] = grassmannian.get(g, 0) + mult * c
                 continue
-            lu = length(t, u)
-            for v, cpoly in transition_step(t, u).items():
+            for v, coeff in transition_step(t, u).items():
                 if v.support > max_support:
                     raise AssertionError(
                         f"intermediate {v} escapes the support bound {max_support}"
                     )
-                coeff = cpoly.terms[(length(t, v) - lu, ())]
                 pending[v] = pending.get(v, 0) + mult * coeff
         _cache[(t, w.window)] = grassmannian
         cached = grassmannian
@@ -283,30 +255,43 @@ def save_cache(path: str) -> int:
         _write_varint(out, len(payload))
         out.write(payload)
         count += 1
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(out.getvalue())
-    os.replace(tmp, path)
+    # a temp file of its own, so concurrent writers never share one
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path) or ".", prefix=os.path.basename(path), suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(out.getvalue())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     return count
 
 
 def load_cache(path: str) -> int:
-    """Merge a cache file written by save_cache; ignores other versions."""
+    """Merge a cache file written by save_cache; ignores other versions.
+
+    All or nothing: a malformed file raises ValueError and merges no record.
+    """
     with open(path, "rb") as fh:
-        buf = io.BytesIO(fh.read())
+        data = fh.read()
+    buf = io.BytesIO(data)
     if buf.read(4) != _MAGIC:
         raise ValueError(f"{path} is not an expansion cache")
-    (version,) = struct.unpack("<I", buf.read(4))
+    head = buf.read(4)
+    if len(head) != 4:
+        raise ValueError(f"{path} has a truncated header")
+    (version,) = struct.unpack("<I", head)
     if version != _VERSION:
         return 0
-    count = 0
-    while True:
-        head = buf.read(1)
-        if not head:
-            break
-        buf.seek(-1, io.SEEK_CUR)
+    loaded: dict[tuple[str, tuple[int, ...]], dict[SignedPermutation, int]] = {}
+    while buf.tell() < len(data):
         size = _read_varint(buf)
-        rec = io.BytesIO(buf.read(size))
+        payload = buf.read(size)
+        if len(payload) != size:
+            raise ValueError(f"{path} has a truncated record")
+        rec = io.BytesIO(payload)
         t = rec.read(1).decode("ascii")
         window = tuple(
             _unzigzag(_read_varint(rec)) for _ in range(_read_varint(rec))
@@ -315,9 +300,10 @@ def load_cache(path: str) -> int:
         for _ in range(_read_varint(rec)):
             uwin = tuple(_unzigzag(_read_varint(rec)) for _ in range(_read_varint(rec)))
             entries[SignedPermutation(uwin)] = _unzigzag(_read_varint(rec))
-        _cache.setdefault((t, window), entries)
-        count += 1
-    return count
+        loaded.setdefault((t, window), entries)
+    for key, entries in loaded.items():
+        _cache.setdefault(key, entries)
+    return len(loaded)
 
 
 def cache_dir_file(cache_dir: str) -> str:

@@ -19,12 +19,13 @@ from .rings import (
     X,
     Y,
     YRational,
+    apply_R,
     pi_operator,
     star_action,
     xvar,
     yvar,
 )
-from .weyl import SignedPermutation, length_increment_ok, reflection
+from .weyl import SignedPermutation, length_increment_ok, reflection, transition_data
 
 _memo_lock = threading.Lock()
 _memo: dict[tuple[int, ...], TruncPoly] = {}
@@ -84,15 +85,7 @@ def _t_move(u: SignedPermutation, i: int, j: int) -> SignedPermutation | None:
 
 def apply_R_a(k: int, combo: FCombo) -> FCombo:
     """(1 + beta t_{k-1,k}) ... (1 + beta t_{1,k}), rightmost factor first."""
-    out = combo.copy()
-    for j in range(1, k):
-        extra = FCombo(combo.group_type)
-        for u, c in out:
-            v = _t_move(u, j, k)
-            if v is not None:
-                extra.add_term(v, c * BETA)
-        out = out + extra
-    return out
+    return apply_R("A", k, combo)
 
 
 def apply_M_a(k: int, combo: FCombo) -> FCombo:
@@ -145,17 +138,6 @@ def monk_identity_holds(u: SignedPermutation, k: int) -> bool:
 
 
 # -- the transition equation ----------------------------------------------
-
-
-def transition_data(w: SignedPermutation) -> tuple[SignedPermutation, int, int, int]:
-    """(v, a, b, c): last descent a, maximal b past it, v = w(a,b), c = v(a)."""
-    des = w.descents()
-    if not des:
-        raise ValueError(f"{w} has no descent")
-    a = max(des)
-    b = max(i for i in range(a + 1, w.support + 1) if w(i) < w(a))
-    v = w * reflection(a, b)
-    return v, a, b, w(b)
 
 
 def transition_a(w: SignedPermutation) -> tuple[SignedPermutation, int, int, FCombo]:

@@ -20,6 +20,7 @@ from .rings import (
     FCombo,
     TruncPoly,
     YRational,
+    apply_R,
     ominus_y,
     star_action,
     xvar,
@@ -33,6 +34,7 @@ from .weyl import (
     length,
     length_increment_ok,
     reflection,
+    transition_data,
 )
 
 
@@ -101,29 +103,9 @@ def unit_combo(t: str, w: SignedPermutation) -> FCombo:
 
 
 def apply_R_bcd(t: str, k: int, combo: FCombo) -> FCombo:
-    """The transition operator: the n-factor first (type B only), then the
-    t-moves for j ascending from -(support+1) to k-1.
-
-    The j-range is finite: a move below -(support+1) never raises length,
-    and once a move grows the support no later t-move can fire.
-    """
-    out = combo.copy()
-    if t == "B":
-        extra = FCombo(t)
-        for u, c in out:
-            v = _raise_move("B", u, 0, k)
-            if v is not None:
-                extra.add_term(v, c * YRational.inverse_unit(u(k)) * BETA)
-        out = out + extra
-    j_min = -(max([k] + [u.support for u, _ in out]) + 1)
-    for j in range(j_min, k):
-        extra = FCombo(t)
-        for u, c in out:
-            v = _raise_move(t, u, j, k)
-            if v is not None:
-                extra.add_term(v, c * BETA)
-        out = out + extra
-    return out
+    """The transition operator R_k of type B, C or D: the n-factor first
+    (type B only), then the t-moves for j ascending (see weyl.r_chains)."""
+    return apply_R(t, k, combo)
 
 
 def apply_M_bcd(t: str, k: int, combo: FCombo, bound: int) -> FCombo:
@@ -198,16 +180,6 @@ def monk_identity_holds(t: str, u: SignedPermutation, k: int, num_vars: int, bou
     )
     rhs = combo_kn(t, apply_M_bcd(t, k, unit_combo(t, u), bound), num_vars, bound)
     return lhs == rhs
-
-
-def transition_data(w: SignedPermutation) -> tuple[SignedPermutation, int, int, int]:
-    """(v, a, b, c) for the last-descent transition; c = w(b) may be negative."""
-    des = w.descents()
-    if not des:
-        raise ValueError(f"{w} has no descent")
-    a = max(des)
-    b = max(i for i in range(a + 1, w.support + 1) if w(i) < w(a))
-    return w * reflection(a, b), a, b, w(b)
 
 
 def transition_bcd(t: str, w: SignedPermutation) -> tuple[SignedPermutation, int, int, FCombo]:

@@ -14,9 +14,9 @@ the signed star substitution, and the K-supersymmetry check.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .weyl import SignedPermutation
+from .weyl import SignedPermutation, length, r_chains
 
 X, Y, Z = 0, 1, 2
 _FAMILY_NAMES = {X: "x", Y: "y", Z: "z"}
@@ -253,17 +253,6 @@ class TruncPoly:
                 del terms[m]
         return TruncPoly(terms, self.bound)
 
-    def swap_x(self, i: int) -> "TruncPoly":
-        """Apply the transposition x_i <-> x_{i+1}."""
-        ci, cj = var_code(X, i), var_code(X, i + 1)
-        terms: dict[Monomial, int] = {}
-        for (b, v), c in self.terms.items():
-            new = tuple(
-                sorted((cj if code == ci else ci if code == cj else code, e) for code, e in v)
-            )
-            terms[(b, new)] = c
-        return TruncPoly(terms, self.bound)
-
     def max_index(self, family: int) -> int:
         best = 0
         for _, v in self.terms.items():
@@ -274,9 +263,6 @@ class TruncPoly:
 
     def coefficient_of_beta(self, exp: int) -> "TruncPoly":
         return TruncPoly({(0, v): c for (b, v), c in self.terms.items() if b == exp}, self.bound)
-
-    def beta_degrees(self) -> set[int]:
-        return {b for (b, _) in self.terms}
 
     def homogeneous_degree(self) -> int | None:
         """Degree under deg(beta) = -1, deg(var) = 1; None if inhomogeneous."""
@@ -449,15 +435,6 @@ class YRational:
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    def _den_poly(self, skip: dict[int, int] | None = None) -> TruncPoly:
-        skip = skip or {}
-        p = ONE
-        for i, e in sorted(self.den.items()):
-            f = ONE + BETA * yvar(i)
-            for _ in range(e - skip.get(i, 0)):
-                p = p * f
-        return p
-
     def __add__(self, other) -> "YRational":
         if isinstance(other, int):
             other = YRational.const(other)
@@ -616,12 +593,6 @@ class FCombo:
             out.add_term(w, c * factor)
         return out
 
-    def map_coeffs(self, fn: Callable) -> "FCombo":
-        out = FCombo(self.group_type)
-        for w, c in self.terms.items():
-            out.add_term(w, fn(c))
-        return out
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FCombo)
@@ -638,6 +609,21 @@ class FCombo:
     def __repr__(self):
         inner = ", ".join(f"{w}: {c!r}" for w, c in sorted(self.terms.items(), key=lambda t: t[0].window))
         return f"FCombo[{self.group_type}]({inner})"
+
+
+def apply_R(t: str, k: int, combo: FCombo) -> FCombo:
+    """The transition operator R_k on a combination, lifted linearly from
+    weyl.r_chains: a term c*w contributes
+    c * beta^(l(u)-l(w)) * (plain + via_n / (1 + beta*y_{w(k)})) to u."""
+    out = FCombo(combo.group_type)
+    for w, c in combo:
+        lw = length(t, w)
+        for u, (plain, via_n) in r_chains(t, k, w).items():
+            coeff = c * plain
+            if via_n:
+                coeff = coeff + c * YRational.inverse_unit(w(k)) * via_n
+            out.add_term(u, coeff * TruncPoly.beta(length(t, u) - lw))
+    return out
 
 
 # -- the K-supersymmetry check ---------------------------------------------

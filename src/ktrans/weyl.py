@@ -286,6 +286,55 @@ def length_increment_ok(t: str, w: SignedPermutation, i: int, j: int) -> bool:
     return not any(-w(k) < w(e) < w(j) for e in range(1, j) if e != k)
 
 
+# -- the transition operator -------------------------------------------------
+
+
+def transition_data(w: SignedPermutation) -> tuple[SignedPermutation, int, int, int]:
+    """(v, a, b, c) for the last-descent transition: a is the last descent,
+    b the largest index past a with w(b) < w(a), v = w * t_{ab}, and
+    c = w(b), which may be negative."""
+    des = w.descents()
+    if not des:
+        raise ValueError(f"{w} has no descent")
+    a = max(des)
+    b = max(i for i in range(a + 1, w.support + 1) if w(i) < w(a))
+    return w * reflection(a, b), a, b, w(b)
+
+
+def r_chains(
+    t: str, k: int, v: SignedPermutation
+) -> dict[SignedPermutation, tuple[int, int]]:
+    """The transition operator R_k on one basis element v, as chain counts.
+
+    R_k is the product of the factors (1 + beta*t_{jk}) acting on v: in type
+    B the n-factor t_{0k} first, weighted by 1/(1 + beta*y_{v(k)}), then the
+    t-moves for j ascending from -(max(support, k)+1) to k-1.  Only valid
+    moves that raise length by one fire, so every chain from v to u has
+    l(u) - l(v) moves.  The result maps u to (plain, via_n), the numbers of
+    chains without and with the n-move, and the coefficient of u in R_k v is
+    beta^(l(u)-l(v)) * (plain + via_n / (1 + beta*y_{v(k)})).
+
+    The j-range is finite: a move below -(support+1) never raises length,
+    and once a move grows the support no later t-move can fire.
+    """
+    chains = {v: (1, 0)}
+    if t == "B" and length_increment_ok("B", v, 0, k):
+        chains[v * reflection(0, k)] = (0, 1)
+    for j in range(-(max(v.support, k) + 1), k):
+        if not is_valid_reflection(t, j, k):
+            continue
+        tjk = reflection(j, k)
+        moves = [
+            (u * tjk, counts)
+            for u, counts in chains.items()
+            if length_increment_ok(t, u, j, k)
+        ]
+        for u, (plain, via_n) in moves:
+            old_plain, old_via_n = chains.get(u, (0, 0))
+            chains[u] = (old_plain + plain, old_via_n + via_n)
+    return chains
+
+
 # -- words and products -------------------------------------------------
 
 

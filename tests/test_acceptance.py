@@ -67,14 +67,22 @@ def test_criterion_02_golden_expansion_type_c():
 
 
 def test_criterion_03_golden_transition_step():
+    # (coefficient, beta exponent l(u) - l(w)) of every term
     expected = {
-        parse_oneline("-3,4,2,-1"): TruncPoly.const(1),
-        parse_oneline("-3,4,-2,1"): TruncPoly.const(1),
-        parse_oneline("-3,4,-2,-1"): TruncPoly.beta(1),
-        parse_oneline("-3,4,1,-2"): TruncPoly.beta(1),
-        parse_oneline("-3,4,-1,-2"): TruncPoly.beta(2),
+        parse_oneline("-3,4,2,-1"): (1, 0),
+        parse_oneline("-3,4,-2,1"): (1, 0),
+        parse_oneline("-3,4,-2,-1"): (1, 1),
+        parse_oneline("-3,4,1,-2"): (1, 1),
+        parse_oneline("-3,4,-1,-2"): (1, 2),
     }
-    ok = all(transition_step(t, GOLDEN_W) == expected for t in ("B", "C"))
+    ok = all(
+        {
+            u: (coeff, length(t, u) - length(t, GOLDEN_W))
+            for u, coeff in transition_step(t, GOLDEN_W).items()
+        }
+        == expected
+        for t in ("B", "C")
+    )
     report("criterion-03 golden transition step", ok)
 
 

@@ -103,6 +103,39 @@ class TestCommands:
             main(["no-such-command"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["length", "--w", "1,1"],
+            ["length", "--type", "D", "--w", "-1"],
+            ["gp", "--shape", "[2,2]"],
+            ["fstanley", "--w", "x"],
+            ["kn-transition", "--type", "D", "--w", "-2,-1,3"],
+        ],
+    )
+    def test_domain_error_is_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gp", "--shape", "[1]", "--N", "0"],
+            ["gp", "--shape", "[1]", "--D", "-3"],
+            ["gq", "--shape", "[1]", "--N", "0"],
+            ["verify-suite", "--jobs", "0"],
+            ["verify-suite", "--jobs", "-3"],
+        ],
+    )
+    def test_bad_numeric_argument_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestVerifySuite:
     def test_battery_passes_in_parallel(self, capsys):
@@ -125,3 +158,14 @@ class TestCache:
         expand_mod._cache.clear()
         code, out2 = run(capsys, "expand", "--type", "B", "--w", "2,1", "--json")
         assert code == 0 and out1 == out2
+
+    def test_truncated_cache_is_ignored(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("KTRANS_CACHE_DIR", str(tmp_path))
+        (tmp_path / "expansions.ktrx").write_bytes(b"KTRX\x01\x00")
+        code = main(["expand", "--type", "B", "--w", "2,1", "--json"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "warning: ignoring cache" in captured.err
+        assert {(1,): 2, (2,): 1} == {
+            tuple(t["lambda"]): t["coeff"] for t in json.loads(captured.out)["terms"]
+        }

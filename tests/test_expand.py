@@ -11,7 +11,6 @@ from ktrans.expand import (
     transition_step,
     verify_expansion,
 )
-from ktrans.rings import TruncPoly
 from ktrans.tableaux import ShiftedSkewShape, gp, w_shape
 from ktrans.weyl import group_elements, ld_less, length, parse_oneline
 
@@ -38,25 +37,28 @@ GOLDEN_C_TERMS = {
 }
 
 
+def step_terms(t, w):
+    """The step as u -> (coefficient, beta exponent l(u) - l(w))."""
+    lw = length(t, w)
+    return {u: (c, length(t, u) - lw) for u, c in transition_step(t, w).items()}
+
+
 class TestTransitionStep:
     @pytest.mark.parametrize("t", ["B", "C"])
     def test_golden_five_terms(self, t):
-        step = transition_step(t, GOLDEN_W)
-        expect = {
-            parse_oneline("-3,4,2,-1"): TruncPoly.const(1),
-            parse_oneline("-3,4,-2,1"): TruncPoly.const(1),
-            parse_oneline("-3,4,-2,-1"): TruncPoly.beta(1),
-            parse_oneline("-3,4,1,-2"): TruncPoly.beta(1),
-            parse_oneline("-3,4,-1,-2"): TruncPoly.beta(2),
+        assert step_terms(t, GOLDEN_W) == {
+            parse_oneline("-3,4,2,-1"): (1, 0),
+            parse_oneline("-3,4,-2,1"): (1, 0),
+            parse_oneline("-3,4,-2,-1"): (1, 1),
+            parse_oneline("-3,4,1,-2"): (1, 1),
+            parse_oneline("-3,4,-1,-2"): (1, 2),
         }
-        assert step == expect
 
     def test_b_simple_reflection(self):
         # F^B of 21 expands as 2 GP_1 + beta GP_2 symbols, i.e. GQ_1
-        step = transition_step("B", parse_oneline("2,1"))
-        assert step == {
-            parse_oneline("-1"): TruncPoly.const(2),
-            parse_oneline("-2,1"): TruncPoly.beta(1),
+        assert step_terms("B", parse_oneline("2,1")) == {
+            parse_oneline("-1"): (2, 0),
+            parse_oneline("-2,1"): (1, 1),
         }
 
     def test_rejects_grassmannian(self):
@@ -68,9 +70,9 @@ class TestTransitionStep:
         for w in group_elements(t, 3):
             if not w.descents():
                 continue
-            for u, coeff in transition_step(t, w).items():
+            for u, (coeff, beta_exp) in step_terms(t, w).items():
                 assert ld_less(u, w)
-                assert all(c > 0 for c in coeff.terms.values())
+                assert coeff > 0 and beta_exp >= 0
 
 
 class TestExpand:
@@ -207,3 +209,47 @@ class TestCachePersistence:
         path.write_bytes(b"not a cache")
         with pytest.raises(ValueError):
             load_cache(str(path))
+
+    def test_rejects_truncated_header(self, tmp_path):
+        path = tmp_path / "short.ktrx"
+        path.write_bytes(b"KTRX\x01\x00")
+        with pytest.raises(ValueError):
+            load_cache(str(path))
+
+    def test_corrupt_last_record_merges_nothing(self, tmp_path):
+        from ktrans import expand as expand_mod
+
+        expand_grassmannian("B", GOLDEN_W)
+        expand_grassmannian("B", parse_oneline("2,1"))
+        path = tmp_path / "expansions.ktrx"
+        assert save_cache(str(path)) >= 2
+        path.write_bytes(path.read_bytes()[:-1])
+        expand_mod._cache.clear()
+        with pytest.raises(ValueError):
+            load_cache(str(path))
+        assert expand_mod._cache == {}
+        assert expand_grassmannian("B", GOLDEN_W).terms == GOLDEN_B_TERMS
+
+    def test_concurrent_writers(self, tmp_path):
+        import threading
+
+        expand_grassmannian("B", GOLDEN_W)
+        path = str(tmp_path / "expansions.ktrx")
+        errors = []
+
+        def writer():
+            try:
+                for _ in range(20):
+                    save_cache(path)
+            except OSError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        assert [p.name for p in tmp_path.iterdir()] == ["expansions.ktrx"]
+        assert load_cache(path) >= 1
