@@ -101,7 +101,7 @@ def cmd_groth_a(args) -> int:
     if not args.transition:
         print(poly_str(groth_a.groth_poly(w)))
         return 0
-    v, a, c, combo = groth_a.transition_a(w)
+    v, a, c, combo = rings.transition("A", w)
     print(f"w = {w}")
     print(f"a = {a}  v = {v}  c = {c}")
     print(f"G[{w}] = ((1+b*y{c})*(1+b*x{a})*R - G[{v}]) / b  where R is:")
@@ -120,7 +120,7 @@ def cmd_kn_eval(args) -> int:
 
 def cmd_kn_transition(args) -> int:
     w = parse_oneline(args.w)
-    v, a, c, combo = kn.transition_bcd(args.type, w)
+    v, a, c, combo = rings.transition(args.type, w)
     terms = [
         {"w": list(u.window), "coeff": yrational_str(coeff)}
         for u, coeff in sorted(
@@ -397,16 +397,20 @@ def _run_check(index: int) -> tuple[str, bool, str]:
 
 
 def cmd_verify_suite(args) -> int:
+    default = CHECKS[-1]
     if args.seed is not None:
         CHECKS[-1] = ("pi-braid-relations", lambda: _check_pi_braid(args.seed))
-    indices = list(range(len(CHECKS)))
-    if args.jobs > 1:
-        import multiprocessing
+    try:
+        indices = list(range(len(CHECKS)))
+        if args.jobs > 1:
+            import multiprocessing
 
-        with multiprocessing.Pool(args.jobs) as pool:
-            results = pool.map(_run_check, indices)
-    else:
-        results = [_run_check(i) for i in indices]
+            with multiprocessing.Pool(args.jobs) as pool:
+                results = pool.map(_run_check, indices)
+        else:
+            results = [_run_check(i) for i in indices]
+    finally:
+        CHECKS[-1] = default
     failed = 0
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if not ok and detail else ""))

@@ -272,7 +272,8 @@ def save_cache(path: str) -> int:
 def load_cache(path: str) -> int:
     """Merge a cache file written by save_cache; ignores other versions.
 
-    All or nothing: a malformed file raises ValueError and merges no record.
+    All or nothing: a malformed file, or one holding a coefficient that is
+    not positive, raises ValueError and merges no record.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -299,7 +300,10 @@ def load_cache(path: str) -> int:
         entries: dict[SignedPermutation, int] = {}
         for _ in range(_read_varint(rec)):
             uwin = tuple(_unzigzag(_read_varint(rec)) for _ in range(_read_varint(rec)))
-            entries[SignedPermutation(uwin)] = _unzigzag(_read_varint(rec))
+            coeff = _unzigzag(_read_varint(rec))
+            if coeff <= 0:
+                raise ValueError(f"{path} holds the coefficient {coeff}, which is not positive")
+            entries[SignedPermutation(uwin)] = coeff
         loaded.setdefault((t, window), entries)
     for key, entries in loaded.items():
         _cache.setdefault(key, entries)

@@ -17,21 +17,11 @@ from .weyl import (
     SignedPermutation,
     demazure_apply,
     generator,
+    generator_indices,
     identity,
     length,
     right_ascent,
 )
-
-
-def alphabet(t: str, max_index: int) -> list[int]:
-    """Generator indices available in type t, capped at max_index."""
-    if t == "A":
-        return list(range(1, max_index + 1))
-    if t in ("B", "C"):
-        return list(range(0, max_index + 1))
-    if t == "D":
-        return [-1] + list(range(1, max_index + 1))
-    raise ValueError(f"unknown group type {t!r}")
 
 
 class _Reach:
@@ -71,7 +61,7 @@ def hecke_words(t: str, w: SignedPermutation, max_len: int) -> Iterator[tuple[in
     Letters are capped at index support(w) + max_len - 1: any larger
     generator raises the length irrecoverably.
     """
-    letters = alphabet(t, max(w.support + max_len - 1, 1))
+    letters = generator_indices(t, max(w.support + max_len, 2))
     reach = _Reach(t, w, letters)
     word: list[int] = []
 
@@ -224,7 +214,7 @@ def fstanley(
     total = TruncPoly.zero(bound)
     if bound < lw:
         return total
-    letters = alphabet(t, max(w.support + bound - 1, 1))
+    letters = generator_indices(t, max(w.support + bound, 2))
     reach = _Reach(t, w, letters)
     zcache = [None] + [zvar(m, bound) for m in range(1, num_vars + 1)]
 
@@ -300,43 +290,6 @@ def fstanley(
 
     rec_uni(identity(), 0, None, None, TruncPoly.const(1, bound))
     return acc[0]
-
-
-# -- type A: stable Grothendieck polynomials --------------------------------
-
-
-@lru_cache(maxsize=None)
-def stable_g(w: SignedPermutation, num_vars: int, bound: int) -> TruncPoly:
-    """The stable Grothendieck polynomial G_w for a type A element."""
-    if not w.in_group("A"):
-        raise ValueError(f"{w} is not a type A element")
-    lw = length("A", w)
-    total = [TruncPoly.zero(bound)]
-    if bound < lw:
-        return total[0]
-    letters = alphabet("A", max(w.support + bound - 1, 1))
-    reach = _Reach("A", w, letters)
-    zcache = [None] + [zvar(m, bound) for m in range(1, num_vars + 1)]
-
-    def rec(p, pos, a1, b1, mono):
-        if p == w:
-            total[0] = total[0] + TruncPoly.beta(pos - lw, bound) * mono
-        if pos == bound:
-            return
-        rem = bound - pos - 1
-        for g in letters:
-            q = demazure_apply("A", p, g)
-            if reach.dist(q) > rem:
-                continue
-            lo = b1 if b1 else 1
-            for val in range(lo, num_vars + 1):
-                # b must strictly increase across a weak ascent of the word
-                if pos >= 1 and a1 <= g and val == b1:
-                    continue
-                rec(q, pos + 1, g, val, mono * zcache[val])
-
-    rec(identity(), 0, None, None, TruncPoly.const(1, bound))
-    return total[0]
 
 
 # -- multi-permutations and quasisymmetric functions -------------------------

@@ -1,9 +1,10 @@
 """Double Grothendieck polynomials of types B, C, D via the Demazure triple
-sum, and the classical-type operator calculus with its transition identity.
+sum, and the checks of the Monk and transition identities against them.
 
-The triple-sum evaluator is deliberately independent of the operator code:
-it enumerates (sigma, u, tau) directly and is the oracle every operator
-identity is checked against.  Both the Demazure product and Bruhat order
+The operator calculus (R_k, M_k at truncation and the transition
+certificate) lives in rings and is shared with type A.  The triple-sum
+evaluator is deliberately independent of it: it enumerates (sigma, u, tau)
+directly and is the oracle every operator identity is checked against.  Both the Demazure product and Bruhat order
 force the factors of w to have length at most l(w) and support inside the
 window of w, which keeps the enumeration small.
 """
@@ -20,22 +21,14 @@ from .rings import (
     FCombo,
     TruncPoly,
     YRational,
-    apply_R,
+    apply_M,
     ominus_y,
-    star_action,
+    transition,
+    unit_combo,
     xvar,
     yvar,
 )
-from .weyl import (
-    SignedPermutation,
-    demazure_mul,
-    elements_up_to_length,
-    is_valid_reflection,
-    length,
-    length_increment_ok,
-    reflection,
-    transition_data,
-)
+from .weyl import SignedPermutation, demazure_mul, elements_up_to_length, length
 
 
 @lru_cache(maxsize=None)
@@ -86,80 +79,6 @@ def kn_eval(t: str, w: SignedPermutation, num_vars: int, bound: int) -> TruncPol
     return total
 
 
-# -- the operator calculus ----------------------------------------------
-
-
-def _raise_move(t: str, u: SignedPermutation, i: int, j: int) -> SignedPermutation | None:
-    """u * t_{ij} when valid in type t and length raises by one, else None."""
-    if not is_valid_reflection(t, i, j):
-        return None
-    if length_increment_ok(t, u, i, j):
-        return u * reflection(i, j)
-    return None
-
-
-def unit_combo(t: str, w: SignedPermutation) -> FCombo:
-    return FCombo(t, {w: YRational.const(1)})
-
-
-def apply_R_bcd(t: str, k: int, combo: FCombo) -> FCombo:
-    """The transition operator R_k of type B, C or D: the n-factor first
-    (type B only), then the t-moves for j ascending (see weyl.r_chains)."""
-    return apply_R(t, k, combo)
-
-
-def apply_M_bcd(t: str, k: int, combo: FCombo, bound: int) -> FCombo:
-    """The Monk-type operator at truncation: v-scaling, then the twisted
-    u-moves for j descending below k, then the o-correction (type B), then
-    the t-moves for l above k.
-
-    Basis elements of length above the bound are dropped as they appear:
-    their coefficients sit in degrees the truncation cannot see.
-    """
-    out = FCombo(t)
-    for u, c in combo:
-        wk = u(k)
-        if wk > 0:
-            out.add_term(u, c * YRational.inverse_unit(wk))
-        else:
-            out.add_term(u, c * (ONE + BETA * yvar(-wk)))
-
-    def prune(comb: FCombo) -> FCombo:
-        res = FCombo(t)
-        for u, c in comb:
-            if length(t, u) <= bound:
-                res.add_term(u, c)
-        return res
-
-    out = prune(out)
-    j = k - 1
-    while out.terms and j >= -(max(k, max(u.support for u, _ in out)) + 1):
-        extra = FCombo(t)
-        for u, c in out:
-            v = _raise_move(t, u, j, k)
-            if v is not None and length(t, v) <= bound:
-                twist = v * u.inverse()
-                extra.add_term(v, star_action(twist, c) * BETA * (-1))
-        out = out + extra
-        j -= 1
-    if t == "B":
-        extra = FCombo(t)
-        for u, c in out:
-            v = _raise_move("B", u, 0, k)
-            if v is not None and length("B", v) <= bound:
-                extra.add_term(v, YRational.from_poly(c.at_y_zero()) * BETA * (-1))
-        out = out + extra
-    if out.terms:
-        for l in range(max(k, max(u.support for u, _ in out)) + 1, k, -1):
-            extra = FCombo(t)
-            for u, c in out:
-                v = _raise_move(t, u, k, l)
-                if v is not None and length(t, v) <= bound:
-                    extra.add_term(v, c * BETA)
-            out = out + extra
-    return out
-
-
 # -- evaluation and the transition identity ---------------------------------
 
 
@@ -178,20 +97,8 @@ def monk_identity_holds(t: str, u: SignedPermutation, k: int, num_vars: int, bou
     lhs = YRational.from_poly(
         ((ONE + BETA * xvar(k)) * kn_eval(t, u, num_vars, bound)).with_bound(bound)
     )
-    rhs = combo_kn(t, apply_M_bcd(t, k, unit_combo(t, u), bound), num_vars, bound)
+    rhs = combo_kn(t, apply_M(t, k, unit_combo(t, u), bound), num_vars, bound)
     return lhs == rhs
-
-
-def transition_bcd(t: str, w: SignedPermutation) -> tuple[SignedPermutation, int, int, FCombo]:
-    """Transition certificate (v, a, c, R_a applied to KN_v).
-
-    The identity: KN_w = ((1+beta*y_c)(1+beta*x_a) * combo - KN_v) / beta,
-    with y_c read as ominus y_{|c|} when c is negative.
-    """
-    if not w.in_group(t):
-        raise ValueError(f"{w} is not in the group of type {t}")
-    v, a, _, c = transition_data(w)
-    return v, a, c, apply_R_bcd(t, a, unit_combo(t, v))
 
 
 def y_factor(c: int) -> YRational:
@@ -205,8 +112,12 @@ def transition_residual(
     t: str, w: SignedPermutation, num_vars: int, bound: int
 ) -> YRational:
     """The difference between the two sides of the transition identity; the
-    beta-division exactness is part of the check."""
-    v, a, c, combo = transition_bcd(t, w)
+    beta-division exactness is part of the check.
+
+    The identity: KN_w = ((1+beta*y_c)(1+beta*x_a) * R_a KN_v - KN_v) / beta,
+    with y_c read as ominus y_{|c|} when c is negative.
+    """
+    v, a, c, combo = transition(t, w)
     bracket = (
         y_factor(c) * (ONE + BETA * xvar(a)) * combo_kn(t, combo, num_vars, bound)
         - kn_eval(t, v, num_vars, bound)

@@ -8,15 +8,25 @@ never truncated.  All coefficients are Python ints, so nothing overflows.
 
 The module also provides the localized ring with inverted (1 + beta*y_i)
 factors (YRational), the isobaric divided difference, the ominus series,
-the signed star substitution, and the K-supersymmetry check.
+the signed star substitution, the K-supersymmetry check, and the operator
+calculus on formal combinations that every type shares: the transition
+operator R_k, the Monk-type operator M_k and the transition certificate.
+Only the evaluators differ by type (groth_a for A, kn for B, C, D).
 """
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Iterator
 
-from .weyl import SignedPermutation, length, r_chains
+from .weyl import (
+    SignedPermutation,
+    is_valid_reflection,
+    length,
+    length_increment_ok,
+    r_chains,
+    reflection,
+    transition_data,
+)
 
 X, Y, Z = 0, 1, 2
 _FAMILY_NAMES = {X: "x", Y: "y", Z: "z"}
@@ -252,14 +262,6 @@ class TruncPoly:
             if not terms[m]:
                 del terms[m]
         return TruncPoly(terms, self.bound)
-
-    def max_index(self, family: int) -> int:
-        best = 0
-        for _, v in self.terms.items():
-            for code, _ in v:
-                if code_family(code) == family:
-                    best = max(best, code_index(code))
-        return best
 
     def coefficient_of_beta(self, exp: int) -> "TruncPoly":
         return TruncPoly({(0, v): c for (b, v), c in self.terms.items() if b == exp}, self.bound)
@@ -626,6 +628,87 @@ def apply_R(t: str, k: int, combo: FCombo) -> FCombo:
     return out
 
 
+def _raise_move(
+    t: str, u: SignedPermutation, i: int, j: int, bound: int | None = None
+) -> SignedPermutation | None:
+    """u * t_{ij} when t_{ij} is a reflection of type t that raises the length
+    of u by one and the result has length at most bound; else None."""
+    if not (is_valid_reflection(t, i, j) and length_increment_ok(t, u, i, j)):
+        return None
+    v = u * reflection(i, j)
+    if bound is not None and length(t, v) > bound:
+        return None
+    return v
+
+
+def apply_M(t: str, k: int, combo: FCombo, bound: int | None = None) -> FCombo:
+    """The Monk-type operator M_k, which acts on a combination of double
+    Grothendieck polynomials as multiplication by 1 + beta*x_k.
+
+    Factors act rightmost first: the v-scaling by 1/(1 + beta*y_{u(k)}), the
+    twisted u-moves for j descending below k, the o-correction (type B only),
+    then the t-moves for l above k.  With bound=None the result is exact and
+    finite, which holds in type A only.  In types B, C and D the u-moves
+    never stop growing the support, so basis elements of length above the
+    bound are dropped as they appear: their coefficients sit in degrees the
+    truncation cannot see.
+    """
+    if bound is None and t != "A":
+        raise ValueError(f"the Monk operator of type {t} needs a length bound")
+    out = FCombo(t)
+    for u, c in combo:
+        if bound is not None and length(t, u) > bound:
+            continue
+        wk = u(k)
+        if wk > 0:
+            out.add_term(u, c * YRational.inverse_unit(wk))
+        else:
+            out.add_term(u, c * (ONE + BETA * yvar(-wk)))
+    j = k - 1
+    while j >= -(max([k] + [u.support for u, _ in out]) + 1):
+        extra = FCombo(t)
+        for u, c in out:
+            v = _raise_move(t, u, j, k, bound)
+            if v is not None:
+                twist = v * u.inverse()
+                extra.add_term(v, star_action(twist, c) * BETA * (-1))
+        out = out + extra
+        j -= 1
+    if t == "B":
+        extra = FCombo(t)
+        for u, c in out:
+            v = _raise_move(t, u, 0, k, bound)
+            if v is not None:
+                extra.add_term(v, YRational.from_poly(c.at_y_zero()) * BETA * (-1))
+        out = out + extra
+    for l in range(max([k] + [u.support for u, _ in out]) + 1, k, -1):
+        extra = FCombo(t)
+        for u, c in out:
+            v = _raise_move(t, u, k, l, bound)
+            if v is not None:
+                extra.add_term(v, c * BETA)
+        out = out + extra
+    return out
+
+
+def unit_combo(t: str, w: SignedPermutation) -> FCombo:
+    """The combination 1*w."""
+    return FCombo(t, {w: YRational.const(1)})
+
+
+def transition(t: str, w: SignedPermutation) -> tuple[SignedPermutation, int, int, FCombo]:
+    """The transition certificate (v, a, c, R_a applied to the unit at v).
+
+    With G the double Grothendieck polynomial of the type, the identity is
+    G_w = ((1+beta*y_c)(1+beta*x_a) * sum_u coeff_u G_u - G_v) / beta,
+    with y_c read as ominus y_{|c|} when c is negative.
+    """
+    if not w.in_group(t):
+        raise ValueError(f"{w} is not in the group of type {t}")
+    v, a, _, c = transition_data(w)
+    return v, a, c, apply_R(t, a, unit_combo(t, v))
+
+
 # -- the K-supersymmetry check ---------------------------------------------
 
 
@@ -706,69 +789,3 @@ def yrational_str(f: YRational) -> str:
         else:
             out.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(out)
-
-
-def _parse_term(chunk: str, text: str) -> tuple[Monomial, int]:
-    sign = 1
-    if chunk.startswith("-"):
-        sign = -1
-        chunk = chunk[1:]
-    coeff = sign
-    beta_exp = 0
-    vars_acc: dict[int, int] = {}
-    for factor in chunk.split("*"):
-        factor = factor.strip()
-        if not factor:
-            continue
-        if factor.isdigit():
-            coeff *= int(factor)
-        elif factor == "b":
-            beta_exp += 1
-        elif factor.startswith("b^"):
-            beta_exp += int(factor[2:])
-        else:
-            m = re.fullmatch(r"([xyz])(\d+)(?:\^(\d+))?", factor)
-            if not m:
-                raise ValueError(f"bad factor {factor!r} in {text!r}")
-            code = var_code(_FAMILY_CODES[m.group(1)], int(m.group(2)))
-            vars_acc[code] = vars_acc.get(code, 0) + int(m.group(3) or 1)
-    return (beta_exp, tuple(sorted(vars_acc.items()))), coeff
-
-
-def _split_terms(text: str) -> list[str]:
-    # terms are separated by spaced operators; the + inside a denominator
-    # factor (1+b*y1) has no spaces around it
-    s = text.strip().replace(" - ", " +-").replace(" + ", " +")
-    return [chunk.strip() for chunk in s.split(" +") if chunk.strip()]
-
-
-def parse_poly(text: str, bound: int | None = None) -> TruncPoly:
-    """Parse the canonical rendering back into a TruncPoly."""
-    if text.strip() in ("0", ""):
-        return TruncPoly.zero(bound)
-    result = TruncPoly.zero(bound)
-    for chunk in _split_terms(text):
-        mono, coeff = _parse_term(chunk, text)
-        result = result + TruncPoly({mono: coeff}, bound)
-    return result
-
-
-_DEN = re.compile(r"/\(?((?:\(1\+b\*y\d+\)(?:\^\d+)?\*?)+)\)?$")
-_DEN_FACTOR = re.compile(r"\(1\+b\*y(\d+)\)(?:\^(\d+))?")
-
-
-def parse_yrational(text: str) -> YRational:
-    """Parse the canonical rendering, with per-term unit denominators."""
-    if text.strip() in ("0", ""):
-        return YRational.const(0)
-    total = YRational.const(0)
-    for chunk in _split_terms(text):
-        den: dict[int, int] = {}
-        m = _DEN.search(chunk)
-        if m:
-            chunk = chunk[: m.start()]
-            for idx, exp in _DEN_FACTOR.findall(m.group(1)):
-                den[int(idx)] = den.get(int(idx), 0) + int(exp or 1)
-        mono, coeff = _parse_term(chunk, text)
-        total = total + YRational(TruncPoly({mono: coeff}), den)
-    return total

@@ -73,25 +73,6 @@ class ShiftedSkewShape:
     def __str__(self):
         return f"outer={list(self.outer)} inner={list(self.inner)}"
 
-    @staticmethod
-    def parse(text: str) -> "ShiftedSkewShape":
-        import re
-
-        outer: list[int] = []
-        inner: list[int] = []
-        m = re.search(r"outer=\[([\d,\s]*)\]", text)
-        if m:
-            outer = [int(t) for t in m.group(1).split(",") if t.strip()]
-            m2 = re.search(r"inner=\[([\d,\s]*)\]", text)
-            if m2:
-                inner = [int(t) for t in m2.group(1).split(",") if t.strip()]
-        else:
-            parts = text.split("/")
-            outer = [int(t) for t in parts[0].strip().strip("[]").split(",") if t.strip()]
-            if len(parts) > 1:
-                inner = [int(t) for t in parts[1].strip().strip("[]").split(",") if t.strip()]
-        return ShiftedSkewShape(tuple(outer), tuple(inner))
-
 
 def letter_value(code: int) -> int:
     return (code + 1) // 2

@@ -145,6 +145,19 @@ class TestVerifySuite:
         assert len(lines) == 15
         assert all(l.startswith("PASS") for l in lines)
 
+    def test_seed_leaves_checks_unchanged(self, capsys, monkeypatch):
+        from ktrans import cli
+
+        def only_pi_braid(index):
+            # the seeded check runs for real; the rest are stubbed out
+            name, fn = cli.CHECKS[index]
+            return (name, *fn()) if index == len(cli.CHECKS) - 1 else (name, True, "")
+
+        monkeypatch.setattr(cli, "_run_check", only_pi_braid)
+        code, out = run(capsys, "verify-suite", "--seed", "3")
+        assert code == 0 and "all 15 checks passed" in out
+        assert cli.CHECKS[-1][1] is cli._check_pi_braid
+
 
 class TestCache:
     def test_env_var_persists_expansions(self, capsys, tmp_path, monkeypatch):
@@ -162,6 +175,23 @@ class TestCache:
     def test_truncated_cache_is_ignored(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("KTRANS_CACHE_DIR", str(tmp_path))
         (tmp_path / "expansions.ktrx").write_bytes(b"KTRX\x01\x00")
+        code = main(["expand", "--type", "B", "--w", "2,1", "--json"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "warning: ignoring cache" in captured.err
+        assert {(1,): 2, (2,): 1} == {
+            tuple(t["lambda"]): t["coeff"] for t in json.loads(captured.out)["terms"]
+        }
+
+    def test_nonpositive_cached_coefficient_is_ignored(self, capsys, tmp_path, monkeypatch):
+        from ktrans import expand as expand_mod
+
+        monkeypatch.setenv("KTRANS_CACHE_DIR", str(tmp_path))
+        run(capsys, "expand", "--type", "B", "--w", "2,1")
+        key = ("B", (2, 1))
+        expand_mod._cache[key] = {u: -3 for u in expand_mod._cache[key]}
+        expand_mod.save_cache(str(tmp_path / "expansions.ktrx"))
+        expand_mod._cache.clear()
         code = main(["expand", "--type", "B", "--w", "2,1", "--json"])
         captured = capsys.readouterr()
         assert code == 0

@@ -3,27 +3,33 @@
 import pytest
 
 from ktrans.groth_a import (
-    apply_M_a,
-    apply_R_a,
     combo_poly,
     groth_poly,
     groth_single,
     monk_identity_holds,
-    transition_a,
-    transition_data,
     transition_identity_holds,
-    unit_combo,
 )
 from ktrans.rings import (
     BETA,
     ONE,
     YRational,
+    apply_M,
+    apply_R,
     pi_operator,
+    transition,
+    unit_combo,
     xvar,
     yrational_str,
     yvar,
 )
-from ktrans.weyl import group_elements, identity, length, parse_oneline, reflection
+from ktrans.weyl import (
+    group_elements,
+    identity,
+    length,
+    parse_oneline,
+    reflection,
+    transition_data,
+)
 
 
 def oplus(a, b):
@@ -91,19 +97,19 @@ class TestGrothPoly:
 
 class TestOperators:
     def test_v_scaling_on_identity(self):
-        out = apply_M_a(2, unit_combo(identity()))
+        out = apply_M("A", 2, unit_combo("A", identity()))
         # the identity term keeps the bare unit scaling
         assert out.terms[identity()] == YRational.inverse_unit(2)
 
     def test_operator_coefficients_homogeneous(self):
         for u in group_elements("A", 3):
             for k in (1, 2):
-                for w, c in apply_M_a(k, unit_combo(u)):
+                for w, c in apply_M("A", k, unit_combo("A", u)):
                     assert c.homogeneous_degree() is not None, (str(u), k, str(w))
 
     def test_monk_golden_example(self):
         # the six-term expansion of (1 + beta x_3) acting on the unit
-        out = apply_M_a(3, unit_combo(identity()))
+        out = apply_M("A", 3, unit_combo("A", identity()))
         got = {
             w.window: yrational_str(c)
             for w, c in out
@@ -118,7 +124,7 @@ class TestOperators:
         }
 
     def test_monk_golden_example_larger_support(self):
-        out = apply_M_a(3, unit_combo(parse_oneline("1,3,4,5,2")))
+        out = apply_M("A", 3, unit_combo("A", parse_oneline("1,3,4,5,2")))
         got = {w.window: yrational_str(c) for w, c in out}
         assert got == {
             (1, 3, 4, 5, 2): "1/(1+b*y4)",
@@ -132,13 +138,13 @@ class TestOperators:
         }
 
     def test_r_one_is_identity_operator(self):
-        c = unit_combo(parse_oneline("2,1"))
-        assert apply_R_a(1, c) == c
+        c = unit_combo("A", parse_oneline("2,1"))
+        assert apply_R("A", 1, c) == c
 
     def test_r_two_fixes_s1(self):
         # no length-raising (1,2)-move exists past 21
-        c = unit_combo(parse_oneline("2,1"))
-        assert apply_R_a(2, c) == c
+        c = unit_combo("A", parse_oneline("2,1"))
+        assert apply_R("A", 2, c) == c
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_monk_identity_on_s3(self, k):
@@ -147,19 +153,18 @@ class TestOperators:
 
     def test_x_factor_absorbs_r_operator(self):
         # (1 + beta x_k) R_k F equals the raising tail of M_k applied to F
-        from ktrans.groth_a import _t_move
-        from ktrans.rings import FCombo
+        from ktrans.rings import FCombo, _raise_move
 
         k = 2
         for w in group_elements("A", 3):
             lhs = YRational.from_poly(ONE + BETA * xvar(k)) * combo_poly(
-                apply_R_a(k, unit_combo(w))
+                apply_R("A", k, unit_combo("A", w))
             )
             out = FCombo("A", {w: YRational.inverse_unit(w(k))})
             for l in range(max(k, w.support) + 1, k, -1):
                 extra = FCombo("A")
                 for u, c in out:
-                    v = _t_move(u, k, l)
+                    v = _raise_move("A", u, k, l)
                     if v is not None:
                         extra.add_term(v, c * BETA)
                 out = out + extra
@@ -182,7 +187,7 @@ class TestTransition:
 
     def test_identity_input_rejected(self):
         with pytest.raises(ValueError):
-            transition_a(identity())
+            transition("A", identity())
 
     def test_exactness_and_identity_on_s4(self):
         for w in group_elements("A", 4):

@@ -8,7 +8,6 @@ from ktrans.hecke import (
     hecke_words,
     mperm,
     quasi,
-    stable_g,
     unimodal_factorizations,
 )
 from ktrans.rings import BETA, TruncPoly, poly_str, supersym_check, zvar
@@ -190,20 +189,6 @@ class TestFStanley:
         assert fstanley("B", w_shape("B", sh), 2, 5) == want_p
         assert fstanley("D", w_shape("D", sh), 2, 5) == want_p
         assert fstanley("C", w_shape("C", sh), 2, 5) == gq(sh, 2, 5)
-
-
-class TestStableG:
-    def test_identity(self):
-        assert stable_g(identity(), 2, 2) == TruncPoly.const(1, 2)
-
-    def test_simple_reflection(self):
-        f = stable_g(parse_oneline("2,1"), 2, 2)
-        expect = zvar(1) + zvar(2) + BETA * zvar(1) * zvar(2)
-        assert f == expect.with_bound(2)
-
-    def test_rejects_signed_input(self):
-        with pytest.raises(ValueError):
-            stable_g(parse_oneline("-2,1"), 2, 2)
 
 
 class TestQuasisymmetric:

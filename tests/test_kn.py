@@ -4,17 +4,11 @@ import pytest
 
 from ktrans.hecke import fstanley
 from ktrans.kn import (
-    apply_M_bcd,
-    apply_R_bcd,
     combo_kn,
     kn_eval,
     monk_identity_holds,
-    transition_bcd,
-    transition_data,
     transition_identity_holds,
-    unit_combo,
     y_factor,
-    _raise_move,
 )
 from ktrans.rings import (
     BETA,
@@ -24,13 +18,18 @@ from ktrans.rings import (
     X,
     Y,
     YRational,
+    _raise_move,
+    apply_M,
+    apply_R,
     star_action,
+    transition,
+    unit_combo,
     xvar,
     yvar,
     yrational_str,
 )
 from ktrans.tableaux import ShiftedSkewShape, gp, gq
-from ktrans.weyl import group_elements, identity, length, parse_oneline
+from ktrans.weyl import group_elements, identity, length, parse_oneline, transition_data
 
 
 class TestKnEval:
@@ -110,13 +109,13 @@ class TestROperator:
         for t in ("B", "C", "D"):
             for w in group_elements(t, 2):
                 for k in (1, 2):
-                    out = apply_R_bcd(t, k, unit_combo(t, w))
+                    out = apply_R(t, k, unit_combo(t, w))
                     assert out.terms[w] == YRational.const(1)
                     for u in out.terms:
                         assert u == w or length(t, u) > length(t, w)
 
     def test_b_sign_term_from_identity(self):
-        out = apply_R_bcd("B", 1, unit_combo("B", identity()))
+        out = apply_R("B", 1, unit_combo("B", identity()))
         got = {w.window: yrational_str(c) for w, c in out}
         # the n-factor and the in-product sign move together contribute
         # b*(2 + b*y1)/(1 + b*y1) on the sign change
@@ -128,7 +127,7 @@ class TestROperator:
 
     def test_golden_five_term_example(self):
         v = parse_oneline("-3,4,-1,2,5")
-        out = apply_R_bcd("C", 4, unit_combo("C", v))
+        out = apply_R("C", 4, unit_combo("C", v))
         got = {w.window: yrational_str(c) for w, c in out}
         assert got == {
             (-3, 4, -1, 2): "1",
@@ -142,13 +141,19 @@ class TestROperator:
 
 class TestMOperator:
     def test_v_scaling(self):
-        out = apply_M_bcd("C", 1, unit_combo("C", identity()), 0)
+        out = apply_M("C", 1, unit_combo("C", identity()), 0)
         assert out.terms[identity()] == YRational.inverse_unit(1)
+
+    @pytest.mark.parametrize("t", ["B", "C", "D"])
+    def test_needs_a_bound(self, t):
+        # the u-moves of types B, C, D grow the support without end
+        with pytest.raises(ValueError):
+            apply_M(t, 1, unit_combo(t, identity()))
 
     def test_type_b_golden_terms(self):
         # the expansion of (1 + beta x_1) acting on the unit in type B,
         # with the alternating infinite tail cut at length 4
-        out = apply_M_bcd("B", 1, unit_combo("B", identity()), 4)
+        out = apply_M("B", 1, unit_combo("B", identity()), 4)
         got = {u.window: yrational_str(c) for u, c in out}
         assert got == {
             (): "1/(1+b*y1)",
@@ -166,7 +171,7 @@ class TestMOperator:
         # a length-17 element: the expansion carries sign-twisted units, the
         # type-B-only correction pair, and the first alternating tail term
         w = parse_oneline("-6,-1,3,-4,-2,5")
-        out = apply_M_bcd("B", 3, unit_combo("B", w), 20)
+        out = apply_M("B", 3, unit_combo("B", w), 20)
         got = {u.window: yrational_str(c) for u, c in out}
         assert got == {
             (-6, -1, 3, -4, -2, 5): "1/(1+b*y3)",
@@ -189,7 +194,7 @@ class TestMOperator:
             (-1, 3, -7, -4, -2, 5, 6): "-b^3 - b^4*y7",
         }
         for t in ("C", "D"):
-            other = apply_M_bcd(t, 3, unit_combo(t, w), length(t, w) + 3)
+            other = apply_M(t, 3, unit_combo(t, w), length(t, w) + 3)
             windows = {u.window for u, _ in other}
             assert (-6, -3, -1, -4, -2, 5) not in windows
             assert len(other) == 14
@@ -206,7 +211,7 @@ class TestMOperator:
         for t in ("B", "C", "D"):
             for w in group_elements(t, 2):
                 for k in (1, 2):
-                    lhs_c = apply_R_bcd(t, k, unit_combo(t, w))
+                    lhs_c = apply_R(t, k, unit_combo(t, w))
                     lhs = YRational.from_poly(ONE + BETA * xvar(k)) * combo_kn(
                         t, lhs_c, 2, bound
                     )
@@ -283,7 +288,7 @@ class TestTransition:
 
     def test_rejects_grassmannian(self):
         with pytest.raises(ValueError):
-            transition_bcd("B", parse_oneline("-2,1"))
+            transition("B", parse_oneline("-2,1"))
 
     def test_y_factor_negative_is_unit_inverse(self):
         assert y_factor(-2) * (ONE + BETA * yvar(2)) == YRational.const(1)
@@ -301,7 +306,7 @@ class TestTransition:
             for w in group_elements(t, 2):
                 if not w.descents():
                     continue
-                v, a, c, combo = transition_bcd(t, w)
+                v, a, c, combo = transition(t, w)
                 at_zero = {}
                 for u, coeff in combo:
                     p = coeff.at_y_zero()

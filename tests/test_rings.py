@@ -12,7 +12,6 @@ from ktrans.rings import (
     YRational,
     ominus_series,
     ominus_y,
-    parse_poly,
     pi_operator,
     poly_str,
     star_action,
@@ -82,30 +81,9 @@ class TestRendering:
         assert poly_str(TruncPoly.zero()) == "0"
         assert poly_str(TruncPoly.const(-1) * xvar(1) + yvar(2)) == "y2 - x1"
 
-    def test_round_trip(self):
-        rng = random.Random(3)
-        for _ in range(20):
-            p = random_poly(rng) + random_poly(rng) * yvar(rng.randint(1, 3))
-            assert parse_poly(poly_str(p)) == p
-
     def test_yrational_rendering(self):
         f = YRational(yvar(1) * BETA * 5, {1: 1})
         assert yrational_str(f) == "5*b*y1/(1+b*y1)"
-
-    def test_yrational_round_trip(self):
-        from ktrans.rings import parse_yrational
-
-        cases = [
-            YRational(yvar(1) * BETA * 5, {1: 1}),
-            YRational.const(4)
-            + YRational(yvar(1) * BETA * 5, {1: 1})
-            + YRational.from_poly(6 * BETA * BETA * zvar(1) * zvar(2)),
-            YRational(yvar(2), {1: 2, 3: 1}),
-            YRational.const(0),
-            YRational.const(-3) + YRational(-1 * yvar(1), {1: 1}),
-        ]
-        for f in cases:
-            assert parse_yrational(yrational_str(f)) == f
 
 
 class TestPiOperator:
