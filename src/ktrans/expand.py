@@ -10,6 +10,7 @@ counts R_k's chains in the Weyl group and never builds a polynomial.
 
 from __future__ import annotations
 
+import heapq
 import io
 import os
 import struct
@@ -93,18 +94,18 @@ class ExpansionResult:
 _cache: dict[tuple[str, tuple[int, ...]], dict[SignedPermutation, int]] = {}
 
 
-def _select_key(pending) -> SignedPermutation:
-    """A maximal non-Grassmannian key in the LD order, ties by window."""
-    candidates = [u for u in pending if not u.is_grassmannian()]
-    return max(candidates, key=lambda u: (u.least_descent(), u(u.least_descent()), u.window))
-
-
 def expand_grassmannian(t: str, w: SignedPermutation) -> ExpansionResult:
     """Fully expand F_w into Grassmannian symbols by iterated transitions.
 
-    The worklist always expands a maximal key, so every intermediate stays
-    within the support bound support(w) + LD(w); that containment and the
-    nonnegativity of all coefficients are asserted as the engine runs.
+    The worklist is a heap of non-Grassmannian keys, popped largest first
+    by (least descent d, u(d)), ties by the smaller window: a linear
+    extension of the LD order.  Every transition output lies strictly below its source, so
+    a key is popped only after all of its multiplicity has arrived in
+    `pending`, and each key is expanded exactly once.  Grassmannian outputs
+    go straight into the result and never enter the heap.  Every
+    intermediate stays within the support bound support(w) + LD(w); that
+    containment and the nonnegativity of all coefficients are asserted as
+    the engine runs.
     """
     if not w.in_group(t):
         raise ValueError(f"{w} is not in the group of type {t}")
@@ -112,15 +113,26 @@ def expand_grassmannian(t: str, w: SignedPermutation) -> ExpansionResult:
     max_support = w.support + w.least_descent()
     cached = _cache.get((t, w.window))
     if cached is None:
-        pending: dict[SignedPermutation, int] = {w: 1}
+        pending: dict[SignedPermutation, int] = {}
         grassmannian: dict[SignedPermutation, int] = {}
-        while True:
-            for u in list(pending):
-                if u.is_grassmannian():
-                    grassmannian[u] = grassmannian.get(u, 0) + pending.pop(u)
-            if not pending:
-                break
-            u = _select_key(pending)
+        heap: list[tuple[int, int, tuple[int, ...], SignedPermutation]] = []
+
+        def push(u: SignedPermutation, mult: int) -> None:
+            if u in pending:
+                pending[u] += mult
+            elif u in grassmannian:
+                grassmannian[u] += mult
+            else:
+                d = u.least_descent()
+                if d:
+                    pending[u] = mult
+                    heapq.heappush(heap, (-d, -u(d), u.window, u))
+                else:
+                    grassmannian[u] = mult
+
+        push(w, 1)
+        while heap:
+            u = heapq.heappop(heap)[3]
             mult = pending.pop(u)
             sub = _cache.get((t, u.window))
             if sub is not None:
@@ -132,7 +144,7 @@ def expand_grassmannian(t: str, w: SignedPermutation) -> ExpansionResult:
                     raise AssertionError(
                         f"intermediate {v} escapes the support bound {max_support}"
                     )
-                pending[v] = pending.get(v, 0) + mult * coeff
+                push(v, mult * coeff)
         _cache[(t, w.window)] = grassmannian
         cached = grassmannian
     basis = "GQ" if t == "C" else "GP"

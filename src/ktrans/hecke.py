@@ -81,60 +81,6 @@ def hecke_words(t: str, w: SignedPermutation, max_len: int) -> Iterator[tuple[in
     yield from rec(identity())
 
 
-def o_statistic(t: str, a: tuple[int, ...]) -> int:
-    """o^B counts zero letters, o^D counts +-1 letters, o^C is zero."""
-    if t == "B":
-        return sum(1 for x in a if x == 0)
-    if t == "D":
-        return sum(1 for x in a if x in (-1, 1))
-    return 0
-
-
-def compatible_seqs(
-    t: str, a: tuple[int, ...], num_vars: int
-) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
-    """Compatible sequences b for the word a, with (b, gamma, distinct, o^X).
-
-    Conditions: b weakly increases in [1, num_vars]; b_{i-1} < b_{i+1} at
-    every weak peak |a_{i-1}| <= |a_i| >= |a_{i+1}|; strict increase across
-    equal adjacent 0-letters in type B and equal adjacent +-1 letters in
-    type D.  The last condition is literal equality: a -1 next to a 1 may
-    share a b-value, which is what makes 2^(|b|-gamma-o) a half-integer on
-    a single word.  Only the sum over all Hecke words is integral.
-    """
-    k = len(a)
-    o = o_statistic(t, a)
-    if k == 0:
-        yield (), 0, 0, o
-        return
-    b: list[int] = []
-
-    def rec(pos: int, gamma: int, distinct: int) -> Iterator[tuple]:
-        if pos == k:
-            yield tuple(b), gamma, distinct, o
-            return
-        lo = b[-1] if b else 1
-        for val in range(lo, num_vars + 1):
-            if pos >= 2 and abs(a[pos - 2]) <= abs(a[pos - 1]) >= abs(a[pos]):
-                if not b[pos - 2] < val:
-                    continue
-            if val == lo and pos >= 1:
-                if t == "B" and a[pos - 1] == a[pos] == 0:
-                    continue
-                if t == "D" and a[pos - 1] == a[pos] and abs(a[pos]) == 1:
-                    continue
-            same = pos >= 1 and b[-1] == val
-            b.append(val)
-            yield from rec(
-                pos + 1,
-                gamma + (1 if same and a[pos - 1] == a[pos] else 0),
-                distinct + (0 if same else 1),
-            )
-            b.pop()
-
-    yield from rec(0, 0, 0)
-
-
 def _rank(v: int) -> int:
     # the order 0 < -1 < 1 < -2 < 2 < ...
     return 0 if v == 0 else 2 * abs(v) - (1 if v < 0 else 0)
@@ -224,6 +170,10 @@ def fstanley(
         acc[0] = acc[0] + term
 
     if method == "compat":
+        # Compatible sequences b weakly increase in [1, N], with b_{i-1} <
+        # b_{i+1} at every weak peak |a_{i-1}| <= |a_i| >= |a_{i+1}|, and
+        # strictly increase across equal adjacent 0-letters (B) or equal
+        # adjacent +-1 letters (D); o counts those letters.
         # Individual words can carry half-integer weights 2^(|b|-gamma-o);
         # accumulate everything scaled by 2^bound and divide back at the end.
         # State: prefix product, letters so far, the last two (a, b) entries,

@@ -263,9 +263,6 @@ class TruncPoly:
                 del terms[m]
         return TruncPoly(terms, self.bound)
 
-    def coefficient_of_beta(self, exp: int) -> "TruncPoly":
-        return TruncPoly({(0, v): c for (b, v), c in self.terms.items() if b == exp}, self.bound)
-
     def homogeneous_degree(self) -> int | None:
         """Degree under deg(beta) = -1, deg(var) = 1; None if inhomogeneous."""
         degs = {mono_degree(m) - m[0] for m in self.terms}

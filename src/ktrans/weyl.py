@@ -102,9 +102,13 @@ class SignedPermutation:
         raise ValueError(f"unknown group type {t!r}")
 
     def descents(self) -> set[int]:
-        """Des(w) = { i > 0 : w(i) > w(i+1) }; only window positions can qualify."""
-        n = len(self.window)
-        return {i for i in range(1, n + 1) if self(i) > self(i + 1)}
+        """Des(w) = { i > 0 : w(i) > w(i+1) }, scanned over the window alone.
+
+        The window is trimmed, so |w(n)| <= n < n + 1 = w(n + 1) and the
+        last position n is never a descent.
+        """
+        win = self.window
+        return {i for i in range(1, len(win)) if win[i - 1] > win[i]}
 
     def least_descent(self) -> int:
         des = self.descents()

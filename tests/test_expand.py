@@ -108,6 +108,38 @@ class TestExpand:
                 assert sum(lam) >= result.length or not lam
 
 
+class TestWorklist:
+    """The heap worklist expands each key once; the step counts pin the work."""
+
+    @pytest.mark.parametrize(
+        "t, w, steps, terms",
+        [
+            ("C", "-3,4,-1,5,2", 25, 7),
+            ("D", "-6,5,-2,7,8,1,3,4", 563, 68),
+            ("B", "4,7,2,6,-8,1,-5,-3", 3031, 328),
+        ],
+    )
+    def test_each_key_expanded_once(self, monkeypatch, t, w, steps, terms):
+        from collections import Counter
+
+        from ktrans import expand as expand_mod
+
+        calls = Counter()
+        step = expand_mod.transition_step
+
+        def counting_step(tt, u):
+            calls[u] += 1
+            return step(tt, u)
+
+        monkeypatch.setattr(expand_mod, "transition_step", counting_step)
+        monkeypatch.setattr(expand_mod, "_cache", {})
+        result = expand_grassmannian(t, parse_oneline(w))
+        assert max(calls.values()) == 1
+        assert sum(calls.values()) == steps
+        assert len(result.terms) == terms
+        assert all(coeff > 0 for coeff in result.terms.values())
+
+
 class TestSkew:
     def test_b_and_d_routes_agree(self):
         for lam, mu in (((5, 3, 1), (2,)), ((4, 2), (1,)), ((3, 2, 1), ())):

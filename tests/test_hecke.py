@@ -3,7 +3,6 @@
 import pytest
 
 from ktrans.hecke import (
-    compatible_seqs,
     fstanley,
     hecke_words,
     mperm,
@@ -76,30 +75,6 @@ class TestHeckeWords:
                 for g in a:
                     acc = demazure_apply(t, acc, g)
                 assert acc == w
-
-
-class TestCompatibleSeqs:
-    def test_empty_word(self):
-        assert list(compatible_seqs("B", (), 2)) == [((), 0, 0, 0)]
-
-    def test_b_zeros_force_strict(self):
-        assert [b for b, *_ in compatible_seqs("B", (0, 0), 2)] == [(1, 2)]
-
-    def test_c_zeros_unconstrained(self):
-        assert [b for b, *_ in compatible_seqs("C", (0, 0), 2)] == [
-            (1, 1),
-            (1, 2),
-            (2, 2),
-        ]
-
-    def test_statistics(self):
-        [(b, gamma, distinct, o)] = list(compatible_seqs("B", (0, 0), 2))
-        assert (gamma, distinct, o) == (0, 2, 2)
-
-    def test_peak_condition(self):
-        # word (1, 2, 1): the middle letter is a weak peak, so b_1 < b_3
-        for b, *_ in compatible_seqs("C", (1, 2, 1), 3):
-            assert b[0] < b[2]
 
 
 class TestUnimodal:

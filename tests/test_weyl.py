@@ -151,6 +151,12 @@ class TestDescents:
         assert w.least_descent() == 4
         assert parse_oneline("-2,1").descents() == set()
 
+    @pytest.mark.parametrize("t", ["B", "D"])
+    def test_window_scan_matches_definition(self, t):
+        for w in group_elements(t, 5):
+            n = w.support
+            assert w.descents() == {i for i in range(1, n + 1) if w(i) > w(i + 1)}, w
+
 
 class TestDemazure:
     def test_idempotent_generator(self):
