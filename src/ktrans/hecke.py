@@ -25,33 +25,35 @@ from .weyl import (
 
 
 class _Reach:
-    """Memoized minimal number of letters needed to reach the target."""
+    """Memoized minimal number of letters needed to reach the target,
+    keyed by window."""
 
     def __init__(self, t: str, target: SignedPermutation, letters: list[int]):
         self.t = t
-        self.target = target
+        self.target = target.window
         self.target_len = length(t, target)
         self.letters = letters
-        self.memo: dict[SignedPermutation, int] = {}
+        self.memo: dict[tuple[int, ...], int] = {}
 
-    def dist(self, p: SignedPermutation) -> int:
-        if p == self.target:
+    def dist(self, p: SignedPermutation, lp: int) -> int:
+        """The distance from p, whose length lp the caller already knows."""
+        key = p.window
+        if key == self.target:
             return 0
-        cached = self.memo.get(p)
+        cached = self.memo.get(key)
         if cached is not None:
             return cached
-        lp = length(self.t, p)
         if lp >= self.target_len:
-            self.memo[p] = 10**9
+            self.memo[key] = 10**9
             return 10**9
-        self.memo[p] = 10**9  # block cycles while recursing
+        self.memo[key] = 10**9  # block cycles while recursing
         best = 10**9
         for g in self.letters:
             if right_ascent(self.t, p, g):
-                d = self.dist(p * generator(self.t, g))
+                d = self.dist(p * generator(self.t, g), lp + 1)
                 if d + 1 < best:
                     best = d + 1
-        self.memo[p] = best
+        self.memo[key] = best
         return best
 
 
@@ -65,7 +67,7 @@ def hecke_words(t: str, w: SignedPermutation, max_len: int) -> Iterator[tuple[in
     reach = _Reach(t, w, letters)
     word: list[int] = []
 
-    def rec(p: SignedPermutation) -> Iterator[tuple[int, ...]]:
+    def rec(p: SignedPermutation, lp: int) -> Iterator[tuple[int, ...]]:
         if p == w:
             yield tuple(word)
         if len(word) == max_len:
@@ -73,12 +75,13 @@ def hecke_words(t: str, w: SignedPermutation, max_len: int) -> Iterator[tuple[in
         rem = max_len - len(word) - 1
         for g in letters:
             q = demazure_apply(t, p, g)
-            if reach.dist(q) <= rem:
+            lq = lp if q is p else lp + 1
+            if reach.dist(q, lq) <= rem:
                 word.append(g)
-                yield from rec(q)
+                yield from rec(q, lq)
                 word.pop()
 
-    yield from rec(identity())
+    yield from rec(identity(), 0)
 
 
 def _rank(v: int) -> int:
@@ -177,10 +180,10 @@ def fstanley(
         # Individual words can carry half-integer weights 2^(|b|-gamma-o);
         # accumulate everything scaled by 2^bound and divide back at the end.
         # State: prefix product, letters so far, the last two (a, b) entries,
-        # and the running exponent of 2.
+        # and the running exponent of 2; lp is the length of p.
         shift = bound
 
-        def rec(p, pos, a2, a1, b2, b1, twos, mono):
+        def rec(p, lp, pos, a2, a1, b2, b1, twos, mono):
             if p == w:
                 total_add(TruncPoly.beta(pos - lw, bound) * mono * (2 ** (shift + twos)))
             if pos == bound:
@@ -188,7 +191,8 @@ def fstanley(
             rem = bound - pos - 1
             for g in letters:
                 q = demazure_apply(t, p, g)
-                if reach.dist(q) > rem:
+                lq = lp if q is p else lp + 1
+                if reach.dist(q, lq) > rem:
                     continue
                 is_o = (t == "B" and g == 0) or (t == "D" and abs(g) == 1)
                 for val in range(b1 if b1 else 1, num_vars + 1):
@@ -198,9 +202,9 @@ def fstanley(
                     if same and a1 == g and (g == 0 if t == "B" else abs(g) == 1 if t == "D" else False):
                         continue
                     d_twos = (0 if same else 1) - (1 if same and a1 == g else 0) - (1 if is_o else 0)
-                    rec(q, pos + 1, a1, g, b1, val, twos + d_twos, mono * zcache[val])
+                    rec(q, lq, pos + 1, a1, g, b1, val, twos + d_twos, mono * zcache[val])
 
-        rec(identity(), 0, 0, 0, 0, 0, 0, TruncPoly.const(1, bound))
+        rec(identity(), 0, 0, 0, 0, 0, 0, 0, TruncPoly.const(1, bound))
         scaled = acc[0]
         divisor = 2**shift
         terms = {}
@@ -213,7 +217,7 @@ def fstanley(
 
     values = sorted([v for m in range(1, num_vars + 1) for v in (-m, m)], key=_rank)
 
-    def rec_uni(p, pos, a1, b1, mono):
+    def rec_uni(p, lp, pos, a1, b1, mono):
         if p == w:
             total_add(TruncPoly.beta(pos - lw, bound) * mono)
         if pos == bound:
@@ -221,7 +225,8 @@ def fstanley(
         rem = bound - pos - 1
         for g in letters:
             q = demazure_apply(t, p, g)
-            if reach.dist(q) > rem:
+            lq = lp if q is p else lp + 1
+            if reach.dist(q, lq) > rem:
                 continue
             floor = _rank(b1) if b1 is not None else 1
             for val in values:
@@ -236,9 +241,9 @@ def fstanley(
                     continue
                 if t == "D" and abs(g) == 1 and val < 0:
                     continue
-                rec_uni(q, pos + 1, g, val, mono * zcache[abs(val)])
+                rec_uni(q, lq, pos + 1, g, val, mono * zcache[abs(val)])
 
-    rec_uni(identity(), 0, None, None, TruncPoly.const(1, bound))
+    rec_uni(identity(), 0, 0, None, None, TruncPoly.const(1, bound))
     return acc[0]
 
 

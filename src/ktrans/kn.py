@@ -44,25 +44,22 @@ def kn_eval(t: str, w: SignedPermutation, num_vars: int, bound: int) -> TruncPol
     lw = length(t, w)
     n = max(w.support, 1)
     cap = min(lw, bound)
-    sigmas = [s for s in elements_up_to_length("A", n, cap)]
-    xelems = [u for u in elements_up_to_length(t, n, cap)]
+    sigmas = [(s, length("A", s)) for s in elements_up_to_length("A", n, cap)]
+    xelems = [(u, length(t, u)) for u in elements_up_to_length(t, n, cap)]
     total = TruncPoly.zero(bound)
-    for sigma in sigmas:
-        ls = length("A", sigma)
+    for sigma, ls in sigmas:
         if ls > bound:
             continue
         sigma_inv = sigma.inverse()
         gy = groth_single(sigma, "y").with_bound(bound)
-        for u in xelems:
-            lu = length(t, u)
+        for u, lu in xelems:
             if ls + lu > bound:
                 continue
             p = _demazure(t, sigma_inv, u)
             if length(t, p) > lw:
                 continue
             fu = None
-            for tau in sigmas:
-                lt = length("A", tau)
+            for tau, lt in sigmas:
                 if ls + lu + lt > bound:
                     continue
                 if _demazure(t, p, tau) != w:

@@ -21,9 +21,14 @@ GROUP_TYPES = ("A", "B", "C", "D")
 
 
 class SignedPermutation:
-    """A finitely supported signed permutation, canonically windowed."""
+    """A finitely supported signed permutation, canonically windowed.
 
-    __slots__ = ("window",)
+    The public constructor validates its window.  Windows produced by group
+    operations (products, inverses) are valid by construction and go through
+    the unchecked ``_trusted`` instead.
+    """
+
+    __slots__ = ("window", "_ld")
 
     def __init__(self, window: Iterable[int]):
         win = list(window)
@@ -38,7 +43,17 @@ class SignedPermutation:
             raise ValueError(f"window {win} is not a signed permutation of 1..{len(win)}")
         while win and win[-1] == len(win):
             win.pop()
-        object.__setattr__(self, "window", tuple(win))
+        _set_window(self, tuple(win))
+
+    @classmethod
+    def _trusted(cls, win: list[int]) -> "SignedPermutation":
+        """Wrap a window known to be a signed permutation of 1..len(win):
+        trim its trailing fixed points, validate nothing."""
+        while win and win[-1] == len(win):
+            win.pop()
+        w = _new(cls)
+        _set_window(w, tuple(win))
+        return w
 
     def __setattr__(self, name, value):
         raise AttributeError("SignedPermutation is immutable")
@@ -66,19 +81,23 @@ class SignedPermutation:
         return format_oneline(self)
 
     def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
-        n = max(len(self.window), len(other.window))
-        return SignedPermutation(self(other(i)) for i in range(1, n + 1))
+        a, b = self.window, other.window
+        if len(a) < len(b):
+            a = a + tuple(range(len(a) + 1, len(b) + 1))
+        # (u*v)(i) = u(v(i)), with u(-k) = -u(k) and ~v = -v - 1; past the
+        # window of v, (u*v)(i) = u(i)
+        win = [a[v - 1] if v > 0 else -a[~v] for v in b]
+        win += a[len(b):]
+        return SignedPermutation._trusted(win)
 
     def inverse(self) -> "SignedPermutation":
-        n = len(self.window)
-        inv = [0] * n
-        for i in range(1, n + 1):
-            v = self.window[i - 1]
+        inv = [0] * len(self.window)
+        for i, v in enumerate(self.window, start=1):
             if v > 0:
                 inv[v - 1] = i
             else:
-                inv[-v - 1] = -i
-        return SignedPermutation(inv)
+                inv[~v] = -i
+        return SignedPermutation._trusted(inv)
 
     # -- structure -----------------------------------------------------
 
@@ -111,12 +130,28 @@ class SignedPermutation:
         return {i for i in range(1, len(win)) if win[i - 1] > win[i]}
 
     def least_descent(self) -> int:
-        des = self.descents()
-        return max(des) if des else 0
+        """The LD of w: its largest descent, 0 if it has none.
+
+        Scanned once per instance and kept in a slot, as windows are
+        immutable."""
+        try:
+            return self._ld
+        except AttributeError:
+            pass
+        win = self.window
+        d = len(win) - 1 if win else 0
+        while d > 0 and win[d - 1] < win[d]:
+            d -= 1
+        _set_ld(self, d)
+        return d
 
     def is_grassmannian(self) -> bool:
-        return not self.descents()
+        return not self.least_descent()
 
+
+_new = object.__new__
+_set_window = SignedPermutation.window.__set__
+_set_ld = SignedPermutation._ld.__set__
 
 IDENTITY = SignedPermutation(())
 
@@ -151,6 +186,7 @@ def format_oneline(w: SignedPermutation) -> str:
 # -- reflections and generators ---------------------------------------
 
 
+@lru_cache(maxsize=None)
 def reflection(i: int, j: int) -> SignedPermutation:
     """The reflection t_{ij} = (i,j)(-j,-i); t_{0j} is the sign change (-j,j)."""
     if i >= j or j <= 0:
@@ -185,6 +221,7 @@ def is_valid_reflection(t: str, i: int, j: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def generator(t: str, g: int) -> SignedPermutation:
     """The simple generator t_g (s_g in type A)."""
     if g >= 1:
@@ -214,47 +251,36 @@ def generator_indices(t: str, n: int) -> list[int]:
 # -- length ------------------------------------------------------------
 
 
-def signed_inversions(w: SignedPermutation) -> int:
-    """Pairs i < j of nonzero indices in [-n, n] with w(i) > w(j)."""
-    n = len(w.window)
-    idx = [i for i in range(-n, n + 1) if i != 0]
-    vals = [w(i) for i in idx]
-    return sum(
-        1
-        for a in range(len(vals))
-        for b in range(a + 1, len(vals))
-        if vals[a] > vals[b]
-    )
-
-
 def length(t: str, w: SignedPermutation) -> int:
-    """Coxeter length of w in the group of type t."""
+    """Coxeter length of w in the group of type t, read from the window:
+    inv + nsp + neg in types B and C, inv + nsp in type D, where inv counts
+    the pairs i < j with w(i) > w(j), nsp the pairs i < j with
+    w(i) + w(j) < 0, and neg the negative entries.  Type A windows have no
+    negative entries, so their length is inv."""
     if not w.in_group(t):
         raise ValueError(f"{w} is not in the group of type {t}")
-    if t == "A":
-        win = w.window
-        return sum(
-            1
-            for a in range(len(win))
-            for b in range(a + 1, len(win))
-            if win[a] > win[b]
-        )
-    inv = signed_inversions(w)
-    neg = w.num_negatives()
-    total = inv + neg if t in ("B", "C") else inv - neg
-    if total % 2:
-        raise AssertionError(f"non-integer length for {w} in type {t}")
-    return total // 2
+    win = w.window
+    total = w.num_negatives() if t in ("B", "C") else 0
+    for a, x in enumerate(win, start=1):
+        for y in win[a:]:
+            if x > y:
+                total += 1
+            if x + y < 0:
+                total += 1
+    return total
 
 
 def right_ascent(t: str, w: SignedPermutation, g: int) -> bool:
-    """True iff multiplying by generator g on the right raises length by 1."""
+    """True iff multiplying by generator g on the right raises length by 1.
+
+    Read from the window: past it, w(i) = i exceeds every |window entry|."""
+    win = w.window
     if g >= 1:
-        return w(g) < w(g + 1)
+        return g >= len(win) or win[g - 1] < win[g]
     if g == 0:
-        return w(1) > 0
+        return not win or win[0] > 0
     if g == -1:
-        return -w(1) < w(2)
+        return len(win) < 2 or -win[0] < win[1]
     raise ValueError(f"invalid generator index {g}")
 
 
@@ -297,10 +323,9 @@ def transition_data(w: SignedPermutation) -> tuple[SignedPermutation, int, int, 
     """(v, a, b, c) for the last-descent transition: a is the last descent,
     b the largest index past a with w(b) < w(a), v = w * t_{ab}, and
     c = w(b), which may be negative."""
-    des = w.descents()
-    if not des:
+    a = w.least_descent()
+    if not a:
         raise ValueError(f"{w} has no descent")
-    a = max(des)
     b = max(i for i in range(a + 1, w.support + 1) if w(i) < w(a))
     return w * reflection(a, b), a, b, w(b)
 
@@ -376,7 +401,9 @@ def demazure_mul(t: str, u: SignedPermutation, v: SignedPermutation) -> SignedPe
 
 
 def demazure_apply(t: str, w: SignedPermutation, g: int) -> SignedPermutation:
-    """w o t_g for a single generator."""
+    """w o t_g for a single generator: w * t_g when g is a right ascent of
+    w, else w itself (the same object), so callers can tell the two apart
+    by identity."""
     return w * generator(t, g) if right_ascent(t, w, g) else w
 
 

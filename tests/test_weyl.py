@@ -1,8 +1,11 @@
 """Signed permutation core: lengths, reflections, words, Demazure products."""
 
+import itertools
+
 import pytest
 
 from ktrans.weyl import (
+    SignedPermutation,
     demazure_mul,
     elements_up_to_length,
     format_oneline,
@@ -17,6 +20,7 @@ from ktrans.weyl import (
     parse_oneline,
     reduced_word,
     reflection,
+    right_ascent,
     shape,
 )
 
@@ -72,10 +76,19 @@ class TestLength:
 
     @pytest.mark.parametrize("t", ["A", "B", "C", "D"])
     def test_matches_bfs_and_word_length(self, t):
-        for w in group_elements(t, 3):
+        for w in group_elements(t, 4):
             l = length(t, w)
             assert l == len(reduced_word(t, w))
             assert l == (0 if w.is_identity() else bfs_distance(t, w))
+
+    @pytest.mark.parametrize("t", ["A", "B", "C", "D"])
+    def test_right_ascent_matches_length(self, t):
+        # generators up to index 4 include those past every rank-4 window
+        for w in group_elements(t, 4):
+            lw = length(t, w)
+            for g in generator_indices(t, 5):
+                raised = length(t, w * generator(t, g)) == lw + 1
+                assert right_ascent(t, w, g) == raised, (t, w, g)
 
     def test_type_membership(self):
         with pytest.raises(ValueError):
@@ -88,6 +101,39 @@ class TestLength:
         assert sorted(w.window for w in elements_up_to_length("B", 3, 2)) == sorted(
             w.window for w in full
         )
+
+
+def windowed_elements(t, n):
+    """All of W^t_n, built from their windows rather than by products."""
+    elems = []
+    for perm in itertools.permutations(range(1, n + 1)):
+        for signs in itertools.product((1, -1), repeat=n):
+            w = SignedPermutation([p * s for p, s in zip(perm, signs)])
+            if w.in_group(t):
+                elems.append(w)
+    return elems
+
+
+class TestProducts:
+    @pytest.mark.parametrize("t", ["B", "D"])
+    def test_products_compose_and_revalidate(self, t):
+        elems = windowed_elements(t, 3)
+        assert set(elems) == set(group_elements(t, 3))
+        points = [i for k in range(1, 5) for i in (k, -k)]
+        for u in elems:
+            assert (u * u.inverse()).is_identity()
+            assert (u.inverse() * u).is_identity()
+            for v in elems:
+                uv = u * v
+                assert [uv(i) for i in points] == [u(v(i)) for i in points], (u, v)
+                # the validating constructor accepts every product's window
+                assert SignedPermutation(list(uv.window)) == uv
+
+    def test_products_of_unequal_windows(self):
+        u, v = parse_oneline("-2,1"), parse_oneline("1,2,-4,3")
+        assert (u * v).window == (-2, 1, -4, 3)
+        assert (v * u).window == (-2, 1, -4, 3)
+        assert (u * reflection(3, 4)).window == (-2, 1, 4, 3)
 
 
 class TestReflection:
@@ -156,6 +202,9 @@ class TestDescents:
         for w in group_elements(t, 5):
             n = w.support
             assert w.descents() == {i for i in range(1, n + 1) if w(i) > w(i + 1)}, w
+            for _ in range(2):  # the first scan, then the kept one
+                assert w.least_descent() == max(w.descents(), default=0), w
+            assert w.is_grassmannian() == (not w.descents()), w
 
 
 class TestDemazure:
