@@ -99,9 +99,10 @@ def expand_grassmannian(t: str, w: SignedPermutation) -> ExpansionResult:
 
     The worklist is a heap of non-Grassmannian keys, popped largest first
     by (least descent d, u(d)), ties by the smaller window: a linear
-    extension of the LD order.  Every transition output lies strictly below its source, so
-    a key is popped only after all of its multiplicity has arrived in
-    `pending`, and each key is expanded exactly once.  Grassmannian outputs
+    extension of the LD order.  Every transition output lies strictly
+    below its source, so a key is popped only after all of its
+    multiplicity has arrived in `pending`, and each key is expanded
+    exactly once.  Grassmannian outputs
     go straight into the result and never enter the heap.  Every
     intermediate stays within the support bound support(w) + LD(w); that
     containment and the nonnegativity of all coefficients are asserted as

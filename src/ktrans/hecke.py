@@ -3,8 +3,8 @@ brute-force generating-function oracles built from them.
 
 Everything here enumerates: these are the reference implementations the
 operator calculus is checked against, so they stay close to the defining
-sums.  The fused word-and-sequence search prunes with a memoized
-reachability distance, which keeps the desk-scale truncations quick.
+sums.  `hecke_words` is the one walk over Demazure products; the oracles
+sum their sequences over its words.
 """
 
 from __future__ import annotations
@@ -12,59 +12,28 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .rings import TruncPoly, zvar
+from .rings import Monomial, TruncPoly, z_monomial
 from .weyl import (
     SignedPermutation,
     demazure_apply,
-    generator,
-    generator_indices,
     identity,
     length,
-    right_ascent,
+    reduced_word,
 )
 
 
-class _Reach:
-    """Memoized minimal number of letters needed to reach the target,
-    keyed by window."""
-
-    def __init__(self, t: str, target: SignedPermutation, letters: list[int]):
-        self.t = t
-        self.target = target.window
-        self.target_len = length(t, target)
-        self.letters = letters
-        self.memo: dict[tuple[int, ...], int] = {}
-
-    def dist(self, p: SignedPermutation, lp: int) -> int:
-        """The distance from p, whose length lp the caller already knows."""
-        key = p.window
-        if key == self.target:
-            return 0
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        if lp >= self.target_len:
-            self.memo[key] = 10**9
-            return 10**9
-        self.memo[key] = 10**9  # block cycles while recursing
-        best = 10**9
-        for g in self.letters:
-            if right_ascent(self.t, p, g):
-                d = self.dist(p * generator(self.t, g), lp + 1)
-                if d + 1 < best:
-                    best = d + 1
-        self.memo[key] = best
-        return best
-
-
 def hecke_words(t: str, w: SignedPermutation, max_len: int) -> Iterator[tuple[int, ...]]:
-    """All words of length <= max_len whose Demazure product is w.
+    """All words of length <= max_len whose Demazure product is w, in
+    lexicographic order.
 
-    Letters are capped at index support(w) + max_len - 1: any larger
-    generator raises the length irrecoverably.
+    Letters come from supp(w), the generators of a reduced word of w: the
+    Demazure product of a word lies above each of its letters in Bruhat
+    order.  The Demazure prefixes of a word climb a chain in the right weak
+    order, so a prefix q can still reach w iff q <= w in that order and
+    l(w) - l(q) letters remain.
     """
-    letters = generator_indices(t, max(w.support + max_len, 2))
-    reach = _Reach(t, w, letters)
+    letters = sorted(set(reduced_word(t, w)))
+    lw = length(t, w)
     word: list[int] = []
 
     def rec(p: SignedPermutation, lp: int) -> Iterator[tuple[int, ...]]:
@@ -76,12 +45,54 @@ def hecke_words(t: str, w: SignedPermutation, max_len: int) -> Iterator[tuple[in
         for g in letters:
             q = demazure_apply(t, p, g)
             lq = lp if q is p else lp + 1
-            if reach.dist(q, lq) <= rem:
-                word.append(g)
-                yield from rec(q, lq)
-                word.pop()
+            if lw - lq > rem:
+                continue
+            # a raised prefix must stay below w in the right weak order
+            # (p already does)
+            if q is not p and length(t, q.inverse() * w) != lw - lq:
+                continue
+            word.append(g)
+            yield from rec(q, lq)
+            word.pop()
 
     yield from rec(identity(), 0)
+
+
+def compatible_sequences(
+    t: str, a: tuple[int, ...], num_vars: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Compatible sequences b of the word a with values in [1, num_vars],
+    each with the exponent e of its weight 2^e.
+
+    b weakly increases, with b_{i-1} < b_{i+1} at every weak peak
+    |a_{i-1}| <= |a_i| >= |a_{i+1}|, and strictly increases across equal
+    adjacent o-letters: 0 in type B, +-1 in type D.  The exponent is
+    e = |b| - gamma - o, where |b| counts the distinct values of b, gamma
+    the positions repeating both the previous letter and the previous
+    value, and o the o-letters.
+    """
+    k = len(a)
+    b: list[int] = []
+
+    def rec(pos: int, e: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        if pos == k:
+            yield tuple(b), e
+            return
+        g = a[pos]
+        is_o = (t == "B" and g == 0) or (t == "D" and abs(g) == 1)
+        peak = pos >= 2 and abs(a[pos - 2]) <= abs(a[pos - 1]) >= abs(g)
+        for val in range(b[-1] if b else 1, num_vars + 1):
+            if peak and not b[-2] < val:
+                continue
+            same = pos >= 1 and val == b[-1]
+            repeat = same and a[pos - 1] == g
+            if repeat and is_o:
+                continue
+            b.append(val)
+            yield from rec(pos + 1, e + (not same) - repeat - is_o)
+            b.pop()
+
+    yield from rec(0, 0)
 
 
 def _rank(v: int) -> int:
@@ -150,101 +161,38 @@ def fstanley(
     method: str = "compat",
 ) -> TruncPoly:
     """The K-Stanley symmetric function of w, truncated to z_1..z_N and
-    total degree <= bound.
+    total degree <= bound: the sum over the Hecke words a of w of
+    beta^(|a|-l(w)) times the weights of their sequences.
 
-    method "compat" sums 2^(|b|-gamma-o) over compatible sequences; method
-    "unimodal" sums over unimodal factorizations.  The two must agree.
+    method "compat" sums 2^(|b|-gamma-o) z^b over compatible sequences;
+    method "unimodal" sums z^|b| over unimodal factorizations.  The two
+    must agree.
     """
     if method not in ("compat", "unimodal"):
         raise ValueError(f"unknown method {method!r}")
     if t not in ("B", "C", "D"):
         raise ValueError(f"K-Stanley functions need type B, C, or D, not {t!r}")
     lw = length(t, w)
-    total = TruncPoly.zero(bound)
-    if bound < lw:
-        return total
-    letters = generator_indices(t, max(w.support + bound, 2))
-    reach = _Reach(t, w, letters)
-    zcache = [None] + [zvar(m, bound) for m in range(1, num_vars + 1)]
-
-    acc = [total]
-
-    def total_add(term):
-        acc[0] = acc[0] + term
-
-    if method == "compat":
-        # Compatible sequences b weakly increase in [1, N], with b_{i-1} <
-        # b_{i+1} at every weak peak |a_{i-1}| <= |a_i| >= |a_{i+1}|, and
-        # strictly increase across equal adjacent 0-letters (B) or equal
-        # adjacent +-1 letters (D); o counts those letters.
-        # Individual words can carry half-integer weights 2^(|b|-gamma-o);
-        # accumulate everything scaled by 2^bound and divide back at the end.
-        # State: prefix product, letters so far, the last two (a, b) entries,
-        # and the running exponent of 2; lp is the length of p.
-        shift = bound
-
-        def rec(p, lp, pos, a2, a1, b2, b1, twos, mono):
-            if p == w:
-                total_add(TruncPoly.beta(pos - lw, bound) * mono * (2 ** (shift + twos)))
-            if pos == bound:
-                return
-            rem = bound - pos - 1
-            for g in letters:
-                q = demazure_apply(t, p, g)
-                lq = lp if q is p else lp + 1
-                if reach.dist(q, lq) > rem:
-                    continue
-                is_o = (t == "B" and g == 0) or (t == "D" and abs(g) == 1)
-                for val in range(b1 if b1 else 1, num_vars + 1):
-                    if pos >= 2 and abs(a2) <= abs(a1) >= abs(g) and not b2 < val:
-                        continue
-                    same = pos >= 1 and val == b1
-                    if same and a1 == g and (g == 0 if t == "B" else abs(g) == 1 if t == "D" else False):
-                        continue
-                    d_twos = (0 if same else 1) - (1 if same and a1 == g else 0) - (1 if is_o else 0)
-                    rec(q, lq, pos + 1, a1, g, b1, val, twos + d_twos, mono * zcache[val])
-
-        rec(identity(), 0, 0, 0, 0, 0, 0, 0, TruncPoly.const(1, bound))
-        scaled = acc[0]
-        divisor = 2**shift
-        terms = {}
-        for m, c in scaled.terms.items():
-            q, r = divmod(c, divisor)
-            if r:
-                raise AssertionError("compatible-sequence weights did not sum to integers")
-            terms[m] = q
+    terms: dict[Monomial, int] = {}
+    if method == "unimodal":
+        for a in hecke_words(t, w, bound):
+            for b in unimodal_factorizations(t, a, num_vars):
+                m = z_monomial(len(a) - lw, [abs(v) for v in b])
+                terms[m] = terms.get(m, 0) + 1
         return TruncPoly(terms, bound)
-
-    values = sorted([v for m in range(1, num_vars + 1) for v in (-m, m)], key=_rank)
-
-    def rec_uni(p, lp, pos, a1, b1, mono):
-        if p == w:
-            total_add(TruncPoly.beta(pos - lw, bound) * mono)
-        if pos == bound:
-            return
-        rem = bound - pos - 1
-        for g in letters:
-            q = demazure_apply(t, p, g)
-            lq = lp if q is p else lp + 1
-            if reach.dist(q, lq) > rem:
-                continue
-            floor = _rank(b1) if b1 is not None else 1
-            for val in values:
-                if _rank(val) < floor:
-                    continue
-                if b1 is not None and val == b1:
-                    if val < 0 and not _letter_key(t, a1) > _letter_key(t, g):
-                        continue
-                    if val > 0 and not _letter_key(t, a1) < _letter_key(t, g):
-                        continue
-                if t == "B" and g == 0 and val < 0:
-                    continue
-                if t == "D" and abs(g) == 1 and val < 0:
-                    continue
-                rec_uni(q, lq, pos + 1, g, val, mono * zcache[abs(val)])
-
-    rec_uni(identity(), 0, 0, None, None, TruncPoly.const(1, bound))
-    return acc[0]
+    # Individual words can carry half-integer weights 2^e; accumulate
+    # everything scaled by 2^bound and divide back at the end.
+    for a in hecke_words(t, w, bound):
+        for b, e in compatible_sequences(t, a, num_vars):
+            m = z_monomial(len(a) - lw, b)
+            terms[m] = terms.get(m, 0) + 2 ** (bound + e)
+    divisor = 2**bound
+    for m, c in terms.items():
+        q, r = divmod(c, divisor)
+        if r:
+            raise AssertionError("compatible-sequence weights did not sum to integers")
+        terms[m] = q
+    return TruncPoly(terms, bound)
 
 
 # -- multi-permutations and quasisymmetric functions -------------------------
@@ -287,22 +235,16 @@ def quasi(pi: tuple[int, ...], kind: str, num_vars: int, bound: int) -> TruncPol
     if mperm(pi) != tuple(pi):
         raise ValueError(f"{pi} is not a multi-permutation")
     lp = len(pi)
-    total = TruncPoly.zero(bound)
+    terms: dict[Monomial, int] = {}
     for a in _words_with_mperm(tuple(pi), bound):
-        coeff = TruncPoly.beta(len(a) - lp, bound)
         if kind == "L":
-            for b in _type_a_compatible(a, num_vars):
-                mono = coeff
-                for val in b:
-                    mono = mono * zvar(val, bound)
-                total = total + mono
+            seqs = _type_a_compatible(a, num_vars)
         else:
-            for b in unimodal_factorizations("C", a, num_vars):
-                mono = coeff
-                for val in b:
-                    mono = mono * zvar(abs(val), bound)
-                total = total + mono
-    return total
+            seqs = ([abs(v) for v in b] for b in unimodal_factorizations("C", a, num_vars))
+        for b in seqs:
+            m = z_monomial(len(a) - lp, b)
+            terms[m] = terms.get(m, 0) + 1
+    return TruncPoly(terms, bound)
 
 
 def _type_a_compatible(a: tuple[int, ...], num_vars: int) -> Iterator[tuple[int, ...]]:

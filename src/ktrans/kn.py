@@ -4,9 +4,10 @@ sum, and the checks of the Monk and transition identities against them.
 The operator calculus (R_k, M_k at truncation and the transition
 certificate) lives in rings and is shared with type A.  The triple-sum
 evaluator is deliberately independent of it: it enumerates (sigma, u, tau)
-directly and is the oracle every operator identity is checked against.  Both the Demazure product and Bruhat order
-force the factors of w to have length at most l(w) and support inside the
-window of w, which keeps the enumeration small.
+directly and is the oracle every operator identity is checked against.
+Both the Demazure product and Bruhat order force the factors of w to have
+length at most l(w) and support inside the window of w, which keeps the
+enumeration small.
 """
 
 from __future__ import annotations

@@ -288,6 +288,15 @@ def zvar(i: int, bound: int | None = None) -> TruncPoly:
     return TruncPoly.var("z", i, bound)
 
 
+def z_monomial(beta_exp: int, indices: Iterable[int]) -> Monomial:
+    """The monomial beta^beta_exp times z_i for each i in indices, a
+    repeated index raising its power."""
+    counts: dict[int, int] = {}
+    for i in indices:
+        counts[i] = counts.get(i, 0) + 1
+    return (beta_exp, tuple((var_code(Z, i), e) for i, e in sorted(counts.items())))
+
+
 # -- divided differences -----------------------------------------------
 
 
@@ -584,12 +593,6 @@ class FCombo:
         out = self.copy()
         for w, c in other.terms.items():
             out.add_term(w, c)
-        return out
-
-    def scale(self, factor) -> "FCombo":
-        out = FCombo(self.group_type)
-        for w, c in self.terms.items():
-            out.add_term(w, c * factor)
         return out
 
     def __eq__(self, other) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .rings import ONE, TruncPoly, zvar
+from .rings import Monomial, TruncPoly, z_monomial
 from .weyl import SignedPermutation, generator, identity
 
 
@@ -95,20 +95,6 @@ class MarkedSetTableau:
         self.shape = shape
         self.entries = entries
 
-    def size(self) -> int:
-        return sum(len(s) for s in self.entries.values())
-
-    def weight_monomial(self, bound: int | None) -> TruncPoly:
-        counts: dict[int, int] = {}
-        for letters in self.entries.values():
-            for code in letters:
-                v = letter_value(code)
-                counts[v] = counts.get(v, 0) + 1
-        mono = ONE.with_bound(bound)
-        for v in sorted(counts):
-            mono = mono * (zvar(v, bound) ** counts[v])
-        return mono
-
     def __repr__(self):
         cells = ", ".join(
             f"({i},{j}):{{{','.join(letter_str(c) for c in sorted(s))}}}"
@@ -188,11 +174,13 @@ def enumerate_tableaux(
 def _generating_function(
     shape: ShiftedSkewShape, flavor: str, num_letters: int, bound: int
 ) -> TruncPoly:
-    total = TruncPoly.zero(bound)
+    terms: dict[Monomial, int] = {}
     k = shape.size()
     for tab in enumerate_tableaux(shape, flavor, num_letters, bound):
-        total = total + TruncPoly.beta(tab.size() - k, bound) * tab.weight_monomial(bound)
-    return total
+        letters = [letter_value(c) for s in tab.entries.values() for c in s]
+        m = z_monomial(len(letters) - k, letters)
+        terms[m] = terms.get(m, 0) + 1
+    return TruncPoly(terms, bound)
 
 
 def gp(shape: ShiftedSkewShape, num_letters: int, bound: int) -> TruncPoly:

@@ -58,6 +58,10 @@ class SignedPermutation:
     def __setattr__(self, name, value):
         raise AttributeError("SignedPermutation is immutable")
 
+    def __reduce__(self):
+        # unpickle through the validating constructor, never the slots
+        return (SignedPermutation, (list(self.window),))
+
     # -- basic protocol ------------------------------------------------
 
     def __call__(self, i: int) -> int:

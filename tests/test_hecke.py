@@ -12,7 +12,10 @@ from ktrans.hecke import (
 from ktrans.rings import BETA, TruncPoly, poly_str, supersym_check, zvar
 from ktrans.tableaux import ShiftedSkewShape, gp, gq, w_shape
 from ktrans.weyl import (
+    demazure_apply,
+    elements_up_to_length,
     generator,
+    generator_indices,
     group_elements,
     identity,
     length,
@@ -39,34 +42,32 @@ class TestHeckeWords:
         assert list(hecke_words("B", parse_oneline("-2,1"), 1)) == []
 
     def test_letter_bound(self):
-        # a word of length <= L for support-n input never uses an index at or
-        # above n + L; enumerate over a deliberately larger alphabet to see it
-        from ktrans.weyl import demazure_apply
+        # brute force over a deliberately wide alphabet: every Demazure word
+        # of w stays inside supp(w), and the pruned walk finds them all
+        for t in "BCD":
+            wide = generator_indices(t, 6)
+            for w in elements_up_to_length(t, 3, 3):
+                L = length(t, w) + 1
+                found = []
 
-        w = parse_oneline("-2,1")
-        L = 3
-        wide = list(range(0, 2 + L + 3))
-        found = []
+                def rec(p, word):
+                    if p == w:
+                        found.append(tuple(word))
+                    if len(word) == L:
+                        return
+                    for g in wide:
+                        word.append(g)
+                        rec(demazure_apply(t, p, g), word)
+                        word.pop()
 
-        def rec(p, word):
-            if p == w:
-                found.append(tuple(word))
-            if len(word) == L:
-                return
-            for g in wide:
-                word.append(g)
-                rec(demazure_apply("B", p, g), word)
-                word.pop()
-
-        rec(identity(), [])
-        assert found
-        assert all(g < 2 + L for a in found for g in a)
-        assert sorted(found) == sorted(hecke_words("B", w, L))
+                rec(identity(), [])
+                assert found
+                support = set(reduced_word(t, w))
+                assert all(g in support for a in found for g in a), (t, str(w))
+                assert sorted(found) == list(hecke_words(t, w, L)), (t, str(w))
 
     @pytest.mark.parametrize("t", ["B", "C", "D"])
     def test_words_multiply_back(self, t):
-        from ktrans.weyl import demazure_apply
-
         for w in group_elements(t, 2):
             if length(t, w) > 2:
                 continue

@@ -6,14 +6,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ktrans.expand import verify_expansion  # noqa: E402
+from ktrans.expand import expand_grassmannian, verify_expansion  # noqa: E402
 from ktrans.hecke import fstanley  # noqa: E402
 from ktrans.weyl import elements_up_to_length, length  # noqa: E402
 
-# The oracle's cost grows about fourfold per unit of length (a length-8
-# element of rank 4 takes over 2 s at N=2), so elements are drawn from
-# W_4 up to length 5; the method comparison at D=4 is trivially zero
-# beyond length 4.
+# Expansions are checked on W_4 up to length 10, where the word oracle
+# takes well under a second per element; at length 13 it takes seconds and
+# at 15 about a minute.  N covers every row of the expansion's shapes, so
+# the oracle is nonzero and agreement is not the vacuous 0 = 0.  The
+# method comparison at D=4 is trivially zero beyond length 4.
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
 
@@ -24,10 +25,13 @@ def elements(max_len):
 
 
 @PROPERTY
-@given(elements(5))
+@given(elements(10))
 def test_expansion_agrees_with_word_oracle(case):
     t, w = case
-    assert verify_expansion(t, w, 2, length(t, w) + 1).ok
+    num_vars = max([1, *map(len, expand_grassmannian(t, w).terms)])
+    bound = length(t, w) + 1
+    assert not fstanley(t, w, num_vars, bound).is_zero()
+    assert verify_expansion(t, w, num_vars, bound).ok
 
 
 @PROPERTY

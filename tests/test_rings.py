@@ -207,7 +207,7 @@ class TestFCombo:
     def test_add_and_scale(self):
         w = parse_oneline("2,1")
         c = FCombo("B", {w: ONE})
-        d = c + c.scale(BETA)
+        d = c + FCombo("B", {w: BETA})
         assert d.terms[w] == ONE + BETA
         c.add_term(w, -1 * ONE)
         assert len(c) == 0

@@ -1,6 +1,7 @@
 """Signed permutation core: lengths, reflections, words, Demazure products."""
 
 import itertools
+import pickle
 
 import pytest
 
@@ -134,6 +135,22 @@ class TestProducts:
         assert (u * v).window == (-2, 1, -4, 3)
         assert (v * u).window == (-2, 1, -4, 3)
         assert (u * reflection(3, 4)).window == (-2, 1, 4, 3)
+
+
+class TestPickle:
+    @pytest.mark.parametrize("t", ["B", "D"])
+    def test_round_trip(self, t):
+        for w in (identity(),) + group_elements(t, 3):
+            back = pickle.loads(pickle.dumps(w))
+            assert back == w and back.window == w.window
+
+    def test_crafted_pickle_is_validated(self):
+        class Forged:
+            def __reduce__(self):
+                return (SignedPermutation, ([2, 2],))
+
+        with pytest.raises(ValueError):
+            pickle.loads(pickle.dumps(Forged()))
 
 
 class TestReflection:
