@@ -36,8 +36,11 @@ def _load_cache() -> str | None:
 def _save_cache(path: str | None) -> None:
     if path is None:
         return
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    expand_mod.save_cache(path)
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        expand_mod.save_cache(path)
+    except OSError as exc:
+        print(f"warning: cannot write cache {path}: {exc}", file=sys.stderr)
 
 
 def cmd_length(args) -> int:
@@ -67,10 +70,10 @@ def _cmd_gpgq(args, fn) -> int:
     )
 
 
-def cmd_expand(args) -> int:
+def _serve_expansion(args, compute) -> int:
+    """Serve compute() through the persisted memo and print the expansion."""
     path = _load_cache()
-    w = parse_oneline(args.w)
-    result = expand_mod.expand_grassmannian(args.type, w)
+    result = compute()
     _save_cache(path)
     if args.json:
         print(json.dumps(result.to_json_dict()))
@@ -80,20 +83,18 @@ def cmd_expand(args) -> int:
                 f"lambda={list(lam)} coeff={coeff} beta_power={result.beta_power(lam)}"
             )
     return 0
+
+
+def cmd_expand(args) -> int:
+    return _serve_expansion(
+        args, lambda: expand_mod.expand_grassmannian(args.type, parse_oneline(args.w))
+    )
 
 
 def cmd_skew(args) -> int:
-    path = _load_cache()
-    result = expand_mod.skew_expansion(args.basis, args.outer, args.inner or ())
-    _save_cache(path)
-    if args.json:
-        print(json.dumps(result.to_json_dict()))
-    else:
-        for lam, coeff in sorted(result.terms.items()):
-            print(
-                f"lambda={list(lam)} coeff={coeff} beta_power={result.beta_power(lam)}"
-            )
-    return 0
+    return _serve_expansion(
+        args, lambda: expand_mod.skew_expansion(args.basis, args.outer, args.inner or ())
+    )
 
 
 def cmd_groth_a(args) -> int:

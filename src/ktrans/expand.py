@@ -11,9 +11,8 @@ counts R_k's chains in the Weyl group and never builds a polynomial.
 from __future__ import annotations
 
 import heapq
-import io
+import json
 import os
-import struct
 import tempfile
 from dataclasses import dataclass, field
 
@@ -207,117 +206,67 @@ def verify_expansion(
 
 # -- cache persistence -------------------------------------------------------
 
-_MAGIC = b"KTRX"
-_VERSION = 1
-
-
-def _write_varint(out: io.BytesIO, value: int) -> None:
-    if value < 0:
-        raise ValueError("varint must be nonnegative")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.write(bytes([byte | 0x80]))
-        else:
-            out.write(bytes([byte]))
-            return
-
-
-def _read_varint(buf: io.BytesIO) -> int:
-    shift = 0
-    value = 0
-    while True:
-        raw = buf.read(1)
-        if not raw:
-            raise ValueError("truncated varint")
-        byte = raw[0]
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value
-        shift += 7
-
-
-def _zigzag(v: int) -> int:
-    return (v << 1) if v >= 0 else ((-v) << 1) - 1
-
-
-def _unzigzag(v: int) -> int:
-    return (v >> 1) if not v & 1 else -((v + 1) >> 1)
+_VERSION = 2
 
 
 def save_cache(path: str) -> int:
-    """Write the expansion memo as a versioned, length-prefixed record file."""
-    out = io.BytesIO()
-    out.write(_MAGIC)
-    out.write(struct.pack("<I", _VERSION))
-    count = 0
-    for (t, window), grassmannian in sorted(_cache.items()):
-        rec = io.BytesIO()
-        rec.write(t.encode("ascii"))
-        _write_varint(rec, len(window))
-        for v in window:
-            _write_varint(rec, _zigzag(v))
-        _write_varint(rec, len(grassmannian))
-        for u, coeff in sorted(grassmannian.items(), key=lambda p: p[0].window):
-            _write_varint(rec, len(u.window))
-            for v in u.window:
-                _write_varint(rec, _zigzag(v))
-            _write_varint(rec, _zigzag(coeff))
-        payload = rec.getvalue()
-        _write_varint(out, len(payload))
-        out.write(payload)
-        count += 1
+    """Write the memo as a version 2 JSON document; returns the entry count.
+
+    ``{"version": 2, "entries": [[t, window, [[u_window, coeff], ...]], ...]}``,
+    keys sorted by type and window, values by window.
+    """
+    entries = [
+        [t, list(window), sorted([list(u.window), c] for u, c in g.items())]
+        for (t, window), g in sorted(_cache.items())
+    ]
+    text = json.dumps({"version": _VERSION, "entries": entries}, separators=(",", ":"))
     # a temp file of its own, so concurrent writers never share one
     fd, tmp = tempfile.mkstemp(
         dir=os.path.dirname(path) or ".", prefix=os.path.basename(path), suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(out.getvalue())
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    return count
+    return len(entries)
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list, not {type(value).__name__}")
+    return value
 
 
 def load_cache(path: str) -> int:
     """Merge a cache file written by save_cache; ignores other versions.
 
-    All or nothing: a malformed file, or one holding a coefficient that is
-    not positive, raises ValueError and merges no record.
+    All or nothing: a malformed document (a v1 binary file included), a
+    group type other than B, C or D, a window the validating constructor
+    rejects, or a coefficient that is not a positive int raises ValueError
+    and merges no entry.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    buf = io.BytesIO(data)
-    if buf.read(4) != _MAGIC:
-        raise ValueError(f"{path} is not an expansion cache")
-    head = buf.read(4)
-    if len(head) != 4:
-        raise ValueError(f"{path} has a truncated header")
-    (version,) = struct.unpack("<I", head)
-    if version != _VERSION:
-        return 0
     loaded: dict[tuple[str, tuple[int, ...]], dict[SignedPermutation, int]] = {}
-    while buf.tell() < len(data):
-        size = _read_varint(buf)
-        payload = buf.read(size)
-        if len(payload) != size:
-            raise ValueError(f"{path} has a truncated record")
-        rec = io.BytesIO(payload)
-        t = rec.read(1).decode("ascii")
-        window = tuple(
-            _unzigzag(_read_varint(rec)) for _ in range(_read_varint(rec))
-        )
-        entries: dict[SignedPermutation, int] = {}
-        for _ in range(_read_varint(rec)):
-            uwin = tuple(_unzigzag(_read_varint(rec)) for _ in range(_read_varint(rec)))
-            coeff = _unzigzag(_read_varint(rec))
-            if coeff <= 0:
-                raise ValueError(f"{path} holds the coefficient {coeff}, which is not positive")
-            entries[SignedPermutation(uwin)] = coeff
-        loaded.setdefault((t, window), entries)
+    try:
+        doc = json.loads(data)
+        if doc.get("version") != _VERSION:
+            return 0
+        # unpacking rejects a record or pair of the wrong arity
+        for t, window, values in _list(doc["entries"]):
+            if t not in ("B", "C", "D"):
+                raise ValueError(f"the group type {t!r} is not B, C or D")
+            entries: dict[SignedPermutation, int] = {}
+            for uwin, coeff in _list(values):
+                if type(coeff) is not int or coeff <= 0:
+                    raise ValueError(f"the coefficient {coeff!r} is not a positive integer")
+                entries[SignedPermutation(_list(uwin))] = coeff
+            loaded.setdefault((t, SignedPermutation(_list(window)).window), entries)
+    except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as exc:
+        raise ValueError(f"{path} is not an expansion cache: {type(exc).__name__}: {exc}") from exc
     for key, entries in loaded.items():
         _cache.setdefault(key, entries)
     return len(loaded)

@@ -34,7 +34,7 @@ class SignedPermutation:
         win = list(window)
         seen = set()
         for v in win:
-            if not isinstance(v, int) or v == 0:
+            if type(v) is not int or v == 0:  # bools are not entries
                 raise ValueError(f"window entries must be nonzero integers: {win}")
             if abs(v) in seen:
                 raise ValueError(f"repeated absolute value {abs(v)} in window {win}")

@@ -199,3 +199,92 @@ class TestCache:
         assert {(1,): 2, (2,): 1} == {
             tuple(t["lambda"]): t["coeff"] for t in json.loads(captured.out)["terms"]
         }
+
+    def test_unwritable_cache_dir_still_answers(self, capsys, tmp_path, monkeypatch):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("KTRANS_CACHE_DIR", str(blocker))
+        code = main(["expand", "--type", "B", "--w", "2,1", "--json"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err.startswith("warning: cannot write cache")
+        assert len(captured.err.splitlines()) == 1
+        assert {(1,): 2, (2,): 1} == {
+            tuple(t["lambda"]): t["coeff"] for t in json.loads(captured.out)["terms"]
+        }
+
+
+# a well-formed record precedes each defect, so a partial merge would show
+_GOOD = ["B", [-1], [[[-1], 1]]]
+
+
+def _v2(*records, entries=None) -> bytes:
+    entries = [_GOOD, *records] if entries is None else entries
+    return json.dumps({"version": 2, "entries": entries}).encode()
+
+
+MALFORMED = {
+    "entries-an-object": _v2(entries={}),
+    "entries-a-string": _v2(entries=""),
+    "record-too-short": _v2(["B", [2, 1]]),
+    "record-too-long": _v2(["B", [2, 1], [], []]),
+    "values-not-a-list": _v2(["B", [2, 1], {}]),
+    "key-window-not-a-list": _v2(["B", "", [[[-1], 1]]]),
+    "key-window-repeats": _v2(["B", [2, 2], [[[-1], 1]]]),
+    "value-window-not-a-list": _v2(["B", [2, 1], [["", 1]]]),
+    "value-window-repeats": _v2(["B", [2, 1], [[[2, 2], 1]]]),
+    "window-of-booleans": _v2(["B", [True, -2], [[[-2, True], 1]]]),
+    "pair-too-long": _v2(["B", [2, 1], [[[-1], 1, 1]]]),
+    "group-type-A": _v2(["A", [2, 1], [[[-1], 1]]]),
+    "group-type-Z": _v2(["Z", [2, 1], [[[-1], 1]]]),
+    "coeff-string": _v2(["B", [2, 1], [[[-1], "1"]]]),
+    "coeff-float": _v2(["B", [2, 1], [[[-1], 1.0]]]),
+    "coeff-true": _v2(["B", [2, 1], [[[-1], True]]]),
+    "coeff-zero": _v2(["B", [2, 1], [[[-1], 0]]]),
+    "not-an-object": b"[2, []]",
+    "no-entries": b'{"version": 2}',
+    "deeply-nested": b'{"version": 2, "entries": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    "not-utf8": b'{"version": 2, "entries": ["\xff"]}',
+    "v1-binary": b"KTRX\x01\x00\x00\x00\x09B\x02\x04\x01\x01\x01\x01\x02",
+}
+
+
+class TestMalformedCache:
+    @pytest.mark.parametrize("data", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_rejected_whole_and_recomputed(self, capsys, tmp_path, monkeypatch, data):
+        from ktrans import expand as expand_mod
+
+        path = tmp_path / "expansions.ktrx"
+        path.write_bytes(data)
+        expand_mod._cache.clear()
+        with pytest.raises(ValueError):
+            expand_mod.load_cache(str(path))
+        assert expand_mod._cache == {}
+
+        monkeypatch.setenv("KTRANS_CACHE_DIR", str(tmp_path))
+        code = main(["expand", "--type", "B", "--w", "2,1", "--json"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err.startswith("warning: ignoring cache")
+        assert len(captured.err.splitlines()) == 1
+        assert {(1,): 2, (2,): 1} == {
+            tuple(t["lambda"]): t["coeff"] for t in json.loads(captured.out)["terms"]
+        }
+
+    def test_deep_nesting_is_a_recursion_error(self, tmp_path):
+        from ktrans import expand as expand_mod
+
+        path = tmp_path / "expansions.ktrx"
+        path.write_bytes(MALFORMED["deeply-nested"])
+        with pytest.raises(ValueError) as err:
+            expand_mod.load_cache(str(path))
+        assert isinstance(err.value.__cause__, RecursionError)
+
+    def test_other_version_is_ignored(self, tmp_path):
+        from ktrans import expand as expand_mod
+
+        path = tmp_path / "expansions.ktrx"
+        path.write_text(json.dumps({"version": 3, "entries": [_GOOD]}))
+        expand_mod._cache.clear()
+        assert expand_mod.load_cache(str(path)) == 0
+        assert expand_mod._cache == {}

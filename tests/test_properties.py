@@ -1,14 +1,19 @@
 """Property tests on random small elements: the engine against the word
-oracle, and the two oracle methods against each other."""
+oracle, the two oracle methods against each other, and the persisted memo
+against the memo it was saved from."""
+
+import os
+import tempfile
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from ktrans import expand  # noqa: E402
 from ktrans.expand import expand_grassmannian, verify_expansion  # noqa: E402
 from ktrans.hecke import fstanley  # noqa: E402
-from ktrans.weyl import elements_up_to_length, length  # noqa: E402
+from ktrans.weyl import elements_up_to_length, group_elements, length  # noqa: E402
 
 # Expansions are checked on W_4 up to length 10, where the word oracle
 # takes well under a second per element; at length 13 it takes seconds and
@@ -39,3 +44,21 @@ def test_expansion_agrees_with_word_oracle(case):
 def test_compat_and_unimodal_agree(case):
     t, w = case
     assert fstanley(t, w, 2, 4, "compat") == fstanley(t, w, 2, 4, "unimodal")
+
+
+W3 = [(t, w) for t in "BCD" for w in group_elements(t, 3)]
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from(W3), max_size=12, unique=True))
+def test_cache_round_trip(cases):
+    expand._cache.clear()
+    terms = [expand_grassmannian(t, w).terms for t, w in cases]
+    saved = dict(expand._cache)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "expansions.ktrx")
+        assert expand.save_cache(path) == len(saved)
+        expand._cache.clear()
+        assert expand.load_cache(path) == len(saved)
+    assert expand._cache == saved
+    assert [expand_grassmannian(t, w).terms for t, w in cases] == terms

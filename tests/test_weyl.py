@@ -66,6 +66,11 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_oneline(bad)
 
+    @pytest.mark.parametrize("bad", [[True, -2], [-2, True], [1.0], ["1"]])
+    def test_rejects_non_int_entries(self, bad):
+        with pytest.raises(ValueError):
+            SignedPermutation(bad)
+
 
 class TestLength:
     def test_identity(self):
