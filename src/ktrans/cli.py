@@ -108,9 +108,15 @@ def cmd_groth_a(args) -> int:
     print(f"G[{w}] = ((1+b*y{c})*(1+b*x{a})*R - G[{v}]) / b  where R is:")
     for u, coeff in sorted(combo, key=lambda p: (weyl.length("A", p[0]), p[0].window)):
         print(f"  G[{u}] * ({yrational_str(coeff)})")
-    ok = groth_a.transition_identity_holds(w)
+    ok = rings.transition_residual("A", w, groth_a.groth_poly).is_zero()
     print(f"identity: {'verified' if ok else 'FAILED'}")
     return 0 if ok else 1
+
+
+def _kn_at(t: str, num_vars: int, bound: int):
+    """kn_eval at a fixed type and truncation, as the evaluator of rings'
+    identity checks."""
+    return lambda u: kn.kn_eval(t, u, num_vars, bound)
 
 
 def cmd_kn_eval(args) -> int:
@@ -128,7 +134,7 @@ def cmd_kn_transition(args) -> int:
             combo, key=lambda p: (weyl.length(args.type, p[0]), p[0].window)
         )
     ]
-    residual = kn.transition_residual(args.type, w, args.N, args.D)
+    residual = rings.transition_residual(args.type, w, _kn_at(args.type, args.N, args.D))
     if args.json:
         print(
             json.dumps(
@@ -250,11 +256,11 @@ def _check_grassmannian_law(num_vars=3, bound=6):
 
 def _check_type_a():
     for w in weyl.group_elements("A", 4):
-        if w.descents() and not groth_a.transition_identity_holds(w):
+        if w.descents() and not rings.transition_residual("A", w, groth_a.groth_poly).is_zero():
             return False, f"transition fails at {w}"
     for u in weyl.group_elements("A", 3):
         for k in (1, 2, 3):
-            if not groth_a.monk_identity_holds(u, k):
+            if not rings.monk_identity_holds("A", u, k, groth_a.groth_poly):
                 return False, f"Monk identity fails at ({u}, k={k})"
     return True, ""
 
@@ -276,11 +282,12 @@ def _check_kn_oracle(num_vars=2, bound=4):
 
 def _check_bcd_transitions(num_vars=2, bound=4):
     for t in ("B", "C", "D"):
+        G = _kn_at(t, num_vars, bound)
         for w in weyl.group_elements(t, 2):
-            if w.descents() and not kn.transition_identity_holds(t, w, num_vars, bound):
+            if w.descents() and not rings.transition_residual(t, w, G).is_zero():
                 return False, f"transition fails at ({t}, {w})"
             for k in (1, 2):
-                if not kn.monk_identity_holds(t, w, k, num_vars, bound):
+                if not rings.monk_identity_holds(t, w, k, G, bound):
                     return False, f"Monk fails at ({t}, {w}, k={k})"
     return True, ""
 
@@ -442,9 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError("must be nonnegative")
         return value
 
-    def add_common(p, group_types="ABCD", need_w=True):
-        if need_w:
-            p.add_argument("--w", required=True, help="one-line window, e.g. -3,4,-1,5,2")
+    def add_common(p, group_types="ABCD"):
+        p.add_argument("--w", required=True, help="one-line window, e.g. -3,4,-1,5,2")
         p.add_argument("--type", choices=list(group_types), default="B")
         p.add_argument("--N", type=positive_int, default=3, help="number of z variables")
         p.add_argument("--D", type=nonneg_int, default=6, help="total degree bound")

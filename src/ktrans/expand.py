@@ -245,8 +245,9 @@ def load_cache(path: str) -> int:
 
     All or nothing: a malformed document (a v1 binary file included), a
     group type other than B, C or D, a window the validating constructor
-    rejects, or a coefficient that is not a positive int raises ValueError
-    and merges no entry.
+    rejects, a key outside the group of its type, a value that is not a
+    Grassmannian element of that group, or a coefficient that is not a
+    positive int raises ValueError and merges no entry.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -263,8 +264,14 @@ def load_cache(path: str) -> int:
             for uwin, coeff in _list(values):
                 if type(coeff) is not int or coeff <= 0:
                     raise ValueError(f"the coefficient {coeff!r} is not a positive integer")
-                entries[SignedPermutation(_list(uwin))] = coeff
-            loaded.setdefault((t, SignedPermutation(_list(window)).window), entries)
+                u = SignedPermutation(_list(uwin))
+                if not (u.in_group(t) and u.is_grassmannian()):
+                    raise ValueError(f"the value {u} is not a Grassmannian element of type {t}")
+                entries[u] = coeff
+            w = SignedPermutation(_list(window))
+            if not w.in_group(t):
+                raise ValueError(f"the key {w} is not in the group of type {t}")
+            loaded.setdefault((t, w.window), entries)
     except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as exc:
         raise ValueError(f"{path} is not an expansion cache: {type(exc).__name__}: {exc}") from exc
     for key, entries in loaded.items():

@@ -1,32 +1,18 @@
-"""Type A double Grothendieck polynomials and their transition calculus.
+"""Type A double Grothendieck polynomials.
 
 The polynomial of the longest element of S_n is the product of x_i + y_j +
 beta*x_i*y_j over i + j <= n; everything else descends from it through the
-isobaric divided differences.  The operator calculus itself (R_k, M_k and
-the transition certificate) lives in rings and is shared with types B, C, D;
-this module evaluates combinations with it and checks the Monk identity and
-Lascoux's transition equation exactly.
+isobaric divided differences.  This module only evaluates: the operator
+calculus (R_k, M_k, the transition certificate) and the checks of the Monk
+identity and Lascoux's transition equation live in rings, shared with types
+B, C, D, and take groth_poly as their evaluator.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .rings import (
-    BETA,
-    ONE,
-    FCombo,
-    TruncPoly,
-    X,
-    Y,
-    YRational,
-    apply_M,
-    pi_operator,
-    transition,
-    unit_combo,
-    xvar,
-    yvar,
-)
+from .rings import BETA, ONE, X, Y, TruncPoly, pi_operator, xvar, yvar
 from .weyl import SignedPermutation, reflection
 
 _memo: dict[tuple[int, ...], TruncPoly] = {}
@@ -70,30 +56,3 @@ def groth_single(w: SignedPermutation, family: str) -> TruncPoly:
     if family == "y":
         return p.rename_family(X, Y)
     raise ValueError(f"family must be x or y, got {family!r}")
-
-
-# -- the Monk rule and the transition equation ----------------------------
-
-
-def combo_poly(combo: FCombo) -> YRational:
-    """Evaluate a formal combination to sum of coeff * Grothendieck poly."""
-    total = YRational.const(0)
-    for u, c in combo:
-        if isinstance(c, TruncPoly):
-            c = YRational.from_poly(c)
-        total = total + c * groth_poly(u)
-    return total
-
-
-def monk_identity_holds(u: SignedPermutation, k: int) -> bool:
-    """(1 + beta*x_k) G_u == M_k G_u, as exact cleared polynomials."""
-    lhs = YRational.from_poly((ONE + BETA * xvar(k)) * groth_poly(u))
-    rhs = combo_poly(apply_M("A", k, unit_combo("A", u)))
-    return lhs == rhs
-
-
-def transition_identity_holds(w: SignedPermutation) -> bool:
-    """G_w == ((1+beta*y_c)(1+beta*x_a) * R_a G_v - G_v) / beta, exactly."""
-    v, a, c, combo = transition("A", w)
-    bracket = (ONE + BETA * yvar(c)) * (ONE + BETA * xvar(a)) * combo_poly(combo) - groth_poly(v)
-    return bracket.divide_beta() == YRational.from_poly(groth_poly(w))

@@ -10,8 +10,10 @@ The module also provides the localized ring with inverted (1 + beta*y_i)
 factors (YRational), the isobaric divided difference, the ominus series,
 the signed star substitution, the K-supersymmetry check, and the operator
 calculus on formal combinations that every type shares: the transition
-operator R_k, the Monk-type operator M_k and the transition certificate.
-Only the evaluators differ by type (groth_a for A, kn for B, C, D).
+operator R_k, the Monk-type operator M_k, the transition certificate and
+the checks of the Monk and transition identities.  Only the evaluator of
+the double Grothendieck polynomials differs by type (groth_a.groth_poly for
+A, kn.kn_eval for B, C, D); the checks take it as an argument.
 """
 
 from __future__ import annotations
@@ -271,7 +273,6 @@ class TruncPoly:
         return degs.pop() if len(degs) == 1 else None
 
 
-ZERO = TruncPoly.zero()
 ONE = TruncPoly.const(1)
 BETA = TruncPoly.beta()
 
@@ -443,18 +444,20 @@ class YRational:
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    def __add__(self, other) -> "YRational":
-        if isinstance(other, int):
-            other = YRational.const(other)
-        if isinstance(other, TruncPoly):
-            other = YRational.from_poly(other)
+    def _over_common(self, other: "YRational") -> tuple[TruncPoly, TruncPoly, dict[int, int]]:
+        """Both numerators over the least common denominator, and that
+        denominator."""
         lcm = {
             i: max(self.den.get(i, 0), other.den.get(i, 0))
             for i in set(self.den) | set(other.den)
         }
         scale_self = _unit_product({i: lcm[i] - self.den.get(i, 0) for i in lcm})
         scale_other = _unit_product({i: lcm[i] - other.den.get(i, 0) for i in lcm})
-        return YRational(self.num * scale_self + other.num * scale_other, lcm)
+        return self.num * scale_self, other.num * scale_other, lcm
+
+    def __add__(self, other) -> "YRational":
+        a, b, lcm = self._over_common(_lift(other))
+        return YRational(a + b, lcm)
 
     __radd__ = __add__
 
@@ -462,15 +465,10 @@ class YRational:
         return YRational(-self.num, dict(self.den))
 
     def __sub__(self, other) -> "YRational":
-        if isinstance(other, (int, TruncPoly)):
-            other = self.__class__.const(other) if isinstance(other, int) else YRational.from_poly(other)
-        return self + (-other)
+        return self + (-_lift(other))
 
     def __mul__(self, other) -> "YRational":
-        if isinstance(other, int):
-            return YRational(self.num * other, dict(self.den))
-        if isinstance(other, TruncPoly):
-            return YRational(self.num * other, dict(self.den))
+        other = _lift(other)
         den = dict(self.den)
         for i, e in other.den.items():
             den[i] = den.get(i, 0) + e
@@ -479,22 +477,14 @@ class YRational:
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = YRational.const(other)
-        if isinstance(other, TruncPoly):
-            other = YRational.from_poly(other)
+        other = _lift(other)
         if not isinstance(other, YRational):
             return NotImplemented
         if self.den == other.den:
             return self.num == other.num
         # cross-multiply: safe even when truncation spoiled the normal form
-        lcm = {
-            i: max(self.den.get(i, 0), other.den.get(i, 0))
-            for i in set(self.den) | set(other.den)
-        }
-        scale_self = _unit_product({i: lcm[i] - self.den.get(i, 0) for i in lcm})
-        scale_other = _unit_product({i: lcm[i] - other.den.get(i, 0) for i in lcm})
-        return self.num * scale_self == other.num * scale_other
+        a, b, _ = self._over_common(other)
+        return a == b
 
     def __hash__(self):
         return hash((self.num, tuple(sorted(self.den.items()))))
@@ -512,6 +502,15 @@ class YRational:
     def homogeneous_degree(self) -> int | None:
         """Degree with deg beta = -1, deg y = 1, deg 1/(1+beta*y) = 0."""
         return self.num.homogeneous_degree()
+
+
+def _lift(x):
+    """An int or TruncPoly as a YRational; anything else unchanged."""
+    if isinstance(x, int):
+        return YRational.const(x)
+    if isinstance(x, TruncPoly):
+        return YRational.from_poly(x)
+    return x
 
 
 def _unit_product(exps: dict[int, int]) -> TruncPoly:
@@ -709,6 +708,46 @@ def transition(t: str, w: SignedPermutation) -> tuple[SignedPermutation, int, in
     return v, a, c, apply_R(t, a, unit_combo(t, v))
 
 
+# -- the Monk and transition identities ---------------------------------------
+#
+# G maps a group element to its double Grothendieck polynomial:
+# groth_a.groth_poly in type A, kn.kn_eval at a fixed (t, N, D) in B, C, D.
+
+
+def combo_value(combo: FCombo, G) -> YRational:
+    """Sum coeff_u * G(u) over the combination."""
+    total = YRational.const(0)
+    for u, c in combo:
+        total = total + c * G(u)
+    return total
+
+
+def y_factor(c: int) -> YRational:
+    """1 + beta*y_c, reading y_{-i} as the ominus of y_i."""
+    if c > 0:
+        return YRational.from_poly(ONE + BETA * yvar(c))
+    return YRational.const(1) + BETA * ominus_y(-c)
+
+
+def monk_identity_holds(
+    t: str, u: SignedPermutation, k: int, G, bound: int | None = None
+) -> bool:
+    """(1 + beta*x_k) G(u) == M_k G(u), with M_k cut at length bound (exact
+    in type A with bound=None; G carries its own truncation)."""
+    lhs = YRational.from_poly((ONE + BETA * xvar(k)) * G(u))
+    return lhs == combo_value(apply_M(t, k, unit_combo(t, u), bound), G)
+
+
+def transition_residual(t: str, w: SignedPermutation, G) -> YRational:
+    """The difference between the two sides of the transition identity
+    G(w) = ((1+beta*y_c)(1+beta*x_a) * R_a G(v) - G(v)) / beta, with y_c
+    read as ominus y_{|c|} when c is negative; zero when it holds.  The
+    division by beta raises ArithmeticError if it is not exact."""
+    v, a, c, combo = transition(t, w)
+    bracket = y_factor(c) * (ONE + BETA * xvar(a)) * combo_value(combo, G) - G(v)
+    return bracket.divide_beta() - G(w)
+
+
 # -- the K-supersymmetry check ---------------------------------------------
 
 
@@ -755,14 +794,15 @@ def _mono_str(mono: Monomial, coeff: int) -> str:
     return "*".join(parts)
 
 
-def poly_str(p: TruncPoly) -> str:
-    """Canonical rendering, e.g. "2*z1 + b*z1^2"."""
+def _signed_terms(p: TruncPoly, suffix: str = "") -> str:
+    """The terms of p in canonical order, each followed by suffix, joined
+    with their signs."""
     if p.is_zero():
         return "0"
     out = []
     for mono in sorted(p.terms, key=_mono_sort_key):
         c = p.terms[mono]
-        body = _mono_str(mono, c)
+        body = _mono_str(mono, c) + suffix
         if not out:
             out.append(body if c > 0 else f"-{body}")
         else:
@@ -770,9 +810,14 @@ def poly_str(p: TruncPoly) -> str:
     return " ".join(out)
 
 
+def poly_str(p: TruncPoly) -> str:
+    """Canonical rendering, e.g. "2*z1 + b*z1^2"."""
+    return _signed_terms(p)
+
+
 def yrational_str(f: YRational) -> str:
-    if f.is_zero():
-        return "0"
+    """Canonical rendering with the denominator after every term, e.g.
+    "b/(1+b*y1) + b^2*y1/(1+b*y1)"."""
     den = ""
     if f.den:
         factors = []
@@ -780,12 +825,4 @@ def yrational_str(f: YRational) -> str:
             base = f"(1+b*y{i})"
             factors.append(base if e == 1 else f"{base}^{e}")
         den = "/" + "*".join(factors) if len(factors) == 1 else "/(" + "*".join(factors) + ")"
-    out = []
-    for mono in sorted(f.num.terms, key=_mono_sort_key):
-        c = f.num.terms[mono]
-        body = _mono_str(mono, c) + den
-        if not out:
-            out.append(body if c > 0 else f"-{body}")
-        else:
-            out.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(out)
+    return _signed_terms(f.num, den)

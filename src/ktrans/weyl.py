@@ -248,7 +248,8 @@ def generator_indices(t: str, n: int) -> list[int]:
     if t in ("B", "C"):
         return list(range(0, n))
     if t == "D":
-        return [-1] + list(range(1, n))
+        # t_{-1} moves position 2, so W^D_0 and W^D_1 are trivial
+        return [-1] + list(range(1, n)) if n >= 2 else []
     raise ValueError(f"unknown group type {t!r}")
 
 
@@ -393,17 +394,6 @@ def reduced_word(t: str, w: SignedPermutation) -> list[int]:
     return word
 
 
-def demazure_mul(t: str, u: SignedPermutation, v: SignedPermutation) -> SignedPermutation:
-    """The Demazure (0-Hecke) product u o v."""
-    if not (u.in_group(t) and v.in_group(t)):
-        raise ValueError(f"operands must both lie in type {t}")
-    result = u
-    for g in reduced_word(t, v):
-        if right_ascent(t, result, g):
-            result = result * generator(t, g)
-    return result
-
-
 def demazure_apply(t: str, w: SignedPermutation, g: int) -> SignedPermutation:
     """w o t_g for a single generator: w * t_g when g is a right ascent of
     w, else w itself (the same object), so callers can tell the two apart
@@ -412,18 +402,27 @@ def demazure_apply(t: str, w: SignedPermutation, g: int) -> SignedPermutation:
 
 
 @lru_cache(maxsize=None)
+def demazure_mul(t: str, u: SignedPermutation, v: SignedPermutation) -> SignedPermutation:
+    """The Demazure (0-Hecke) product u o v, along a reduced word of v."""
+    if not (u.in_group(t) and v.in_group(t)):
+        raise ValueError(f"operands must both lie in type {t}")
+    for g in reduced_word(t, v):
+        u = demazure_apply(t, u, g)
+    return u
+
+
+@lru_cache(maxsize=None)
 def elements_up_to_length(t: str, n: int, max_len: int) -> tuple[SignedPermutation, ...]:
     """Elements of W^t_n with length <= max_len, found by raising BFS."""
-    gens = [generator(t, g) for g in generator_indices(t, n)]
-    gen_idx = generator_indices(t, n)
+    gens = [(g, generator(t, g)) for g in generator_indices(t, n)]
     seen = {IDENTITY}
     frontier = [IDENTITY]
     for _ in range(max_len):
         nxt = []
         for w in frontier:
-            for g, gi in zip(gens, gen_idx):
-                if right_ascent(t, w, gi):
-                    u = w * g
+            for g, tg in gens:
+                if right_ascent(t, w, g):
+                    u = w * tg
                     if u not in seen:
                         seen.add(u)
                         nxt.append(u)
@@ -431,22 +430,9 @@ def elements_up_to_length(t: str, n: int, max_len: int) -> tuple[SignedPermutati
     return tuple(sorted(seen, key=lambda w: (length(t, w), w.window)))
 
 
-@lru_cache(maxsize=None)
 def group_elements(t: str, n: int) -> tuple[SignedPermutation, ...]:
-    """All elements of W^t_n, by breadth-first search from the identity."""
-    gens = [generator(t, g) for g in generator_indices(t, n)]
-    seen = {IDENTITY}
-    frontier = [IDENTITY]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                u = w * g
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda w: (length(t, w), w.window)))
+    """All elements of W^t_n; none is longer than n^2."""
+    return elements_up_to_length(t, n, n * n)
 
 
 # -- Grassmannian shapes and the LD order --------------------------------

@@ -10,13 +10,18 @@ from ktrans.expand import (
     skew_expansion,
     transition_step,
 )
-from ktrans.groth_a import monk_identity_holds as monk_a
-from ktrans.groth_a import transition_identity_holds as transition_a_holds
+from ktrans.groth_a import groth_poly
 from ktrans.hecke import fstanley, hecke_words, mperm, quasi
 from ktrans.kn import kn_eval
-from ktrans.kn import monk_identity_holds as monk_bcd
-from ktrans.kn import transition_identity_holds as transition_bcd_holds
-from ktrans.rings import BETA, ONE, TruncPoly, supersym_check, yvar
+from ktrans.rings import (
+    BETA,
+    ONE,
+    TruncPoly,
+    monk_identity_holds,
+    supersym_check,
+    transition_residual,
+    yvar,
+)
 from ktrans.tableaux import ShiftedSkewShape, gp, gq, w_shape
 from ktrans.weyl import (
     group_elements,
@@ -135,10 +140,14 @@ def test_criterion_07_grassmannian_law():
 
 def test_criterion_08_type_a_transitions():
     ok = all(
-        transition_a_holds(w) for w in group_elements("A", 4) if w.descents()
+        transition_residual("A", w, groth_poly).is_zero()
+        for w in group_elements("A", 4)
+        if w.descents()
     )
     ok = ok and all(
-        monk_a(u, k) for u in group_elements("A", 3) for k in (1, 2, 3)
+        monk_identity_holds("A", u, k, groth_poly)
+        for u in group_elements("A", 3)
+        for k in (1, 2, 3)
     )
     report("criterion-08 type A transitions and Monk rule", ok)
 
@@ -161,11 +170,12 @@ def test_criterion_09_kn_oracle():
 def test_criterion_10_classical_transitions():
     ok = True
     for t in ("B", "C", "D"):
+        G = lambda u, t=t: kn_eval(t, u, 2, 4)
         for w in group_elements(t, 2):
             if w.descents():
-                ok = ok and transition_bcd_holds(t, w, 2, 4)
+                ok = ok and transition_residual(t, w, G).is_zero()
             for k in (1, 2):
-                ok = ok and monk_bcd(t, w, k, 2, 4)
+                ok = ok and monk_identity_holds(t, w, k, G, 4)
     report("criterion-10 classical transitions at truncation", ok)
 
 

@@ -241,6 +241,9 @@ MALFORMED = {
     "coeff-float": _v2(["B", [2, 1], [[[-1], 1.0]]]),
     "coeff-true": _v2(["B", [2, 1], [[[-1], True]]]),
     "coeff-zero": _v2(["B", [2, 1], [[[-1], 0]]]),
+    "key-outside-type-D": _v2(["D", [-1, 2], [[[-2, -1], 1]]]),
+    "value-outside-type-D": _v2(["D", [2, 1], [[[-1], 1]]]),
+    "value-not-grassmannian": _v2(["B", [2, 1], [[[2, 1], 1]]]),
     "not-an-object": b"[2, []]",
     "no-entries": b'{"version": 2}',
     "deeply-nested": b'{"version": 2, "entries": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",

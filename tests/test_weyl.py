@@ -108,6 +108,13 @@ class TestLength:
             w.window for w in full
         )
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_type_d_below_rank_two_is_trivial(self, n):
+        # t_{-1} moves position 2, so W^D_0 and W^D_1 have no generator
+        assert generator_indices("D", n) == []
+        assert group_elements("D", n) == (identity(),)
+        assert windowed_elements("D", n) == [identity()]
+
 
 def windowed_elements(t, n):
     """All of W^t_n, built from their windows rather than by products."""
