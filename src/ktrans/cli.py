@@ -102,13 +102,14 @@ def cmd_groth_a(args) -> int:
     if not args.transition:
         print(poly_str(groth_a.groth_poly(w)))
         return 0
-    v, a, c, combo = rings.transition("A", w)
+    certificate = rings.transition("A", w)
+    v, a, c, combo = certificate
     print(f"w = {w}")
     print(f"a = {a}  v = {v}  c = {c}")
     print(f"G[{w}] = ((1+b*y{c})*(1+b*x{a})*R - G[{v}]) / b  where R is:")
     for u, coeff in sorted(combo, key=lambda p: (weyl.length("A", p[0]), p[0].window)):
         print(f"  G[{u}] * ({yrational_str(coeff)})")
-    ok = rings.transition_residual("A", w, groth_a.groth_poly).is_zero()
+    ok = rings.transition_residual(w, certificate, groth_a.groth_poly).is_zero()
     print(f"identity: {'verified' if ok else 'FAILED'}")
     return 0 if ok else 1
 
@@ -127,14 +128,15 @@ def cmd_kn_eval(args) -> int:
 
 def cmd_kn_transition(args) -> int:
     w = parse_oneline(args.w)
-    v, a, c, combo = rings.transition(args.type, w)
+    certificate = rings.transition(args.type, w)
+    v, a, c, combo = certificate
     terms = [
         {"w": list(u.window), "coeff": yrational_str(coeff)}
         for u, coeff in sorted(
             combo, key=lambda p: (weyl.length(args.type, p[0]), p[0].window)
         )
     ]
-    residual = rings.transition_residual(args.type, w, _kn_at(args.type, args.N, args.D))
+    residual = rings.transition_residual(w, certificate, _kn_at(args.type, args.N, args.D))
     if args.json:
         print(
             json.dumps(
@@ -256,8 +258,12 @@ def _check_grassmannian_law(num_vars=3, bound=6):
 
 def _check_type_a():
     for w in weyl.group_elements("A", 4):
-        if w.descents() and not rings.transition_residual("A", w, groth_a.groth_poly).is_zero():
-            return False, f"transition fails at {w}"
+        if w.descents():
+            residual = rings.transition_residual(
+                w, rings.transition("A", w), groth_a.groth_poly
+            )
+            if not residual.is_zero():
+                return False, f"transition fails at {w}"
     for u in weyl.group_elements("A", 3):
         for k in (1, 2, 3):
             if not rings.monk_identity_holds("A", u, k, groth_a.groth_poly):
@@ -284,8 +290,10 @@ def _check_bcd_transitions(num_vars=2, bound=4):
     for t in ("B", "C", "D"):
         G = _kn_at(t, num_vars, bound)
         for w in weyl.group_elements(t, 2):
-            if w.descents() and not rings.transition_residual(t, w, G).is_zero():
-                return False, f"transition fails at ({t}, {w})"
+            if w.descents():
+                residual = rings.transition_residual(w, rings.transition(t, w), G)
+                if not residual.is_zero():
+                    return False, f"transition fails at ({t}, {w})"
             for k in (1, 2):
                 if not rings.monk_identity_holds(t, w, k, G, bound):
                     return False, f"Monk fails at ({t}, {w}, k={k})"

@@ -126,7 +126,7 @@ def expand_grassmannian(t: str, w: SignedPermutation) -> ExpansionResult:
                 d = u.least_descent()
                 if d:
                     pending[u] = mult
-                    heapq.heappush(heap, (-d, -u(d), u.window, u))
+                    heapq.heappush(heap, (-d, -u.window[d - 1], u.window, u))
                 else:
                     grassmannian[u] = mult
 
@@ -246,7 +246,8 @@ def load_cache(path: str) -> int:
     All or nothing: a malformed document (a v1 binary file included), a
     group type other than B, C or D, a window the validating constructor
     rejects, a key outside the group of its type, a value that is not a
-    Grassmannian element of that group, or a coefficient that is not a
+    Grassmannian element of that group, a value whose shape has size
+    |lambda| below the key's length, or a coefficient that is not a
     positive int raises ValueError and merges no entry.
     """
     with open(path, "rb") as fh:
@@ -260,17 +261,20 @@ def load_cache(path: str) -> int:
         for t, window, values in _list(doc["entries"]):
             if t not in ("B", "C", "D"):
                 raise ValueError(f"the group type {t!r} is not B, C or D")
+            w = SignedPermutation(_list(window))
+            if not w.in_group(t):
+                raise ValueError(f"the key {w} is not in the group of type {t}")
+            lw = length(t, w)
             entries: dict[SignedPermutation, int] = {}
             for uwin, coeff in _list(values):
                 if type(coeff) is not int or coeff <= 0:
                     raise ValueError(f"the coefficient {coeff!r} is not a positive integer")
                 u = SignedPermutation(_list(uwin))
-                if not (u.in_group(t) and u.is_grassmannian()):
-                    raise ValueError(f"the value {u} is not a Grassmannian element of type {t}")
+                # shape refuses a value that is not a Grassmannian element
+                # of type t; a term a * beta^(|lam| - l(w)) needs |lam| >= l(w)
+                if sum(shape(t, u)) < lw:
+                    raise ValueError(f"the value {u} has |lambda| below l({w}) = {lw}")
                 entries[u] = coeff
-            w = SignedPermutation(_list(window))
-            if not w.in_group(t):
-                raise ValueError(f"the key {w} is not in the group of type {t}")
             loaded.setdefault((t, w.window), entries)
     except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as exc:
         raise ValueError(f"{path} is not an expansion cache: {type(exc).__name__}: {exc}") from exc

@@ -738,12 +738,16 @@ def monk_identity_holds(
     return lhs == combo_value(apply_M(t, k, unit_combo(t, u), bound), G)
 
 
-def transition_residual(t: str, w: SignedPermutation, G) -> YRational:
+def transition_residual(
+    w: SignedPermutation, certificate: tuple[SignedPermutation, int, int, FCombo], G
+) -> YRational:
     """The difference between the two sides of the transition identity
     G(w) = ((1+beta*y_c)(1+beta*x_a) * R_a G(v) - G(v)) / beta, with y_c
     read as ominus y_{|c|} when c is negative; zero when it holds.  The
-    division by beta raises ArithmeticError if it is not exact."""
-    v, a, c, combo = transition(t, w)
+    certificate (v, a, c, R_a) is transition(t, w), which callers that
+    print it have already built.  The division by beta raises
+    ArithmeticError if it is not exact."""
+    v, a, c, combo = certificate
     bracket = y_factor(c) * (ONE + BETA * xvar(a)) * combo_value(combo, G) - G(v)
     return bracket.divide_beta() - G(w)
 

@@ -289,36 +289,62 @@ def right_ascent(t: str, w: SignedPermutation, g: int) -> bool:
     raise ValueError(f"invalid generator index {g}")
 
 
-def length_increment_ok(t: str, w: SignedPermutation, i: int, j: int) -> bool:
-    """Whether l(w * t_{ij}) = l(w) + 1, decided by window scans only.
+def _raises_length(t: str, win: tuple[int, ...], i: int, j: int) -> bool:
+    """The one length-increment test: whether l(w * t_{ij}) = l(w) + 1, for
+    a valid reflection with |i| < j and the window of w padded to at least
+    j entries.
 
-    Cases: 0 < i < j; the sign change t_{0j}; and t_{-i,j} with 0 < i < j.
+    Cases: 0 < i < j; the sign change t_{0j}; and t_{-k,j} with 0 < k < j.
     The last case carries an extra sign condition in types B and C, which
     share one length function.  The strict betweenness scans exclude the
     swapped positions themselves.
+    """
+    y = win[j - 1]
+    if i > 0:
+        x = win[i - 1]
+        if x >= y:
+            return False
+        for e in win[i : j - 1]:
+            if x < e < y:
+                return False
+        return True
+    if i == 0:
+        if y <= 0:
+            return False
+        for e in win[: j - 1]:
+            if -y < e < y:
+                return False
+        return True
+    k = -i
+    x = win[k - 1]
+    if -x >= y:
+        return False
+    if t in ("B", "C") and x > 0 and y > 0:
+        return False
+    for e in win[: k - 1]:
+        if -y < e < x or -x < e < y:
+            return False
+    for e in win[k : j - 1]:
+        if -x < e < y:
+            return False
+    return True
+
+
+def length_increment_ok(t: str, w: SignedPermutation, i: int, j: int) -> bool:
+    """Whether l(w * t_{ij}) = l(w) + 1, decided by window scans only.
+
+    Validates the reflection, writes t_{ij} with |i| > j as t_{-j,-i}, pads
+    the window of w with its fixed points up to j and asks the one test,
+    ``_raises_length``, which ``r_chains`` calls directly.
     """
     if not is_valid_reflection(t, i, j):
         raise ValueError(f"t_({i},{j}) is not a reflection of type {t}")
     if abs(i) > j:
         i, j = -j, -i
-    if i > 0:
-        if w(i) >= w(j):
-            return False
-        lo, hi = w(i), w(j)
-        return not any(lo < w(e) < hi for e in range(i + 1, j))
-    if i == 0:
-        if w(j) <= 0:
-            return False
-        hi = w(j)
-        return not any(-hi < w(e) < hi for e in range(1, j))
-    k = -i
-    if -w(k) >= w(j):
-        return False
-    if t in ("B", "C") and not (w(k) < 0 or w(j) < 0):
-        return False
-    if any(-w(j) < w(e) < w(k) for e in range(1, k)):
-        return False
-    return not any(-w(k) < w(e) < w(j) for e in range(1, j) if e != k)
+    win = w.window
+    if len(win) < j:
+        win += tuple(range(len(win) + 1, j + 1))
+    return _raises_length(t, win, i, j)
 
 
 # -- the transition operator -------------------------------------------------
@@ -327,12 +353,21 @@ def length_increment_ok(t: str, w: SignedPermutation, i: int, j: int) -> bool:
 def transition_data(w: SignedPermutation) -> tuple[SignedPermutation, int, int, int]:
     """(v, a, b, c) for the last-descent transition: a is the last descent,
     b the largest index past a with w(b) < w(a), v = w * t_{ab}, and
-    c = w(b), which may be negative."""
+    c = w(b), which may be negative.
+
+    Read from the window: past it w(i) = i > w(a), so b lies inside it, and
+    v swaps the window entries at a and b."""
     a = w.least_descent()
     if not a:
         raise ValueError(f"{w} has no descent")
-    b = max(i for i in range(a + 1, w.support + 1) if w(i) < w(a))
-    return w * reflection(a, b), a, b, w(b)
+    win = list(w.window)
+    x = win[a - 1]
+    b = len(win)
+    while win[b - 1] >= x:  # stops at a + 1, as a is a descent
+        b -= 1
+    c = win[b - 1]
+    win[a - 1], win[b - 1] = c, x
+    return SignedPermutation._trusted(win), a, b, c
 
 
 def r_chains(
@@ -350,23 +385,53 @@ def r_chains(
 
     The j-range is finite: a move below -(support+1) never raises length,
     and once a move grows the support no later t-move can fire.
+
+    The chains are kept as windows padded to max(support, k) + 1, the
+    furthest position any move touches.  The valid j are listed once, each
+    move is tested by ``_raises_length`` on the padded window and applied
+    as a swap or sign flip of it, and only the end results are wrapped as
+    signed permutations, unchecked.
     """
-    chains = {v: (1, 0)}
-    if t == "B" and length_increment_ok("B", v, 0, k):
-        chains[v * reflection(0, k)] = (0, 1)
-    for j in range(-(max(v.support, k) + 1), k):
-        if not is_valid_reflection(t, j, k):
-            continue
-        tjk = reflection(j, k)
-        moves = [
-            (u * tjk, counts)
-            for u, counts in chains.items()
-            if length_increment_ok(t, u, j, k)
-        ]
-        for u, (plain, via_n) in moves:
-            old_plain, old_via_n = chains.get(u, (0, 0))
-            chains[u] = (old_plain + plain, old_via_n + via_n)
-    return chains
+    top = max(v.support, k) + 1
+    start = v.window + tuple(range(v.support + 1, top + 1))
+    chains = {start: (1, 0)}
+    if t == "B" and _raises_length("B", start, 0, k):
+        u = list(start)
+        u[k - 1] = -u[k - 1]
+        chains[tuple(u)] = (0, 1)
+    if t == "A":
+        js = range(1, k)
+    else:
+        # j = -k is no reflection, and type D has no sign change t_{0k}
+        js = [*range(-top, -k), *range(1 - k, 0 if t == "D" else 1), *range(1, k)]
+    for j in js:
+        # t_{jk} with j < -k is t_{-k,-j}; it moves positions p and q
+        if -j > k:
+            i, q = -k, -j
+        else:
+            i, q = j, k
+        p = abs(i)
+        # a chain that gains counts at this factor cannot fire at it (the
+        # move would lower its length), so the counts can be added in place
+        new = []
+        for win, counts in chains.items():
+            if not _raises_length(t, win, i, q):
+                continue
+            u = list(win)
+            if i > 0:
+                u[p - 1], u[q - 1] = win[q - 1], win[p - 1]
+            elif i == 0:
+                u[q - 1] = -win[q - 1]
+            else:
+                u[p - 1], u[q - 1] = -win[q - 1], -win[p - 1]
+            u = tuple(u)
+            old = chains.get(u)
+            if old is None:
+                new.append((u, counts))
+            else:
+                chains[u] = (old[0] + counts[0], old[1] + counts[1])
+        chains.update(new)
+    return {SignedPermutation._trusted(list(win)): counts for win, counts in chains.items()}
 
 
 # -- words and products -------------------------------------------------
@@ -444,11 +509,8 @@ def shape(t: str, w: SignedPermutation) -> tuple[int, ...]:
         raise ValueError(f"{w} is not in the group of type {t}")
     if not w.is_grassmannian():
         raise ValueError(f"{w} has a descent; no Grassmannian shape")
-    n = 0
-    for i, v in enumerate(w.window, start=1):
-        if v <= 0:
-            n = i
-    parts = [-w(i) for i in range(1, n + 1)]
+    # the window increases, so its negative entries come first
+    parts = [-v for v in w.window if v < 0]
     if t == "D":
         parts = [p - 1 for p in parts]
     while parts and parts[-1] == 0:
@@ -461,4 +523,4 @@ def ld_less(u: SignedPermutation, v: SignedPermutation) -> bool:
     lu, lv = u.least_descent(), v.least_descent()
     if lu < lv:
         return True
-    return 0 < lu == lv and u(lu) < v(lv)
+    return 0 < lu == lv and u.window[lu - 1] < v.window[lv - 1]

@@ -19,6 +19,7 @@ from ktrans.rings import (
     TruncPoly,
     monk_identity_holds,
     supersym_check,
+    transition,
     transition_residual,
     yvar,
 )
@@ -140,7 +141,7 @@ def test_criterion_07_grassmannian_law():
 
 def test_criterion_08_type_a_transitions():
     ok = all(
-        transition_residual("A", w, groth_poly).is_zero()
+        transition_residual(w, transition("A", w), groth_poly).is_zero()
         for w in group_elements("A", 4)
         if w.descents()
     )
@@ -173,7 +174,7 @@ def test_criterion_10_classical_transitions():
         G = lambda u, t=t: kn_eval(t, u, 2, 4)
         for w in group_elements(t, 2):
             if w.descents():
-                ok = ok and transition_residual(t, w, G).is_zero()
+                ok = ok and transition_residual(w, transition(t, w), G).is_zero()
             for k in (1, 2):
                 ok = ok and monk_identity_holds(t, w, k, G, 4)
     report("criterion-10 classical transitions at truncation", ok)

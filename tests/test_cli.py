@@ -1,6 +1,7 @@
 """Command-line interface: golden outputs, exit codes, cache persistence."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -244,6 +245,7 @@ MALFORMED = {
     "key-outside-type-D": _v2(["D", [-1, 2], [[[-2, -1], 1]]]),
     "value-outside-type-D": _v2(["D", [2, 1], [[[-1], 1]]]),
     "value-not-grassmannian": _v2(["B", [2, 1], [[[2, 1], 1]]]),
+    "lambda-below-key-length": _v2(["B", [2, 1], [[[], 1]]]),
     "not-an-object": b"[2, []]",
     "no-entries": b'{"version": 2}',
     "deeply-nested": b'{"version": 2, "entries": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
@@ -291,3 +293,37 @@ class TestMalformedCache:
         expand_mod._cache.clear()
         assert expand_mod.load_cache(str(path)) == 0
         assert expand_mod._cache == {}
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# each file holds the stdout of one command, as the console script prints it
+GOLDEN_COMMANDS = {
+    "expand-B-golden.json": ["expand", "--type", "B", "--w=-3,4,-1,5,2", "--json"],
+    "expand-C-golden.json": ["expand", "--type", "C", "--w=-3,4,-1,5,2", "--json"],
+    "expand-D-golden.json": ["expand", "--type", "D", "--w=-3,4,-1,5,2", "--json"],
+    "expand-D-rank8.json": ["expand", "--type", "D", "--w=-6,5,-2,7,8,1,3,4", "--json"],
+    "expand-B-rank8.json": ["expand", "--type", "B", "--w=4,7,2,6,-8,1,-5,-3", "--json"],
+    **{
+        f"skew-{basis}-{name}.json": [
+            "skew", "--basis", basis, "--outer", outer, "--inner", inner, "--json"
+        ]
+        for basis in ("GP", "GQ")
+        for name, outer, inner in (
+            ("642-2", "6,4,2", "2"),
+            ("7531-2", "7,5,3,1", "2"),
+            ("642-31", "6,4,2", "3,1"),
+        )
+    },
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("name", GOLDEN_COMMANDS)
+    def test_json_is_byte_identical(self, capsys, monkeypatch, name):
+        from ktrans import expand as expand_mod
+
+        monkeypatch.delenv("KTRANS_CACHE_DIR", raising=False)
+        monkeypatch.setattr(expand_mod, "_cache", {})
+        code, out = run(capsys, *GOLDEN_COMMANDS[name])
+        assert code == 0
+        assert out == (GOLDEN / name).read_text(encoding="utf-8")

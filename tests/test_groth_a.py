@@ -189,4 +189,4 @@ class TestTransition:
     def test_exactness_and_identity_on_s4(self):
         for w in group_elements("A", 4):
             if w.descents():
-                assert transition_residual("A", w, groth_poly).is_zero(), str(w)
+                assert transition_residual(w, transition("A", w), groth_poly).is_zero(), str(w)

@@ -19,6 +19,7 @@ from ktrans.weyl import (
     length,
     length_increment_ok,
     parse_oneline,
+    r_chains,
     reduced_word,
     reflection,
     right_ascent,
@@ -215,6 +216,43 @@ class TestLengthIncrement:
                     assert length_increment_ok(t, w, i, j) == (
                         length(t, wt) == lw + 1
                     ), (t, w, i, j)
+
+
+def brute_r_chains(t, k, v, low):
+    """R_k's chain counts by products and lengths alone, in the documented
+    factor order: the type B n-factor t_{0k}, then t_{jk} for j ascending
+    from low to k-1, each firing when it raises length by one."""
+    chains = {v: (1, 0)}
+    if t == "B":
+        u = v * reflection(0, k)
+        if length(t, u) == length(t, v) + 1:
+            chains[u] = (0, 1)
+    for j in range(low, k):
+        if not is_valid_reflection(t, j, k):
+            continue
+        tjk = reflection(j, k)
+        moves = [
+            (u * tjk, counts)
+            for u, counts in chains.items()
+            if length(t, u * tjk) == length(t, u) + 1
+        ]
+        for u, (plain, via_n) in moves:
+            old_plain, old_via_n = chains.get(u, (0, 0))
+            chains[u] = (old_plain + plain, old_via_n + via_n)
+    return chains
+
+
+class TestRChains:
+    @pytest.mark.parametrize("t", ["B", "C", "D"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_brute_force(self, t, n):
+        # k runs past the support of every w, so the padded windows are
+        # read too; the brute force starts two factors below the kernel's
+        # range, which pins the claim that those factors never fire
+        for w in group_elements(t, n):
+            for k in range(1, n + 2):
+                low = -(max(w.support, k) + 3)
+                assert r_chains(t, k, w) == brute_r_chains(t, k, w, low), (t, w, k)
 
 
 class TestDescents:
