@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -356,7 +357,7 @@ def _check_quasisym(num_vars=3, bound=5):
 
 def _check_positivity_sweep():
     # transition_step itself asserts nonnegativity and the LD descent;
-    # expand_grassmannian asserts the support bound as it runs
+    # the expansion recursion asserts the support bound at every output
     for w in weyl.group_elements("B", 3):
         expand_mod.expand_grassmannian("B", w)
     return True, ""
@@ -412,16 +413,22 @@ def _run_check(index: int) -> tuple[str, bool, str]:
     return name, bool(ok), detail
 
 
+def _seed_checks(seed: int | None) -> None:
+    """Seed the pi-braid check; a pool runs this in each worker, as a
+    spawned worker does not inherit the parent's CHECKS."""
+    if seed is not None:
+        CHECKS[-1] = ("pi-braid-relations", functools.partial(_check_pi_braid, seed))
+
+
 def cmd_verify_suite(args) -> int:
     default = CHECKS[-1]
-    if args.seed is not None:
-        CHECKS[-1] = ("pi-braid-relations", lambda: _check_pi_braid(args.seed))
+    _seed_checks(args.seed)
     try:
         indices = list(range(len(CHECKS)))
         if args.jobs > 1:
             import multiprocessing
 
-            with multiprocessing.Pool(args.jobs) as pool:
+            with multiprocessing.Pool(args.jobs, _seed_checks, (args.seed,)) as pool:
                 results = pool.map(_run_check, indices)
         else:
             results = [_run_check(i) for i in indices]

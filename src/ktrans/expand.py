@@ -6,15 +6,17 @@ plain integers, where the basis symbol of u implicitly carries degree l(u).
 A coefficient a of u in the expansion of a source of length l therefore
 stands for the single monomial a * beta^(l(u) - l); the transition step
 counts R_k's chains in the Weyl group and never builds a polynomial.
+Every output of a step lies strictly below its source in the LD order, so
+the full expansion is one memoized recursion over that order.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .hecke import fstanley
 from .rings import TruncPoly
@@ -93,60 +95,52 @@ class ExpansionResult:
 _cache: dict[tuple[str, tuple[int, ...]], dict[SignedPermutation, int]] = {}
 
 
+@lru_cache(maxsize=None)
+def _expansion(t: str, u: SignedPermutation) -> dict[SignedPermutation, int]:
+    """The Grassmannian expansion of F_u, shared by every caller: not to be
+    mutated.
+
+    A dynamic program over the LD order.  A Grassmannian u is its own
+    expansion, a key of `_cache` is served from it, and any other u is the
+    sum of its transition outputs' expansions, each output strictly below
+    u.  Every output v is asserted to keep support(v) + LD(v) <=
+    support(u) + LD(u); by induction, every intermediate of a root w then
+    stays within the support bound support(w) + LD(w), memo hits included.
+    """
+    d = u.least_descent()
+    if not d:
+        return {u: 1}
+    cached = _cache.get((t, u.window))
+    if cached is not None:
+        return cached
+    bound = u.support + d
+    total: dict[SignedPermutation, int] = {}
+    outputs = transition_step(t, u)
+    for v, coeff in outputs.items():
+        if v.support + v.least_descent() > bound:
+            raise AssertionError(f"{v} escapes the support bound {bound} of {u}")
+        sub = _expansion(t, v)
+        if coeff == 1 and len(outputs) == 1:
+            return sub  # F_u = F_v: share v's expansion, as most steps do
+        for g, c in sub.items():
+            total[g] = total.get(g, 0) + coeff * c
+    return total
+
+
 def expand_grassmannian(t: str, w: SignedPermutation) -> ExpansionResult:
     """Fully expand F_w into Grassmannian symbols by iterated transitions.
 
-    The worklist is a heap of non-Grassmannian keys, popped largest first
-    by (least descent d, u(d)), ties by the smaller window: a linear
-    extension of the LD order.  Every transition output lies strictly
-    below its source, so a key is popped only after all of its
-    multiplicity has arrived in `pending`, and each key is expanded
-    exactly once.  Grassmannian outputs
-    go straight into the result and never enter the heap.  Every
-    intermediate stays within the support bound support(w) + LD(w); that
-    containment and the nonnegativity of all coefficients are asserted as
-    the engine runs.
+    Two memos serve it.  `_expansion` keeps every key it expanded, in
+    process; `_cache` keeps the requested keys alone, and is the one that
+    `save_cache` persists.  Nonnegativity and descent in the LD order are
+    asserted at every transition step, the support bound at every output.
     """
     if not w.in_group(t):
         raise ValueError(f"{w} is not in the group of type {t}")
     lw = length(t, w)
-    max_support = w.support + w.least_descent()
     cached = _cache.get((t, w.window))
     if cached is None:
-        pending: dict[SignedPermutation, int] = {}
-        grassmannian: dict[SignedPermutation, int] = {}
-        heap: list[tuple[int, int, tuple[int, ...], SignedPermutation]] = []
-
-        def push(u: SignedPermutation, mult: int) -> None:
-            if u in pending:
-                pending[u] += mult
-            elif u in grassmannian:
-                grassmannian[u] += mult
-            else:
-                d = u.least_descent()
-                if d:
-                    pending[u] = mult
-                    heapq.heappush(heap, (-d, -u.window[d - 1], u.window, u))
-                else:
-                    grassmannian[u] = mult
-
-        push(w, 1)
-        while heap:
-            u = heapq.heappop(heap)[3]
-            mult = pending.pop(u)
-            sub = _cache.get((t, u.window))
-            if sub is not None:
-                for g, c in sub.items():
-                    grassmannian[g] = grassmannian.get(g, 0) + mult * c
-                continue
-            for v, coeff in transition_step(t, u).items():
-                if v.support > max_support:
-                    raise AssertionError(
-                        f"intermediate {v} escapes the support bound {max_support}"
-                    )
-                push(v, mult * coeff)
-        _cache[(t, w.window)] = grassmannian
-        cached = grassmannian
+        cached = _cache[(t, w.window)] = _expansion(t, w)
     basis = "GQ" if t == "C" else "GP"
     terms: dict[tuple[int, ...], int] = {}
     for u, coeff in cached.items():

@@ -159,6 +159,36 @@ class TestVerifySuite:
         assert code == 0 and "all 15 checks passed" in out
         assert cli.CHECKS[-1][1] is cli._check_pi_braid
 
+    def test_spawned_worker_gets_the_seed(self, capsys, monkeypatch):
+        import multiprocessing
+
+        from ktrans import cli
+
+        seen = []
+
+        def spawn_pool(*args, **kwargs):
+            pool = multiprocessing.get_context("spawn").Pool(*args, **kwargs)
+
+            def stub_map(fn, indices):
+                # ask a worker for its pi-braid check instead of running the battery
+                seen.append(pool.apply(_worker_pi_braid))
+                return [(cli.CHECKS[i][0], True, "") for i in indices]
+
+            pool.map = stub_map
+            return pool
+
+        monkeypatch.setattr(multiprocessing, "Pool", spawn_pool)
+        code, out = run(capsys, "verify-suite", "--jobs", "2", "--seed", "3")
+        assert code == 0 and "all 15 checks passed" in out
+        [fn] = seen
+        assert fn.func is cli._check_pi_braid and fn.args == (3,)
+
+
+def _worker_pi_braid():
+    from ktrans import cli
+
+    return cli.CHECKS[-1][1]
+
 
 class TestCache:
     def test_env_var_persists_expansions(self, capsys, tmp_path, monkeypatch):

@@ -108,8 +108,22 @@ class TestExpand:
                 assert sum(lam) >= result.length or not lam
 
 
+def _clear_memos() -> None:
+    """Clear every lru_cache of the package and the expansion memo, as the
+    benchmark does before each cold operation."""
+    from ktrans import cli, expand, groth_a, hecke, kn, rings, tableaux, weyl
+
+    for mod in (cli, expand, groth_a, hecke, kn, rings, tableaux, weyl):
+        for obj in vars(mod).values():
+            if callable(getattr(obj, "cache_clear", None)) and getattr(
+                obj, "__module__", ""
+            ).startswith("ktrans"):
+                obj.cache_clear()
+    expand._cache.clear()
+
+
 class TestWorklist:
-    """The heap worklist expands each key once; the step counts pin the work."""
+    """The recursion expands each key once; the step counts pin the work."""
 
     @pytest.mark.parametrize(
         "t, w, steps, terms",
@@ -133,11 +147,85 @@ class TestWorklist:
 
         monkeypatch.setattr(expand_mod, "transition_step", counting_step)
         monkeypatch.setattr(expand_mod, "_cache", {})
+        expand_mod._expansion.cache_clear()
         result = expand_grassmannian(t, parse_oneline(w))
         assert max(calls.values()) == 1
         assert sum(calls.values()) == steps
         assert len(result.terms) == terms
         assert all(coeff > 0 for coeff in result.terms.values())
+
+
+class TestMemo:
+    """The in-process memo of every expanded key, at its two edges."""
+
+    def test_cleared_memos_expand_cold(self, monkeypatch):
+        from ktrans import expand as expand_mod
+
+        expand_grassmannian("C", GOLDEN_W)
+        _clear_memos()
+        calls = []
+        step = expand_mod.transition_step
+
+        def counting_step(tt, u):
+            calls.append(u)
+            return step(tt, u)
+
+        monkeypatch.setattr(expand_mod, "transition_step", counting_step)
+        assert expand_grassmannian("C", GOLDEN_W).terms == GOLDEN_C_TERMS
+        assert len(calls) == 25
+
+    @pytest.mark.parametrize("t", ["B", "C", "D"])
+    def test_shared_memo_sweep_matches_cold(self, t):
+        from ktrans import expand as expand_mod
+
+        elements = group_elements(t, 4)
+        cold = {}
+        for w in elements:
+            _clear_memos()
+            cold[w] = expand_grassmannian(t, w).terms
+        _clear_memos()
+        for w in elements:
+            assert expand_grassmannian(t, w).terms == cold[w], str(w)
+        assert len(expand_mod._cache) == len(elements)
+        _clear_memos()
+
+
+class TestAssertions:
+    """The engine's assertions fire on a step that breaks them."""
+
+    @pytest.fixture(autouse=True)
+    def _cold_memo(self, monkeypatch):
+        from ktrans import expand as expand_mod
+
+        monkeypatch.setattr(expand_mod, "_cache", {})
+        expand_mod._expansion.cache_clear()
+        yield
+        expand_mod._expansion.cache_clear()
+
+    def test_negative_coefficient(self, monkeypatch):
+        from ktrans import expand as expand_mod
+
+        # v itself with no chain counts gets coefficient 0 + 0 - 1
+        monkeypatch.setattr(expand_mod, "r_chains", lambda t, k, v: {v: (0, 0)})
+        with pytest.raises(AssertionError, match="< 0"):
+            transition_step("B", GOLDEN_W)
+
+    def test_output_not_below_in_ld_order(self, monkeypatch):
+        from ktrans import expand as expand_mod
+
+        monkeypatch.setattr(expand_mod, "r_chains", lambda t, k, v: {GOLDEN_W: (1, 0)})
+        with pytest.raises(AssertionError, match="LD order"):
+            transition_step("B", GOLDEN_W)
+
+    def test_output_escaping_the_support_bound(self, monkeypatch):
+        from ktrans import expand as expand_mod
+
+        w = parse_oneline("2,1")  # support 2, LD 1
+        wide = parse_oneline("1,2,4,3")  # support 4, LD 3
+        assert wide.support + wide.least_descent() > w.support + w.least_descent()
+        monkeypatch.setattr(expand_mod, "transition_step", lambda t, u: {wide: 1})
+        with pytest.raises(AssertionError, match="support bound"):
+            expand_grassmannian("B", w)
 
 
 class TestSkew:
