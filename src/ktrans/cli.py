@@ -61,7 +61,7 @@ def _emit_poly(args, poly, **fields) -> int:
 def cmd_fstanley(args) -> int:
     w = parse_oneline(args.w)
     f = hecke.fstanley(args.type, w, args.N, args.D, args.method)
-    return _emit_poly(args, f, type=args.type, w=list(w.window))
+    return _emit_poly(args, f, type=args.type, w=list(w))
 
 
 def _cmd_gpgq(args, fn) -> int:
@@ -108,7 +108,7 @@ def cmd_groth_a(args) -> int:
     print(f"w = {w}")
     print(f"a = {a}  v = {v}  c = {c}")
     print(f"G[{w}] = ((1+b*y{c})*(1+b*x{a})*R - G[{v}]) / b  where R is:")
-    for u, coeff in sorted(combo, key=lambda p: (weyl.length("A", p[0]), p[0].window)):
+    for u, coeff in sorted(combo, key=lambda p: (weyl.length("A", p[0]), p[0])):
         print(f"  G[{u}] * ({yrational_str(coeff)})")
     ok = rings.transition_residual(w, certificate, groth_a.groth_poly).is_zero()
     print(f"identity: {'verified' if ok else 'FAILED'}")
@@ -124,7 +124,7 @@ def _kn_at(t: str, num_vars: int, bound: int):
 def cmd_kn_eval(args) -> int:
     w = parse_oneline(args.w)
     f = kn.kn_eval(args.type, w, args.N, args.D)
-    return _emit_poly(args, f, type=args.type, w=list(w.window))
+    return _emit_poly(args, f, type=args.type, w=list(w))
 
 
 def cmd_kn_transition(args) -> int:
@@ -132,9 +132,9 @@ def cmd_kn_transition(args) -> int:
     certificate = rings.transition(args.type, w)
     v, a, c, combo = certificate
     terms = [
-        {"w": list(u.window), "coeff": yrational_str(coeff)}
+        {"w": list(u), "coeff": yrational_str(coeff)}
         for u, coeff in sorted(
-            combo, key=lambda p: (weyl.length(args.type, p[0]), p[0].window)
+            combo, key=lambda p: (weyl.length(args.type, p[0]), p[0])
         )
     ]
     residual = rings.transition_residual(w, certificate, _kn_at(args.type, args.N, args.D))
@@ -143,9 +143,9 @@ def cmd_kn_transition(args) -> int:
             json.dumps(
                 {
                     "type": args.type,
-                    "w": list(w.window),
+                    "w": list(w),
                     "a": a,
-                    "v": list(v.window),
+                    "v": list(v),
                     "c": c,
                     "terms": terms,
                     "N": args.N,
@@ -204,7 +204,7 @@ def _check_transition_step():
             for u, coeff in expand_mod.transition_step(t, w).items()
         }
         if got != expected:
-            return False, f"{t} gave {sorted((u.window, c) for u, c in got.items())}"
+            return False, f"{t} gave {sorted((tuple(u), c) for u, c in got.items())}"
     return True, ""
 
 

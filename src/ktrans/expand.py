@@ -78,7 +78,7 @@ class ExpansionResult:
     def to_json_dict(self) -> dict:
         return {
             "type": self.group_type,
-            "w": list(self.source.window),
+            "w": list(self.source),
             "length": self.length,
             "basis": self.basis,
             "terms": [
@@ -92,7 +92,7 @@ class ExpansionResult:
         }
 
 
-_cache: dict[tuple[str, tuple[int, ...]], dict[SignedPermutation, int]] = {}
+_cache: dict[tuple[str, SignedPermutation], dict[SignedPermutation, int]] = {}
 
 
 @lru_cache(maxsize=None)
@@ -110,7 +110,7 @@ def _expansion(t: str, u: SignedPermutation) -> dict[SignedPermutation, int]:
     d = u.least_descent()
     if not d:
         return {u: 1}
-    cached = _cache.get((t, u.window))
+    cached = _cache.get((t, u))
     if cached is not None:
         return cached
     bound = u.support + d
@@ -134,13 +134,18 @@ def expand_grassmannian(t: str, w: SignedPermutation) -> ExpansionResult:
     process; `_cache` keeps the requested keys alone, and is the one that
     `save_cache` persists.  Nonnegativity and descent in the LD order are
     asserted at every transition step, the support bound at every output.
+    A chain of steps deeper than the interpreter's recursion limit raises
+    ValueError, as malformed input does.
     """
     if not w.in_group(t):
         raise ValueError(f"{w} is not in the group of type {t}")
     lw = length(t, w)
-    cached = _cache.get((t, w.window))
+    cached = _cache.get((t, w))
     if cached is None:
-        cached = _cache[(t, w.window)] = _expansion(t, w)
+        try:
+            cached = _cache[(t, w)] = _expansion(t, w)
+        except RecursionError:
+            raise ValueError(f"the transition chain of {w} is too deep to expand") from None
     basis = "GQ" if t == "C" else "GP"
     terms: dict[tuple[int, ...], int] = {}
     for u, coeff in cached.items():
@@ -210,8 +215,8 @@ def save_cache(path: str) -> int:
     keys sorted by type and window, values by window.
     """
     entries = [
-        [t, list(window), sorted([list(u.window), c] for u, c in g.items())]
-        for (t, window), g in sorted(_cache.items())
+        [t, list(w), sorted([list(u), c] for u, c in g.items())]
+        for (t, w), g in sorted(_cache.items())
     ]
     text = json.dumps({"version": _VERSION, "entries": entries}, separators=(",", ":"))
     # a temp file of its own, so concurrent writers never share one
@@ -246,7 +251,7 @@ def load_cache(path: str) -> int:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    loaded: dict[tuple[str, tuple[int, ...]], dict[SignedPermutation, int]] = {}
+    loaded: dict[tuple[str, SignedPermutation], dict[SignedPermutation, int]] = {}
     try:
         doc = json.loads(data)
         if doc.get("version") != _VERSION:
@@ -269,7 +274,7 @@ def load_cache(path: str) -> int:
                 if sum(shape(t, u)) < lw:
                     raise ValueError(f"the value {u} has |lambda| below l({w}) = {lw}")
                 entries[u] = coeff
-            loaded.setdefault((t, w.window), entries)
+            loaded.setdefault((t, w), entries)
     except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as exc:
         raise ValueError(f"{path} is not an expansion cache: {type(exc).__name__}: {exc}") from exc
     for key, entries in loaded.items():

@@ -15,7 +15,7 @@ from functools import lru_cache
 from .rings import BETA, ONE, X, Y, TruncPoly, pi_operator, xvar, yvar
 from .weyl import SignedPermutation, reflection
 
-_memo: dict[tuple[int, ...], TruncPoly] = {}
+_memo: dict[SignedPermutation, TruncPoly] = {}
 
 
 def _staircase(n: int) -> TruncPoly:
@@ -31,19 +31,18 @@ def groth_poly(w: SignedPermutation) -> TruncPoly:
     """The double Grothendieck polynomial of a permutation, exact in beta, x, y."""
     if not w.in_group("A"):
         raise ValueError(f"{w} is not a type A element")
-    key = w.window
-    cached = _memo.get(key)
+    cached = _memo.get(w)
     if cached is not None:
         return cached
     n = w.support
     if n == 0:
         result = ONE
-    elif w.window == tuple(range(n, 0, -1)):
+    elif w == tuple(range(n, 0, -1)):
         result = _staircase(n)
     else:
         i = next(i for i in range(1, n) if w(i) < w(i + 1))
         result = pi_operator(i, groth_poly(w * reflection(i, i + 1)))
-    _memo[key] = result
+    _memo[w] = result
     return result
 
 

@@ -608,7 +608,7 @@ class FCombo:
         return len(self.terms)
 
     def __repr__(self):
-        inner = ", ".join(f"{w}: {c!r}" for w, c in sorted(self.terms.items(), key=lambda t: t[0].window))
+        inner = ", ".join(f"{w}: {c!r}" for w, c in sorted(self.terms.items()))
         return f"FCombo[{self.group_type}]({inner})"
 
 

@@ -1,9 +1,9 @@
 """Signed permutations and the classical Weyl groups B/C/D (plus type A).
 
 A signed permutation is a bijection w of the nonzero integers with
-w(-i) = -w(i) that fixes all but finitely many points.  We store the
-window (w(1), ..., w(n)) with trailing fixed points trimmed, so equal
-group elements have identical windows.
+w(-i) = -w(i) that fixes all but finitely many points.  An element is the
+tuple of its window (w(1), ..., w(n)) with trailing fixed points trimmed,
+so equal group elements are equal tuples.
 
 Conventions: products compose as functions, (u*v)(i) = u(v(i)); the
 simple generators are t_0 = (-1,1), t_i = (i,i+1)(-i,-i-1) for i >= 1,
@@ -20,17 +20,20 @@ from typing import Iterable
 GROUP_TYPES = ("A", "B", "C", "D")
 
 
-class SignedPermutation:
-    """A finitely supported signed permutation, canonically windowed.
+class SignedPermutation(tuple):
+    """A finitely supported signed permutation: the tuple of its trimmed
+    window, so equality, hashing and immutability are those of the tuple.
 
-    The public constructor validates its window.  Windows produced by group
-    operations (products, inverses) are valid by construction and go through
-    the unchecked ``_trusted`` instead.
+    The identity is the empty tuple and hence falsy: test ``is_identity()``,
+    never the truth value of an element.  The public constructor validates
+    its window.  Windows produced by group operations (products, inverses)
+    are valid by construction and go through the unchecked ``_trusted``
+    instead.
     """
 
-    __slots__ = ("window", "_ld")
+    __slots__ = ()
 
-    def __init__(self, window: Iterable[int]):
+    def __new__(cls, window: Iterable[int]):
         win = list(window)
         seen = set()
         for v in win:
@@ -41,9 +44,7 @@ class SignedPermutation:
             seen.add(abs(v))
         if seen and seen != set(range(1, len(win) + 1)):
             raise ValueError(f"window {win} is not a signed permutation of 1..{len(win)}")
-        while win and win[-1] == len(win):
-            win.pop()
-        _set_window(self, tuple(win))
+        return cls._trusted(win)
 
     @classmethod
     def _trusted(cls, win: list[int]) -> "SignedPermutation":
@@ -51,41 +52,30 @@ class SignedPermutation:
         trim its trailing fixed points, validate nothing."""
         while win and win[-1] == len(win):
             win.pop()
-        w = _new(cls)
-        _set_window(w, tuple(win))
-        return w
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignedPermutation is immutable")
+        return tuple.__new__(cls, win)
 
     def __reduce__(self):
-        # unpickle through the validating constructor, never the slots
-        return (SignedPermutation, (list(self.window),))
+        # unpickle through the validating constructor at every protocol;
+        # protocols 0 and 1 would otherwise rebuild through tuple.__new__
+        return (SignedPermutation, (list(self),))
 
     # -- basic protocol ------------------------------------------------
 
     def __call__(self, i: int) -> int:
         if i == 0:
             raise ValueError("signed permutations act on nonzero integers")
-        n = len(self.window)
-        if abs(i) > n:
+        if abs(i) > len(self):
             return i
-        return self.window[i - 1] if i > 0 else -self.window[-i - 1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SignedPermutation) and self.window == other.window
-
-    def __hash__(self) -> int:
-        return hash(self.window)
+        return self[i - 1] if i > 0 else -self[-i - 1]
 
     def __repr__(self) -> str:
-        return f"SignedPermutation({list(self.window)!r})"
+        return f"SignedPermutation({list(self)!r})"
 
     def __str__(self) -> str:
         return format_oneline(self)
 
     def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
-        a, b = self.window, other.window
+        a, b = self, other
         if len(a) < len(b):
             a = a + tuple(range(len(a) + 1, len(b) + 1))
         # (u*v)(i) = u(v(i)), with u(-k) = -u(k) and ~v = -v - 1; past the
@@ -95,8 +85,8 @@ class SignedPermutation:
         return SignedPermutation._trusted(win)
 
     def inverse(self) -> "SignedPermutation":
-        inv = [0] * len(self.window)
-        for i, v in enumerate(self.window, start=1):
+        inv = [0] * len(self)
+        for i, v in enumerate(self, start=1):
             if v > 0:
                 inv[v - 1] = i
             else:
@@ -107,17 +97,17 @@ class SignedPermutation:
 
     @property
     def support(self) -> int:
-        return len(self.window)
+        return len(self)
 
     def is_identity(self) -> bool:
-        return not self.window
+        return not len(self)
 
     def num_negatives(self) -> int:
-        return sum(1 for v in self.window if v < 0)
+        return sum(1 for v in self if v < 0)
 
     def in_group(self, t: str) -> bool:
         if t == "A":
-            return all(v > 0 for v in self.window)
+            return all(v > 0 for v in self)
         if t in ("B", "C"):
             return True
         if t == "D":
@@ -130,32 +120,18 @@ class SignedPermutation:
         The window is trimmed, so |w(n)| <= n < n + 1 = w(n + 1) and the
         last position n is never a descent.
         """
-        win = self.window
-        return {i for i in range(1, len(win)) if win[i - 1] > win[i]}
+        return {i for i in range(1, len(self)) if self[i - 1] > self[i]}
 
     def least_descent(self) -> int:
-        """The LD of w: its largest descent, 0 if it has none.
-
-        Scanned once per instance and kept in a slot, as windows are
-        immutable."""
-        try:
-            return self._ld
-        except AttributeError:
-            pass
-        win = self.window
-        d = len(win) - 1 if win else 0
-        while d > 0 and win[d - 1] < win[d]:
+        """The LD of w: its largest descent, 0 if it has none."""
+        d = len(self) - 1
+        while d > 0 and self[d - 1] < self[d]:
             d -= 1
-        _set_ld(self, d)
-        return d
+        return d if d > 0 else 0  # d is -1 for the identity
 
     def is_grassmannian(self) -> bool:
         return not self.least_descent()
 
-
-_new = object.__new__
-_set_window = SignedPermutation.window.__set__
-_set_ld = SignedPermutation._ld.__set__
 
 IDENTITY = SignedPermutation(())
 
@@ -182,9 +158,9 @@ def parse_oneline(text: str) -> SignedPermutation:
 
 
 def format_oneline(w: SignedPermutation) -> str:
-    if not w.window:
+    if w.is_identity():
         return "1"
-    return ",".join(str(v) for v in w.window)
+    return ",".join(str(v) for v in w)
 
 
 # -- reflections and generators ---------------------------------------
@@ -264,10 +240,9 @@ def length(t: str, w: SignedPermutation) -> int:
     negative entries, so their length is inv."""
     if not w.in_group(t):
         raise ValueError(f"{w} is not in the group of type {t}")
-    win = w.window
     total = w.num_negatives() if t in ("B", "C") else 0
-    for a, x in enumerate(win, start=1):
-        for y in win[a:]:
+    for a, x in enumerate(w, start=1):
+        for y in w[a:]:
             if x > y:
                 total += 1
             if x + y < 0:
@@ -279,13 +254,12 @@ def right_ascent(t: str, w: SignedPermutation, g: int) -> bool:
     """True iff multiplying by generator g on the right raises length by 1.
 
     Read from the window: past it, w(i) = i exceeds every |window entry|."""
-    win = w.window
     if g >= 1:
-        return g >= len(win) or win[g - 1] < win[g]
+        return g >= len(w) or w[g - 1] < w[g]
     if g == 0:
-        return not win or win[0] > 0
+        return w.is_identity() or w[0] > 0
     if g == -1:
-        return len(win) < 2 or -win[0] < win[1]
+        return len(w) < 2 or -w[0] < w[1]
     raise ValueError(f"invalid generator index {g}")
 
 
@@ -341,10 +315,7 @@ def length_increment_ok(t: str, w: SignedPermutation, i: int, j: int) -> bool:
         raise ValueError(f"t_({i},{j}) is not a reflection of type {t}")
     if abs(i) > j:
         i, j = -j, -i
-    win = w.window
-    if len(win) < j:
-        win += tuple(range(len(win) + 1, j + 1))
-    return _raises_length(t, win, i, j)
+    return _raises_length(t, w + tuple(range(len(w) + 1, j + 1)), i, j)
 
 
 # -- the transition operator -------------------------------------------------
@@ -360,7 +331,7 @@ def transition_data(w: SignedPermutation) -> tuple[SignedPermutation, int, int, 
     a = w.least_descent()
     if not a:
         raise ValueError(f"{w} has no descent")
-    win = list(w.window)
+    win = list(w)
     x = win[a - 1]
     b = len(win)
     while win[b - 1] >= x:  # stops at a + 1, as a is a descent
@@ -393,7 +364,7 @@ def r_chains(
     signed permutations, unchecked.
     """
     top = max(v.support, k) + 1
-    start = v.window + tuple(range(v.support + 1, top + 1))
+    start = v + tuple(range(v.support + 1, top + 1))
     chains = {start: (1, 0)}
     if t == "B" and _raises_length("B", start, 0, k):
         u = list(start)
@@ -492,7 +463,7 @@ def elements_up_to_length(t: str, n: int, max_len: int) -> tuple[SignedPermutati
                         seen.add(u)
                         nxt.append(u)
         frontier = nxt
-    return tuple(sorted(seen, key=lambda w: (length(t, w), w.window)))
+    return tuple(sorted(seen, key=lambda w: (length(t, w), w)))
 
 
 def group_elements(t: str, n: int) -> tuple[SignedPermutation, ...]:
@@ -510,7 +481,7 @@ def shape(t: str, w: SignedPermutation) -> tuple[int, ...]:
     if not w.is_grassmannian():
         raise ValueError(f"{w} has a descent; no Grassmannian shape")
     # the window increases, so its negative entries come first
-    parts = [-v for v in w.window if v < 0]
+    parts = [-v for v in w if v < 0]
     if t == "D":
         parts = [p - 1 for p in parts]
     while parts and parts[-1] == 0:
@@ -523,4 +494,4 @@ def ld_less(u: SignedPermutation, v: SignedPermutation) -> bool:
     lu, lv = u.least_descent(), v.least_descent()
     if lu < lv:
         return True
-    return 0 < lu == lv and u.window[lu - 1] < v.window[lv - 1]
+    return 0 < lu == lv and u[lu - 1] < v[lv - 1]

@@ -121,6 +121,19 @@ class TestCommands:
         assert len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err
 
+    def test_too_deep_transition_chain_is_usage_error(self, capsys, monkeypatch):
+        # the recursion over the LD order of 2,3,...,600,1 is 600 calls deep
+        from ktrans import expand as expand_mod
+
+        monkeypatch.delenv("KTRANS_CACHE_DIR", raising=False)
+        monkeypatch.setattr(expand_mod, "_cache", {})
+        w = ",".join(map(str, [*range(2, 601), 1]))
+        assert main(["expand", "--type", "B", "--w", w]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1 and w in captured.err
+        assert expand_mod._cache == {}
+
     @pytest.mark.parametrize(
         "argv",
         [

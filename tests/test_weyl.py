@@ -49,11 +49,11 @@ def bfs_distance(t, w):
 class TestParse:
     def test_identity_trims_fixed_points(self):
         assert parse_oneline("1,2,3") == identity()
-        assert parse_oneline("1,2,3").window == ()
+        assert parse_oneline("1,2,3") == ()
 
     def test_signed_window(self):
         w = parse_oneline("-3,4,-1,5,2")
-        assert w.window == (-3, 4, -1, 5, 2)
+        assert w == (-3, 4, -1, 5, 2)
 
     def test_adjacent_swap(self):
         assert parse_oneline("2,1") == reflection(1, 2)
@@ -67,7 +67,8 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_oneline(bad)
 
-    @pytest.mark.parametrize("bad", [[True, -2], [-2, True], [1.0], ["1"]])
+    # [True] and [2, 1, 3.0] end in an entry that trimming would drop
+    @pytest.mark.parametrize("bad", [[True, -2], [-2, True], [1.0], ["1"], [True], [2, 1, 3.0]])
     def test_rejects_non_int_entries(self, bad):
         with pytest.raises(ValueError):
             SignedPermutation(bad)
@@ -105,9 +106,7 @@ class TestLength:
 
     def test_elements_up_to_length(self):
         full = [w for w in group_elements("B", 3) if length("B", w) <= 2]
-        assert sorted(w.window for w in elements_up_to_length("B", 3, 2)) == sorted(
-            w.window for w in full
-        )
+        assert sorted(elements_up_to_length("B", 3, 2)) == sorted(full)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_type_d_below_rank_two_is_trivial(self, n):
@@ -141,21 +140,39 @@ class TestProducts:
                 uv = u * v
                 assert [uv(i) for i in points] == [u(v(i)) for i in points], (u, v)
                 # the validating constructor accepts every product's window
-                assert SignedPermutation(list(uv.window)) == uv
+                assert SignedPermutation(list(uv)) == uv
 
     def test_products_of_unequal_windows(self):
         u, v = parse_oneline("-2,1"), parse_oneline("1,2,-4,3")
-        assert (u * v).window == (-2, 1, -4, 3)
-        assert (v * u).window == (-2, 1, -4, 3)
-        assert (u * reflection(3, 4)).window == (-2, 1, 4, 3)
+        assert u * v == (-2, 1, -4, 3)
+        assert v * u == (-2, 1, -4, 3)
+        assert u * reflection(3, 4) == (-2, 1, 4, 3)
+
+
+class TestElementType:
+    def test_is_its_window_tuple(self):
+        w = parse_oneline("-3,4,-1,5,2")
+        assert isinstance(w, tuple) and hash(w) == hash((-3, 4, -1, 5, 2))
+        assert identity() == () and identity().is_identity()
+
+    def test_immutable(self):
+        w = parse_oneline("2,1")
+        with pytest.raises(TypeError):
+            w[0] = 1
+        with pytest.raises(AttributeError):
+            w.x = 1
+        assert w == (2, 1)
 
 
 class TestPickle:
     @pytest.mark.parametrize("t", ["B", "D"])
     def test_round_trip(self, t):
-        for w in (identity(),) + group_elements(t, 3):
-            back = pickle.loads(pickle.dumps(w))
-            assert back == w and back.window == w.window
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            for w in (identity(),) + group_elements(t, 3):
+                # every protocol rebuilds through the validating constructor
+                assert w.__reduce_ex__(protocol)[0] is SignedPermutation
+                back = pickle.loads(pickle.dumps(w, protocol))
+                assert back == w and type(back) is SignedPermutation
 
     def test_crafted_pickle_is_validated(self):
         class Forged:
@@ -168,15 +185,15 @@ class TestPickle:
 
 class TestReflection:
     def test_adjacent(self):
-        assert reflection(1, 2).window == (2, 1)
+        assert reflection(1, 2) == (2, 1)
 
     def test_sign_change(self):
-        assert reflection(0, 1).window == (-1,)
+        assert reflection(0, 1) == (-1,)
 
     def test_d_generator_window(self):
         # l^D of the result is 1: it is the extra simple generator
         r = reflection(-1, 2)
-        assert r.window == (-2, -1)
+        assert r == (-2, -1)
         assert bfs_distance("D", r) == 1
 
     def test_degenerate_is_identity(self):
@@ -269,8 +286,7 @@ class TestDescents:
         for w in group_elements(t, 5):
             n = w.support
             assert w.descents() == {i for i in range(1, n + 1) if w(i) > w(i + 1)}, w
-            for _ in range(2):  # the first scan, then the kept one
-                assert w.least_descent() == max(w.descents(), default=0), w
+            assert w.least_descent() == max(w.descents(), default=0), w
             assert w.is_grassmannian() == (not w.descents()), w
 
 
