@@ -348,7 +348,7 @@ def _check_quasisym(num_vars=3, bound=5):
         for a in hecke.hecke_words("C", w, bound):
             if hecke.mperm(a) == a:
                 total = total + TruncPoly.beta(len(a) - lw, bound) * hecke.quasi(
-                    a, "K", num_vars, bound
+                    a, num_vars, bound
                 )
         if total != hecke.fstanley("C", w, num_vars, bound):
             return False, f"K-expansion fails at {w}"

@@ -101,18 +101,16 @@ def _expansion(t: str, u: SignedPermutation) -> dict[SignedPermutation, int]:
     mutated.
 
     A dynamic program over the LD order.  A Grassmannian u is its own
-    expansion, a key of `_cache` is served from it, and any other u is the
-    sum of its transition outputs' expansions, each output strictly below
-    u.  Every output v is asserted to keep support(v) + LD(v) <=
-    support(u) + LD(u); by induction, every intermediate of a root w then
-    stays within the support bound support(w) + LD(w), memo hits included.
+    expansion, and any other u is the sum of its transition outputs'
+    expansions, each output strictly below u.  `_cache` is not consulted
+    here, so a persisted entry serves its own key alone.  Every output v
+    is asserted to keep support(v) + LD(v) <= support(u) + LD(u); by
+    induction, every intermediate of a root w then stays within the support
+    bound support(w) + LD(w), memo hits included.
     """
     d = u.least_descent()
     if not d:
         return {u: 1}
-    cached = _cache.get((t, u))
-    if cached is not None:
-        return cached
     bound = u.support + d
     total: dict[SignedPermutation, int] = {}
     outputs = transition_step(t, u)
@@ -131,9 +129,10 @@ def expand_grassmannian(t: str, w: SignedPermutation) -> ExpansionResult:
     """Fully expand F_w into Grassmannian symbols by iterated transitions.
 
     Two memos serve it.  `_expansion` keeps every key it expanded, in
-    process; `_cache` keeps the requested keys alone, and is the one that
-    `save_cache` persists.  Nonnegativity and descent in the LD order are
-    asserted at every transition step, the support bound at every output.
+    process; `_cache` keeps the requested keys alone, serves each only for
+    itself, and is the one that `save_cache` persists.  Nonnegativity and
+    descent in the LD order are asserted at every transition step, the
+    support bound at every output.
     A chain of steps deeper than the interpreter's recursion limit raises
     ValueError, as malformed input does.
     """
@@ -246,8 +245,9 @@ def load_cache(path: str) -> int:
     group type other than B, C or D, a window the validating constructor
     rejects, a key outside the group of its type, a value that is not a
     Grassmannian element of that group, a value whose shape has size
-    |lambda| below the key's length, or a coefficient that is not a
-    positive int raises ValueError and merges no entry.
+    |lambda| below the key's length, a coefficient that is not a positive
+    int, or a key or a value within one entry that repeats (windows compared
+    after trimming) raises ValueError and merges no entry.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -261,6 +261,8 @@ def load_cache(path: str) -> int:
             if t not in ("B", "C", "D"):
                 raise ValueError(f"the group type {t!r} is not B, C or D")
             w = SignedPermutation(_list(window))
+            if (t, w) in loaded:
+                raise ValueError(f"the key {t} {w} repeats")
             if not w.in_group(t):
                 raise ValueError(f"the key {w} is not in the group of type {t}")
             lw = length(t, w)
@@ -273,8 +275,10 @@ def load_cache(path: str) -> int:
                 # of type t; a term a * beta^(|lam| - l(w)) needs |lam| >= l(w)
                 if sum(shape(t, u)) < lw:
                     raise ValueError(f"the value {u} has |lambda| below l({w}) = {lw}")
+                if u in entries:
+                    raise ValueError(f"the value {u} repeats in the entry of {w}")
                 entries[u] = coeff
-            loaded.setdefault((t, w), entries)
+            loaded[(t, w)] = entries
     except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as exc:
         raise ValueError(f"{path} is not an expansion cache: {type(exc).__name__}: {exc}") from exc
     for key, entries in loaded.items():

@@ -227,43 +227,15 @@ def _words_with_mperm(pi: tuple[int, ...], max_len: int) -> Iterator[tuple[int, 
     yield from rec(0, [])
 
 
-def quasi(pi: tuple[int, ...], kind: str, num_vars: int, bound: int) -> TruncPoly:
-    """The multi-fundamental (kind L) or multi-peak (kind K) quasisymmetric
-    function attached to a multi-permutation, truncated."""
-    if kind not in ("L", "K"):
-        raise ValueError(f"kind must be L or K, got {kind!r}")
+def quasi(pi: tuple[int, ...], num_vars: int, bound: int) -> TruncPoly:
+    """The multi-peak quasisymmetric function attached to a
+    multi-permutation, truncated."""
     if mperm(pi) != tuple(pi):
         raise ValueError(f"{pi} is not a multi-permutation")
     lp = len(pi)
     terms: dict[Monomial, int] = {}
     for a in _words_with_mperm(tuple(pi), bound):
-        if kind == "L":
-            seqs = _type_a_compatible(a, num_vars)
-        else:
-            seqs = ([abs(v) for v in b] for b in unimodal_factorizations("C", a, num_vars))
-        for b in seqs:
-            m = z_monomial(len(a) - lp, b)
+        for b in unimodal_factorizations("C", a, num_vars):
+            m = z_monomial(len(a) - lp, [abs(v) for v in b])
             terms[m] = terms.get(m, 0) + 1
     return TruncPoly(terms, bound)
-
-
-def _type_a_compatible(a: tuple[int, ...], num_vars: int) -> Iterator[tuple[int, ...]]:
-    k = len(a)
-    if k == 0:
-        yield ()
-        return
-    b: list[int] = []
-
-    def rec(pos: int) -> Iterator[tuple[int, ...]]:
-        if pos == k:
-            yield tuple(b)
-            return
-        lo = b[-1] if b else 1
-        for val in range(lo, num_vars + 1):
-            if pos >= 1 and a[pos - 1] <= a[pos] and val == b[-1]:
-                continue
-            b.append(val)
-            yield from rec(pos + 1)
-            b.pop()
-
-    yield from rec(0)

@@ -142,9 +142,6 @@ class TruncPoly:
             other = TruncPoly.const(other)
         return isinstance(other, TruncPoly) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other) -> "TruncPoly":
@@ -365,44 +362,9 @@ def ominus_series(a: TruncPoly, bound: int) -> TruncPoly:
 # -- the localized coefficient ring --------------------------------------
 
 
-def _divide_linear(num: TruncPoly, index: int) -> TruncPoly | None:
-    """Exact quotient num / (1 + beta*y_index), or None if not divisible."""
-    code = var_code(Y, index)
-    layers: dict[int, dict[Monomial, int]] = {}
-    top = 0
-    for (b, v), c in num.terms.items():
-        k = 0
-        rest = []
-        for cd, e in v:
-            if cd == code:
-                k = e
-            else:
-                rest.append((cd, e))
-        layers.setdefault(k, {})[(b, tuple(rest))] = c
-        top = max(top, k)
-    q_prev: dict[Monomial, int] = {}
-    quotient: dict[Monomial, int] = {}
-    for k in range(top + 1):
-        layer = dict(layers.get(k, {}))
-        # q_k = f_k - beta * q_{k-1}
-        for (b, v), c in q_prev.items():
-            m = (b + 1, v)
-            new = layer.get(m, 0) - c
-            if new:
-                layer[m] = new
-            else:
-                layer.pop(m, None)
-        for (b, v), c in layer.items():
-            mono = (b, _merge_vars(v, ((code, k),)) if k else v)
-            quotient[mono] = c
-        q_prev = layer
-    if q_prev:
-        return None
-    return TruncPoly(quotient, num.bound)
-
-
 class YRational:
-    """num / prod (1 + beta*y_i)^{e_i}, normalized so no factor divides num."""
+    """num / prod (1 + beta*y_i)^{e_i}, kept as built: no factor is divided
+    out of num, and equality is decided by cross-multiplying."""
 
     __slots__ = ("num", "den")
 
@@ -412,16 +374,6 @@ class YRational:
             raise ValueError("denominator multiplicities must be nonnegative")
         if num.is_zero():
             den = {}
-        else:
-            for i in sorted(den):
-                while den.get(i, 0) > 0:
-                    q = _divide_linear(num, i)
-                    if q is None:
-                        break
-                    num = q
-                    den[i] -= 1
-                if den.get(i) == 0:
-                    del den[i]
         self.num = num
         self.den = den
 
@@ -482,12 +434,8 @@ class YRational:
             return NotImplemented
         if self.den == other.den:
             return self.num == other.num
-        # cross-multiply: safe even when truncation spoiled the normal form
         a, b, _ = self._over_common(other)
         return a == b
-
-    def __hash__(self):
-        return hash((self.num, tuple(sorted(self.den.items()))))
 
     def __repr__(self):
         return f"YRational({yrational_str(self)!r})"
@@ -627,17 +575,19 @@ def apply_R(t: str, k: int, combo: FCombo) -> FCombo:
     return out
 
 
-def _raise_move(
-    t: str, u: SignedPermutation, i: int, j: int, bound: int | None = None
-) -> SignedPermutation | None:
-    """u * t_{ij} when t_{ij} is a reflection of type t that raises the length
-    of u by one and the result has length at most bound; else None."""
-    if not (is_valid_reflection(t, i, j) and length_increment_ok(t, u, i, j)):
-        return None
-    v = u * reflection(i, j)
-    if bound is not None and length(t, v) > bound:
-        return None
-    return v
+def _factor(t: str, combo: FCombo, i: int, j: int, weight, bound: int | None = None) -> FCombo:
+    """One factor of M_k on a combination: each term c*u also adds
+    weight(u, v, c) at v = u * t_{ij}, when t_{ij} is a reflection of type t
+    that raises the length of u by one and v has length at most bound."""
+    if not is_valid_reflection(t, i, j):
+        return combo
+    extra = FCombo(t)
+    for u, c in combo:
+        if length_increment_ok(t, u, i, j):
+            v = u * reflection(i, j)
+            if bound is None or length(t, v) <= bound:
+                extra.add_term(v, weight(u, v, c))
+    return combo + extra
 
 
 def apply_M(t: str, k: int, combo: FCombo, bound: int | None = None) -> FCombo:
@@ -665,28 +615,16 @@ def apply_M(t: str, k: int, combo: FCombo, bound: int | None = None) -> FCombo:
             out.add_term(u, c * (ONE + BETA * yvar(-wk)))
     j = k - 1
     while j >= -(max([k] + [u.support for u, _ in out]) + 1):
-        extra = FCombo(t)
-        for u, c in out:
-            v = _raise_move(t, u, j, k, bound)
-            if v is not None:
-                twist = v * u.inverse()
-                extra.add_term(v, star_action(twist, c) * BETA * (-1))
-        out = out + extra
+        out = _factor(
+            t, out, j, k, lambda u, v, c: star_action(v * u.inverse(), c) * BETA * (-1), bound
+        )
         j -= 1
     if t == "B":
-        extra = FCombo(t)
-        for u, c in out:
-            v = _raise_move(t, u, 0, k, bound)
-            if v is not None:
-                extra.add_term(v, YRational.from_poly(c.at_y_zero()) * BETA * (-1))
-        out = out + extra
+        out = _factor(
+            t, out, 0, k, lambda u, v, c: YRational.from_poly(c.at_y_zero()) * BETA * (-1), bound
+        )
     for l in range(max([k] + [u.support for u, _ in out]) + 1, k, -1):
-        extra = FCombo(t)
-        for u, c in out:
-            v = _raise_move(t, u, k, l, bound)
-            if v is not None:
-                extra.add_term(v, c * BETA)
-        out = out + extra
+        out = _factor(t, out, k, l, lambda u, v, c: c * BETA, bound)
     return out
 
 

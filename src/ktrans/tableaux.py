@@ -82,25 +82,7 @@ def is_primed(code: int) -> bool:
     return code % 2 == 1
 
 
-def letter_str(code: int) -> str:
-    return f"{letter_value(code)}'" if is_primed(code) else str(letter_value(code))
-
-
-class MarkedSetTableau:
-    """An assignment of nonempty letter sets to the cells of a skew shape."""
-
-    __slots__ = ("shape", "entries")
-
-    def __init__(self, shape: ShiftedSkewShape, entries: dict[tuple[int, int], frozenset[int]]):
-        self.shape = shape
-        self.entries = entries
-
-    def __repr__(self):
-        cells = ", ".join(
-            f"({i},{j}):{{{','.join(letter_str(c) for c in sorted(s))}}}"
-            for (i, j), s in sorted(self.entries.items())
-        )
-        return f"MarkedSetTableau({cells})"
+Tableau = dict[tuple[int, int], frozenset[int]]
 
 
 def _subsets_from(letters: list[int], max_size: int) -> Iterator[tuple[int, ...]]:
@@ -120,9 +102,10 @@ def _subsets_from(letters: list[int], max_size: int) -> Iterator[tuple[int, ...]
 
 def enumerate_tableaux(
     shape: ShiftedSkewShape, flavor: str, num_letters: int, max_size: int
-) -> Iterator[MarkedSetTableau]:
+) -> Iterator[Tableau]:
     """All semistandard set-valued shifted tableaux with letters <= num_letters
-    and total size <= max_size, in a deterministic backtracking order.
+    and total size <= max_size, in a deterministic backtracking order.  Each
+    is a dict from cell to its nonempty set of letter codes.
 
     flavor "P" forbids primed letters on the diagonal; "Q" allows them.
     """
@@ -130,16 +113,16 @@ def enumerate_tableaux(
         raise ValueError(f"flavor must be P or Q, got {flavor!r}")
     cells = shape.cells()
     if not cells:
-        yield MarkedSetTableau(shape, {})
+        yield {}
         return
     if max_size < len(cells):
         return
     alphabet = list(range(1, 2 * num_letters + 1))
-    entries: dict[tuple[int, int], frozenset[int]] = {}
+    entries: Tableau = {}
 
-    def rec(pos: int, used: int) -> Iterator[MarkedSetTableau]:
+    def rec(pos: int, used: int) -> Iterator[Tableau]:
         if pos == len(cells):
-            yield MarkedSetTableau(shape, dict(entries))
+            yield dict(entries)
             return
         i, j = cells[pos]
         remaining = len(cells) - pos - 1
@@ -177,7 +160,7 @@ def _generating_function(
     terms: dict[Monomial, int] = {}
     k = shape.size()
     for tab in enumerate_tableaux(shape, flavor, num_letters, bound):
-        letters = [letter_value(c) for s in tab.entries.values() for c in s]
+        letters = [letter_value(c) for s in tab.values() for c in s]
         m = z_monomial(len(letters) - k, letters)
         terms[m] = terms.get(m, 0) + 1
     return TruncPoly(terms, bound)

@@ -277,6 +277,8 @@ MALFORMED = {
     "key-window-repeats": _v2(["B", [2, 2], [[[-1], 1]]]),
     "value-window-not-a-list": _v2(["B", [2, 1], [["", 1]]]),
     "value-window-repeats": _v2(["B", [2, 1], [[[2, 2], 1]]]),
+    "key-repeats": _v2(["B", [2, 1], [[[-1], 2], [[-2, 1], 1]]], ["B", [2, 1, 3], [[[-1], 9]]]),
+    "value-repeats": _v2(["B", [2, 1], [[[-1], 1], [[-2, 1], 1], [[-1, 2], 5]]]),
     "window-of-booleans": _v2(["B", [True, -2], [[[-2, True], 1]]]),
     "pair-too-long": _v2(["B", [2, 1], [[[-1], 1, 1]]]),
     "group-type-A": _v2(["A", [2, 1], [[[-1], 1]]]),

@@ -150,7 +150,7 @@ class TestOperators:
 
     def test_x_factor_absorbs_r_operator(self):
         # (1 + beta x_k) R_k F equals the raising tail of M_k applied to F
-        from ktrans.rings import FCombo, _raise_move
+        from ktrans.rings import FCombo, _factor
 
         k = 2
         for w in group_elements("A", 3):
@@ -159,12 +159,7 @@ class TestOperators:
             )
             out = FCombo("A", {w: YRational.inverse_unit(w(k))})
             for l in range(max(k, w.support) + 1, k, -1):
-                extra = FCombo("A")
-                for u, c in out:
-                    v = _raise_move("A", u, k, l)
-                    if v is not None:
-                        extra.add_term(v, c * BETA)
-                out = out + extra
+                out = _factor("A", out, k, l, lambda u, v, c: c * BETA)
             assert lhs == combo_value(out, groth_poly), str(w)
 
 

@@ -172,14 +172,9 @@ class TestQuasisymmetric:
         assert mperm((2, 2, 3, 3, 2)) == (2, 3, 2)
         assert mperm(()) == ()
 
-    def test_l_function_example(self):
-        f = quasi((1,), "L", 2, 2)
-        expect = zvar(1) + zvar(2) + BETA * zvar(1) * zvar(2)
-        assert f == expect.with_bound(2)
-
     def test_rejects_non_multipermutation(self):
         with pytest.raises(ValueError):
-            quasi((1, 1), "L", 2, 2)
+            quasi((1, 1), 2, 2)
 
     def test_k_expansion_of_type_c(self):
         # the K-quasisymmetric expansion of F^C over multi-permutation words
@@ -188,5 +183,5 @@ class TestQuasisymmetric:
             total = TruncPoly.zero(4)
             for a in hecke_words("C", w, 4):
                 if mperm(a) == a:
-                    total = total + TruncPoly.beta(len(a) - lw, 4) * quasi(a, "K", 2, 4)
+                    total = total + TruncPoly.beta(len(a) - lw, 4) * quasi(a, 2, 4)
             assert total == fstanley("C", w, 2, 4), str(w)

@@ -12,7 +12,7 @@ from ktrans.rings import (
     X,
     Y,
     YRational,
-    _raise_move,
+    _factor,
     apply_M,
     apply_R,
     combo_value,
@@ -32,6 +32,14 @@ from ktrans.weyl import group_elements, identity, length, parse_oneline, transit
 
 def kn_at(t, num_vars, bound):
     return lambda u: kn_eval(t, u, num_vars, bound)
+
+
+def times_beta(u, v, c):
+    return c * BETA
+
+
+def twisted(u, v, c):
+    return star_action(v * u.inverse(), c) * BETA * (-1)
 
 
 class TestKnEval:
@@ -225,12 +233,7 @@ class TestMOperator:
                     )
                     out = FCombo(t, {w: coeff})
                     for l in range(max(k, w.support) + 1, k, -1):
-                        extra = FCombo(t)
-                        for u, c in out:
-                            v = _raise_move(t, u, k, l)
-                            if v is not None and length(t, v) <= bound:
-                                extra.add_term(v, c * BETA)
-                        out = out + extra
+                        out = _factor(t, out, k, l, times_beta, bound)
                     assert lhs == combo_value(out, kn_at(t, 2, bound)), (t, str(w), k)
 
     def test_twisted_product_collapses_to_scaling(self):
@@ -242,12 +245,7 @@ class TestMOperator:
                     out = FCombo(t, {w: YRational.const(1)})
                     j_min = -(max(k, w.support) + 1)
                     for j in range(j_min, k):
-                        extra = FCombo(t)
-                        for u, c in out:
-                            v = _raise_move(t, u, j, k)
-                            if v is not None:
-                                extra.add_term(v, c * BETA)
-                        out = out + extra
+                        out = _factor(t, out, j, k, times_beta)
                     scaled = FCombo(t)
                     for u, c in out:
                         uk = u(k)
@@ -262,13 +260,7 @@ class TestMOperator:
                     while out.terms and j >= -(
                         max(k, max(u.support for u, _ in out)) + 1
                     ):
-                        extra = FCombo(t)
-                        for u, c in out:
-                            v = _raise_move(t, u, j, k)
-                            if v is not None and length(t, v) <= bound:
-                                twist = v * u.inverse()
-                                extra.add_term(v, star_action(twist, c) * BETA * (-1))
-                        out = out + extra
+                        out = _factor(t, out, j, k, twisted, bound)
                         j -= 1
                     wk = w(k)
                     expect = (

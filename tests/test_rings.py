@@ -144,9 +144,10 @@ class TestYRational:
         assert lhs * (ONE + BETA * yvar(1)) == YRational.const(1)
 
     def test_normalization(self):
+        # the fraction keeps its factor; equality cross-multiplies
         f = YRational((ONE + BETA * yvar(2)) * yvar(1), {2: 1})
         assert f == YRational.from_poly(yvar(1))
-        assert f.den == {}
+        assert f.den == {2: 1}
 
     def test_homogeneity_additive(self):
         f = YRational(yvar(1), {2: 1})
