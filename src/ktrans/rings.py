@@ -11,14 +11,16 @@ factors (YRational), the isobaric divided difference, the ominus series,
 the signed star substitution, the K-supersymmetry check, and the operator
 calculus on formal combinations that every type shares: the transition
 operator R_k, the Monk-type operator M_k, the transition certificate and
-the checks of the Monk and transition identities.  Only the evaluator of
+the checks of the Monk and transition identities.  A combination is a
+plain dict from group elements to coefficients, as in the engine, and its
+group membership is checked once, in unit_combo.  Only the evaluator of
 the double Grothendieck polynomials differs by type (groth_a.groth_poly for
 A, kn.kn_eval for B, C, D); the checks take it as an argument.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .weyl import (
     SignedPermutation,
@@ -500,97 +502,53 @@ def star_action(w: SignedPermutation, f: YRational) -> YRational:
 
 
 # -- linear combinations over a group -------------------------------------
+#
+# Coefficients are TruncPoly or YRational, never zero.  unit_combo alone
+# checks group membership: every later term is its element times
+# reflections that is_valid_reflection admits, and those keep it in its group.
 
 
-class FCombo:
-    """A finite formal linear combination of group elements.
-
-    Coefficients may be TruncPoly or YRational; zero coefficients are
-    dropped eagerly.
-    """
-
-    __slots__ = ("group_type", "terms")
-
-    def __init__(self, group_type: str, terms: dict[SignedPermutation, object] | None = None):
-        self.group_type = group_type
-        self.terms: dict[SignedPermutation, object] = {}
-        for w, c in (terms or {}).items():
-            self.add_term(w, c)
-
-    def copy(self) -> "FCombo":
-        return FCombo(self.group_type, dict(self.terms))
-
-    def add_term(self, w: SignedPermutation, coeff) -> None:
-        if not coeff:
-            return
-        if not w.in_group(self.group_type):
-            raise ValueError(f"{w} is not in the group of type {self.group_type}")
-        if w in self.terms:
-            new = self.terms[w] + coeff
-            if new:
-                self.terms[w] = new
-            else:
-                del self.terms[w]
-        else:
-            self.terms[w] = coeff
-
-    def __add__(self, other: "FCombo") -> "FCombo":
-        if self.group_type != other.group_type:
-            raise ValueError("cannot mix group types")
-        out = self.copy()
-        for w, c in other.terms.items():
-            out.add_term(w, c)
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FCombo)
-            and self.group_type == other.group_type
-            and self.terms == other.terms
-        )
-
-    def __iter__(self) -> Iterator[tuple[SignedPermutation, object]]:
-        return iter(self.terms.items())
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __repr__(self):
-        inner = ", ".join(f"{w}: {c!r}" for w, c in sorted(self.terms.items()))
-        return f"FCombo[{self.group_type}]({inner})"
+def _add_term(terms: dict, w: SignedPermutation, coeff) -> None:
+    """Add coeff at w, dropping a coefficient that is or becomes zero."""
+    new = terms[w] + coeff if w in terms else coeff
+    if new:
+        terms[w] = new
+    else:
+        terms.pop(w, None)
 
 
-def apply_R(t: str, k: int, combo: FCombo) -> FCombo:
+def apply_R(t: str, k: int, combo: dict) -> dict:
     """The transition operator R_k on a combination, lifted linearly from
     weyl.r_chains: a term c*w contributes
     c * beta^(l(u)-l(w)) * (plain + via_n / (1 + beta*y_{w(k)})) to u."""
-    out = FCombo(combo.group_type)
-    for w, c in combo:
+    out: dict = {}
+    for w, c in combo.items():
         lw = length(t, w)
         for u, (plain, via_n) in r_chains(t, k, w).items():
             coeff = c * plain
             if via_n:
                 coeff = coeff + c * YRational.inverse_unit(w(k)) * via_n
-            out.add_term(u, coeff * TruncPoly.beta(length(t, u) - lw))
+            _add_term(out, u, coeff * TruncPoly.beta(length(t, u) - lw))
     return out
 
 
-def _factor(t: str, combo: FCombo, i: int, j: int, weight, bound: int | None = None) -> FCombo:
-    """One factor of M_k on a combination: each term c*u also adds
-    weight(u, v, c) at v = u * t_{ij}, when t_{ij} is a reflection of type t
-    that raises the length of u by one and v has length at most bound."""
+def _factor(t: str, combo: dict, i: int, j: int, weight, bound: int | None = None) -> dict:
+    """One factor of M_k on a combination: each term c*u of the input also
+    adds weight(u, v, c) at v = u * t_{ij}, when t_{ij} is a reflection of
+    type t that raises the length of u by one and v has length at most
+    bound."""
     if not is_valid_reflection(t, i, j):
         return combo
-    extra = FCombo(t)
-    for u, c in combo:
+    out = dict(combo)
+    for u, c in combo.items():
         if length_increment_ok(t, u, i, j):
             v = u * reflection(i, j)
             if bound is None or length(t, v) <= bound:
-                extra.add_term(v, weight(u, v, c))
-    return combo + extra
+                _add_term(out, v, weight(u, v, c))
+    return out
 
 
-def apply_M(t: str, k: int, combo: FCombo, bound: int | None = None) -> FCombo:
+def apply_M(t: str, k: int, combo: dict, bound: int | None = None) -> dict:
     """The Monk-type operator M_k, which acts on a combination of double
     Grothendieck polynomials as multiplication by 1 + beta*x_k.
 
@@ -604,17 +562,17 @@ def apply_M(t: str, k: int, combo: FCombo, bound: int | None = None) -> FCombo:
     """
     if bound is None and t != "A":
         raise ValueError(f"the Monk operator of type {t} needs a length bound")
-    out = FCombo(t)
-    for u, c in combo:
+    out: dict = {}
+    for u, c in combo.items():
         if bound is not None and length(t, u) > bound:
             continue
         wk = u(k)
         if wk > 0:
-            out.add_term(u, c * YRational.inverse_unit(wk))
+            _add_term(out, u, c * YRational.inverse_unit(wk))
         else:
-            out.add_term(u, c * (ONE + BETA * yvar(-wk)))
+            _add_term(out, u, c * (ONE + BETA * yvar(-wk)))
     j = k - 1
-    while j >= -(max([k] + [u.support for u, _ in out]) + 1):
+    while j >= -(max([k] + [u.support for u in out]) + 1):
         out = _factor(
             t, out, j, k, lambda u, v, c: star_action(v * u.inverse(), c) * BETA * (-1), bound
         )
@@ -623,17 +581,19 @@ def apply_M(t: str, k: int, combo: FCombo, bound: int | None = None) -> FCombo:
         out = _factor(
             t, out, 0, k, lambda u, v, c: YRational.from_poly(c.at_y_zero()) * BETA * (-1), bound
         )
-    for l in range(max([k] + [u.support for u, _ in out]) + 1, k, -1):
+    for l in range(max([k] + [u.support for u in out]) + 1, k, -1):
         out = _factor(t, out, k, l, lambda u, v, c: c * BETA, bound)
     return out
 
 
-def unit_combo(t: str, w: SignedPermutation) -> FCombo:
-    """The combination 1*w."""
-    return FCombo(t, {w: YRational.const(1)})
+def unit_combo(t: str, w: SignedPermutation) -> dict:
+    """The combination 1*w, for w in the group of type t."""
+    if not w.in_group(t):
+        raise ValueError(f"{w} is not in the group of type {t}")
+    return {w: YRational.const(1)}
 
 
-def transition(t: str, w: SignedPermutation) -> tuple[SignedPermutation, int, int, FCombo]:
+def transition(t: str, w: SignedPermutation) -> tuple[SignedPermutation, int, int, dict]:
     """The transition certificate (v, a, c, R_a applied to the unit at v).
 
     With G the double Grothendieck polynomial of the type, the identity is
@@ -652,10 +612,10 @@ def transition(t: str, w: SignedPermutation) -> tuple[SignedPermutation, int, in
 # groth_a.groth_poly in type A, kn.kn_eval at a fixed (t, N, D) in B, C, D.
 
 
-def combo_value(combo: FCombo, G) -> YRational:
+def combo_value(combo: dict, G) -> YRational:
     """Sum coeff_u * G(u) over the combination."""
     total = YRational.const(0)
-    for u, c in combo:
+    for u, c in combo.items():
         total = total + c * G(u)
     return total
 
@@ -677,7 +637,7 @@ def monk_identity_holds(
 
 
 def transition_residual(
-    w: SignedPermutation, certificate: tuple[SignedPermutation, int, int, FCombo], G
+    w: SignedPermutation, certificate: tuple[SignedPermutation, int, int, dict], G
 ) -> YRational:
     """The difference between the two sides of the transition identity
     G(w) = ((1+beta*y_c)(1+beta*x_a) * R_a G(v) - G(v)) / beta, with y_c

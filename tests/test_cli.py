@@ -196,6 +196,35 @@ class TestVerifySuite:
         [fn] = seen
         assert fn.func is cli._check_pi_braid and fn.args == (3,)
 
+    @pytest.mark.parametrize("jobs, processes", [(2, 2), (15, 15), (64, 15)])
+    def test_pool_starts_no_more_workers_than_checks(self, capsys, monkeypatch, jobs, processes):
+        import multiprocessing
+
+        from ktrans import cli
+
+        started = []
+
+        class InProcessPool:
+            # records the worker count and starts no process
+            def __init__(self, processes, initializer, initargs):
+                started.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, indices):
+                return [fn(i) for i in indices]
+
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        monkeypatch.setattr(cli, "_run_check", lambda i: (cli.CHECKS[i][0], True, ""))
+        code, out = run(capsys, "verify-suite", "--jobs", str(jobs))
+        assert code == 0 and "all 15 checks passed" in out
+        assert started == [processes]
+
 
 def _worker_pi_braid():
     from ktrans import cli
@@ -359,6 +388,17 @@ GOLDEN_COMMANDS = {
             ("642-31", "6,4,2", "3,1"),
         )
     },
+    # the operator calculus: transition certificates and their residuals
+    "kn-transition-B-rank3.json": [
+        "kn-transition", "--type", "B", "--w=2,-3,1", "--N", "2", "--D", "4", "--json"
+    ],
+    "kn-transition-B-rank3.txt": [
+        "kn-transition", "--type", "B", "--w=2,-3,1", "--N", "2", "--D", "4"
+    ],
+    "kn-transition-D-rank2.json": [
+        "kn-transition", "--type", "D", "--w=-1,-2", "--N", "2", "--D", "4", "--json"
+    ],
+    "groth-a-2413-transition.txt": ["groth-a", "--w", "2,4,1,3", "--transition"],
 }
 
 

@@ -7,21 +7,22 @@ import pytest
 from ktrans.rings import (
     BETA,
     ONE,
-    FCombo,
     TruncPoly,
     YRational,
+    _add_term,
     ominus_series,
     ominus_y,
     pi_operator,
     poly_str,
     star_action,
     supersym_check,
+    unit_combo,
     xvar,
     yrational_str,
     yvar,
     zvar,
 )
-from ktrans.weyl import group_elements, identity, parse_oneline, reflection
+from ktrans.weyl import SignedPermutation, group_elements, identity, parse_oneline, reflection
 
 
 def random_poly(rng, nvars=4, max_deg=4, terms=6):
@@ -199,16 +200,22 @@ class TestSupersym:
             supersym_check(ONE, 1, 3)
 
 
-class TestFCombo:
+class TestCombination:
     def test_drops_zero_coefficients(self):
-        w = parse_oneline("2,1")
-        c = FCombo("B", {w: TruncPoly.zero()})
-        assert len(c) == 0
+        c = {}
+        _add_term(c, parse_oneline("2,1"), TruncPoly.zero())
+        assert c == {}
 
-    def test_add_and_scale(self):
+    def test_add_and_cancel(self):
         w = parse_oneline("2,1")
-        c = FCombo("B", {w: ONE})
-        d = c + FCombo("B", {w: BETA})
-        assert d.terms[w] == ONE + BETA
-        c.add_term(w, -1 * ONE)
-        assert len(c) == 0
+        c = {w: ONE}
+        _add_term(c, w, BETA)
+        assert c == {w: ONE + BETA}
+        _add_term(c, w, -1 * (ONE + BETA))
+        assert c == {}
+
+    @pytest.mark.parametrize("t", ["A", "D"])
+    def test_unit_combo_rejects_an_element_outside_the_group(self, t):
+        # type A has no sign changes, and type D needs an even number of them
+        with pytest.raises(ValueError):
+            unit_combo(t, SignedPermutation([-1]))
