@@ -1,11 +1,14 @@
 """Type A double Grothendieck polynomials.
 
-The polynomial of the longest element of S_n is the product of x_i + y_j +
-beta*x_i*y_j over i + j <= n; everything else descends from it through the
-isobaric divided differences.  This module only evaluates: the operator
-calculus (R_k, M_k, the transition certificate) and the checks of the Monk
-identity and Lascoux's transition equation live in rings, shared with types
-B, C, D, and take groth_poly as their evaluator.
+The double polynomial of the longest element of S_n is the product of
+x_i + y_j + beta*x_i*y_j over i + j <= n, and every double polynomial
+descends from it through the isobaric divided differences.  The single
+polynomials, the double ones at y = 0, descend the same way from x^delta =
+x_1^(n-1) x_2^(n-2) ... x_(n-1), far more cheaply than building the double
+polynomial and dropping its y terms.  This module only evaluates: the
+operator calculus (R_k, M_k, the transition certificate) and the checks of
+the Monk identity and Lascoux's transition equation live in rings, shared
+with types B, C, D, and take groth_poly as their evaluator.
 """
 
 from __future__ import annotations
@@ -47,11 +50,29 @@ def groth_poly(w: SignedPermutation) -> TruncPoly:
 
 
 @lru_cache(maxsize=None)
+def _groth_x(w: SignedPermutation) -> TruncPoly:
+    """The single Grothendieck polynomial in x, from x^delta by the same
+    first-ascent descent as groth_poly."""
+    n = w.support
+    if n == 0:
+        return ONE
+    if w == tuple(range(n, 0, -1)):
+        result = ONE
+        for i in range(1, n):
+            result = result * xvar(i) ** (n - i)
+        return result
+    i = next(i for i in range(1, n) if w(i) < w(i + 1))
+    return pi_operator(i, _groth_x(w * reflection(i, i + 1)))
+
+
+@lru_cache(maxsize=None)
 def groth_single(w: SignedPermutation, family: str) -> TruncPoly:
-    """The single Grothendieck polynomial, with its x-variables renamed."""
-    p = groth_poly(w).set_zero([Y])
+    """The single Grothendieck polynomial G_w(x), the double one at y = 0;
+    in the y family, the same polynomial with each x_i renamed y_i."""
+    if not w.in_group("A"):
+        raise ValueError(f"{w} is not a type A element")
     if family == "x":
-        return p
+        return _groth_x(w)
     if family == "y":
-        return p.rename_family(X, Y)
+        return _groth_x(w).rename_family(X, Y)
     raise ValueError(f"family must be x or y, got {family!r}")

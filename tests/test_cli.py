@@ -399,6 +399,10 @@ GOLDEN_COMMANDS = {
         "kn-transition", "--type", "D", "--w=-1,-2", "--N", "2", "--D", "4", "--json"
     ],
     "groth-a-2413-transition.txt": ["groth-a", "--w", "2,4,1,3", "--transition"],
+    # the triple-sum oracle: sigma and tau range over S_4, in both families
+    "kn-eval-B-rank4.json": [
+        "kn-eval", "--type", "B", "--w=3,-1,4,2", "--N", "2", "--D", "5", "--json"
+    ],
 }
 
 

@@ -2,10 +2,13 @@
 
 import pytest
 
+from ktrans import groth_a
 from ktrans.groth_a import groth_poly, groth_single
 from ktrans.rings import (
     BETA,
     ONE,
+    X,
+    Y,
     YRational,
     apply_M,
     apply_R,
@@ -90,6 +93,46 @@ class TestGrothPoly:
         s1 = parse_oneline("2,1")
         assert groth_single(s1, "x") == xvar(1)
         assert groth_single(s1, "y") == yvar(1)
+
+
+class TestGrothSingle:
+    def test_equals_double_polynomial_at_y_zero_on_s4(self):
+        # the x^delta descent against the double staircase with y set to 0
+        for w in group_elements("A", 4):
+            at_y_zero = groth_poly(w).set_zero([Y])
+            assert groth_single(w, "x") == at_y_zero, str(w)
+            assert groth_single(w, "y") == at_y_zero.rename_family(X, Y), str(w)
+
+    def test_rejects_signed_element_and_unknown_family(self):
+        with pytest.raises(ValueError):
+            groth_single(parse_oneline("-1"), "x")
+        with pytest.raises(ValueError):
+            groth_single(parse_oneline("2,1"), "z")
+
+    def test_cleared_caches_recompute_cold(self, monkeypatch):
+        # bench/worker.reset clears every module-level cache_clear and
+        # groth_a._memo; a memo it cannot see would make the second call free
+        calls = []
+
+        def counting_pi(i, f):
+            calls.append(i)
+            return pi_operator(i, f)
+
+        def clear():
+            for obj in vars(groth_a).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+            groth_a._memo.clear()
+
+        monkeypatch.setattr(groth_a, "pi_operator", counting_pi)
+        w = parse_oneline("2,4,1,3")
+        counts = []
+        for _ in range(2):
+            clear()
+            calls.clear()
+            groth_single(w, "x")
+            counts.append(len(calls))
+        assert counts[0] > 0 and counts[0] == counts[1]
 
 
 class TestOperators:
