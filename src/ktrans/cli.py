@@ -72,9 +72,17 @@ def _cmd_gpgq(args, fn) -> int:
 
 
 def _serve_expansion(args, compute) -> int:
-    """Serve compute() through the persisted memo and print the expansion."""
+    """Serve compute() through the persisted memo and print the expansion.
+    --stats adds one JSON line on stderr: the recursion memo's hits and misses
+    (keys expanded), and whether the root came from `_cache` (no recursion)."""
     path = _load_cache()
+    before = expand_mod._expansion.cache_info() if args.stats else None
     result = compute()
+    if args.stats:
+        after = expand_mod._expansion.cache_info()
+        hits, misses = after.hits - before.hits, after.misses - before.misses
+        stats = {"expansion_hits": hits, "expansion_misses": misses, "root_cached": not hits + misses}
+        print(json.dumps(stats), file=sys.stderr)
     _save_cache(path)
     if args.json:
         print(json.dumps(result.to_json_dict()))
@@ -139,21 +147,8 @@ def cmd_kn_transition(args) -> int:
     ]
     residual = rings.transition_residual(w, certificate, _kn_at(args.type, args.N, args.D))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "type": args.type,
-                    "w": list(w),
-                    "a": a,
-                    "v": list(v),
-                    "c": c,
-                    "terms": terms,
-                    "N": args.N,
-                    "D": args.D,
-                    "residual": yrational_str(residual),
-                }
-            )
-        )
+        doc = {"type": args.type, "w": list(w), "a": a, "v": list(v), "c": c, "terms": terms}
+        print(json.dumps({**doc, "N": args.N, "D": args.D, "residual": yrational_str(residual)}))
     else:
         print(f"w = {w}")
         print(f"a = {a}  v = {v}  c = {c}")
@@ -167,23 +162,8 @@ def cmd_kn_transition(args) -> int:
 # -- the verification battery -------------------------------------------------
 
 
-def _check_golden_expansion_b():
-    w = parse_oneline("-3,4,-1,5,2")
-    expected = {
-        (4, 2, 1): 4, (4, 3): 2, (5, 2): 2,
-        (4, 3, 1): 5, (5, 2, 1): 5, (5, 3): 3, (5, 3, 1): 6,
-    }
-    got = expand_mod.expand_grassmannian("B", w).terms
-    return got == expected, f"got {sorted(got.items())}"
-
-
-def _check_golden_expansion_c():
-    w = parse_oneline("-3,4,-1,5,2")
-    expected = {
-        (4, 2, 1): 2, (4, 3): 2, (5, 2): 2,
-        (4, 3, 1): 3, (5, 2, 1): 3, (5, 3): 3, (5, 3, 1): 4,
-    }
-    got = expand_mod.expand_grassmannian("C", w).terms
+def _check_golden_expansion(t, expected):
+    got = expand_mod.expand_grassmannian(t, parse_oneline("-3,4,-1,5,2")).terms
     return got == expected, f"got {sorted(got.items())}"
 
 
@@ -322,22 +302,12 @@ def _check_supersym(num_vars=3, bound=6):
         for w in weyl.group_elements(t, 2):
             if not rings.supersym_check(hecke.fstanley(t, w, num_vars, bound), num_vars, bound):
                 return False, f"F^{t}_{w} not supersymmetric"
-    lams = [lam for lam in _strict_partitions(4)]
-    for lam in lams:
+    # the strict partitions of size at most 4
+    for lam in [(), (4,), (3,), (3, 1), (2,), (2, 1), (1,)]:
         for fn in (tableaux.gp, tableaux.gq):
             if not rings.supersym_check(fn(ShiftedSkewShape(lam), num_vars, bound), num_vars, bound):
                 return False, f"{fn.__name__} {lam} not supersymmetric"
     return True, ""
-
-
-def _strict_partitions(max_size: int):
-    out = [()]
-    def rec(prefix, remaining, max_part):
-        for p in range(min(remaining, max_part), 0, -1):
-            out.append(prefix + (p,))
-            rec(prefix + (p,), remaining - p, p - 1)
-    rec((), max_size, max_size)
-    return out
 
 
 def _check_quasisym(num_vars=3, bound=5):
@@ -385,8 +355,12 @@ def _check_pi_braid(seed=0):
 
 
 CHECKS = [
-    ("golden-expansion-B", _check_golden_expansion_b),
-    ("golden-expansion-C", _check_golden_expansion_c),
+    ("golden-expansion-B", functools.partial(_check_golden_expansion, "B", {
+        (4, 2, 1): 4, (4, 3): 2, (5, 2): 2, (4, 3, 1): 5, (5, 2, 1): 5, (5, 3): 3, (5, 3, 1): 6,
+    })),
+    ("golden-expansion-C", functools.partial(_check_golden_expansion, "C", {
+        (4, 2, 1): 2, (4, 3): 2, (5, 2): 2, (4, 3, 1): 3, (5, 2, 1): 3, (5, 3): 3, (5, 3, 1): 4,
+    })),
     ("transition-step", _check_transition_step),
     ("skew-consistency", _check_skew),
     ("gq-gp-relations", _check_gq_gp),
@@ -494,6 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", required=True)
     p.add_argument("--type", choices=list("BCD"), default="B")
     p.add_argument("--json", action="store_true")
+    p.add_argument("--stats", action="store_true", help="memo counts as one JSON line on stderr")
     p.set_defaults(fn=cmd_expand)
 
     p = sub.add_parser("skew", help="expand a skew GP/GQ function")
@@ -501,6 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outer", type=_shape_arg, required=True)
     p.add_argument("--inner", type=_shape_arg, default=())
     p.add_argument("--json", action="store_true")
+    p.add_argument("--stats", action="store_true", help="memo counts as one JSON line on stderr")
     p.set_defaults(fn=cmd_skew)
 
     p = sub.add_parser("groth-a", help="type A double Grothendieck polynomial")

@@ -23,13 +23,49 @@ from .rings import TruncPoly
 from .tableaux import ShiftedSkewShape, gp, gq, w_shape
 from .weyl import (
     SignedPermutation,
-    ld_less,
+    _chains,
+    _least_descent,
+    _raises_length,
+    _support,
+    _transition_window,
     length,
-    length_increment_ok,
-    r_chains,
     shape,
-    transition_data,
 )
+
+Window = tuple[int, ...]
+
+
+def _perm(win: Window) -> SignedPermutation:
+    return SignedPermutation._trusted(list(win))  # a window the engine built
+
+
+def _step(t: str, w: Window, a: int) -> list[tuple[Window, int, int]]:
+    """The transition step on plain windows: (u, LD(u), coefficient) for
+    each output u, trimmed, of the trimmed window w with least descent a > 0.
+    Asserts that v * t_{ab} = w raises length by one, and that every
+    coefficient is positive, every u lies below w in the LD order, and
+    support(u) + LD(u) <= support(w) + LD(w)."""
+    v, b = _transition_window(w, a)
+    if not _raises_length(t, v, a, b):
+        raise AssertionError(f"{_perm(v)} * t_({a},{b}) = {_perm(w)} does not raise length by one")
+    v = tuple(v[: _support(v)])
+    x = w[a - 1]
+    bound = len(w) + a
+    outputs = []
+    for u, (plain, via_n) in _chains(t, a, v).items():
+        u = u[: _support(u)]
+        coeff = plain + via_n - (u == v)
+        if not coeff:
+            continue
+        d = _least_descent(u)
+        if coeff < 0:
+            raise AssertionError(f"transition coefficient of {_perm(u)} is {coeff} < 0")
+        if d > a or (d == a and u[d - 1] >= x):
+            raise AssertionError(f"transition produced {_perm(u)} not below {_perm(w)} in LD order")
+        if len(u) + d > bound:
+            raise AssertionError(f"{_perm(u)} escapes the support bound {bound} of {_perm(w)}")
+        outputs.append((u, d, coeff))
+    return outputs
 
 
 def transition_step(t: str, w: SignedPermutation) -> dict[SignedPermutation, int]:
@@ -40,26 +76,16 @@ def transition_step(t: str, w: SignedPermutation) -> dict[SignedPermutation, int
     transition identity reads F_w = (R_a F_v - F_v) / beta, and R_a's chain
     counts give a = plain + via_n - [u == v]; since v * t_{ab} = w raises
     length by one, the division by beta lowers every exponent l(u) - l(v)
-    to l(u) - l(w).
+    to l(u) - l(w).  Wraps the outputs of ``_step``, the recursion's step.
     """
     if t not in ("B", "C", "D"):
         raise ValueError(f"transition needs type B, C, or D, not {t!r}")
     if not w.in_group(t):
         raise ValueError(f"{w} is not in the group of type {t}")
-    v, a, b, _ = transition_data(w)
-    if not length_increment_ok(t, v, a, b):
-        raise AssertionError(f"{v} * t_({a},{b}) = {w} does not raise length by one")
-    result: dict[SignedPermutation, int] = {}
-    for u, (plain, via_n) in r_chains(t, a, v).items():
-        coeff = plain + via_n - (u == v)
-        if not coeff:
-            continue
-        if coeff < 0:
-            raise AssertionError(f"transition coefficient of {u} is {coeff} < 0")
-        if not ld_less(u, w):
-            raise AssertionError(f"transition produced {u} not below {w} in LD order")
-        result[u] = coeff
-    return result
+    a = w.least_descent()
+    if not a:
+        raise ValueError(f"{w} has no descent")
+    return {_perm(u): coeff for u, _, coeff in _step(t, tuple(w), a)}
 
 
 @dataclass
@@ -76,51 +102,38 @@ class ExpansionResult:
         return sum(lam) - self.length
 
     def to_json_dict(self) -> dict:
-        return {
-            "type": self.group_type,
-            "w": list(self.source),
-            "length": self.length,
-            "basis": self.basis,
-            "terms": [
-                {
-                    "lambda": list(lam),
-                    "coeff": coeff,
-                    "beta_power": self.beta_power(lam),
-                }
-                for lam, coeff in sorted(self.terms.items())
-            ],
-        }
+        terms = [
+            {"lambda": list(lam), "coeff": coeff, "beta_power": self.beta_power(lam)}
+            for lam, coeff in sorted(self.terms.items())
+        ]
+        doc = {"type": self.group_type, "w": list(self.source), "length": self.length}
+        return {**doc, "basis": self.basis, "terms": terms}
 
 
 _cache: dict[tuple[str, SignedPermutation], dict[SignedPermutation, int]] = {}
 
 
 @lru_cache(maxsize=None)
-def _expansion(t: str, u: SignedPermutation) -> dict[SignedPermutation, int]:
-    """The Grassmannian expansion of F_u, shared by every caller: not to be
-    mutated.
+def _expansion(t: str, u: Window, d: int) -> dict[Window, int]:
+    """The Grassmannian expansion of F_u, for the trimmed window u with
+    least descent d, shared by every caller: not to be mutated.
 
-    A dynamic program over the LD order.  A Grassmannian u is its own
-    expansion, and any other u is the sum of its transition outputs'
-    expansions, each output strictly below u.  `_cache` is not consulted
-    here, so a persisted entry serves its own key alone.  Every output v
-    is asserted to keep support(v) + LD(v) <= support(u) + LD(u); by
-    induction, every intermediate of a root w then stays within the support
-    bound support(w) + LD(w), memo hits included.
+    A dynamic program over the LD order, on plain windows.  A Grassmannian
+    u is its own expansion, and any other u is the sum of the expansions of
+    its ``_step`` outputs, each strictly below u and keyed with the LD that
+    ``_step`` computed.  `_cache` is not consulted here, so a persisted
+    entry serves its own key alone.  ``_step`` asserts the support bound of
+    u at every output; by induction, every intermediate of a root w stays
+    within support(w) + LD(w), memo hits included.
     """
-    d = u.least_descent()
     if not d:
         return {u: 1}
-    bound = u.support + d
-    total: dict[SignedPermutation, int] = {}
-    outputs = transition_step(t, u)
-    for v, coeff in outputs.items():
-        if v.support + v.least_descent() > bound:
-            raise AssertionError(f"{v} escapes the support bound {bound} of {u}")
-        sub = _expansion(t, v)
-        if coeff == 1 and len(outputs) == 1:
-            return sub  # F_u = F_v: share v's expansion, as most steps do
-        for g, c in sub.items():
+    outputs = _step(t, u, d)
+    if len(outputs) == 1 and outputs[0][2] == 1:
+        return _expansion(t, *outputs[0][:2])  # F_u = F_v: share v's expansion, as most steps do
+    total: dict[Window, int] = {}
+    for v, dv, coeff in outputs:
+        for g, c in _expansion(t, v, dv).items():
             total[g] = total.get(g, 0) + coeff * c
     return total
 
@@ -130,9 +143,10 @@ def expand_grassmannian(t: str, w: SignedPermutation) -> ExpansionResult:
 
     Two memos serve it.  `_expansion` keeps every key it expanded, in
     process; `_cache` keeps the requested keys alone, serves each only for
-    itself, and is the one that `save_cache` persists.  Nonnegativity and
-    descent in the LD order are asserted at every transition step, the
-    support bound at every output.
+    itself, and is the one that `save_cache` persists.  The recursion runs
+    on plain windows; signed permutations are built only here, for the
+    `_cache` entry.  Every step asserts that v * t_ab raises length by one,
+    nonnegativity, descent in the LD order and the support bound.
     A chain of steps deeper than the interpreter's recursion limit raises
     ValueError, as malformed input does.
     """
@@ -142,9 +156,10 @@ def expand_grassmannian(t: str, w: SignedPermutation) -> ExpansionResult:
     cached = _cache.get((t, w))
     if cached is None:
         try:
-            cached = _cache[(t, w)] = _expansion(t, w)
+            found = _expansion(t, tuple(w), w.least_descent())
         except RecursionError:
             raise ValueError(f"the transition chain of {w} is too deep to expand") from None
+        cached = _cache[(t, w)] = {_perm(u): c for u, c in found.items()}
     basis = "GQ" if t == "C" else "GP"
     terms: dict[tuple[int, ...], int] = {}
     for u, coeff in cached.items():

@@ -20,6 +20,23 @@ from typing import Iterable
 GROUP_TYPES = ("A", "B", "C", "D")
 
 
+def _support(win: list[int] | tuple[int, ...]) -> int:
+    """The length of the window once its trailing fixed points are trimmed."""
+    n = len(win)
+    while n and win[n - 1] == n:
+        n -= 1
+    return n
+
+
+def _least_descent(win: tuple[int, ...]) -> int:
+    """The LD of a trimmed window: its largest descent, 0 if it has none.
+    The one LD scan; it is also the method ``least_descent``."""
+    d = len(win) - 1
+    while d > 0 and win[d - 1] < win[d]:
+        d -= 1
+    return d if d > 0 else 0  # d is -1 for the identity
+
+
 class SignedPermutation(tuple):
     """A finitely supported signed permutation: the tuple of its trimmed
     window, so equality, hashing and immutability are those of the tuple.
@@ -122,12 +139,7 @@ class SignedPermutation(tuple):
         """
         return {i for i in range(1, len(self)) if self[i - 1] > self[i]}
 
-    def least_descent(self) -> int:
-        """The LD of w: its largest descent, 0 if it has none."""
-        d = len(self) - 1
-        while d > 0 and self[d - 1] < self[d]:
-            d -= 1
-        return d if d > 0 else 0  # d is -1 for the identity
+    least_descent = _least_descent
 
     def is_grassmannian(self) -> bool:
         return not self.least_descent()
@@ -158,9 +170,7 @@ def parse_oneline(text: str) -> SignedPermutation:
 
 
 def format_oneline(w: SignedPermutation) -> str:
-    if w.is_identity():
-        return "1"
-    return ",".join(str(v) for v in w)
+    return ",".join(map(str, w)) or "1"
 
 
 # -- reflections and generators ---------------------------------------
@@ -173,21 +183,13 @@ def reflection(i: int, j: int) -> SignedPermutation:
         raise ValueError(f"reflection needs i < j with j > 0, got ({i}, {j})")
     if i == -j:
         return IDENTITY
-    n = max(abs(i), j)
-    win = list(range(1, n + 1))
-
-    def assign(a: int, b: int) -> None:
-        # record a |-> b, forcing -a |-> -b
-        if a > 0:
-            win[a - 1] = b
-        else:
-            win[-a - 1] = -b
-
-    if i == 0:
-        assign(j, -j)
-    else:
-        assign(i, j)
-        assign(j, i)
+    win = list(range(1, max(abs(i), j) + 1))
+    if i > 0:
+        win[i - 1], win[j - 1] = j, i
+    elif i == 0:
+        win[j - 1] = -j
+    else:  # j |-> i and i |-> j, so -i |-> -j
+        win[-i - 1], win[j - 1] = -j, i
     return SignedPermutation(win)
 
 
@@ -309,7 +311,7 @@ def length_increment_ok(t: str, w: SignedPermutation, i: int, j: int) -> bool:
 
     Validates the reflection, writes t_{ij} with |i| > j as t_{-j,-i}, pads
     the window of w with its fixed points up to j and asks the one test,
-    ``_raises_length``, which ``r_chains`` calls directly.
+    ``_raises_length``, which ``_chains`` and the expansion step call directly.
     """
     if not is_valid_reflection(t, i, j):
         raise ValueError(f"t_({i},{j}) is not a reflection of type {t}")
@@ -324,21 +326,24 @@ def length_increment_ok(t: str, w: SignedPermutation, i: int, j: int) -> bool:
 def transition_data(w: SignedPermutation) -> tuple[SignedPermutation, int, int, int]:
     """(v, a, b, c) for the last-descent transition: a is the last descent,
     b the largest index past a with w(b) < w(a), v = w * t_{ab}, and
-    c = w(b), which may be negative.
-
-    Read from the window: past it w(i) = i > w(a), so b lies inside it, and
-    v swaps the window entries at a and b."""
+    c = w(b), which may be negative."""
     a = w.least_descent()
     if not a:
         raise ValueError(f"{w} has no descent")
-    win = list(w)
-    x = win[a - 1]
-    b = len(win)
-    while win[b - 1] >= x:  # stops at a + 1, as a is a descent
+    v, b = _transition_window(w, a)
+    return SignedPermutation._trusted(v), a, b, w[b - 1]
+
+
+def _transition_window(w: tuple[int, ...], a: int) -> tuple[list[int], int]:
+    """(untrimmed window of v, b) for the trimmed window w with LD a > 0: b
+    lies inside it, as w(i) = i > w(a) past it, and v swaps entries a, b."""
+    x = w[a - 1]
+    b = len(w)
+    while w[b - 1] >= x:  # stops at a + 1, as a is a descent
         b -= 1
-    c = win[b - 1]
-    win[a - 1], win[b - 1] = c, x
-    return SignedPermutation._trusted(win), a, b, c
+    v = list(w)
+    v[a - 1], v[b - 1] = w[b - 1], x
+    return v, b
 
 
 def r_chains(
@@ -357,14 +362,19 @@ def r_chains(
     The j-range is finite: a move below -(support+1) never raises length,
     and once a move grows the support no later t-move can fire.
 
-    The chains are kept as windows padded to max(support, k) + 1, the
-    furthest position any move touches.  The valid j are listed once, each
-    move is tested by ``_raises_length`` on the padded window and applied
-    as a swap or sign flip of it, and only the end results are wrapped as
-    signed permutations, unchecked.
+    A wrapper over the window kernel ``_chains``, which the expansion
+    recursion calls directly: only the end windows are wrapped here, unchecked.
     """
-    top = max(v.support, k) + 1
-    start = v + tuple(range(v.support + 1, top + 1))
+    return {SignedPermutation._trusted(list(u)): c for u, c in _chains(t, k, v).items()}
+
+
+def _chains(t: str, k: int, v: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, int]]:
+    """R_k's chain counts on the trimmed window v.  The chains are windows
+    padded to max(support, k) + 1, the furthest position any move touches;
+    the valid j are listed once, and each move is tested by
+    ``_raises_length`` and applied as a swap or sign flip of the window."""
+    top = max(len(v), k) + 1
+    start = (*v, *range(len(v) + 1, top + 1))
     chains = {start: (1, 0)}
     if t == "B" and _raises_length("B", start, 0, k):
         u = list(start)
@@ -377,10 +387,7 @@ def r_chains(
         js = [*range(-top, -k), *range(1 - k, 0 if t == "D" else 1), *range(1, k)]
     for j in js:
         # t_{jk} with j < -k is t_{-k,-j}; it moves positions p and q
-        if -j > k:
-            i, q = -k, -j
-        else:
-            i, q = j, k
+        i, q = (-k, -j) if -j > k else (j, k)
         p = abs(i)
         # a chain that gains counts at this factor cannot fire at it (the
         # move would lower its length), so the counts can be added in place
@@ -401,8 +408,9 @@ def r_chains(
                 new.append((u, counts))
             else:
                 chains[u] = (old[0] + counts[0], old[1] + counts[1])
-        chains.update(new)
-    return {SignedPermutation._trusted(list(win)): counts for win, counts in chains.items()}
+        if new:
+            chains.update(new)
+    return chains
 
 
 # -- words and products -------------------------------------------------

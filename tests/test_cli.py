@@ -416,3 +416,63 @@ class TestGolden:
         code, out = run(capsys, *GOLDEN_COMMANDS[name])
         assert code == 0
         assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+class TestStats:
+    """--stats writes one JSON line on stderr and leaves stdout as it was."""
+
+    @pytest.mark.parametrize(
+        "name", ["expand-D-rank8.json", "expand-C-golden.json", "skew-GQ-642-31.json"]
+    )
+    def test_stdout_is_golden_and_stderr_one_json_line(self, capsys, monkeypatch, name):
+        from ktrans import expand as expand_mod
+
+        monkeypatch.delenv("KTRANS_CACHE_DIR", raising=False)
+        monkeypatch.setattr(expand_mod, "_cache", {})
+        expand_mod._expansion.cache_clear()
+        assert main([*GOLDEN_COMMANDS[name], "--stats"]) == 0
+        cold = capsys.readouterr()
+        assert cold.out == (GOLDEN / name).read_text(encoding="utf-8")
+        (line,) = cold.err.splitlines()
+        stats = json.loads(line)
+        assert set(stats) == {"expansion_hits", "expansion_misses", "root_cached"}
+        assert stats["expansion_misses"] > 0 and stats["root_cached"] is False
+        assert main([*GOLDEN_COMMANDS[name], "--stats"]) == 0
+        warm = capsys.readouterr()
+        assert warm.out == cold.out
+        assert json.loads(warm.err) == {
+            "expansion_hits": 0, "expansion_misses": 0, "root_cached": True
+        }
+        expand_mod._expansion.cache_clear()
+
+    def test_counts_match_the_steps(self, capsys, monkeypatch):
+        # each key is a miss once: the 25 stepped keys of the C golden element
+        # and the Grassmannian leaves; every output of a step is one call
+        from ktrans import expand as expand_mod
+
+        monkeypatch.delenv("KTRANS_CACHE_DIR", raising=False)
+        monkeypatch.setattr(expand_mod, "_cache", {})
+        expand_mod._expansion.cache_clear()
+        outputs = []
+        step = expand_mod._step
+
+        def recording_step(t, u, a):
+            outputs.append(step(t, u, a))
+            return outputs[-1]
+
+        monkeypatch.setattr(expand_mod, "_step", recording_step)
+        assert main(["expand", "--type", "C", "--w=-3,4,-1,5,2", "--stats"]) == 0
+        stats = json.loads(capsys.readouterr().err)
+        leaves = {u for out in outputs for u, d, _ in out if not d}
+        assert len(outputs) == 25
+        assert stats["expansion_misses"] == 25 + len(leaves)
+        assert stats["expansion_hits"] + stats["expansion_misses"] == 1 + sum(map(len, outputs))
+        expand_mod._expansion.cache_clear()
+
+    def test_without_stats_stderr_is_empty(self, capsys, monkeypatch):
+        from ktrans import expand as expand_mod
+
+        monkeypatch.delenv("KTRANS_CACHE_DIR", raising=False)
+        monkeypatch.setattr(expand_mod, "_cache", {})
+        assert main(GOLDEN_COMMANDS["expand-D-rank8.json"]) == 0
+        assert capsys.readouterr().err == ""

@@ -12,7 +12,15 @@ from ktrans.expand import (
     verify_expansion,
 )
 from ktrans.tableaux import ShiftedSkewShape, gp, w_shape
-from ktrans.weyl import group_elements, ld_less, length, parse_oneline
+from ktrans.weyl import (
+    SignedPermutation,
+    group_elements,
+    ld_less,
+    length,
+    parse_oneline,
+    r_chains,
+    transition_data,
+)
 
 GOLDEN_W = parse_oneline("-3,4,-1,5,2")
 
@@ -112,13 +120,13 @@ class TestWorklist:
         from ktrans import expand as expand_mod
 
         calls = Counter()
-        step = expand_mod.transition_step
+        step = expand_mod._step
 
-        def counting_step(tt, u):
+        def counting_step(tt, u, a):
             calls[u] += 1
-            return step(tt, u)
+            return step(tt, u, a)
 
-        monkeypatch.setattr(expand_mod, "transition_step", counting_step)
+        monkeypatch.setattr(expand_mod, "_step", counting_step)
         monkeypatch.setattr(expand_mod, "_cache", {})
         expand_mod._expansion.cache_clear()
         result = expand_grassmannian(t, parse_oneline(w))
@@ -137,13 +145,13 @@ class TestMemo:
         want = expand_grassmannian("C", GOLDEN_W).terms
         _clear_memos()
         calls = []
-        step = expand_mod.transition_step
+        step = expand_mod._step
 
-        def counting_step(tt, u):
+        def counting_step(tt, u, a):
             calls.append(u)
-            return step(tt, u)
+            return step(tt, u, a)
 
-        monkeypatch.setattr(expand_mod, "transition_step", counting_step)
+        monkeypatch.setattr(expand_mod, "_step", counting_step)
         assert expand_grassmannian("C", GOLDEN_W).terms == want
         assert len(calls) == 25
 
@@ -182,7 +190,9 @@ class TestMemo:
 
 
 class TestAssertions:
-    """The engine's assertions fire on a step that breaks them."""
+    """The engine's assertions fire, through expand_grassmannian, on a step
+    that breaks them: each fault is injected into a function that the
+    recursion's window step calls."""
 
     @pytest.fixture(autouse=True)
     def _cold_memo(self, monkeypatch):
@@ -197,26 +207,59 @@ class TestAssertions:
         from ktrans import expand as expand_mod
 
         # v itself with no chain counts gets coefficient 0 + 0 - 1
-        monkeypatch.setattr(expand_mod, "r_chains", lambda t, k, v: {v: (0, 0)})
+        monkeypatch.setattr(expand_mod, "_chains", lambda t, k, v: {v: (0, 0)})
         with pytest.raises(AssertionError, match="< 0"):
-            transition_step("B", GOLDEN_W)
+            expand_grassmannian("B", GOLDEN_W)
 
     def test_output_not_below_in_ld_order(self, monkeypatch):
         from ktrans import expand as expand_mod
 
-        monkeypatch.setattr(expand_mod, "r_chains", lambda t, k, v: {GOLDEN_W: (1, 0)})
+        monkeypatch.setattr(expand_mod, "_chains", lambda t, k, v: {GOLDEN_W: (1, 0)})
         with pytest.raises(AssertionError, match="LD order"):
-            transition_step("B", GOLDEN_W)
+            expand_grassmannian("B", GOLDEN_W)
 
     def test_output_escaping_the_support_bound(self, monkeypatch):
         from ktrans import expand as expand_mod
 
-        w = parse_oneline("2,1")  # support 2, LD 1
-        wide = parse_oneline("1,2,4,3")  # support 4, LD 3
+        w = parse_oneline("1,3,2")  # support 3, LD 2
+        wide = parse_oneline("5,1,2,3,4")  # support 5, LD 1: below w in LD order
+        assert ld_less(wide, w)
         assert wide.support + wide.least_descent() > w.support + w.least_descent()
-        monkeypatch.setattr(expand_mod, "transition_step", lambda t, u: {wide: 1})
+        monkeypatch.setattr(expand_mod, "_chains", lambda t, k, v: {wide: (1, 0)})
         with pytest.raises(AssertionError, match="support bound"):
             expand_grassmannian("B", w)
+
+    def test_step_that_does_not_raise_length(self, monkeypatch):
+        from ktrans import expand as expand_mod
+
+        monkeypatch.setattr(expand_mod, "_raises_length", lambda t, win, i, j: False)
+        with pytest.raises(AssertionError, match="does not raise length by one"):
+            expand_grassmannian("B", GOLDEN_W)
+
+
+class TestWindowStep:
+    """The recursion's window step against the public, wrapped forms."""
+
+    @pytest.mark.parametrize("t", ["B", "C", "D"])
+    def test_matches_transition_step_on_w4(self, t):
+        from ktrans import expand as expand_mod
+
+        for w in group_elements(t, 4):
+            a = w.least_descent()
+            if not a:
+                continue
+            outputs = expand_mod._step(t, tuple(w), a)
+            for u, d, _ in outputs:
+                # trimmed, so that no key is memoized twice
+                assert type(u) is tuple and (not u or u[-1] != len(u)), (t, w, u)
+                assert d == SignedPermutation(u).least_descent(), (t, w, u)
+            wrapped = {SignedPermutation(u): c for u, _, c in outputs}
+            assert len(wrapped) == len(outputs)
+            assert transition_step(t, w) == wrapped, (t, str(w))
+            # and against the public chain counts and transition data
+            v, a, _, _ = transition_data(w)
+            want = {u: p + n - (u == v) for u, (p, n) in r_chains(t, a, v).items()}
+            assert wrapped == {u: c for u, c in want.items() if c}, (t, str(w))
 
 
 class TestSkew:
