@@ -21,17 +21,20 @@ def _shape_arg(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in s.split(",") if tok.strip())
 
 
-def _load_cache() -> str | None:
+def _load_cache() -> tuple[str | None, int]:
+    """The cache file under KTRANS_CACHE_DIR, if set, and the number of
+    entries it holds: 0 for a missing or an ignored file."""
     cache_dir = os.environ.get("KTRANS_CACHE_DIR")
     if not cache_dir:
-        return None
+        return None, 0
     path = expand_mod.cache_dir_file(cache_dir)
+    held = 0
     if os.path.exists(path):
         try:
-            expand_mod.load_cache(path)
+            held = expand_mod.load_cache(path)
         except (OSError, ValueError) as exc:
             print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)
-    return path
+    return path, held
 
 
 def _save_cache(path: str | None) -> None:
@@ -75,7 +78,7 @@ def _serve_expansion(args, compute) -> int:
     """Serve compute() through the persisted memo and print the expansion.
     --stats adds one JSON line on stderr: the recursion memo's hits and misses
     (keys expanded), and whether the root came from `_cache` (no recursion)."""
-    path = _load_cache()
+    path, held = _load_cache()
     before = expand_mod._expansion.cache_info() if args.stats else None
     result = compute()
     if args.stats:
@@ -83,7 +86,10 @@ def _serve_expansion(args, compute) -> int:
         hits, misses = after.hits - before.hits, after.misses - before.misses
         stats = {"expansion_hits": hits, "expansion_misses": misses, "root_cached": not hits + misses}
         print(json.dumps(stats), file=sys.stderr)
-    _save_cache(path)
+    # every key of the file is now in _cache, so _cache holds more keys only
+    # when the file lacks one: a warm command leaves the file as it is
+    if len(expand_mod._cache) > held:
+        _save_cache(path)
     if args.json:
         print(json.dumps(result.to_json_dict()))
     else:

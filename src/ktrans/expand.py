@@ -114,9 +114,9 @@ _cache: dict[tuple[str, SignedPermutation], dict[SignedPermutation, int]] = {}
 
 
 @lru_cache(maxsize=None)
-def _expansion(t: str, u: Window, d: int) -> dict[Window, int]:
+def _expansion(t: str, u: Window, d: int) -> dict[SignedPermutation, int]:
     """The Grassmannian expansion of F_u, for the trimmed window u with
-    least descent d, shared by every caller: not to be mutated.
+    least descent d, shared by every caller and by `_cache`: not to be mutated.
 
     A dynamic program over the LD order, on plain windows.  A Grassmannian
     u is its own expansion, and any other u is the sum of the expansions of
@@ -127,11 +127,11 @@ def _expansion(t: str, u: Window, d: int) -> dict[Window, int]:
     within support(w) + LD(w), memo hits included.
     """
     if not d:
-        return {u: 1}
+        return {_perm(u): 1}  # the leaf's one signed permutation, memoized with it
     outputs = _step(t, u, d)
     if len(outputs) == 1 and outputs[0][2] == 1:
         return _expansion(t, *outputs[0][:2])  # F_u = F_v: share v's expansion, as most steps do
-    total: dict[Window, int] = {}
+    total: dict[SignedPermutation, int] = {}
     for v, dv, coeff in outputs:
         for g, c in _expansion(t, v, dv).items():
             total[g] = total.get(g, 0) + coeff * c
@@ -142,11 +142,11 @@ def expand_grassmannian(t: str, w: SignedPermutation) -> ExpansionResult:
     """Fully expand F_w into Grassmannian symbols by iterated transitions.
 
     Two memos serve it.  `_expansion` keeps every key it expanded, in
-    process; `_cache` keeps the requested keys alone, serves each only for
-    itself, and is the one that `save_cache` persists.  The recursion runs
-    on plain windows; signed permutations are built only here, for the
-    `_cache` entry.  Every step asserts that v * t_ab raises length by one,
-    nonnegativity, descent in the LD order and the support bound.
+    process; `_cache` keeps the requested keys alone, each mapped to the
+    dict that `_expansion` returned, serves each only for itself, and is
+    the one that `save_cache` persists.  Every step asserts that v * t_ab
+    raises length by one, nonnegativity, descent in the LD order and the
+    support bound.
     A chain of steps deeper than the interpreter's recursion limit raises
     ValueError, as malformed input does.
     """
@@ -156,10 +156,9 @@ def expand_grassmannian(t: str, w: SignedPermutation) -> ExpansionResult:
     cached = _cache.get((t, w))
     if cached is None:
         try:
-            found = _expansion(t, tuple(w), w.least_descent())
+            cached = _cache[(t, w)] = _expansion(t, tuple(w), w.least_descent())
         except RecursionError:
             raise ValueError(f"the transition chain of {w} is too deep to expand") from None
-        cached = _cache[(t, w)] = {_perm(u): c for u, c in found.items()}
     basis = "GQ" if t == "C" else "GP"
     terms: dict[tuple[int, ...], int] = {}
     for u, coeff in cached.items():
@@ -261,8 +260,10 @@ def load_cache(path: str) -> int:
     rejects, a key outside the group of its type, a value that is not a
     Grassmannian element of that group, a value whose shape has size
     |lambda| below the key's length, a coefficient that is not a positive
-    int, or a key or a value within one entry that repeats (windows compared
-    after trimming) raises ValueError and merges no entry.
+    int, a key or a value within one entry that repeats (windows compared
+    after trimming), an entry with no values, or a Grassmannian key whose
+    entry is not itself with coefficient 1 raises ValueError and merges no
+    entry.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -293,6 +294,10 @@ def load_cache(path: str) -> int:
                 if u in entries:
                     raise ValueError(f"the value {u} repeats in the entry of {w}")
                 entries[u] = coeff
+            if not entries:
+                raise ValueError(f"the entry of {w} has no values")
+            if w.is_grassmannian() and entries != {w: 1}:
+                raise ValueError(f"the entry of the Grassmannian key {w} is not {w} alone")
             loaded[(t, w)] = entries
     except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as exc:
         raise ValueError(f"{path} is not an expansion cache: {type(exc).__name__}: {exc}") from exc

@@ -479,7 +479,7 @@ def group_elements(t: str, n: int) -> tuple[SignedPermutation, ...]:
     return elements_up_to_length(t, n, n * n)
 
 
-# -- Grassmannian shapes and the LD order --------------------------------
+# -- Grassmannian shapes ------------------------------------------------
 
 
 def shape(t: str, w: SignedPermutation) -> tuple[int, ...]:
@@ -495,11 +495,3 @@ def shape(t: str, w: SignedPermutation) -> tuple[int, ...]:
     while parts and parts[-1] == 0:
         parts.pop()
     return tuple(parts)
-
-
-def ld_less(u: SignedPermutation, v: SignedPermutation) -> bool:
-    """The strict partial order driving transition termination."""
-    lu, lv = u.least_descent(), v.least_descent()
-    if lu < lv:
-        return True
-    return 0 < lu == lv and u[lu - 1] < v[lv - 1]

@@ -273,6 +273,50 @@ class TestCache:
             tuple(t["lambda"]): t["coeff"] for t in json.loads(captured.out)["terms"]
         }
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "--type", "B", "--w=-3,4,-1,5,2", "--json"],
+            ["skew", "--basis", "GQ", "--outer", "6,4,2", "--inner", "3,1"],
+        ],
+        ids=["expand", "skew"],
+    )
+    def test_warm_run_leaves_the_file_untouched(self, capsys, tmp_path, monkeypatch, argv):
+        from ktrans import expand as expand_mod
+
+        monkeypatch.setenv("KTRANS_CACHE_DIR", str(tmp_path))
+        path = tmp_path / "expansions.ktrx"
+        monkeypatch.setattr(expand_mod, "_cache", {})  # a fresh process
+        code, cold = run(capsys, *argv)
+        assert code == 0
+        written, data = path.stat(), path.read_bytes()
+        monkeypatch.setattr(expand_mod, "_cache", {})
+        code, warm = run(capsys, *argv)
+        assert code == 0 and warm == cold
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (written.st_ino, written.st_mtime_ns)
+        assert path.read_bytes() == data
+        # a cold key is still written, next to the loaded one
+        monkeypatch.setattr(expand_mod, "_cache", {})
+        run(capsys, "expand", "--type", "B", "--w", "2,1")
+        assert path.stat().st_ino != written.st_ino
+        expand_mod._cache.clear()
+        assert expand_mod.load_cache(str(path)) == 2
+
+    def test_corrupt_file_is_replaced_by_a_cold_run(self, capsys, tmp_path, monkeypatch):
+        from ktrans import expand as expand_mod
+
+        monkeypatch.setenv("KTRANS_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(expand_mod, "_cache", {})  # a fresh process
+        path = tmp_path / "expansions.ktrx"
+        path.write_bytes(MALFORMED["values-empty"])
+        code = main(["expand", "--type", "B", "--w", "2,1", "--json"])
+        assert code == 0
+        assert capsys.readouterr().err.startswith("warning: ignoring cache")
+        expand_mod._cache.clear()
+        assert expand_mod.load_cache(str(path)) == 1
+        assert list(expand_mod._cache) == [("B", (2, 1))]
+
     def test_unwritable_cache_dir_still_answers(self, capsys, tmp_path, monkeypatch):
         blocker = tmp_path / "not-a-directory"
         blocker.write_text("")
@@ -320,6 +364,10 @@ MALFORMED = {
     "value-outside-type-D": _v2(["D", [2, 1], [[[-1], 1]]]),
     "value-not-grassmannian": _v2(["B", [2, 1], [[[2, 1], 1]]]),
     "lambda-below-key-length": _v2(["B", [2, 1], [[[], 1]]]),
+    "values-empty": _v2(["B", [2, 1], []]),
+    "grassmannian-key-not-itself": _v2(["B", [-2, 1], [[[-3, 1, 2], 1]]]),
+    "grassmannian-key-coeff-two": _v2(["B", [-2, 1], [[[-2, 1], 2]]]),
+    "grassmannian-key-and-more": _v2(["B", [-2, 1], [[[-2, 1], 1], [[-3, 1, 2], 1]]]),
     "not-an-object": b"[2, []]",
     "no-entries": b'{"version": 2}',
     "deeply-nested": b'{"version": 2, "entries": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",

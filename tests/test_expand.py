@@ -11,16 +11,17 @@ from ktrans.expand import (
     transition_step,
     verify_expansion,
 )
-from ktrans.tableaux import ShiftedSkewShape, gp, w_shape
+from ktrans.tableaux import ShiftedSkewShape, contains, gp, gq, w_shape
 from ktrans.weyl import (
     SignedPermutation,
     group_elements,
-    ld_less,
     length,
     parse_oneline,
     r_chains,
     transition_data,
 )
+from test_tableaux import strict_partitions
+from test_weyl import ld_less  # the LD order, kept with its own tests
 
 GOLDEN_W = parse_oneline("-3,4,-1,5,2")
 
@@ -170,6 +171,22 @@ class TestMemo:
         assert len(expand_mod._cache) == len(elements)
         _clear_memos()
 
+    def test_cache_holds_the_recursions_own_dict(self):
+        # one copy of each expansion: `_cache` keeps the memo's dict, whose
+        # keys are the leaves' signed permutations, shared between roots
+        from ktrans import expand as expand_mod
+
+        _clear_memos()
+        leaves = {}
+        for t, w in (("B", GOLDEN_W), ("B", parse_oneline("-3,4,-2,1")), ("C", GOLDEN_W)):
+            expand_grassmannian(t, w)
+            found = expand_mod._expansion(t, tuple(w), w.least_descent())
+            assert expand_mod._cache[(t, w)] is found
+            for u in found:
+                assert type(u) is SignedPermutation
+                assert leaves.setdefault((t, u), u) is u
+        _clear_memos()
+
     def test_cached_entry_serves_only_its_key(self):
         # a wrong entry for an intermediate key must not leak into its callers
         from ktrans import expand as expand_mod
@@ -298,6 +315,23 @@ class TestSkew:
             eB = expand_grassmannian("B", w_shape("B", sh))
             eD = expand_grassmannian("D", w_shape("D", sh))
             assert eB.terms == eD.terms, (lam, mu)
+
+    @pytest.mark.parametrize("basis, oracle", [("GP", gp), ("GQ", gq)], ids=["GP", "GQ"])
+    def test_matches_tableau_oracle(self, basis, oracle):
+        # every skew shape lam/mu with mu nonempty and strictly inside lam,
+        # |lam| <= 6, at N = 3 and D = |lam/mu| + 2
+        shapes = [
+            (lam, mu)
+            for lam in strict_partitions(6)
+            for mu in strict_partitions(sum(lam) - 1)
+            if mu and contains(lam, mu)
+        ]
+        assert len(shapes) == 54
+        for lam, mu in shapes:
+            sh = ShiftedSkewShape(lam, mu)
+            bound = sh.size() + 2
+            got = expansion_poly(skew_expansion(basis, lam, mu), 3, bound)
+            assert got == oracle(sh, 3, bound), (basis, lam, mu)
 
     def test_trivial_straight_shape(self):
         assert skew_expansion("GQ", (3,)).terms == {(3,): 1}

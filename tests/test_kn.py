@@ -283,9 +283,11 @@ class TestTransition:
     def test_y_factor_negative_is_unit_inverse(self):
         assert y_factor(-2) * (ONE + BETA * yvar(2)) == YRational.const(1)
 
+    # rank 3: all 100 elements with a descent (40 B, 40 C, 20 D)
     @pytest.mark.parametrize("t", ["B", "C", "D"])
-    def test_identity_and_beta_exactness_rank_two(self, t):
-        for w in group_elements(t, 2):
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_identity_and_beta_exactness(self, rank, t):
+        for w in group_elements(t, rank):
             if w.descents():
                 residual = transition_residual(w, transition(t, w), kn_at(t, 2, 4))
                 assert residual.is_zero(), (t, str(w))

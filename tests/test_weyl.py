@@ -15,7 +15,6 @@ from ktrans.weyl import (
     group_elements,
     identity,
     is_valid_reflection,
-    ld_less,
     length,
     length_increment_ok,
     parse_oneline,
@@ -382,6 +381,14 @@ class TestShapes:
     def test_requires_grassmannian(self):
         with pytest.raises(ValueError):
             shape("B", parse_oneline("2,1"))
+
+
+def ld_less(u, v):
+    """The LD order, the strict partial order driving transition termination:
+    u lies below v when its least descent is smaller, or equal, positive,
+    and u's entry there is smaller.  The engine's step tests it inline."""
+    lu, lv = u.least_descent(), v.least_descent()
+    return lu < lv or 0 < lu == lv and u[lu - 1] < v[lv - 1]
 
 
 class TestLdOrder:
