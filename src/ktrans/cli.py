@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import fcntl
 import functools
 import json
 import os
@@ -38,11 +39,24 @@ def _load_cache() -> tuple[str | None, int]:
 
 
 def _save_cache(path: str | None) -> None:
+    """Write `_cache` to path, first merging what other commands saved there
+    since this one loaded it, under an exclusive lock on path + ".lock"."""
     if path is None:
         return
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        expand_mod.save_cache(path)
+        lock = os.open(path + ".lock", os.O_RDONLY | os.O_CREAT, 0o666)
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            try:
+                expand_mod.load_cache(path)
+            except (OSError, ValueError):
+                # a missing file has nothing to merge; one that cannot be
+                # read or parsed was warned about when loaded, and is replaced
+                pass
+            expand_mod.save_cache(path)
+        finally:
+            os.close(lock)
     except OSError as exc:
         print(f"warning: cannot write cache {path}: {exc}", file=sys.stderr)
 

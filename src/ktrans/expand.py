@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -232,10 +231,10 @@ def save_cache(path: str) -> int:
         for (t, w), g in sorted(_cache.items())
     ]
     text = json.dumps({"version": _VERSION, "entries": entries}, separators=(",", ":"))
-    # a temp file of its own, so concurrent writers never share one
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(path) or ".", prefix=os.path.basename(path), suffix=".tmp"
-    )
+    # a temp file of its own, so concurrent writers never share one; created
+    # with mode 0o666, so the umask sets the mode that os.replace keeps
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -1,10 +1,13 @@
 """Exact sparse polynomial arithmetic over Z[beta] with degree truncation.
 
-Monomials are tuples (beta_exp, vars) where vars is a sorted tuple of
-(code, exp) pairs; codes pack a variable family x / y / z with a positive
-index so the x-block sorts before y before z.  Truncation discards any
-monomial whose total degree across x, y, z exceeds the bound; beta is
-never truncated.  All coefficients are Python ints, so nothing overflows.
+Monomials are tuples (beta_exp, vars) where vars is the sorted tuple of
+variable codes, each repeated as often as its exponent: x1^2*z3 is
+(c_x1, c_x1, c_z3).  Codes pack a variable family x / y / z with a
+positive index so the x-block sorts before y before z.  The total degree
+is len(vars), and a product's vars are one sort of the two factors' vars
+joined.  Truncation discards any monomial whose total degree across x, y,
+z exceeds the bound; beta is never truncated.  All coefficients are
+Python ints, so nothing overflows.
 
 The module also provides the localized ring with inverted (1 + beta*y_i)
 factors (YRational), the isobaric divided difference, the ominus series,
@@ -20,6 +23,7 @@ A, kn.kn_eval for B, C, D); the checks take it as an argument.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Iterable
 
 from .weyl import (
@@ -52,39 +56,14 @@ def code_index(code: int) -> int:
     return code % _STRIDE
 
 
-Monomial = tuple[int, tuple[tuple[int, int], ...]]
+Monomial = tuple[int, tuple[int, ...]]
 
 _ONE_MONO: Monomial = (0, ())
 
 
 def mono_degree(mono: Monomial) -> int:
     """Total degree over x, y, z (beta does not count)."""
-    return sum(e for _, e in mono[1])
-
-
-def _merge_vars(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    ia = ib = 0
-    while ia < len(a) and ib < len(b):
-        ca, ea = a[ia]
-        cb, eb = b[ib]
-        if ca == cb:
-            out.append((ca, ea + eb))
-            ia += 1
-            ib += 1
-        elif ca < cb:
-            out.append(a[ia])
-            ia += 1
-        else:
-            out.append(b[ib])
-            ib += 1
-    out.extend(a[ia:])
-    out.extend(b[ib:])
-    return tuple(out)
+    return len(mono[1])
 
 
 class TruncPoly:
@@ -115,7 +94,7 @@ class TruncPoly:
         code = var_code(_FAMILY_CODES[family], index)
         if bound is not None and bound < 1:
             return TruncPoly.zero(bound)
-        return TruncPoly({(0, ((code, 1),)): 1}, bound)
+        return TruncPoly({(0, (code,)): 1}, bound)
 
     # -- helpers ----------------------------------------------------------
 
@@ -186,11 +165,11 @@ class TruncPoly:
         bound = self._join_bound(self.bound, other.bound)
         terms: dict[Monomial, int] = {}
         for (b1, v1), c1 in self.terms.items():
-            d1 = sum(e for _, e in v1)
+            d1 = len(v1)
             for (b2, v2), c2 in other.terms.items():
-                if bound is not None and d1 + sum(e for _, e in v2) > bound:
+                if bound is not None and d1 + len(v2) > bound:
                     continue
-                m = (b1 + b2, _merge_vars(v1, v2))
+                m = (b1 + b2, tuple(sorted(v1 + v2)))
                 new = terms.get(m, 0) + c1 * c2
                 if new:
                     terms[m] = new
@@ -226,13 +205,13 @@ class TruncPoly:
     def substitute(self, mapping: dict[int, "TruncPoly"], bound: int | None = None) -> "TruncPoly":
         """Replace variables (by code) with polynomials; others are kept."""
         bound = self._join_bound(bound, self.bound)
+        mapping = {code: p.with_bound(bound) for code, p in mapping.items()}
         result = TruncPoly.zero(bound)
         for (b, v), c in self.terms.items():
-            keep = [(code, e) for code, e in v if code not in mapping]
-            term = TruncPoly({(b, tuple(keep)): c}, bound)
-            for code, e in v:
+            term = TruncPoly({(b, tuple(code for code in v if code not in mapping)): c}, bound)
+            for code in v:
                 if code in mapping:
-                    term = term * (mapping[code].with_bound(bound) ** e)
+                    term = term * mapping[code]
                     if term.is_zero():
                         break
             result = result + term
@@ -244,7 +223,7 @@ class TruncPoly:
         terms = {
             m: c
             for m, c in self.terms.items()
-            if all(code_family(code) not in fams for code, _ in m[1])
+            if all(code_family(code) not in fams for code in m[1])
         }
         return TruncPoly(terms, self.bound)
 
@@ -254,8 +233,8 @@ class TruncPoly:
         for (b, v), c in self.terms.items():
             new = tuple(
                 sorted(
-                    (var_code(dst, code_index(code)) if code_family(code) == src else code, e)
-                    for code, e in v
+                    var_code(dst, code_index(code)) if code_family(code) == src else code
+                    for code in v
                 )
             )
             m = (b, new)
@@ -291,10 +270,7 @@ def zvar(i: int, bound: int | None = None) -> TruncPoly:
 def z_monomial(beta_exp: int, indices: Iterable[int]) -> Monomial:
     """The monomial beta^beta_exp times z_i for each i in indices, a
     repeated index raising its power."""
-    counts: dict[int, int] = {}
-    for i in indices:
-        counts[i] = counts.get(i, 0) + 1
-    return (beta_exp, tuple((var_code(Z, i), e) for i, e in sorted(counts.items())))
+    return (beta_exp, tuple(sorted(var_code(Z, i) for i in indices)))
 
 
 # -- divided differences -----------------------------------------------
@@ -309,25 +285,14 @@ def divided_difference(i: int, f: TruncPoly) -> TruncPoly:
     ci, cj = var_code(X, i), var_code(X, i + 1)
     result: dict[Monomial, int] = {}
     for (b, v), c in f.terms.items():
-        a_exp = e_exp = 0
-        rest = []
-        for code, e in v:
-            if code == ci:
-                a_exp = e
-            elif code == cj:
-                e_exp = e
-            else:
-                rest.append((code, e))
+        a_exp, e_exp = v.count(ci), v.count(cj)
         if a_exp == e_exp:
             continue
+        rest = tuple(code for code in v if code != ci and code != cj)
         sign = 1 if a_exp > e_exp else -1
         lo, hi = min(a_exp, e_exp), max(a_exp, e_exp)
         for k in range(lo, hi):
-            pair = [(ci, k)] if k else []
-            other = a_exp + e_exp - 1 - k
-            if other:
-                pair.append((cj, other))
-            m = (b, tuple(sorted(pair + rest)))
+            m = (b, tuple(sorted(rest + (ci,) * k + (cj,) * (a_exp + e_exp - 1 - k))))
             new = result.get(m, 0) + sign * c
             if new:
                 result[m] = new
@@ -482,14 +447,12 @@ def star_action(w: SignedPermutation, f: YRational) -> YRational:
     result = YRational.const(0)
     for (b, v), c in f.num.terms.items():
         term = YRational(TruncPoly({(b, ()): c}))
-        for code, e in v:
+        for code in v:
             if code_family(code) != Y:
-                term = term * TruncPoly({(0, ((code, e),)): 1})
+                term = term * TruncPoly({(0, (code,)): 1})
                 continue
             target = w(code_index(code))
-            piece = YRational.from_poly(yvar(target)) if target > 0 else ominus_y(-target)
-            for _ in range(e):
-                term = term * piece
+            term = term * (YRational.from_poly(yvar(target)) if target > 0 else ominus_y(-target))
         result = result + term
     for i, e in sorted(f.den.items()):
         target = w(i)
@@ -674,11 +637,17 @@ def supersym_check(f: TruncPoly, num_vars: int, bound: int) -> bool:
 # -- rendering and parsing ---------------------------------------------------
 
 
+def _powers(vars_: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The (code, exp) pairs of a monomial's sorted codes."""
+    return [(code, len(list(run))) for code, run in groupby(vars_)]
+
+
 def _mono_sort_key(mono: Monomial):
     b, v = mono
+    powers = _powers(v)
     blocks = []
     for fam in (X, Y, Z):
-        fam_vars = [(code_index(c), e) for c, e in v if code_family(c) == fam]
+        fam_vars = [(code_index(c), e) for c, e in powers if code_family(c) == fam]
         blocks.append((sum(e for _, e in fam_vars), tuple(fam_vars)))
     return (b, *blocks)
 
@@ -690,7 +659,7 @@ def _mono_str(mono: Monomial, coeff: int) -> str:
         parts.append(str(abs(coeff)))
     if b:
         parts.append("b" if b == 1 else f"b^{b}")
-    for code, e in v:
+    for code, e in _powers(v):
         name = f"{_FAMILY_NAMES[code_family(code)]}{code_index(code)}"
         parts.append(name if e == 1 else f"{name}^{e}")
     return "*".join(parts)

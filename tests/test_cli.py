@@ -317,6 +317,60 @@ class TestCache:
         assert expand_mod.load_cache(str(path)) == 1
         assert list(expand_mod._cache) == [("B", (2, 1))]
 
+    def test_overlapping_commands_keep_both_keys(self, capsys, tmp_path, monkeypatch):
+        from ktrans import expand as expand_mod
+        from ktrans.weyl import parse_oneline
+
+        monkeypatch.setenv("KTRANS_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(expand_mod, "_cache", {})  # a fresh process
+        path = tmp_path / "expansions.ktrx"
+        expand = expand_mod.expand_grassmannian
+
+        def racing(t, w):
+            # a second command, with a memo of its own, saves B 1,3,2 after
+            # this one loaded the file and before it saves
+            mine = expand_mod._cache
+            monkeypatch.setattr(expand_mod, "_cache", {})
+            expand("B", parse_oneline("1,3,2"))
+            expand_mod.save_cache(str(path))
+            monkeypatch.setattr(expand_mod, "_cache", mine)
+            return expand(t, w)
+
+        monkeypatch.setattr(expand_mod, "expand_grassmannian", racing)
+        code, _ = run(capsys, "expand", "--type", "B", "--w", "3,1,2")
+        assert code == 0
+        expand_mod._cache.clear()
+        assert expand_mod.load_cache(str(path)) == 2
+        assert set(expand_mod._cache) == {("B", (1, 3, 2)), ("B", (3, 1, 2))}
+
+    def test_concurrent_processes_keep_every_key(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        import ktrans
+        from ktrans import expand as expand_mod
+
+        # more commands than cores, all cold, each adding its own key
+        windows = ["2,1", "3,1,2", "1,3,2", "-2,1", "2,-1", "-1,3,2"]
+        src = str(Path(ktrans.__file__).parents[1])
+        env = {**os.environ, "KTRANS_CACHE_DIR": str(tmp_path), "PYTHONPATH": src}
+        argv = [sys.executable, "-m", "ktrans.cli", "expand", "--type", "B", "--w"]
+        procs = [subprocess.Popen([*argv, w], env=env, stdout=subprocess.DEVNULL) for w in windows]
+        try:
+            codes = [p.wait(timeout=60) for p in procs]
+        finally:
+            for p in procs:
+                p.kill()
+        assert codes == [0] * len(windows)
+        saved = dict(expand_mod._cache)
+        try:
+            expand_mod._cache.clear()
+            assert expand_mod.load_cache(str(tmp_path / "expansions.ktrx")) == len(windows)
+        finally:
+            expand_mod._cache.clear()
+            expand_mod._cache.update(saved)
+
     def test_unwritable_cache_dir_still_answers(self, capsys, tmp_path, monkeypatch):
         blocker = tmp_path / "not-a-directory"
         blocker.write_text("")

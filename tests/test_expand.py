@@ -420,6 +420,19 @@ class TestCachePersistence:
         assert expand_mod._cache == {}
         assert expand_grassmannian("B", GOLDEN_W).terms == want
 
+    def test_file_mode_follows_the_umask(self, tmp_path):
+        import os
+        import stat
+
+        expand_grassmannian("B", parse_oneline("2,1"))
+        path = tmp_path / "expansions.ktrx"
+        old = os.umask(0o022)
+        try:
+            save_cache(str(path))
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+
     def test_concurrent_writers(self, tmp_path):
         import threading
 

@@ -7,9 +7,14 @@ import pytest
 from ktrans.rings import (
     BETA,
     ONE,
+    X,
+    Y,
+    Z,
     TruncPoly,
     YRational,
     _add_term,
+    divided_difference,
+    mono_degree,
     ominus_series,
     ominus_y,
     pi_operator,
@@ -17,6 +22,7 @@ from ktrans.rings import (
     star_action,
     supersym_check,
     unit_combo,
+    var_code,
     xvar,
     yrational_str,
     yvar,
@@ -74,6 +80,61 @@ class TestTruncPoly:
     def test_homogeneous_degree(self):
         assert (xvar(1) + yvar(2) + BETA * xvar(1) * xvar(2)).homogeneous_degree() == 1
         assert (xvar(1) + xvar(1) * xvar(2)).homogeneous_degree() is None
+
+
+class TestMonomialFormat:
+    """A monomial's variables are its sorted codes, each repeated as often
+    as its exponent, so its degree is their number."""
+
+    def oracle_polys(self):
+        from ktrans.groth_a import groth_poly
+        from ktrans.hecke import fstanley
+        from ktrans.kn import kn_eval
+        from ktrans.tableaux import ShiftedSkewShape, gp, gq
+
+        w = parse_oneline("-2,3,1")
+        yield fstanley("B", w, 3, 5)
+        yield kn_eval("D", parse_oneline("-2,-1,3"), 2, 4)
+        yield kn_eval("C", w, 2, 4)
+        for shape in (ShiftedSkewShape((3, 1)), ShiftedSkewShape((4, 2), (1,))):
+            yield gp(shape, 3, 5)
+            yield gq(shape, 3, 5)
+        yield groth_poly(parse_oneline("2,4,1,3"))
+
+    def test_oracle_monomials_are_sorted_codes(self):
+        for p in self.oracle_polys():
+            assert p.terms
+            for mono in p.terms:
+                b, v = mono
+                assert type(b) is int and type(v) is tuple
+                assert all(type(code) is int for code in v)
+                assert list(v) == sorted(v)
+                assert mono_degree(mono) == len(v)
+
+    def test_powers_render_with_exponents(self):
+        p = xvar(1) * xvar(1) * yvar(2) * zvar(3) ** 2
+        x1, y2, z3 = var_code(X, 1), var_code(Y, 2), var_code(Z, 3)
+        assert p.terms == {(0, (x1, x1, y2, z3, z3)): 1}
+        assert poly_str(p) == "x1^2*y2*z3^2"
+
+    def test_rename_into_a_present_family_merges_powers(self):
+        assert (yvar(2) * zvar(2)).rename_family(Y, Z) == zvar(2) * zvar(2)
+
+
+class TestDividedDifference:
+    def test_matches_its_definition(self):
+        # (x_i - x_{i+1}) * d_i f == f - s_i f
+        rng = random.Random(13)
+        for _ in range(20):
+            f = TruncPoly.zero()
+            for _ in range(5):
+                term = TruncPoly.const(rng.choice([-3, -2, -1, 1, 2, 3]))
+                for j in range(1, 5):
+                    term = term * xvar(j) ** rng.randint(0, 3)
+                f = f + term * BETA ** rng.randint(0, 1)
+            for i in (1, 2, 3):
+                swapped = f.substitute({var_code(X, i): xvar(i + 1), var_code(X, i + 1): xvar(i)})
+                assert (xvar(i) - xvar(i + 1)) * divided_difference(i, f) == f - swapped
 
 
 class TestRendering:
