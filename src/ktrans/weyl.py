@@ -266,9 +266,10 @@ def right_ascent(t: str, w: SignedPermutation, g: int) -> bool:
 
 
 def _raises_length(t: str, win: tuple[int, ...], i: int, j: int) -> bool:
-    """The one length-increment test: whether l(w * t_{ij}) = l(w) + 1, for
-    a valid reflection with |i| < j and the window of w padded to at least
-    j entries.
+    """The reference length-increment test: whether l(w * t_{ij}) = l(w) + 1,
+    for a valid reflection with |i| < j and the window of w padded to at
+    least j entries.  ``_chains`` inlines each of its cases in the loop of
+    its move family, and the tests check the two against each other.
 
     Cases: 0 < i < j; the sign change t_{0j}; and t_{-k,j} with 0 < k < j.
     The last case carries an extra sign condition in types B and C, which
@@ -310,8 +311,8 @@ def length_increment_ok(t: str, w: SignedPermutation, i: int, j: int) -> bool:
     """Whether l(w * t_{ij}) = l(w) + 1, decided by window scans only.
 
     Validates the reflection, writes t_{ij} with |i| > j as t_{-j,-i}, pads
-    the window of w with its fixed points up to j and asks the one test,
-    ``_raises_length``, which ``_chains`` and the expansion step call directly.
+    the window of w with its fixed points up to j and asks
+    ``_raises_length``, which the expansion step also calls directly.
     """
     if not is_valid_reflection(t, i, j):
         raise ValueError(f"t_({i},{j}) is not a reflection of type {t}")
@@ -363,51 +364,134 @@ def r_chains(
     and once a move grows the support no later t-move can fire.
 
     A wrapper over the window kernel ``_chains``, which the expansion
-    recursion calls directly: only the end windows are wrapped here, unchecked.
+    recursion calls directly and which inlines the length test per move
+    family: only the end windows are wrapped here, unchecked.
     """
     return {SignedPermutation._trusted(list(u)): c for u, c in _chains(t, k, v).items()}
 
 
 def _chains(t: str, k: int, v: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, int]]:
     """R_k's chain counts on the trimmed window v.  The chains are windows
-    padded to max(support, k) + 1, the furthest position any move touches;
-    the valid j are listed once, and each move is tested by
-    ``_raises_length`` and applied as a swap or sign flip of the window."""
+    padded to max(support, k) + 1, the furthest position any move touches.
+    The factors run in ``r_chains``' order, one loop per move family: the
+    type B n-move, tested by ``_raises_length``; t_{-k,q} for q from the top
+    down to k+1; t_{-p,k} for p from k-1 down to 1; the sign change t_{0k}
+    in types B and C; and t_{ik} for i from 1 to k-1.  Each family inlines
+    its case of ``_raises_length`` and applies its move as a swap or sign
+    flip of the window.
+
+    A chain that gains counts at a factor cannot fire at it (the move would
+    lower its length), so counts merge into an existing chain in place;
+    distinct chains move to distinct windows, so the new ones are added
+    after each factor.
+    """
     top = max(len(v), k) + 1
     start = (*v, *range(len(v) + 1, top + 1))
     chains = {start: (1, 0)}
+    k1 = k - 1
     if t == "B" and _raises_length("B", start, 0, k):
         u = list(start)
-        u[k - 1] = -u[k - 1]
+        u[k1] = -u[k1]
         chains[tuple(u)] = (0, 1)
-    if t == "A":
-        js = range(1, k)
-    else:
-        # j = -k is no reflection, and type D has no sign change t_{0k}
-        js = [*range(-top, -k), *range(1 - k, 0 if t == "D" else 1), *range(1, k)]
-    for j in js:
-        # t_{jk} with j < -k is t_{-k,-j}; it moves positions p and q
-        i, q = (-k, -j) if -j > k else (j, k)
-        p = abs(i)
-        # a chain that gains counts at this factor cannot fire at it (the
-        # move would lower its length), so the counts can be added in place
+    if t != "A":
+        bc = t != "D"
+        pre = start[:k1]
+        for q in range(top, k, -1):
+            # t_{-k,q}: the earlier moves touched positions k and past q
+            # only, so every chain holds start's entries at q, in the prefix
+            # 1..k-1 and in the middle k+1..q-1; only x = w(k) varies
+            y = start[q - 1]
+            mid = start[k : q - 1]
+            new = []
+            for win, counts in chains.items():
+                x = win[k1]
+                if x <= -y or bc and x > 0 and y > 0:
+                    continue
+                for e in pre:
+                    if -y < e < x or -x < e < y:
+                        break
+                else:
+                    for e in mid:
+                        if -x < e < y:
+                            break
+                    else:
+                        u = list(win)
+                        u[k1], u[q - 1] = -y, -x
+                        u = tuple(u)
+                        old = chains.get(u)
+                        if old is None:
+                            new.append((u, counts))
+                        else:
+                            chains[u] = (old[0] + counts[0], old[1] + counts[1])
+            if new:
+                chains.update(new)
+        for p in range(k1, 0, -1):
+            # t_{-p,k}, with x = w(p) and y = w(k)
+            new = []
+            for win, counts in chains.items():
+                x = win[p - 1]
+                y = win[k1]
+                if x <= -y or bc and x > 0 and y > 0:
+                    continue
+                for e in win[: p - 1]:
+                    if -y < e < x or -x < e < y:
+                        break
+                else:
+                    for e in win[p:k1]:
+                        if -x < e < y:
+                            break
+                    else:
+                        u = list(win)
+                        u[p - 1], u[k1] = -y, -x
+                        u = tuple(u)
+                        old = chains.get(u)
+                        if old is None:
+                            new.append((u, counts))
+                        else:
+                            chains[u] = (old[0] + counts[0], old[1] + counts[1])
+            if new:
+                chains.update(new)
+        if bc:
+            # the sign change t_{0k}; type D has none
+            new = []
+            for win, counts in chains.items():
+                y = win[k1]
+                if y <= 0:
+                    continue
+                for e in win[:k1]:
+                    if -y < e < y:
+                        break
+                else:
+                    u = list(win)
+                    u[k1] = -y
+                    u = tuple(u)
+                    old = chains.get(u)
+                    if old is None:
+                        new.append((u, counts))
+                    else:
+                        chains[u] = (old[0] + counts[0], old[1] + counts[1])
+            if new:
+                chains.update(new)
+    for i in range(1, k):
+        # t_{ik}, with x = w(i) and y = w(k)
         new = []
         for win, counts in chains.items():
-            if not _raises_length(t, win, i, q):
+            x = win[i - 1]
+            y = win[k1]
+            if x >= y:
                 continue
-            u = list(win)
-            if i > 0:
-                u[p - 1], u[q - 1] = win[q - 1], win[p - 1]
-            elif i == 0:
-                u[q - 1] = -win[q - 1]
+            for e in win[i:k1]:
+                if x < e < y:
+                    break
             else:
-                u[p - 1], u[q - 1] = -win[q - 1], -win[p - 1]
-            u = tuple(u)
-            old = chains.get(u)
-            if old is None:
-                new.append((u, counts))
-            else:
-                chains[u] = (old[0] + counts[0], old[1] + counts[1])
+                u = list(win)
+                u[i - 1], u[k1] = y, x
+                u = tuple(u)
+                old = chains.get(u)
+                if old is None:
+                    new.append((u, counts))
+                else:
+                    chains[u] = (old[0] + counts[0], old[1] + counts[1])
         if new:
             chains.update(new)
     return chains

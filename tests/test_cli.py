@@ -479,6 +479,7 @@ GOLDEN_COMMANDS = {
     "expand-D-golden.json": ["expand", "--type", "D", "--w=-3,4,-1,5,2", "--json"],
     "expand-D-rank8.json": ["expand", "--type", "D", "--w=-6,5,-2,7,8,1,3,4", "--json"],
     "expand-B-rank8.json": ["expand", "--type", "B", "--w=4,7,2,6,-8,1,-5,-3", "--json"],
+    "expand-C-rank9.json": ["expand", "--type", "C", "--w=-3,-4,2,1,9,-8,-7,6,5", "--json"],
     **{
         f"skew-{basis}-{name}.json": [
             "skew", "--basis", basis, "--outer", outer, "--inner", inner, "--json"

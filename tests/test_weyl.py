@@ -7,6 +7,8 @@ import pytest
 
 from ktrans.weyl import (
     SignedPermutation,
+    _chains,
+    _raises_length,
     demazure_mul,
     elements_up_to_length,
     format_oneline,
@@ -258,9 +260,52 @@ def brute_r_chains(t, k, v, low):
     return chains
 
 
+def generic_chains(t, k, v):
+    """R_k's chain counts on the trimmed window v by one generic loop over
+    the factors, each move tested by ``_raises_length``: the reference for
+    the kernel ``_chains``, which inlines that test per move family."""
+    top = max(len(v), k) + 1
+    start = (*v, *range(len(v) + 1, top + 1))
+    chains = {start: (1, 0)}
+    if t == "B" and _raises_length("B", start, 0, k):
+        u = list(start)
+        u[k - 1] = -u[k - 1]
+        chains[tuple(u)] = (0, 1)
+    if t == "A":
+        js = range(1, k)
+    else:
+        # j = -k is no reflection, and type D has no sign change t_{0k}
+        js = [*range(-top, -k), *range(1 - k, 0 if t == "D" else 1), *range(1, k)]
+    for j in js:
+        # t_{jk} with j < -k is t_{-k,-j}; it moves positions p and q
+        i, q = (-k, -j) if -j > k else (j, k)
+        p = abs(i)
+        new = []
+        for win, counts in chains.items():
+            if not _raises_length(t, win, i, q):
+                continue
+            u = list(win)
+            if i > 0:
+                u[p - 1], u[q - 1] = win[q - 1], win[p - 1]
+            elif i == 0:
+                u[q - 1] = -win[q - 1]
+            else:
+                u[p - 1], u[q - 1] = -win[q - 1], -win[p - 1]
+            u = tuple(u)
+            old = chains.get(u)
+            if old is None:
+                new.append((u, counts))
+            else:
+                chains[u] = (old[0] + counts[0], old[1] + counts[1])
+        if new:
+            chains.update(new)
+    return chains
+
+
 class TestRChains:
-    @pytest.mark.parametrize("t", ["B", "C", "D"])
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize(
+        "n,t", [(n, t) for n in (3, 4) for t in "BCD"] + [(4, "A"), (5, "A")]
+    )
     def test_matches_brute_force(self, t, n):
         # k runs past the support of every w, so the padded windows are
         # read too; the brute force starts two factors below the kernel's
@@ -269,6 +314,16 @@ class TestRChains:
             for k in range(1, n + 2):
                 low = -(max(w.support, k) + 3)
                 assert r_chains(t, k, w) == brute_r_chains(t, k, w, low), (t, w, k)
+
+    @pytest.mark.parametrize("t", ["A", "B", "C", "D"])
+    def test_kernel_matches_generic_loop(self, t):
+        # the fused kernel keeps the one length rule: the same chains and
+        # counts, in the same insertion order, on every window of W_3..W_5
+        for n in (3, 4, 5):
+            for w in group_elements(t, n):
+                for k in range(1, n + 2):
+                    got = list(_chains(t, k, w).items())
+                    assert got == list(generic_chains(t, k, w).items()), (t, w, k)
 
 
 class TestDescents:
