@@ -414,24 +414,35 @@ def _seed_checks(seed: int | None) -> None:
 
 
 def cmd_verify_suite(args) -> int:
+    """Run the battery, or with --check only the named checks, in CHECKS
+    order; each FAIL line is followed by the command that reruns it."""
+    names = [name for name, _ in CHECKS]
+    indices = list(range(len(CHECKS)))
+    if args.check:
+        for name in args.check:
+            if name not in names:
+                raise ValueError(f"unknown check {name!r}; the checks are {', '.join(names)}")
+        indices = [i for i in indices if names[i] in args.check]
     default = CHECKS[-1]
     _seed_checks(args.seed)
     try:
-        indices = list(range(len(CHECKS)))
         if args.jobs > 1:
             import multiprocessing
 
-            processes = min(args.jobs, len(CHECKS))
+            processes = min(args.jobs, len(indices))
             with multiprocessing.Pool(processes, _seed_checks, (args.seed,)) as pool:
                 results = pool.map(_run_check, indices)
         else:
             results = [_run_check(i) for i in indices]
     finally:
         CHECKS[-1] = default
+    seed = "" if args.seed is None else f" --seed {args.seed}"
     failed = 0
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if not ok and detail else ""))
-        failed += 0 if ok else 1
+        if not ok:
+            print(f"  reproduce: ktrans verify-suite --check {name}{seed}")
+            failed += 1
     if failed:
         print(f"{failed} of {len(results)} checks failed")
         return 1
@@ -515,6 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-suite", help="run the identity battery")
     p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--check", action="append", metavar="NAME", help="run only this check (repeatable)")
     p.set_defaults(fn=cmd_verify_suite)
 
     return parser
@@ -550,6 +562,14 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # malformed windows, shapes and group elements are usage errors
         print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # a degree bound or a chain too large for the interpreter's stack
+        print(
+            f"{parser.prog} {args.command}: error: the input is too large to compute"
+            " within the recursion limit",
+            file=sys.stderr,
+        )
         return 2
 
 

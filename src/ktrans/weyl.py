@@ -384,6 +384,25 @@ def _chains(t: str, k: int, v: tuple[int, ...]) -> dict[tuple[int, ...], tuple[i
     lower its length), so counts merge into an existing chain in place;
     distinct chains move to distinct windows, so the new ones are added
     after each factor.
+
+    One-move exit, in types B, C and D.  Let x = start(k) < 0 with every
+    prefix entry start(1..k-1) of absolute value < |x|, let q be the first
+    position past k with y = start(q) > |x| (start(top) = top is one), and
+    let no position past q hold an entry strictly between |x| and y.  Then
+    R_k fires exactly one move, t_{-k,q}, and u = start with u(k) = -y,
+    u(q) = -x fires nothing after it, so the chains are start and u, each
+    once without the n-move.  Proof, one family at a time:
+    - the B n-move needs start(k) > 0, so it does not fire;
+    - t_{-k,q'} with q' > q runs first, on start alone: it needs
+      start(q') > |x|, hence start(q') > y, and then y lies in its middle
+      scan, strictly between -x and start(q');
+    - t_{-k,q} fires on start: no prefix entry lies in (-y, x) or (|x|, y),
+      and no middle entry exceeds |x|;
+    - t_{-k,q'} with k < q' < q needs w(q') > -w(k): on start
+      start(q') <= |x|, and on u start(q') <= |x| < y;
+    - t_{-p,k} needs w(p) > -w(k), t_{0k} needs w(k) > 0 and t_{ik} needs
+      w(i) < w(k): on start every |w(p)| < |x| and w(k) = x < 0, and on u
+      every |w(p)| < |x| < y and w(k) = -y < 0.
     """
     top = max(len(v), k) + 1
     start = (*v, *range(len(v) + 1, top + 1))
@@ -396,6 +415,23 @@ def _chains(t: str, k: int, v: tuple[int, ...]) -> dict[tuple[int, ...], tuple[i
     if t != "A":
         bc = t != "D"
         pre = start[:k1]
+        x = start[k1]
+        if x < 0:
+            for e in pre:
+                if e <= x or e >= -x:
+                    break
+            else:
+                q = k + 1
+                while start[q - 1] < -x:
+                    q += 1
+                y = start[q - 1]
+                for e in start[q:]:
+                    if -x < e < y:
+                        break
+                else:
+                    u = list(start)
+                    u[k1], u[q - 1] = -y, -x
+                    return {start: (1, 0), tuple(u): (1, 0)}
         for q in range(top, k, -1):
             # t_{-k,q}: the earlier moves touched positions k and past q
             # only, so every chain holds start's entries at q, in the prefix

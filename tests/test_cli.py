@@ -135,6 +135,24 @@ class TestCommands:
         assert expand_mod._cache == {}
 
     @pytest.mark.parametrize(
+        "command",
+        [
+            ["fstanley", "--method", "compat"],
+            ["fstanley", "--method", "unimodal"],
+            ["kn-eval"],
+            ["kn-transition"],
+        ],
+    )
+    def test_degree_bound_too_deep_is_usage_error(self, capsys, command):
+        # the oracles recurse once per degree: D = 2000 passes the limit
+        code = main([*command, "--type", "B", "--w", "2,1", "--N", "1", "--D", "2000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["gp", "--shape", "[1]", "--N", "0"],
@@ -224,6 +242,58 @@ class TestVerifySuite:
         code, out = run(capsys, "verify-suite", "--jobs", str(jobs))
         assert code == 0 and "all 15 checks passed" in out
         assert started == [processes]
+
+    def test_check_runs_only_the_named_checks_in_order(self, capsys, monkeypatch):
+        from ktrans import cli
+
+        ran = []
+
+        def record(index):
+            ran.append(index)
+            return cli.CHECKS[index][0], True, ""
+
+        monkeypatch.setattr(cli, "_run_check", record)
+        code, out = run(
+            capsys, "verify-suite", "--check", "pi-braid-relations", "--check", "transition-step"
+        )
+        assert code == 0
+        assert out == "PASS  transition-step\nPASS  pi-braid-relations\nall 2 checks passed\n"
+        assert ran == [2, len(cli.CHECKS) - 1]
+
+    def test_check_runs_for_real(self, capsys):
+        code, out = run(capsys, "verify-suite", "--check", "golden-expansion-B")
+        assert code == 0
+        assert out == "PASS  golden-expansion-B\nall 1 checks passed\n"
+
+    def test_unknown_check_is_usage_error(self, capsys):
+        code = main(["verify-suite", "--check", "golden-expansion-B", "--check", "no-such-check"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "no-such-check" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, reproducer",
+        [
+            ([], "ktrans verify-suite --check transition-step"),
+            (["--seed", "5"], "ktrans verify-suite --check transition-step --seed 5"),
+            (["--check", "transition-step", "--seed", "5"], "ktrans verify-suite --check transition-step --seed 5"),
+        ],
+    )
+    def test_failure_prints_a_reproducer(self, capsys, monkeypatch, argv, reproducer):
+        from ktrans import cli
+
+        def fail_transition_step(index):
+            name = cli.CHECKS[index][0]
+            return (name, False, "forced") if name == "transition-step" else (name, True, "")
+
+        monkeypatch.setattr(cli, "_run_check", fail_transition_step)
+        code, out = run(capsys, "verify-suite", *argv)
+        assert code == 1
+        lines = out.splitlines()
+        at = lines.index("FAIL  transition-step  (forced)")
+        assert lines[at + 1] == f"  reproduce: {reproducer}"
+        assert sum(line.startswith("FAIL") for line in lines) == 1
+        assert lines[-1] == f"1 of {len(lines) - 2} checks failed"
 
 
 def _worker_pi_braid():

@@ -9,6 +9,8 @@ from ktrans.weyl import (
     SignedPermutation,
     _chains,
     _raises_length,
+    _support,
+    _transition_window,
     demazure_mul,
     elements_up_to_length,
     format_oneline,
@@ -302,6 +304,25 @@ def generic_chains(t, k, v):
     return chains
 
 
+def one_move_exit(t, k, v):
+    """The two chains of the kernel's one-move exit, if its lemma applies to
+    R_k on the trimmed window v, else None: start(k) = x < 0, the prefix
+    below |x| in absolute value, q the first position past k holding
+    y > |x|, and no entry past q strictly between |x| and y."""
+    top = max(len(v), k) + 1
+    start = (*v, *range(len(v) + 1, top + 1))
+    x = start[k - 1]
+    if t == "A" or x > 0 or any(abs(e) > -x for e in start[: k - 1]):
+        return None
+    q = next(p for p in range(k + 1, top + 1) if start[p - 1] > -x)
+    y = start[q - 1]
+    if any(-x < e < y for e in start[q:]):
+        return None
+    u = list(start)
+    u[k - 1], u[q - 1] = -y, -x
+    return {start: (1, 0), tuple(u): (1, 0)}
+
+
 class TestRChains:
     @pytest.mark.parametrize(
         "n,t", [(n, t) for n in (3, 4) for t in "BCD"] + [(4, "A"), (5, "A")]
@@ -318,12 +339,33 @@ class TestRChains:
     @pytest.mark.parametrize("t", ["A", "B", "C", "D"])
     def test_kernel_matches_generic_loop(self, t):
         # the fused kernel keeps the one length rule: the same chains and
-        # counts, in the same insertion order, on every window of W_3..W_5
+        # counts, in the same insertion order, on every window of W_3..W_5;
+        # the one-move exit's lemma is checked against the generic loop
+        # wherever it applies, and it applies often in types B, C and D
+        exits = 0
         for n in (3, 4, 5):
             for w in group_elements(t, n):
                 for k in range(1, n + 2):
-                    got = list(_chains(t, k, w).items())
-                    assert got == list(generic_chains(t, k, w).items()), (t, w, k)
+                    want = list(generic_chains(t, k, w).items())
+                    assert list(_chains(t, k, w).items()) == want, (t, w, k)
+                    lemma = one_move_exit(t, k, w)
+                    if lemma is not None:
+                        assert list(lemma.items()) == want, (t, w, k)
+                        exits += 1
+        assert exits > 0 if t != "A" else exits == 0
+
+    @pytest.mark.parametrize("t", ["B", "C", "D"])
+    def test_kernel_matches_generic_loop_on_w6_steps(self, t):
+        # every element of W_6 with a descent, at its own step input: the
+        # window of v = w * t_ab, trimmed, and k = a its least descent
+        for w in group_elements(t, 6):
+            a = w.least_descent()
+            if not a:
+                continue
+            v, _ = _transition_window(w, a)
+            v = tuple(v[: _support(v)])
+            got = list(_chains(t, a, v).items())
+            assert got == list(generic_chains(t, a, v).items()), (t, w)
 
 
 class TestDescents:
