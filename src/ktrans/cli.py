@@ -345,8 +345,8 @@ def _check_quasisym(num_vars=3, bound=5):
 
 
 def _check_positivity_sweep():
-    # transition_step itself asserts nonnegativity and the LD descent;
-    # the expansion recursion asserts the support bound at every output
+    # expand._step asserts the length raise, nonnegativity, descent in the
+    # LD order and the support bound at every step of each expansion
     for w in weyl.group_elements("B", 3):
         expand_mod.expand_grassmannian("B", w)
     return True, ""

@@ -95,11 +95,6 @@ def compatible_sequences(
     yield from rec(0, 0)
 
 
-def _rank(v: int) -> int:
-    # the order 0 < -1 < 1 < -2 < 2 < ...
-    return 0 if v == 0 else 2 * abs(v) - (1 if v < 0 else 0)
-
-
 def _letter_key(t: str, x: int):
     """The letter comparison used by the equal-b tiebreak.
 
@@ -115,38 +110,37 @@ def _letter_key(t: str, x: int):
 def unimodal_factorizations(
     t: str, a: tuple[int, ...], num_vars: int
 ) -> Iterator[tuple[int, ...]]:
-    """Unimodal factorizations b of the word a with |b_i| <= num_vars."""
+    """Unimodal factorizations b of the word a with |b_i| <= num_vars.
+
+    b weakly increases in the order -1 < 1 < -2 < 2 < ... of ``values``.  A
+    repeated value needs the letter keys (``_letter_key``) to fall if it is
+    negative and to rise if positive.  An o-letter (0 in type B, +-1 in
+    type D) takes positive values only.
+    """
     k = len(a)
-    if k == 0:
-        yield ()
-        return
-    values = sorted(
-        [v for m in range(1, num_vars + 1) for v in (-m, m)], key=_rank
-    )
+    values = [v for m in range(1, num_vars + 1) for v in (-m, m)]
     b: list[int] = []
 
-    def rec(pos: int) -> Iterator[tuple[int, ...]]:
+    def rec(pos: int, lo: int) -> Iterator[tuple[int, ...]]:
+        # lo is the index of b[-1] in values, the least one b can take next
         if pos == k:
             yield tuple(b)
             return
-        floor = _rank(b[-1]) if b else 1
-        for val in values:
-            if _rank(val) < floor:
+        g = a[pos]
+        is_o = (t == "B" and g == 0) or (t == "D" and abs(g) == 1)
+        if pos:
+            prev, cur = _letter_key(t, a[pos - 1]), _letter_key(t, g)
+        for i in range(lo, len(values)):
+            val = values[i]
+            if val < 0 and is_o:
                 continue
-            if b and val == b[-1]:
-                if val < 0 and not _letter_key(t, a[pos - 1]) > _letter_key(t, a[pos]):
-                    continue
-                if val > 0 and not _letter_key(t, a[pos - 1]) < _letter_key(t, a[pos]):
-                    continue
-            if t == "B" and a[pos] == 0 and val < 0:
-                continue
-            if t == "D" and abs(a[pos]) == 1 and val < 0:
+            if pos and i == lo and not (prev > cur if val < 0 else prev < cur):
                 continue
             b.append(val)
-            yield from rec(pos + 1)
+            yield from rec(pos + 1, i)
             b.pop()
 
-    yield from rec(0)
+    yield from rec(0, 0)
 
 
 # -- K-Stanley symmetric functions ----------------------------------------

@@ -377,13 +377,8 @@ def _chains(t: str, k: int, v: tuple[int, ...]) -> dict[tuple[int, ...], tuple[i
     type B n-move, tested by ``_raises_length``; t_{-k,q} for q from the top
     down to k+1; t_{-p,k} for p from k-1 down to 1; the sign change t_{0k}
     in types B and C; and t_{ik} for i from 1 to k-1.  Each family inlines
-    its case of ``_raises_length`` and applies its move as a swap or sign
-    flip of the window.
-
-    A chain that gains counts at a factor cannot fire at it (the move would
-    lower its length), so counts merge into an existing chain in place;
-    distinct chains move to distinct windows, so the new ones are added
-    after each factor.
+    its case of ``_raises_length``, applies its move as a swap or sign flip
+    of the window, and hands the moved chains to ``_merge``.
 
     One-move exit, in types B, C and D.  Let x = start(k) < 0 with every
     prefix entry start(1..k-1) of absolute value < |x|, let q be the first
@@ -438,7 +433,7 @@ def _chains(t: str, k: int, v: tuple[int, ...]) -> dict[tuple[int, ...], tuple[i
             # 1..k-1 and in the middle k+1..q-1; only x = w(k) varies
             y = start[q - 1]
             mid = start[k : q - 1]
-            new = []
+            moved = []
             for win, counts in chains.items():
                 x = win[k1]
                 if x <= -y or bc and x > 0 and y > 0:
@@ -453,17 +448,12 @@ def _chains(t: str, k: int, v: tuple[int, ...]) -> dict[tuple[int, ...], tuple[i
                     else:
                         u = list(win)
                         u[k1], u[q - 1] = -y, -x
-                        u = tuple(u)
-                        old = chains.get(u)
-                        if old is None:
-                            new.append((u, counts))
-                        else:
-                            chains[u] = (old[0] + counts[0], old[1] + counts[1])
-            if new:
-                chains.update(new)
+                        moved.append((tuple(u), counts))
+            if moved:
+                _merge(chains, moved)
         for p in range(k1, 0, -1):
             # t_{-p,k}, with x = w(p) and y = w(k)
-            new = []
+            moved = []
             for win, counts in chains.items():
                 x = win[p - 1]
                 y = win[k1]
@@ -479,17 +469,12 @@ def _chains(t: str, k: int, v: tuple[int, ...]) -> dict[tuple[int, ...], tuple[i
                     else:
                         u = list(win)
                         u[p - 1], u[k1] = -y, -x
-                        u = tuple(u)
-                        old = chains.get(u)
-                        if old is None:
-                            new.append((u, counts))
-                        else:
-                            chains[u] = (old[0] + counts[0], old[1] + counts[1])
-            if new:
-                chains.update(new)
+                        moved.append((tuple(u), counts))
+            if moved:
+                _merge(chains, moved)
         if bc:
             # the sign change t_{0k}; type D has none
-            new = []
+            moved = []
             for win, counts in chains.items():
                 y = win[k1]
                 if y <= 0:
@@ -500,17 +485,12 @@ def _chains(t: str, k: int, v: tuple[int, ...]) -> dict[tuple[int, ...], tuple[i
                 else:
                     u = list(win)
                     u[k1] = -y
-                    u = tuple(u)
-                    old = chains.get(u)
-                    if old is None:
-                        new.append((u, counts))
-                    else:
-                        chains[u] = (old[0] + counts[0], old[1] + counts[1])
-            if new:
-                chains.update(new)
+                    moved.append((tuple(u), counts))
+            if moved:
+                _merge(chains, moved)
     for i in range(1, k):
         # t_{ik}, with x = w(i) and y = w(k)
-        new = []
+        moved = []
         for win, counts in chains.items():
             x = win[i - 1]
             y = win[k1]
@@ -522,15 +502,25 @@ def _chains(t: str, k: int, v: tuple[int, ...]) -> dict[tuple[int, ...], tuple[i
             else:
                 u = list(win)
                 u[i - 1], u[k1] = y, x
-                u = tuple(u)
-                old = chains.get(u)
-                if old is None:
-                    new.append((u, counts))
-                else:
-                    chains[u] = (old[0] + counts[0], old[1] + counts[1])
-        if new:
-            chains.update(new)
+                moved.append((tuple(u), counts))
+        if moved:
+            _merge(chains, moved)
     return chains
+
+
+def _merge(chains: dict, moved: list) -> None:
+    """Merge the chains that one factor of ``_chains`` moved, each a window
+    with its (plain, via_n) counts: a window already held gains both counts
+    in place, and a new one is added after the others.
+
+    Merging after the factor has run is exact.  A chain that gains counts at
+    a factor cannot fire at it, as the move would lower its length, so the
+    counts it gains would not have moved on; and distinct chains move to
+    distinct windows, so no two moved entries share one.
+    """
+    for u, counts in moved:
+        old = chains.get(u)
+        chains[u] = counts if old is None else (old[0] + counts[0], old[1] + counts[1])
 
 
 # -- words and products -------------------------------------------------

@@ -1,8 +1,11 @@
 """Hecke words, compatible sequences, and the generating-function oracles."""
 
+import itertools
+
 import pytest
 
 from ktrans.hecke import (
+    _letter_key,
     fstanley,
     hecke_words,
     mperm,
@@ -89,6 +92,36 @@ class TestUnimodal:
 
     def test_b_zero_positive(self):
         assert list(unimodal_factorizations("B", (0,), 1)) == [(1,)]
+
+    @pytest.mark.parametrize("t", ["B", "C", "D"])
+    def test_matches_definition(self, t):
+        # every value sequence, filtered by the definition, in product order:
+        # ranks weakly increase in the order -1 < 1 < -2 < 2; a repeated
+        # negative value needs a falling letter key and a repeated positive
+        # one a rising key; an o-letter (B: 0, D: +-1) takes no negative value
+        def rank(v):
+            return abs(v), v > 0
+
+        def unimodal(a, b):
+            for i, (g, v) in enumerate(zip(a, b)):
+                if v < 0 and (t == "B" and g == 0 or t == "D" and abs(g) == 1):
+                    return False
+                if i and rank(b[i - 1]) > rank(v):
+                    return False
+                if i and b[i - 1] == v:
+                    prev, cur = _letter_key(t, a[i - 1]), _letter_key(t, g)
+                    if not (prev > cur if v < 0 else prev < cur):
+                        return False
+            return True
+
+        for num_vars in (1, 2):
+            values = [v for m in range(1, num_vars + 1) for v in (-m, m)]
+            for w in group_elements(t, 3):
+                for a in hecke_words(t, w, 5):
+                    want = [
+                        b for b in itertools.product(values, repeat=len(a)) if unimodal(a, b)
+                    ]
+                    assert list(unimodal_factorizations(t, a, num_vars)) == want, (t, a)
 
 
 class TestFStanley:

@@ -8,6 +8,7 @@ import pytest
 from ktrans.weyl import (
     SignedPermutation,
     _chains,
+    _merge,
     _raises_length,
     _support,
     _transition_window,
@@ -366,6 +367,15 @@ class TestRChains:
             v = tuple(v[: _support(v)])
             got = list(_chains(t, a, v).items())
             assert got == list(generic_chains(t, a, v).items()), (t, w)
+
+    def test_merge(self):
+        # a held window gains both counts in place, a new one goes last;
+        # both via_n counts matter, though no kernel input seen so far lands
+        # a chain with via_n > 0 on a held window
+        a, b, c = (1, 2), (2, 1), (-1, 2)
+        chains = {a: (1, 0), b: (0, 1)}
+        _merge(chains, [(b, (1, 1)), (c, (2, 0))])
+        assert list(chains.items()) == [(a, (1, 0)), (b, (1, 2)), (c, (2, 0))]
 
 
 class TestDescents:
