@@ -3,96 +3,134 @@ brute-force generating-function oracles built from them.
 
 Everything here enumerates: these are the reference implementations the
 operator calculus is checked against, so they stay close to the defining
-sums.  `hecke_words` is the one walk over Demazure products; the oracles
-sum their sequences over its words.
+sums.  `_walk` is the one walk over Demazure prefixes: it visits the prefix
+tree of the Hecke words of w depth first and carries a state down each
+edge.  `hecke_words` carries nothing.  `fstanley` carries the list of
+partial sequences valid for the prefix, each with its monomial, and extends
+them by one letter per edge through the method's one per-letter step,
+`_compat_step` or `_unimodal_step`.  Every sequence rule looks only at
+earlier positions, so a prefix with no valid sequence is dropped with its
+whole subtree, and the walk goes no deeper than the longest sequence.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
-from .rings import Monomial, TruncPoly, z_monomial
+from .rings import Z, Monomial, TruncPoly, var_code, z_monomial
 from .weyl import (
     SignedPermutation,
-    demazure_apply,
+    generator,
     identity,
     length,
     reduced_word,
+    right_ascent,
 )
 
 
-def hecke_words(t: str, w: SignedPermutation, max_len: int) -> Iterator[tuple[int, ...]]:
-    """All words of length <= max_len whose Demazure product is w, in
-    lexicographic order.
+def _walk(
+    t: str,
+    w: SignedPermutation,
+    max_len: int,
+    root,
+    extend: Callable,
+    emit: Callable,
+) -> None:
+    """Walk the prefixes of the Hecke words of w of length <= max_len, in
+    lexicographic order, carrying a state from root down each edge.
+
+    extend(state, word, g) is the state of word + (g,), or a falsy one for
+    a dead prefix, which is dropped with its subtree.  emit(word, state)
+    sees each word whose Demazure product is w.
 
     Letters come from supp(w), the generators of a reduced word of w: the
     Demazure product of a word lies above each of its letters in Bruhat
     order.  The Demazure prefixes of a word climb a chain in the right weak
-    order, so a prefix q can still reach w iff q <= w in that order and
-    l(w) - l(q) letters remain.
+    order, so a prefix p can still reach w iff p <= w in that order and
+    l(w) - l(p) letters remain.  With w = p u and l(w) = l(p) + l(u), a
+    letter g that raises p keeps p t_g below w iff g is a left descent of
+    u, that is a right descent of r = u^-1 = w^-1 p, which the walk carries.
     """
     letters = sorted(set(reduced_word(t, w)))
+    gens = {g: generator(t, g) for g in letters}
     lw = length(t, w)
     word: list[int] = []
 
-    def rec(p: SignedPermutation, lp: int) -> Iterator[tuple[int, ...]]:
-        if p == w:
-            yield tuple(word)
+    def rec(p: SignedPermutation, r: SignedPermutation, lp: int, state) -> None:
+        if lp == lw:
+            # p <= w and l(p) = l(w): p is w
+            emit(word, state)
         if len(word) == max_len:
             return
         rem = max_len - len(word) - 1
         for g in letters:
-            q = demazure_apply(t, p, g)
-            lq = lp if q is p else lp + 1
-            if lw - lq > rem:
-                continue
-            # a raised prefix must stay below w in the right weak order
-            # (p already does)
-            if q is not p and length(t, q.inverse() * w) != lw - lq:
-                continue
-            word.append(g)
-            yield from rec(q, lq)
-            word.pop()
+            if right_ascent(t, p, g):
+                if lw - lp - 1 > rem or right_ascent(t, r, g):
+                    continue
+                q, rq, lq = p * gens[g], r * gens[g], lp + 1
+            else:
+                if lw - lp > rem:
+                    continue
+                q, rq, lq = p, r, lp
+            nxt = extend(state, word, g)
+            if nxt:
+                word.append(g)
+                rec(q, rq, lq, nxt)
+                word.pop()
 
-    yield from rec(identity(), 0)
+    rec(identity(), w.inverse(), 0, root)
 
 
-def compatible_sequences(
-    t: str, a: tuple[int, ...], num_vars: int
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Compatible sequences b of the word a with values in [1, num_vars],
-    each with the exponent e of its weight 2^e.
+def hecke_words(t: str, w: SignedPermutation, max_len: int) -> list[tuple[int, ...]]:
+    """All words of length <= max_len whose Demazure product is w, in
+    lexicographic order."""
+    words: list[tuple[int, ...]] = []
 
-    b weakly increases, with b_{i-1} < b_{i+1} at every weak peak
-    |a_{i-1}| <= |a_i| >= |a_{i+1}|, and strictly increases across equal
-    adjacent o-letters: 0 in type B, +-1 in type D.  The exponent is
-    e = |b| - gamma - o, where |b| counts the distinct values of b, gamma
-    the positions repeating both the previous letter and the previous
-    value, and o the o-letters.
+    def emit(word, state):
+        words.append(tuple(word))
+
+    _walk(t, w, max_len, True, lambda state, word, g: True, emit)
+    return words
+
+
+def _is_o(t: str, g: int) -> bool:
+    """Whether g is an o-letter: 0 in type B, +-1 in type D."""
+    return (t == "B" and g == 0) or (t == "D" and abs(g) == 1)
+
+
+def _compat_step(
+    t: str, top: int, word: Sequence[int], g: int, seqs: list[tuple[tuple[int, ...], int]]
+) -> list[tuple[tuple[int, ...], int]]:
+    """Extend each partial compatible sequence of word by the letter g.
+
+    A partial sequence is (b, e): b is its weakly increasing values, as z
+    codes up to top, and e the exponent of its weight 2^e so far.  b_{i-1}
+    < b_{i+1} at every weak peak |a_{i-1}| <= |a_i| >= |a_{i+1}|, and b
+    strictly increases across equal adjacent o-letters.  The exponent is e
+    = |b| - gamma - o, where |b| counts the distinct values of b, gamma the
+    positions repeating both the previous letter and the previous value,
+    and o the o-letters.  The output keeps the order of seqs and, within
+    one, increasing values, so lexicographic input stays lexicographic.
     """
-    k = len(a)
-    b: list[int] = []
-
-    def rec(pos: int, e: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        if pos == k:
-            yield tuple(b), e
-            return
-        g = a[pos]
-        is_o = (t == "B" and g == 0) or (t == "D" and abs(g) == 1)
-        peak = pos >= 2 and abs(a[pos - 2]) <= abs(a[pos - 1]) >= abs(g)
-        for val in range(b[-1] if b else 1, num_vars + 1):
-            if peak and not b[-2] < val:
-                continue
-            same = pos >= 1 and val == b[-1]
-            repeat = same and a[pos - 1] == g
-            if repeat and is_o:
-                continue
-            b.append(val)
-            yield from rec(pos + 1, e + (not same) - repeat - is_o)
-            b.pop()
-
-    yield from rec(0, 0)
+    is_o = _is_o(t, g)
+    peak = len(word) >= 2 and abs(word[-2]) <= abs(word[-1]) >= abs(g)
+    repeat = bool(word) and word[-1] == g
+    out = []
+    for b, e in seqs:
+        if b:
+            last = b[-1]
+            # a repeated value: only a strict rise before a peak allows it,
+            # and equal adjacent o-letters never do
+            if not (peak and b[-2] >= last) and not (repeat and is_o):
+                out.append((b + (last,), e - repeat - is_o))
+            lo = last + 1
+        else:
+            lo = var_code(Z, 1)
+        # a new value rises past b[-1] >= b[-2], so a peak cannot stop it
+        grow = e + 1 - is_o
+        out += [(b + (c,), grow) for c in range(lo, top + 1)]
+    return out
 
 
 def _letter_key(t: str, x: int):
@@ -107,40 +145,49 @@ def _letter_key(t: str, x: int):
     return (abs(x), 0)
 
 
+def _unimodal_step(
+    t: str, symbols: list, word: Sequence[int], g: int, seqs: list[tuple[tuple, int]]
+) -> list[tuple[tuple, int]]:
+    """Extend each partial unimodal factorization of word by the letter g.
+
+    Values run -1 < 1 < -2 < 2 < ..., index i standing for -(i//2 + 1)
+    when i is even and i//2 + 1 when odd; a partial factorization is
+    (b, i), b its symbols (``symbols[i]`` for each value) and i the index
+    of its last value.  b weakly increases; a repeated value needs the
+    letter keys (``_letter_key``) to fall if it is negative and to rise if
+    positive; an o-letter takes positive values only.  The output keeps
+    the order of seqs and, within one, increasing values, so lexicographic
+    input stays lexicographic.
+    """
+    is_o = _is_o(t, g)
+    if word:
+        prev, cur = _letter_key(t, word[-1]), _letter_key(t, g)
+        fall, rise = prev > cur, prev < cur
+    out = []
+    for b, i in seqs:
+        if word:
+            # repeat the last value: i odd is positive, i even negative
+            if (rise if i % 2 else fall and not is_o):
+                out.append((b + (symbols[i],), i))
+            i += 1
+        if is_o:
+            # the positive values past the last one: odd indices only
+            out += [(b + (symbols[j],), j) for j in range(i | 1, len(symbols), 2)]
+        else:
+            out += [(b + (symbols[j],), j) for j in range(i, len(symbols))]
+    return out
+
+
 def unimodal_factorizations(
     t: str, a: tuple[int, ...], num_vars: int
 ) -> Iterator[tuple[int, ...]]:
-    """Unimodal factorizations b of the word a with |b_i| <= num_vars.
-
-    b weakly increases in the order -1 < 1 < -2 < 2 < ... of ``values``.  A
-    repeated value needs the letter keys (``_letter_key``) to fall if it is
-    negative and to rise if positive.  An o-letter (0 in type B, +-1 in
-    type D) takes positive values only.
-    """
-    k = len(a)
+    """Unimodal factorizations b of the word a with |b_i| <= num_vars, in
+    lexicographic order of -1 < 1 < -2 < 2 < ... (see `_unimodal_step`)."""
     values = [v for m in range(1, num_vars + 1) for v in (-m, m)]
-    b: list[int] = []
-
-    def rec(pos: int, lo: int) -> Iterator[tuple[int, ...]]:
-        # lo is the index of b[-1] in values, the least one b can take next
-        if pos == k:
-            yield tuple(b)
-            return
-        g = a[pos]
-        is_o = (t == "B" and g == 0) or (t == "D" and abs(g) == 1)
-        if pos:
-            prev, cur = _letter_key(t, a[pos - 1]), _letter_key(t, g)
-        for i in range(lo, len(values)):
-            val = values[i]
-            if val < 0 and is_o:
-                continue
-            if pos and i == lo and not (prev > cur if val < 0 else prev < cur):
-                continue
-            b.append(val)
-            yield from rec(pos + 1, i)
-            b.pop()
-
-    yield from rec(0, 0)
+    seqs: list[tuple[tuple, int]] = [((), 0)]
+    for pos, g in enumerate(a):
+        seqs = _unimodal_step(t, values, a[:pos], g, seqs)
+    return (b for b, _ in seqs)
 
 
 # -- K-Stanley symmetric functions ----------------------------------------
@@ -160,7 +207,9 @@ def fstanley(
 
     method "compat" sums 2^(|b|-gamma-o) z^b over compatible sequences;
     method "unimodal" sums z^|b| over unimodal factorizations.  The two
-    must agree.
+    must agree.  One `_walk` enumerates every (word, sequence) pair; each
+    partial sequence carries its monomial as sorted z codes, since b (and
+    |b| in the unimodal order) weakly increases.
     """
     if method not in ("compat", "unimodal"):
         raise ValueError(f"unknown method {method!r}")
@@ -168,18 +217,34 @@ def fstanley(
         raise ValueError(f"K-Stanley functions need type B, C, or D, not {t!r}")
     lw = length(t, w)
     terms: dict[Monomial, int] = {}
+    z1 = var_code(Z, 1)
     if method == "unimodal":
-        for a in hecke_words(t, w, bound):
-            for b in unimodal_factorizations(t, a, num_vars):
-                m = z_monomial(len(a) - lw, [abs(v) for v in b])
+        symbols = [z1 + i // 2 for i in range(2 * num_vars)]
+
+        def extend(seqs, word, g):
+            return _unimodal_step(t, symbols, word, g, seqs)
+
+        def emit(word, seqs):
+            for b, _ in seqs:
+                m = (len(b) - lw, b)
                 terms[m] = terms.get(m, 0) + 1
+
+        _walk(t, w, bound, [((), 0)], extend, emit)
         return TruncPoly(terms, bound)
+
+    top = z1 + num_vars - 1
+
+    def extend(seqs, word, g):
+        return _compat_step(t, top, word, g, seqs)
+
     # Individual words can carry half-integer weights 2^e; accumulate
     # everything scaled by 2^bound and divide back at the end.
-    for a in hecke_words(t, w, bound):
-        for b, e in compatible_sequences(t, a, num_vars):
-            m = z_monomial(len(a) - lw, b)
+    def emit(word, seqs):
+        for b, e in seqs:
+            m = (len(b) - lw, b)
             terms[m] = terms.get(m, 0) + 2 ** (bound + e)
+
+    _walk(t, w, bound, [((), 0)], extend, emit)
     divisor = 2**bound
     for m, c in terms.items():
         q, r = divmod(c, divisor)

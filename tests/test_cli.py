@@ -135,22 +135,42 @@ class TestCommands:
         assert expand_mod._cache == {}
 
     @pytest.mark.parametrize(
-        "command",
+        "command, want",
         [
-            ["fstanley", "--method", "compat"],
-            ["fstanley", "--method", "unimodal"],
-            ["kn-eval"],
-            ["kn-transition"],
+            (["fstanley", "--method", "compat"], "2*z1 + b*z1^2"),
+            (["fstanley", "--method", "unimodal"], "2*z1 + b*z1^2"),
+            (
+                ["kn-eval"],
+                "2*z1 + y1 + x1 + b*z1^2 + 2*b*y1*z1 + 2*b*x1*z1 + b*x1*y1"
+                " + b^2*y1*z1^2 + b^2*x1*z1^2 + 2*b^2*x1*y1*z1 + b^3*x1*y1*z1^2",
+            ),
+            (["kn-transition"], "residual at N=1 D=2000: 0"),
         ],
+        ids=["fstanley-compat", "fstanley-unimodal", "kn-eval", "kn-transition"],
     )
-    def test_degree_bound_too_deep_is_usage_error(self, capsys, command):
-        # the oracles recurse once per degree: D = 2000 passes the limit
+    def test_large_degree_bound_answers(self, capsys, command, want):
+        # the walk over Hecke words goes no deeper than the longest valid
+        # sequence, which for B 2,1 at N = 1 is two letters, whatever D is
         code = main([*command, "--type", "B", "--w", "2,1", "--N", "1", "--D", "2000"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert captured.out.splitlines()[-1] == want
+
+    def test_recursion_limit_is_usage_error(self, capsys, monkeypatch):
+        from ktrans import hecke
+
+        def too_deep(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(hecke, "fstanley", too_deep)
+        code = main(["fstanley", "--type", "B", "--w", "2,1", "--N", "1", "--D", "2"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert "Traceback" not in captured.err
+        assert captured.err.splitlines() == [
+            "ktrans fstanley: error: the input is too large to compute"
+            " within the recursion limit"
+        ]
 
     @pytest.mark.parametrize(
         "argv",
@@ -572,6 +592,10 @@ GOLDEN_COMMANDS = {
         "kn-transition", "--type", "D", "--w=-1,-2", "--N", "2", "--D", "4", "--json"
     ],
     "groth-a-2413-transition.txt": ["groth-a", "--w", "2,4,1,3", "--transition"],
+    # the K-Stanley oracle on the golden element
+    "fstanley-B-golden.txt": [
+        "fstanley", "--type", "B", "--w=-3,4,-1,5,2", "--N", "3", "--D", "8"
+    ],
     # the triple-sum oracle: sigma and tau range over S_4, in both families
     "kn-eval-B-rank4.json": [
         "kn-eval", "--type", "B", "--w=3,-1,4,2", "--N", "2", "--D", "5", "--json"

@@ -1,9 +1,11 @@
 """Hecke words, compatible sequences, and the generating-function oracles."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
+from ktrans import hecke
 from ktrans.hecke import (
     _letter_key,
     fstanley,
@@ -12,7 +14,7 @@ from ktrans.hecke import (
     quasi,
     unimodal_factorizations,
 )
-from ktrans.rings import BETA, TruncPoly, poly_str, supersym_check, zvar
+from ktrans.rings import BETA, TruncPoly, poly_str, supersym_check, z_monomial, zvar
 from ktrans.tableaux import ShiftedSkewShape, gp, gq, w_shape
 from ktrans.weyl import (
     demazure_apply,
@@ -27,6 +29,42 @@ from ktrans.weyl import (
     reflection,
     shape,
 )
+
+
+def compatible_sequences(t, a, num_vars):
+    """The reference: compatible sequences b of the word a with values in
+    [1, num_vars], each with the exponent e of its weight 2^e, enumerated
+    for the whole word.
+
+    b weakly increases, with b_{i-1} < b_{i+1} at every weak peak
+    |a_{i-1}| <= |a_i| >= |a_{i+1}|, and strictly increases across equal
+    adjacent o-letters: 0 in type B, +-1 in type D.  The exponent is
+    e = |b| - gamma - o, where |b| counts the distinct values of b, gamma
+    the positions repeating both the previous letter and the previous value,
+    and o the o-letters.
+    """
+    k = len(a)
+    b = []
+
+    def rec(pos, e):
+        if pos == k:
+            yield tuple(b), e
+            return
+        g = a[pos]
+        is_o = (t == "B" and g == 0) or (t == "D" and abs(g) == 1)
+        peak = pos >= 2 and abs(a[pos - 2]) <= abs(a[pos - 1]) >= abs(g)
+        for val in range(b[-1] if b else 1, num_vars + 1):
+            if peak and not b[-2] < val:
+                continue
+            same = pos >= 1 and val == b[-1]
+            repeat = same and a[pos - 1] == g
+            if repeat and is_o:
+                continue
+            b.append(val)
+            yield from rec(pos + 1, e + (not same) - repeat - is_o)
+            b.pop()
+
+    yield from rec(0, 0)
 
 
 class TestHeckeWords:
@@ -93,6 +131,18 @@ class TestUnimodal:
     def test_b_zero_positive(self):
         assert list(unimodal_factorizations("B", (0,), 1)) == [(1,)]
 
+    def test_lexicographic_order(self):
+        # strictly increasing in lexicographic order of -1 < 1 < -2 < 2 < ...,
+        # on Hecke words and on the arbitrary letters that quasi passes
+        def ranks(b):
+            return [2 * abs(v) - (v < 0) for v in b]
+
+        words = [(t, a) for t in "BCD" for w in group_elements(t, 3) for a in hecke_words(t, w, 5)]
+        words += [("C", a) for n in range(5) for a in itertools.product(range(4), repeat=n)]
+        for t, a in words:
+            got = [ranks(b) for b in unimodal_factorizations(t, a, 3)]
+            assert all(x < y for x, y in zip(got, got[1:])), (t, a)
+
     @pytest.mark.parametrize("t", ["B", "C", "D"])
     def test_matches_definition(self, t):
         # every value sequence, filtered by the definition, in product order:
@@ -125,6 +175,47 @@ class TestUnimodal:
 
 
 class TestFStanley:
+    @pytest.mark.parametrize("t", ["B", "C", "D"])
+    def test_matches_sum_over_words(self, t):
+        # the walk against the per-word sum: every Hecke word of w, each with
+        # every compatible sequence of the reference, at every truncation;
+        # the unimodal method must give the same function
+        for w in group_elements(t, 3):
+            lw = length(t, w)
+            words = hecke_words(t, w, 5)
+            for num_vars in (1, 2, 3):
+                want = {}
+                for a in words:
+                    for b, e in compatible_sequences(t, a, num_vars):
+                        m = z_monomial(len(a) - lw, b)
+                        want[m] = want.get(m, 0) + Fraction(2) ** e
+                for bound in range(6):
+                    got = {m: c for m, c in want.items() if len(m[1]) <= bound}
+                    for method in ("compat", "unimodal"):
+                        f = fstanley(t, w, num_vars, bound, method)
+                        assert f.terms == got, (t, str(w), num_vars, bound, method)
+
+    @pytest.mark.parametrize("method, step", [("compat", "_compat_step"), ("unimodal", "_unimodal_step")])
+    def test_dead_prefix_is_dropped(self, monkeypatch, method, step):
+        # at N = 1 no sequence of the word 1,1,1 exists (a weak peak needs two
+        # values, a repeat a strict letter key), so the walk stops at 1,1,
+        # while hecke_words, which carries no sequence, goes on to D letters
+        w = parse_oneline("2,1")
+        real = getattr(hecke, step)
+        live = []
+
+        def recording(t, table, word, g, seqs):
+            out = real(t, table, word, g, seqs)
+            if out:
+                live.append((*word, g))
+            return out
+
+        monkeypatch.setattr(hecke, step, recording)
+        f = fstanley.__wrapped__("B", w, 1, 8, method)
+        assert poly_str(f) == "2*z1 + b*z1^2"
+        assert hecke_words("B", w, 8) == [(1,) * n for n in range(1, 9)]
+        assert live == [(1,), (1, 1)]
+
     def test_b_sign_change(self):
         f = fstanley("B", reflection(0, 1), 2, 2)
         expect = zvar(1) + zvar(2) + BETA * zvar(1) * zvar(2)
