@@ -450,8 +450,15 @@ def cmd_verify_suite(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line on stderr."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ktrans",
         description="Transition calculus for K-Stanley symmetric functions",
     )
@@ -463,6 +470,12 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError("must be at least 1")
         return value
 
+    def num_vars(text):
+        value = positive_int(text)
+        if value > rings.MAX_INDEX:
+            raise argparse.ArgumentTypeError(f"must be at most {rings.MAX_INDEX}")
+        return value
+
     def nonneg_int(text):
         value = int(text)
         if value < 0:
@@ -472,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, group_types="ABCD"):
         p.add_argument("--w", required=True, help="one-line window, e.g. -3,4,-1,5,2")
         p.add_argument("--type", choices=list(group_types), default="B")
-        p.add_argument("--N", type=positive_int, default=3, help="number of z variables")
+        p.add_argument("--N", type=num_vars, default=3, help="number of z variables")
         p.add_argument("--D", type=nonneg_int, default=6, help="total degree bound")
         p.add_argument("--json", action="store_true")
 
@@ -490,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"K-theoretic Schur {name[-1].upper()}-function")
         p.add_argument("--shape", type=_shape_arg, required=True)
         p.add_argument("--inner", type=_shape_arg, default=())
-        p.add_argument("--N", type=positive_int, default=3)
+        p.add_argument("--N", type=num_vars, default=3)
         p.add_argument("--D", type=nonneg_int, default=6)
         p.add_argument("--json", action="store_true")
         p.set_defaults(fn=lambda a, f=fn: _cmd_gpgq(a, f))

@@ -40,11 +40,14 @@ X, Y, Z = 0, 1, 2
 _FAMILY_NAMES = {X: "x", Y: "y", Z: "z"}
 _FAMILY_CODES = {"x": X, "y": Y, "z": Z}
 _STRIDE = 1 << 20
+MAX_INDEX = _STRIDE - 1  # a larger index would spill into the next family's codes
 
 
 def var_code(family: int, index: int) -> int:
     if index < 1:
         raise ValueError(f"variable index must be positive, got {index}")
+    if index > MAX_INDEX:
+        raise ValueError(f"variable index must be at most {MAX_INDEX}, got {index}")
     return family * _STRIDE + index
 
 

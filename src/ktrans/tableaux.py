@@ -5,14 +5,20 @@ and 2v (unprimed), so the alphabet order is plain integer order.  A tableau
 assigns each cell a nonempty set of letter codes; semistandardness says
 row-adjacent cells overlap only in unprimed letters and column-adjacent
 cells only in primed ones, with max <= min across the boundary.
+
+GP and GQ are summed over these tableaux without listing them: a transfer
+matrix runs over the cells in row-major order, and its state is the max
+code of each filled cell an unfilled cell still borders, with the letters
+used so far.  Each state holds its partial tableaux as a table from
+monomial to count, so tableaux that agree on the state and the monomial
+are counted together.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
 
-from .rings import Monomial, TruncPoly, z_monomial
+from .rings import Z, TruncPoly, var_code
 from .weyl import SignedPermutation, generator, identity
 
 
@@ -74,96 +80,81 @@ class ShiftedSkewShape:
         return f"outer={list(self.outer)} inner={list(self.inner)}"
 
 
-def letter_value(code: int) -> int:
-    return (code + 1) // 2
-
-
-def is_primed(code: int) -> bool:
-    return code % 2 == 1
-
-
-Tableau = dict[tuple[int, int], frozenset[int]]
-
-
-def _subsets_from(letters: list[int], max_size: int) -> Iterator[tuple[int, ...]]:
-    """Nonempty subsets, smallest elements first, capped in size."""
-    n = len(letters)
-
-    def rec(start: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        for k in range(start, n):
-            acc.append(letters[k])
-            yield tuple(acc)
-            if len(acc) < max_size:
-                yield from rec(k + 1, acc)
-            acc.pop()
-
-    yield from rec(0, [])
-
-
-def enumerate_tableaux(
-    shape: ShiftedSkewShape, flavor: str, num_letters: int, max_size: int
-) -> Iterator[Tableau]:
-    """All semistandard set-valued shifted tableaux with letters <= num_letters
-    and total size <= max_size, in a deterministic backtracking order.  Each
-    is a dict from cell to its nonempty set of letter codes.
-
-    flavor "P" forbids primed letters on the diagonal; "Q" allows them.
-    """
-    if flavor not in ("P", "Q"):
-        raise ValueError(f"flavor must be P or Q, got {flavor!r}")
-    cells = shape.cells()
-    if not cells:
-        yield {}
-        return
-    if max_size < len(cells):
-        return
-    alphabet = list(range(1, 2 * num_letters + 1))
-    entries: Tableau = {}
-
-    def rec(pos: int, used: int) -> Iterator[Tableau]:
-        if pos == len(cells):
-            yield dict(entries)
-            return
-        i, j = cells[pos]
-        remaining = len(cells) - pos - 1
-        budget = max_size - used - remaining
-        if budget < 1:
-            return
-        left = entries.get((i, j - 1))
-        above = entries.get((i - 1, j))
-        lo = 1
-        if left:
-            lo = max(lo, max(left))
-        if above:
-            lo = max(lo, max(above))
-        candidates = [c for c in alphabet if c >= lo]
-        if flavor == "P" and i == j:
-            candidates = [c for c in candidates if not is_primed(c)]
-        for subset in _subsets_from(candidates, budget):
-            m = subset[0]
-            # a shared boundary letter must be unprimed along rows, primed down columns
-            if left and m == max(left) and is_primed(m):
-                continue
-            if above and m == max(above) and not is_primed(m):
-                continue
-            entries[(i, j)] = frozenset(subset)
-            yield from rec(pos + 1, used + len(subset))
-        entries.pop((i, j), None)
-
-    yield from rec(0, 0)
-
-
 @lru_cache(maxsize=None)
 def _generating_function(
     shape: ShiftedSkewShape, flavor: str, num_letters: int, bound: int
 ) -> TruncPoly:
-    terms: dict[Monomial, int] = {}
-    k = shape.size()
-    for tab in enumerate_tableaux(shape, flavor, num_letters, bound):
-        letters = [letter_value(c) for s in tab.values() for c in s]
-        m = z_monomial(len(letters) - k, letters)
-        terms[m] = terms.get(m, 0) + 1
-    return TruncPoly(terms, bound)
+    """The sum of beta^(|T| - |shape|) z^T over the semistandard set-valued
+    shifted tableaux T with letters <= num_letters and at most bound
+    entries, by a transfer matrix over the cells in row-major order.
+
+    A cell's admissible sets depend only on its left and above neighbours'
+    max codes, on whether it is a diagonal cell of flavor P, and on the
+    letters left in the budget, so they are tabulated once per call.  The
+    state after a cell is the max code of every filled cell that is still
+    the left or above neighbour of an unfilled one, in row-major order, with
+    the number of letters used; its value maps each monomial, as the sorted
+    z codes of rings.TruncPoly, to its number of partial tableaux.  Cell
+    (i, j) finds its above neighbour at the front of the state (the cells of
+    row i - 1 still waiting are in columns >= j) and its left neighbour at
+    the back, drops the one and, if it has no cell below, the other, and
+    joins the back itself if a cell lies to its right or below.
+    """
+    cells = shape.cells()
+    skew = set(cells)
+    k = len(cells)
+    top = 2 * num_letters
+    table: dict[tuple[int, int, bool, int], dict] = {}
+
+    def choices(left: int, above: int, diag: bool, budget: int) -> dict:
+        """The sets a cell admits, counted by what its filling passes on:
+        (max code, size, sorted z codes).  0 stands for a missing neighbour."""
+        key = (left, above, diag, budget)
+        if key not in table:
+            merged = table[key] = {}
+            # the sets of codes above c, which the sets with least code c extend
+            tails = {(0, 0, ()): 1}
+            for c in range(top, max(left, above, 1) - 1, -1) if budget > 0 else ():
+                if diag and c % 2:
+                    continue  # flavor P keeps primed letters off the diagonal
+                z = (var_code(Z, (c + 1) // 2),)
+                grown = [
+                    ((high or c, size + 1, z + zs), n) for (high, size, zs), n in tails.items()
+                ]
+                # a shared boundary letter is unprimed along rows, primed down columns
+                if not (c % 2 and c == left or not c % 2 and c == above):
+                    for group, n in grown:
+                        merged[group] = merged.get(group, 0) + n
+                for group, n in grown:
+                    if group[1] < budget:  # only a set that can still grow
+                        tails[group] = tails.get(group, 0) + n
+        return table[key]
+
+    layer: dict[tuple[tuple[int, ...], int], dict[tuple[int, ...], int]] = {((), 0): {(): 1}}
+    for pos, (i, j) in enumerate(cells):
+        up = 1 if (i - 1, j) in skew else 0
+        left = (i, j - 1) in skew
+        drop = 1 if left and (i + 1, j - 1) not in skew else 0
+        keep = (i, j + 1) in skew or (i + 1, j) in skew
+        diag = flavor == "P" and i == j
+        remaining = k - pos - 1
+        nxt: dict = {}
+        for (state, used), monos in layer.items():
+            rest = state[up : len(state) - drop]
+            options = choices(
+                state[-1] if left else 0, state[0] if up else 0, diag, bound - used - remaining
+            )
+            for (high, size, zs), mult in options.items():
+                target = nxt.setdefault((rest + (high,) if keep else rest, used + size), {})
+                for m, c in monos.items():
+                    m = m + zs if not m or m[-1] <= zs[0] else tuple(sorted(m + zs))
+                    target[m] = target.get(m, 0) + c * mult
+        layer = nxt
+    # the last cell leaves the state empty, so the keys differ only in used
+    return TruncPoly(
+        {(used - k, zs): n for (_, used), monos in layer.items() for zs, n in monos.items()},
+        bound,
+    )
 
 
 def gp(shape: ShiftedSkewShape, num_letters: int, bound: int) -> TruncPoly:

@@ -186,7 +186,36 @@ class TestCommands:
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fstanley", "--w", "2,1"],
+            ["kn-eval", "--w", "2,1"],
+            ["kn-transition", "--w", "2,1"],
+            ["gp", "--shape", "1"],
+            ["gq", "--shape", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("num_vars", ["1048576", "99999999"])
+    def test_too_many_variables_is_usage_error(self, capsys, argv, num_vars):
+        # a variable index of 2**20 would alias the next family's codes
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--N", num_vars, "--D", "1"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"ktrans {argv[0]}: error: argument --N: must be at most 1048575"
+        ]
+
+    def test_largest_variable_count_answers(self, capsys):
+        code, out = run(capsys, "gp", "--shape", "1", "--N", "1048575", "--D", "0")
+        assert code == 0 and out == "0\n"
 
 
 class TestVerifySuite:
@@ -596,6 +625,11 @@ GOLDEN_COMMANDS = {
     "fstanley-B-golden.txt": [
         "fstanley", "--type", "B", "--w=-3,4,-1,5,2", "--N", "3", "--D", "8"
     ],
+    # the tableau oracle: a skew GQ, a GP with a three-row term at N = 4,
+    # and a GP whose exponents pass 255
+    "gq-531-2.json": ["gq", "--shape", "5,3,1", "--inner", "2", "--N", "3", "--D", "9", "--json"],
+    "gp-421.json": ["gp", "--shape", "4,2,1", "--N", "4", "--D", "9", "--json"],
+    "gp-260.txt": ["gp", "--shape", "260", "--N", "2", "--D", "261"],
     # the triple-sum oracle: sigma and tau range over S_4, in both families
     "kn-eval-B-rank4.json": [
         "kn-eval", "--type", "B", "--w=3,-1,4,2", "--N", "2", "--D", "5", "--json"

@@ -319,14 +319,14 @@ class TestSkew:
     @pytest.mark.parametrize("basis, oracle", [("GP", gp), ("GQ", gq)], ids=["GP", "GQ"])
     def test_matches_tableau_oracle(self, basis, oracle):
         # every skew shape lam/mu with mu nonempty and strictly inside lam,
-        # |lam| <= 6, at N = 3 and D = |lam/mu| + 2
+        # |lam| <= 8, at N = 3 and D = |lam/mu| + 2
         shapes = [
             (lam, mu)
-            for lam in strict_partitions(6)
+            for lam in strict_partitions(8)
             for mu in strict_partitions(sum(lam) - 1)
             if mu and contains(lam, mu)
         ]
-        assert len(shapes) == 54
+        assert len(shapes) == 172
         for lam, mu in shapes:
             sh = ShiftedSkewShape(lam, mu)
             bound = sh.size() + 2

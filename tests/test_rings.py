@@ -117,6 +117,13 @@ class TestMonomialFormat:
         assert p.terms == {(0, (x1, x1, y2, z3, z3)): 1}
         assert poly_str(p) == "x1^2*y2*z3^2"
 
+    @pytest.mark.parametrize("family", [X, Y, Z])
+    def test_var_code_rejects_an_index_past_its_family(self, family):
+        # an index of 2**20 would decode as the next family's index 0
+        assert var_code(family, 2**20 - 1) == family * 2**20 + 2**20 - 1
+        with pytest.raises(ValueError):
+            var_code(family, 2**20)
+
     def test_rename_into_a_present_family_merges_powers(self):
         assert (yvar(2) * zvar(2)).rename_family(Y, Z) == zvar(2) * zvar(2)
 

@@ -1,11 +1,13 @@
 """Shifted tableau enumeration and the GP/GQ generating functions."""
 
+from typing import Iterator
+
 import pytest
 
-from ktrans.rings import BETA, supersym_check, zvar
+from ktrans.rings import BETA, Z, TruncPoly, supersym_check, var_code, z_monomial, zvar
 from ktrans.tableaux import (
     ShiftedSkewShape,
-    enumerate_tableaux,
+    contains,
     gp,
     gq,
     reading_word,
@@ -13,6 +15,100 @@ from ktrans.tableaux import (
     w_shape,
 )
 from ktrans.weyl import length, parse_oneline, identity
+
+Tableau = dict[tuple[int, int], frozenset[int]]
+
+
+def is_primed(code: int) -> bool:
+    return code % 2 == 1
+
+
+def _subsets_from(letters: list[int], max_size: int) -> Iterator[tuple[int, ...]]:
+    """Nonempty subsets, smallest elements first, capped in size."""
+    n = len(letters)
+
+    def rec(start: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
+        for k in range(start, n):
+            acc.append(letters[k])
+            yield tuple(acc)
+            if len(acc) < max_size:
+                yield from rec(k + 1, acc)
+            acc.pop()
+
+    yield from rec(0, [])
+
+
+def enumerate_tableaux(
+    shape: ShiftedSkewShape, flavor: str, num_letters: int, max_size: int
+) -> Iterator[Tableau]:
+    """All semistandard set-valued shifted tableaux with letters <= num_letters
+    and total size <= max_size, in a deterministic backtracking order.  Each
+    is a dict from cell to its nonempty set of letter codes.
+
+    flavor "P" forbids primed letters on the diagonal; "Q" allows them.
+    The reference for the transfer matrix of tableaux._generating_function.
+    """
+    if flavor not in ("P", "Q"):
+        raise ValueError(f"flavor must be P or Q, got {flavor!r}")
+    cells = shape.cells()
+    if not cells:
+        yield {}
+        return
+    if max_size < len(cells):
+        return
+    alphabet = list(range(1, 2 * num_letters + 1))
+    entries: Tableau = {}
+
+    def rec(pos: int, used: int) -> Iterator[Tableau]:
+        if pos == len(cells):
+            yield dict(entries)
+            return
+        i, j = cells[pos]
+        remaining = len(cells) - pos - 1
+        budget = max_size - used - remaining
+        if budget < 1:
+            return
+        left = entries.get((i, j - 1))
+        above = entries.get((i - 1, j))
+        lo = 1
+        if left:
+            lo = max(lo, max(left))
+        if above:
+            lo = max(lo, max(above))
+        candidates = [c for c in alphabet if c >= lo]
+        if flavor == "P" and i == j:
+            candidates = [c for c in candidates if not is_primed(c)]
+        for subset in _subsets_from(candidates, budget):
+            m = subset[0]
+            # a shared boundary letter must be unprimed along rows, primed down columns
+            if left and m == max(left) and is_primed(m):
+                continue
+            if above and m == max(above) and not is_primed(m):
+                continue
+            entries[(i, j)] = frozenset(subset)
+            yield from rec(pos + 1, used + len(subset))
+        entries.pop((i, j), None)
+
+    yield from rec(0, 0)
+
+
+def tableau_sums(
+    shape: ShiftedSkewShape, flavor: str, num_letters: int, bounds: range
+) -> dict[int, TruncPoly]:
+    """The generating function at each bound, summed tableau by tableau over
+    one enumeration at the largest.  A smaller bound keeps what
+    enumerate_tableaux yields at it: the tableaux with at most that many
+    letters, and the empty shape's one tableau at every bound."""
+    k = shape.size()
+    tally: dict = {}
+    for tab in enumerate_tableaux(shape, flavor, num_letters, max(bounds)):
+        letters = [(c + 1) // 2 for s in tab.values() for c in s]
+        m = z_monomial(len(letters) - k, letters)
+        tally[m] = tally.get(m, 0) + 1
+    return {
+        bound: TruncPoly({m: n for m, n in tally.items() if not k or len(m[1]) <= bound}, bound)
+        for bound in bounds
+    }
 
 
 def strict_partitions(max_size):
@@ -25,6 +121,15 @@ def strict_partitions(max_size):
 
     rec((), max_size, max_size)
     return out
+
+
+# every skew shape lam/mu with |lam| <= 6, mu empty or not, the empty one too
+SKEW_SHAPES = [
+    ShiftedSkewShape(lam, mu)
+    for lam in strict_partitions(6)
+    for mu in strict_partitions(sum(lam))
+    if contains(lam, mu)
+]
 
 
 class TestShapes:
@@ -124,6 +229,36 @@ class TestGeneratingFunctions:
         sh = ShiftedSkewShape((3, 1), (1,))
         assert gp(sh, 3, 6).homogeneous_degree() == 3
         assert gq(sh, 3, 6).homogeneous_degree() == 3
+
+
+class TestTransferMatrix:
+    """gp and gq against the tableau-by-tableau sum of enumerate_tableaux."""
+
+    def test_shape_count(self):
+        assert len(SKEW_SHAPES) == 81
+        assert ShiftedSkewShape(()) in SKEW_SHAPES
+
+    @pytest.mark.parametrize("num_letters", [1, 2, 3, 4])
+    @pytest.mark.parametrize("flavor, oracle", [("P", gp), ("Q", gq)], ids=["P", "Q"])
+    def test_matches_tableau_sum(self, flavor, oracle, num_letters):
+        # D from one below the cell count, where only the empty shape has a
+        # tableau, to two letters past it
+        for sh in SKEW_SHAPES:
+            bounds = range(sh.size() - 1, sh.size() + 3)
+            for bound, want in tableau_sums(sh, flavor, num_letters, bounds).items():
+                got = oracle(sh, num_letters, bound)
+                assert (got.terms, got.bound) == (want.terms, want.bound), (str(sh), bound)
+
+    def test_long_row_is_homogeneous_and_symmetric(self):
+        # exponents past 255 and a degree bound past the row: a packed
+        # exponent field too narrow for the bound would break both
+        f = gp(ShiftedSkewShape((300,)), 2, 301)
+        z1, z2 = var_code(Z, 1), var_code(Z, 2)
+        swap = {z1: z2, z2: z1}
+        swapped = {(b, tuple(sorted(swap[v] for v in vs))): c for (b, vs), c in f.terms.items()}
+        assert f.homogeneous_degree() == 300
+        assert swapped == f.terms
+        assert f.terms[(0, (z1,) * 150 + (z2,) * 150)] == 2
 
 
 class TestReadingWords:
