@@ -18,51 +18,35 @@ from functools import lru_cache
 from .rings import BETA, ONE, X, Y, TruncPoly, pi_operator, xvar, yvar
 from .weyl import SignedPermutation, reflection
 
-_memo: dict[SignedPermutation, TruncPoly] = {}
+# the one descent memo, keyed by (w, double); bench/worker.reset clears it
+_memo: dict[tuple[SignedPermutation, bool], TruncPoly] = {}
 
 
-def _staircase(n: int) -> TruncPoly:
-    prod = ONE
-    for i in range(1, n):
-        for j in range(1, n - i + 1):
-            xi, yj = xvar(i), yvar(j)
-            prod = prod * (xi + yj + BETA * xi * yj)
-    return prod
+def _descend(w: SignedPermutation, double: bool) -> TruncPoly:
+    """The double polynomial of w if double, else the single one: from the
+    longest element of S_n down to w, one pi_operator at each first ascent."""
+    cached = _memo.get((w, double))
+    if cached is not None:
+        return cached
+    n = w.support
+    result = ONE
+    if w == tuple(range(n, 0, -1)):
+        for i in range(1, n):
+            for j in range(1, n - i + 1):
+                xi, yj = xvar(i), yvar(j)
+                result = result * ((xi + yj + BETA * xi * yj) if double else xi)
+    else:
+        i = next(i for i in range(1, n) if w(i) < w(i + 1))
+        result = pi_operator(i, _descend(w * reflection(i, i + 1), double))
+    _memo[w, double] = result
+    return result
 
 
 def groth_poly(w: SignedPermutation) -> TruncPoly:
     """The double Grothendieck polynomial of a permutation, exact in beta, x, y."""
     if not w.in_group("A"):
         raise ValueError(f"{w} is not a type A element")
-    cached = _memo.get(w)
-    if cached is not None:
-        return cached
-    n = w.support
-    if n == 0:
-        result = ONE
-    elif w == tuple(range(n, 0, -1)):
-        result = _staircase(n)
-    else:
-        i = next(i for i in range(1, n) if w(i) < w(i + 1))
-        result = pi_operator(i, groth_poly(w * reflection(i, i + 1)))
-    _memo[w] = result
-    return result
-
-
-@lru_cache(maxsize=None)
-def _groth_x(w: SignedPermutation) -> TruncPoly:
-    """The single Grothendieck polynomial in x, from x^delta by the same
-    first-ascent descent as groth_poly."""
-    n = w.support
-    if n == 0:
-        return ONE
-    if w == tuple(range(n, 0, -1)):
-        result = ONE
-        for i in range(1, n):
-            result = result * xvar(i) ** (n - i)
-        return result
-    i = next(i for i in range(1, n) if w(i) < w(i + 1))
-    return pi_operator(i, _groth_x(w * reflection(i, i + 1)))
+    return _descend(w, True)
 
 
 @lru_cache(maxsize=None)
@@ -72,7 +56,7 @@ def groth_single(w: SignedPermutation, family: str) -> TruncPoly:
     if not w.in_group("A"):
         raise ValueError(f"{w} is not a type A element")
     if family == "x":
-        return _groth_x(w)
+        return _descend(w, False)
     if family == "y":
-        return _groth_x(w).rename_family(X, Y)
+        return _descend(w, False).rename_family(X, Y)
     raise ValueError(f"family must be x or y, got {family!r}")

@@ -11,14 +11,15 @@ them by one letter per edge through the method's one per-letter step,
 `_compat_step` or `_unimodal_step`.  Every sequence rule looks only at
 earlier positions, so a prefix with no valid sequence is dropped with its
 whole subtree, and the walk goes no deeper than the longest sequence.
+`quasi` walks the words that collapse to a multi-permutation the same way.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
-from .rings import Z, Monomial, TruncPoly, var_code, z_monomial
+from .rings import Z, Monomial, TruncPoly, var_code
 from .weyl import (
     SignedPermutation,
     generator,
@@ -178,18 +179,6 @@ def _unimodal_step(
     return out
 
 
-def unimodal_factorizations(
-    t: str, a: tuple[int, ...], num_vars: int
-) -> Iterator[tuple[int, ...]]:
-    """Unimodal factorizations b of the word a with |b_i| <= num_vars, in
-    lexicographic order of -1 < 1 < -2 < 2 < ... (see `_unimodal_step`)."""
-    values = [v for m in range(1, num_vars + 1) for v in (-m, m)]
-    seqs: list[tuple[tuple, int]] = [((), 0)]
-    for pos, g in enumerate(a):
-        seqs = _unimodal_step(t, values, a[:pos], g, seqs)
-    return (b for b, _ in seqs)
-
-
 # -- K-Stanley symmetric functions ----------------------------------------
 
 
@@ -266,35 +255,35 @@ def mperm(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _words_with_mperm(pi: tuple[int, ...], max_len: int) -> Iterator[tuple[int, ...]]:
-    """All sequences of length <= max_len collapsing to pi."""
-    r = len(pi)
-    if r == 0:
-        yield ()
-        return
-    if r > max_len:
-        return
-
-    def rec(i: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if i == r:
-            yield tuple(acc)
-            return
-        least = r - i - 1
-        for rep in range(1, max_len - len(acc) - least + 1):
-            yield from rec(i + 1, acc + [pi[i]] * rep)
-
-    yield from rec(0, [])
-
-
 def quasi(pi: tuple[int, ...], num_vars: int, bound: int) -> TruncPoly:
     """The multi-peak quasisymmetric function attached to a
-    multi-permutation, truncated."""
+    multi-permutation, truncated: the sum of beta^(|a|-|pi|) z^|b| over the
+    words a = pi_1^+ pi_2^+ ... of length <= bound and the type C unimodal
+    factorizations b of a.  A walk on the prefixes of those words, each
+    letter repeating pi_j or moving on to pi_(j+1), carries the partial
+    factorizations through `_unimodal_step`, as `fstanley` does."""
     if mperm(pi) != tuple(pi):
         raise ValueError(f"{pi} is not a multi-permutation")
-    lp = len(pi)
+    r = len(pi)
+    symbols = [var_code(Z, 1) + i // 2 for i in range(2 * num_vars)]
     terms: dict[Monomial, int] = {}
-    for a in _words_with_mperm(tuple(pi), bound):
-        for b in unimodal_factorizations("C", a, num_vars):
-            m = z_monomial(len(a) - lp, [abs(v) for v in b])
-            terms[m] = terms.get(m, 0) + 1
+    word: list[int] = []
+
+    def rec(j: int, seqs: list[tuple[tuple, int]]) -> None:
+        # word ends in pi[j], or is empty at j = -1
+        if j == r - 1:
+            for b, _ in seqs:
+                m = (len(b) - r, b)
+                terms[m] = terms.get(m, 0) + 1
+        for k in range(max(j, 0), min(j + 2, r)):
+            # pi[k] and the r - k - 1 letters after it must fit
+            if len(word) + r - k > bound:
+                continue
+            nxt = _unimodal_step("C", symbols, word, pi[k], seqs)
+            if nxt:
+                word.append(pi[k])
+                rec(k, nxt)
+                word.pop()
+
+    rec(-1, [((), 0)])
     return TruncPoly(terms, bound)

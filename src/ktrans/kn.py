@@ -33,8 +33,6 @@ def kn_eval(t: str, w: SignedPermutation, num_vars: int, bound: int) -> TruncPol
     xelems = [(u, length(t, u)) for u in elements_up_to_length(t, n, cap)]
     total = TruncPoly.zero(bound)
     for sigma, ls in sigmas:
-        if ls > bound:
-            continue
         sigma_inv = sigma.inverse()
         gy = groth_single(sigma, "y").with_bound(bound)
         for u, lu in xelems:

@@ -550,8 +550,7 @@ def reduced_word(t: str, w: SignedPermutation) -> list[int]:
 
 def demazure_apply(t: str, w: SignedPermutation, g: int) -> SignedPermutation:
     """w o t_g for a single generator: w * t_g when g is a right ascent of
-    w, else w itself (the same object), so callers can tell the two apart
-    by identity."""
+    w, else w itself."""
     return w * generator(t, g) if right_ascent(t, w, g) else w
 
 

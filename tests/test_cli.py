@@ -226,6 +226,35 @@ class TestVerifySuite:
         assert len(lines) == 15
         assert all(l.startswith("PASS") for l in lines)
 
+    def test_cold_battery_computes_each_fstanley_once(self, capsys, monkeypatch):
+        # lru_cache keys a call that spells out the default method apart from
+        # one that leaves it out, so a check that spells it out recomputes
+        import functools
+        import inspect
+
+        from test_expand import _clear_memos
+
+        from ktrans import expand, hecke, kn
+
+        _clear_memos()
+        monkeypatch.delenv("KTRANS_CACHE_DIR", raising=False)
+        raw = hecke.fstanley.__wrapped__
+        signature = inspect.signature(raw)
+        computed = []
+
+        def counting(*args, **kwargs):
+            call = signature.bind(*args, **kwargs)
+            call.apply_defaults()
+            computed.append(tuple(call.arguments.values()))
+            return raw(*args, **kwargs)
+
+        cached = functools.lru_cache(maxsize=None)(counting)
+        for mod in (hecke, kn, expand):
+            monkeypatch.setattr(mod, "fstanley", cached)
+        code, out = run(capsys, "verify-suite")
+        assert code == 0 and "all 15 checks passed" in out
+        assert len(set(computed)) == len(computed) == 188
+
     def test_seed_leaves_checks_unchanged(self, capsys, monkeypatch):
         from ktrans import cli
 

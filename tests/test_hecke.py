@@ -6,14 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ktrans import hecke
-from ktrans.hecke import (
-    _letter_key,
-    fstanley,
-    hecke_words,
-    mperm,
-    quasi,
-    unimodal_factorizations,
-)
+from ktrans.hecke import _letter_key, _unimodal_step, fstanley, hecke_words, mperm, quasi
 from ktrans.rings import BETA, TruncPoly, poly_str, supersym_check, z_monomial, zvar
 from ktrans.tableaux import ShiftedSkewShape, gp, gq, w_shape
 from ktrans.weyl import (
@@ -65,6 +58,48 @@ def compatible_sequences(t, a, num_vars):
             b.pop()
 
     yield from rec(0, 0)
+
+
+def unimodal_factorizations(t, a, num_vars):
+    """The reference: unimodal factorizations b of the whole word a with
+    |b_i| <= num_vars, in lexicographic order of -1 < 1 < -2 < 2 < ...,
+    folded letter by letter through `_unimodal_step`."""
+    values = [v for m in range(1, num_vars + 1) for v in (-m, m)]
+    seqs = [((), 0)]
+    for pos, g in enumerate(a):
+        seqs = _unimodal_step(t, values, a[:pos], g, seqs)
+    return (b for b, _ in seqs)
+
+
+def words_with_mperm(pi, max_len):
+    """All sequences of length <= max_len collapsing to pi."""
+    r = len(pi)
+    if r == 0:
+        yield ()
+        return
+    if r > max_len:
+        return
+
+    def rec(i, acc):
+        if i == r:
+            yield tuple(acc)
+            return
+        least = r - i - 1
+        for rep in range(1, max_len - len(acc) - least + 1):
+            yield from rec(i + 1, acc + [pi[i]] * rep)
+
+    yield from rec(0, [])
+
+
+def quasi_reference(pi, num_vars, bound):
+    """The reference: every word collapsing to pi, each with every unimodal
+    factorization of the whole word."""
+    terms = {}
+    for a in words_with_mperm(pi, bound):
+        for b in unimodal_factorizations("C", a, num_vars):
+            m = z_monomial(len(a) - len(pi), [abs(v) for v in b])
+            terms[m] = terms.get(m, 0) + 1
+    return terms
 
 
 class TestHeckeWords:
@@ -299,6 +334,22 @@ class TestQuasisymmetric:
     def test_rejects_non_multipermutation(self):
         with pytest.raises(ValueError):
             quasi((1, 1), 2, 2)
+
+    def test_matches_reference(self):
+        # every multi-permutation over {0,1,2} of length <= 4: 46 of them,
+        # at N = 1..3 and D = 0..6, 966 cases
+        pis = [
+            pi
+            for n in range(5)
+            for pi in itertools.product(range(3), repeat=n)
+            if mperm(pi) == pi
+        ]
+        assert len(pis) == 46
+        for pi in pis:
+            for num_vars in (1, 2, 3):
+                for bound in range(7):
+                    want = quasi_reference(pi, num_vars, bound)
+                    assert quasi(pi, num_vars, bound).terms == want, (pi, num_vars, bound)
 
     def test_k_expansion_of_type_c(self):
         # the K-quasisymmetric expansion of F^C over multi-permutation words
