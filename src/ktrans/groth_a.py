@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .rings import BETA, ONE, X, Y, TruncPoly, pi_operator, xvar, yvar
+from .rings import BETA, ONE, X, TruncPoly, pi_operator, var_code, xvar, yvar
 from .weyl import SignedPermutation, reflection
 
 # the one descent memo, keyed by (w, double); bench/worker.reset clears it
@@ -52,11 +52,12 @@ def groth_poly(w: SignedPermutation) -> TruncPoly:
 @lru_cache(maxsize=None)
 def groth_single(w: SignedPermutation, family: str) -> TruncPoly:
     """The single Grothendieck polynomial G_w(x), the double one at y = 0;
-    in the y family, the same polynomial with each x_i renamed y_i."""
+    in the y family, the same polynomial with y_i substituted for each x_i."""
     if not w.in_group("A"):
         raise ValueError(f"{w} is not a type A element")
     if family == "x":
         return _descend(w, False)
     if family == "y":
-        return _descend(w, False).rename_family(X, Y)
+        rename = {var_code(X, i): yvar(i) for i in range(1, w.support + 1)}
+        return _descend(w, False).substitute(rename)
     raise ValueError(f"family must be x or y, got {family!r}")

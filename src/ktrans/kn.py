@@ -34,7 +34,7 @@ def kn_eval(t: str, w: SignedPermutation, num_vars: int, bound: int) -> TruncPol
     total = TruncPoly.zero(bound)
     for sigma, ls in sigmas:
         sigma_inv = sigma.inverse()
-        gy = groth_single(sigma, "y").with_bound(bound)
+        gy = groth_single(sigma, "y")
         for u, lu in xelems:
             if ls + lu > bound:
                 continue
@@ -49,11 +49,7 @@ def kn_eval(t: str, w: SignedPermutation, num_vars: int, bound: int) -> TruncPol
                     continue
                 if fu is None:
                     fu = fstanley(t, u, num_vars, bound)
-                term = (
-                    TruncPoly.beta(ls + lu + lt - lw, bound)
-                    * gy
-                    * fu
-                    * groth_single(tau, "x").with_bound(bound)
-                )
-                total = total + term
+                # the beta power carries the bound, so the product truncates from its first step
+                beta = TruncPoly.beta(ls + lu + lt - lw, bound)
+                total = total + beta * gy * fu * groth_single(tau, "x")
     return total

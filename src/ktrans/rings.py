@@ -38,7 +38,6 @@ from .weyl import (
 
 X, Y, Z = 0, 1, 2
 _FAMILY_NAMES = {X: "x", Y: "y", Z: "z"}
-_FAMILY_CODES = {"x": X, "y": Y, "z": Z}
 _STRIDE = 1 << 20
 MAX_INDEX = _STRIDE - 1  # a larger index would spill into the next family's codes
 
@@ -75,7 +74,8 @@ class TruncPoly:
     __slots__ = ("terms", "bound")
 
     def __init__(self, terms: dict[Monomial, int] | None = None, bound: int | None = None):
-        self.terms = terms or {}
+        # no monomial has a negative degree, so a negative bound keeps nothing
+        self.terms = (terms or {}) if bound is None or bound >= 0 else {}
         self.bound = bound
 
     # -- constructors ---------------------------------------------------
@@ -91,13 +91,6 @@ class TruncPoly:
     @staticmethod
     def beta(exp: int = 1, bound: int | None = None) -> "TruncPoly":
         return TruncPoly({(exp, ()): 1}, bound)
-
-    @staticmethod
-    def var(family: str, index: int, bound: int | None = None) -> "TruncPoly":
-        code = var_code(_FAMILY_CODES[family], index)
-        if bound is not None and bound < 1:
-            return TruncPoly.zero(bound)
-        return TruncPoly({(0, (code,)): 1}, bound)
 
     # -- helpers ----------------------------------------------------------
 
@@ -230,22 +223,6 @@ class TruncPoly:
         }
         return TruncPoly(terms, self.bound)
 
-    def rename_family(self, src: int, dst: int) -> "TruncPoly":
-        """Move every src-family variable to the same index in family dst."""
-        terms: dict[Monomial, int] = {}
-        for (b, v), c in self.terms.items():
-            new = tuple(
-                sorted(
-                    var_code(dst, code_index(code)) if code_family(code) == src else code
-                    for code in v
-                )
-            )
-            m = (b, new)
-            terms[m] = terms.get(m, 0) + c
-            if not terms[m]:
-                del terms[m]
-        return TruncPoly(terms, self.bound)
-
     def homogeneous_degree(self) -> int | None:
         """Degree under deg(beta) = -1, deg(var) = 1; None if inhomogeneous."""
         degs = {mono_degree(m) - m[0] for m in self.terms}
@@ -258,16 +235,21 @@ ONE = TruncPoly.const(1)
 BETA = TruncPoly.beta()
 
 
+def _var(family: int, i: int, bound: int | None) -> TruncPoly:
+    code = var_code(family, i)
+    return TruncPoly({(0, (code,)): 1} if bound is None or bound >= 1 else {}, bound)
+
+
 def xvar(i: int, bound: int | None = None) -> TruncPoly:
-    return TruncPoly.var("x", i, bound)
+    return _var(X, i, bound)
 
 
 def yvar(i: int, bound: int | None = None) -> TruncPoly:
-    return TruncPoly.var("y", i, bound)
+    return _var(Y, i, bound)
 
 
 def zvar(i: int, bound: int | None = None) -> TruncPoly:
-    return TruncPoly.var("z", i, bound)
+    return _var(Z, i, bound)
 
 
 def z_monomial(beta_exp: int, indices: Iterable[int]) -> Monomial:
@@ -368,7 +350,9 @@ class YRational:
 
     def _over_common(self, other: "YRational") -> tuple[TruncPoly, TruncPoly, dict[int, int]]:
         """Both numerators over the least common denominator, and that
-        denominator."""
+        denominator; numerators over one denominator already stand as they are."""
+        if self.den == other.den:
+            return self.num, other.num, self.den
         lcm = {
             i: max(self.den.get(i, 0), other.den.get(i, 0))
             for i in set(self.den) | set(other.den)
@@ -402,8 +386,6 @@ class YRational:
         other = _lift(other)
         if not isinstance(other, YRational):
             return NotImplemented
-        if self.den == other.den:
-            return self.num == other.num
         a, b, _ = self._over_common(other)
         return a == b
 
@@ -434,15 +416,24 @@ def _lift(x):
 def _unit_product(exps: dict[int, int]) -> TruncPoly:
     p = ONE
     for i, e in sorted(exps.items()):
-        f = ONE + BETA * yvar(i)
-        for _ in range(e):
-            p = p * f
+        p = p * (ONE + BETA * yvar(i)) ** e
     return p
 
 
 def ominus_y(i: int) -> YRational:
     """y_{-i} = -y_i / (1 + beta*y_i)."""
     return YRational(-yvar(i), {i: 1})
+
+
+def y_factor(c: int, e: int = 1) -> YRational:
+    """(1 + beta*y_c)^e for a signed index c and any integer e.  Reading
+    y_{-i} as the ominus of y_i makes 1 + beta*y_{-i} = 1/(1 + beta*y_i), so
+    the power is a polynomial when c and e have the same sign and an
+    inverted unit otherwise; this is the one place that reading is applied
+    to a unit."""
+    if (c > 0) == (e > 0):
+        return YRational.from_poly(_unit_product({abs(c): abs(e)}))
+    return YRational.inverse_unit(abs(c), abs(e))
 
 
 def star_action(w: SignedPermutation, f: YRational) -> YRational:
@@ -458,12 +449,7 @@ def star_action(w: SignedPermutation, f: YRational) -> YRational:
             term = term * (YRational.from_poly(yvar(target)) if target > 0 else ominus_y(-target))
         result = result + term
     for i, e in sorted(f.den.items()):
-        target = w(i)
-        if target > 0:
-            result = result * YRational.inverse_unit(target, e)
-        else:
-            # 1/(1+beta*y_{-j}) = 1 + beta*y_j
-            result = result * _unit_product({-target: e})
+        result = result * y_factor(w(i), -e)
     return result
 
 
@@ -530,13 +516,8 @@ def apply_M(t: str, k: int, combo: dict, bound: int | None = None) -> dict:
         raise ValueError(f"the Monk operator of type {t} needs a length bound")
     out: dict = {}
     for u, c in combo.items():
-        if bound is not None and length(t, u) > bound:
-            continue
-        wk = u(k)
-        if wk > 0:
-            _add_term(out, u, c * YRational.inverse_unit(wk))
-        else:
-            _add_term(out, u, c * (ONE + BETA * yvar(-wk)))
+        if bound is None or length(t, u) <= bound:
+            _add_term(out, u, c * y_factor(u(k), -1))
     j = k - 1
     while j >= -(max([k] + [u.support for u in out]) + 1):
         out = _factor(
@@ -584,13 +565,6 @@ def combo_value(combo: dict, G) -> YRational:
     for u, c in combo.items():
         total = total + c * G(u)
     return total
-
-
-def y_factor(c: int) -> YRational:
-    """1 + beta*y_c, reading y_{-i} as the ominus of y_i."""
-    if c > 0:
-        return YRational.from_poly(ONE + BETA * yvar(c))
-    return YRational.const(1) + BETA * ominus_y(-c)
 
 
 def monk_identity_holds(

@@ -7,17 +7,19 @@ from ktrans.groth_a import groth_poly, groth_single
 from ktrans.rings import (
     BETA,
     ONE,
-    X,
     Y,
+    TruncPoly,
     YRational,
     apply_M,
     apply_R,
+    code_index,
     combo_value,
     monk_identity_holds,
     pi_operator,
     transition,
     transition_residual,
     unit_combo,
+    var_code,
     xvar,
     yrational_str,
     yvar,
@@ -30,6 +32,12 @@ from ktrans.weyl import (
     reflection,
     transition_data,
 )
+
+
+def x_to_y(p):
+    """p with each x_i renamed y_i, code by code; p has no y or z variables."""
+    terms = {(b, tuple(var_code(Y, code_index(c)) for c in v)): n for (b, v), n in p.terms.items()}
+    return TruncPoly(terms, p.bound)
 
 
 def oplus(a, b):
@@ -101,7 +109,11 @@ class TestGrothSingle:
         for w in group_elements("A", 4):
             at_y_zero = groth_poly(w).set_zero([Y])
             assert groth_single(w, "x") == at_y_zero, str(w)
-            assert groth_single(w, "y") == at_y_zero.rename_family(X, Y), str(w)
+            assert groth_single(w, "y") == x_to_y(at_y_zero), str(w)
+
+    def test_y_copy_renames_every_x_on_s5(self):
+        for w in group_elements("A", 5):
+            assert groth_single(w, "y").terms == x_to_y(groth_single(w, "x")).terms, str(w)
 
     def test_rejects_signed_element_and_unknown_family(self):
         with pytest.raises(ValueError):

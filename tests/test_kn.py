@@ -213,6 +213,13 @@ class TestMOperator:
         for u in group_elements(t, 2):
             assert monk_identity_holds(t, u, k, kn_at(t, 2, 4), 4), (t, str(u), k)
 
+    @pytest.mark.parametrize("t", ["B", "C", "D"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_monk_identity_rank_three(self, t, k):
+        # all of W_3: the v-scaling and the twisted u-moves meet units y_{-i}
+        for u in group_elements(t, 3):
+            assert monk_identity_holds(t, u, k, kn_at(t, 2, 4), 4), (t, str(u), k)
+
     def test_x_factor_absorbs_r_operator(self):
         # (1 + beta x_k) R_k F == (t-tail . v_k) F at truncation
         bound = 4

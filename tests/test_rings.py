@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from ktrans.hecke import fstanley, quasi
+from ktrans.kn import kn_eval
 from ktrans.rings import (
     BETA,
     ONE,
@@ -24,10 +26,12 @@ from ktrans.rings import (
     unit_combo,
     var_code,
     xvar,
+    y_factor,
     yrational_str,
     yvar,
     zvar,
 )
+from ktrans.tableaux import ShiftedSkewShape, gp, gq
 from ktrans.weyl import SignedPermutation, group_elements, identity, parse_oneline, reflection
 
 
@@ -82,6 +86,32 @@ class TestTruncPoly:
         assert (xvar(1) + xvar(1) * xvar(2)).homogeneous_degree() is None
 
 
+class TestNegativeBound:
+    # every monomial has degree >= 0, so a negative bound keeps none of them
+    def test_every_truncated_object_is_zero(self):
+        empty = ShiftedSkewShape(())
+        objects = [
+            TruncPoly.const(1, -1),
+            TruncPoly.beta(1, -1),
+            (ONE + xvar(1)).with_bound(-1),
+            xvar(1, -1),
+            gp(empty, 2, -1),
+            gq(empty, 2, -1),
+            quasi((), 2, -1),
+            fstanley("B", identity(), 2, -1),
+            fstanley("C", identity(), 2, -1, "unimodal"),
+            kn_eval("D", identity(), 2, -1),
+        ]
+        for p in objects:
+            assert p.is_zero() and p.bound == -1, p.terms
+
+    def test_compat_weights_stay_integers(self):
+        # the compatible-sequence sum divides by 2**bound at the end
+        one = fstanley("B", identity(), 2, 0)
+        assert one.terms == {(0, ()): 1}
+        assert all(type(c) is int for c in one.terms.values())
+
+
 class TestMonomialFormat:
     """A monomial's variables are its sorted codes, each repeated as often
     as its exponent, so its degree is their number."""
@@ -125,7 +155,8 @@ class TestMonomialFormat:
             var_code(family, 2**20)
 
     def test_rename_into_a_present_family_merges_powers(self):
-        assert (yvar(2) * zvar(2)).rename_family(Y, Z) == zvar(2) * zvar(2)
+        renamed = (yvar(2) * zvar(2)).substitute({var_code(Y, 2): zvar(2)})
+        assert renamed.terms == (zvar(2) * zvar(2)).terms == {(0, (var_code(Z, 2),) * 2): 1}
 
 
 class TestDividedDifference:
@@ -211,6 +242,22 @@ class TestYRational:
         # 1/(1 + beta*y_{-1}) = 1 + beta*y_1
         lhs = YRational.const(1) + BETA * ominus_y(1)
         assert lhs * (ONE + BETA * yvar(1)) == YRational.const(1)
+
+    @pytest.mark.parametrize("c", [2, -2])
+    def test_signed_unit_power_matches_product(self, c):
+        # (1 + beta*y_c)^e, with y_{-2} read as the ominus of y_2
+        unit = YRational.from_poly(ONE + BETA * yvar(c)) if c > 0 else 1 + BETA * ominus_y(-c)
+        for e in range(-2, 3):
+            power = YRational.const(1)
+            for _ in range(abs(e)):
+                power = power * unit
+            got = y_factor(c, e)
+            assert (got if e >= 0 else got * power) == (power if e >= 0 else 1), e
+            # a polynomial when c and e agree in sign, else an inverted unit
+            if e and (c > 0) != (e > 0):
+                assert (got.num, got.den) == (ONE, {2: abs(e)}), e
+            else:
+                assert not got.den, e
 
     def test_normalization(self):
         # the fraction keeps its factor; equality cross-multiplies

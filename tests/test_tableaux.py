@@ -98,7 +98,7 @@ def tableau_sums(
     """The generating function at each bound, summed tableau by tableau over
     one enumeration at the largest.  A smaller bound keeps what
     enumerate_tableaux yields at it: the tableaux with at most that many
-    letters, and the empty shape's one tableau at every bound."""
+    letters."""
     k = shape.size()
     tally: dict = {}
     for tab in enumerate_tableaux(shape, flavor, num_letters, max(bounds)):
@@ -106,7 +106,7 @@ def tableau_sums(
         m = z_monomial(len(letters) - k, letters)
         tally[m] = tally.get(m, 0) + 1
     return {
-        bound: TruncPoly({m: n for m, n in tally.items() if not k or len(m[1]) <= bound}, bound)
+        bound: TruncPoly({m: n for m, n in tally.items() if len(m[1]) <= bound}, bound)
         for bound in bounds
     }
 
