@@ -17,9 +17,12 @@ from .tableaux import ShiftedSkewShape
 from .weyl import parse_oneline
 
 
-def _shape_arg(text: str) -> tuple[int, ...]:
-    s = text.strip().strip("[]")
-    return tuple(int(tok) for tok in s.split(",") if tok.strip())
+def _shape(text: str) -> tuple[int, ...]:
+    """A partition by the comma-list rule of windows (``weyl.parse_ints``)."""
+    try:
+        return weyl.parse_ints(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad shape {text!r}: {exc}") from None
 
 
 def _load_cache() -> tuple[str | None, int]:
@@ -62,27 +65,26 @@ def _save_cache(path: str | None) -> None:
 
 
 def cmd_length(args) -> int:
-    w = parse_oneline(args.w)
-    print(weyl.length(args.type, w))
+    print(weyl.length(args.type, parse_oneline(args.w)))
     return 0
 
 
 def _emit_poly(args, poly, **fields) -> int:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps({**fields, "N": args.N, "D": args.D, "poly": poly_str(poly)}))
     else:
         print(poly_str(poly))
     return 0
 
 
-def cmd_fstanley(args) -> int:
+def _cmd_oracle(args, fn, *extra) -> int:
+    """Print fn(type, w, N, D, *extra), the oracle's series at the window."""
     w = parse_oneline(args.w)
-    f = hecke.fstanley(args.type, w, args.N, args.D, args.method)
-    return _emit_poly(args, f, type=args.type, w=list(w))
+    return _emit_poly(args, fn(args.type, w, args.N, args.D, *extra), type=args.type, w=list(w))
 
 
 def _cmd_gpgq(args, fn) -> int:
-    sh = ShiftedSkewShape(args.shape, args.inner or ())
+    sh = ShiftedSkewShape(args.shape, args.inner)
     return _emit_poly(
         args, fn(sh, args.N, args.D), outer=list(sh.outer), inner=list(sh.inner)
     )
@@ -114,16 +116,19 @@ def _serve_expansion(args, compute) -> int:
     return 0
 
 
-def cmd_expand(args) -> int:
-    return _serve_expansion(
-        args, lambda: expand_mod.expand_grassmannian(args.type, parse_oneline(args.w))
-    )
+def _by_length(t, combo) -> list:
+    """The (u, coeff) of a certificate's R_a by length, then window."""
+    return sorted(combo.items(), key=lambda p: (weyl.length(t, p[0]), p[0]))
 
 
-def cmd_skew(args) -> int:
-    return _serve_expansion(
-        args, lambda: expand_mod.skew_expansion(args.basis, args.outer, args.inner or ())
-    )
+def _print_certificate(t, name, yc, w, certificate) -> None:
+    """The transition recursion for name[w], with y_c written as yc."""
+    v, a, c, combo = certificate
+    print(f"w = {w}")
+    print(f"a = {a}  v = {v}  c = {c}")
+    print(f"{name}[{w}] = ((1+b*{yc})*(1+b*x{a})*R - {name}[{v}]) / b  where R is:")
+    for u, coeff in _by_length(t, combo):
+        print(f"  {name}[{u}] * ({yrational_str(coeff)})")
 
 
 def cmd_groth_a(args) -> int:
@@ -132,49 +137,25 @@ def cmd_groth_a(args) -> int:
         print(poly_str(groth_a.groth_poly(w)))
         return 0
     certificate = rings.transition("A", w)
-    v, a, c, combo = certificate
-    print(f"w = {w}")
-    print(f"a = {a}  v = {v}  c = {c}")
-    print(f"G[{w}] = ((1+b*y{c})*(1+b*x{a})*R - G[{v}]) / b  where R is:")
-    for u, coeff in sorted(combo.items(), key=lambda p: (weyl.length("A", p[0]), p[0])):
-        print(f"  G[{u}] * ({yrational_str(coeff)})")
+    _print_certificate("A", "G", f"y{certificate[2]}", w, certificate)
     ok = rings.transition_residual(w, certificate, groth_a.groth_poly).is_zero()
     print(f"identity: {'verified' if ok else 'FAILED'}")
     return 0 if ok else 1
 
 
-def _kn_at(t: str, num_vars: int, bound: int):
-    """kn_eval at a fixed type and truncation, as the evaluator of rings'
-    identity checks."""
-    return lambda u: kn.kn_eval(t, u, num_vars, bound)
-
-
-def cmd_kn_eval(args) -> int:
-    w = parse_oneline(args.w)
-    f = kn.kn_eval(args.type, w, args.N, args.D)
-    return _emit_poly(args, f, type=args.type, w=list(w))
-
-
 def cmd_kn_transition(args) -> int:
-    w = parse_oneline(args.w)
-    certificate = rings.transition(args.type, w)
-    v, a, c, combo = certificate
-    terms = [
-        {"w": list(u), "coeff": yrational_str(coeff)}
-        for u, coeff in sorted(
-            combo.items(), key=lambda p: (weyl.length(args.type, p[0]), p[0])
-        )
-    ]
-    residual = rings.transition_residual(w, certificate, _kn_at(args.type, args.N, args.D))
+    t, w = args.type, parse_oneline(args.w)
+    certificate = rings.transition(t, w)
+    residual = rings.transition_residual(
+        w, certificate, lambda u: kn.kn_eval(t, u, args.N, args.D)
+    )
     if args.json:
-        doc = {"type": args.type, "w": list(w), "a": a, "v": list(v), "c": c, "terms": terms}
+        v, a, c, combo = certificate
+        terms = [{"w": list(u), "coeff": yrational_str(x)} for u, x in _by_length(t, combo)]
+        doc = {"type": t, "w": list(w), "a": a, "v": list(v), "c": c, "terms": terms}
         print(json.dumps({**doc, "N": args.N, "D": args.D, "residual": yrational_str(residual)}))
     else:
-        print(f"w = {w}")
-        print(f"a = {a}  v = {v}  c = {c}")
-        print(f"KN[{w}] = ((1+b*y_c)*(1+b*x{a})*R - KN[{v}]) / b  where R is:")
-        for term in terms:
-            print(f"  KN[{','.join(map(str, term['w'])) or '1'}] * ({term['coeff']})")
+        _print_certificate(t, "KN", "y_c", w, certificate)
         print(f"residual at N={args.N} D={args.D}: {yrational_str(residual)}")
     return 0 if residual.is_zero() else 1
 
@@ -257,21 +238,6 @@ def _check_grassmannian_law(num_vars=3, bound=6):
     return True, ""
 
 
-def _check_type_a():
-    for w in weyl.group_elements("A", 4):
-        if w.descents():
-            residual = rings.transition_residual(
-                w, rings.transition("A", w), groth_a.groth_poly
-            )
-            if not residual.is_zero():
-                return False, f"transition fails at {w}"
-    for u in weyl.group_elements("A", 3):
-        for k in (1, 2, 3):
-            if not rings.monk_identity_holds("A", u, k, groth_a.groth_poly):
-                return False, f"Monk identity fails at ({u}, k={k})"
-    return True, ""
-
-
 def _check_kn_oracle(num_vars=2, bound=4):
     w = parse_oneline("-2,1")
     y1 = rings.yvar(1)
@@ -286,17 +252,22 @@ def _check_kn_oracle(num_vars=2, bound=4):
     return True, ""
 
 
-def _check_bcd_transitions(num_vars=2, bound=4):
-    for t in ("B", "C", "D"):
-        G = _kn_at(t, num_vars, bound)
-        for w in weyl.group_elements(t, 2):
+def _check_transitions(types, G, rank, monk_rank, ks, bound=None):
+    """The transition identity at each element of W_rank with a descent and
+    the Monk identity at each (u, k), u in W_monk_rank and k in ks, for each
+    type t, with G(t, u) the double Grothendieck polynomial (the Monk rule
+    cut at length bound)."""
+    for t in types:
+        Gt = functools.partial(G, t)
+        for w in weyl.group_elements(t, rank):
             if w.descents():
-                residual = rings.transition_residual(w, rings.transition(t, w), G)
+                residual = rings.transition_residual(w, rings.transition(t, w), Gt)
                 if not residual.is_zero():
                     return False, f"transition fails at ({t}, {w})"
-            for k in (1, 2):
-                if not rings.monk_identity_holds(t, w, k, G, bound):
-                    return False, f"Monk fails at ({t}, {w}, k={k})"
+        for u in weyl.group_elements(t, monk_rank):
+            for k in ks:
+                if not rings.monk_identity_holds(t, u, k, Gt, bound):
+                    return False, f"Monk identity fails at ({t}, {u}, k={k})"
     return True, ""
 
 
@@ -386,9 +357,14 @@ CHECKS = [
     ("gq-gp-relations", _check_gq_gp),
     ("method-agreement", _check_method_agreement),
     ("grassmannian-law", _check_grassmannian_law),
-    ("type-A-transitions", _check_type_a),
+    # G is looked up at call time, so a rebinding of groth_poly or kn_eval reaches it
+    ("type-A-transitions", functools.partial(
+        _check_transitions, "A", lambda t, u: groth_a.groth_poly(u), 4, 3, (1, 2, 3),
+    )),
     ("kn-oracle", _check_kn_oracle),
-    ("bcd-transitions", _check_bcd_transitions),
+    ("bcd-transitions", functools.partial(
+        _check_transitions, "BCD", lambda t, u: kn.kn_eval(t, u, 2, 4), 2, 2, (1, 2), 4,
+    )),
     ("length-rule-equivalence", _check_length_rule),
     ("supersymmetry", _check_supersym),
     ("quasisym-identity", _check_quasisym),
@@ -482,58 +458,66 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError("must be nonnegative")
         return value
 
-    def add_common(p, group_types="ABCD"):
+    def window(p, types=""):
         p.add_argument("--w", required=True, help="one-line window, e.g. -3,4,-1,5,2")
-        p.add_argument("--type", choices=list(group_types), default="B")
+        if types:
+            p.add_argument("--type", choices=list(types), default="B")
+
+    def truncation(p):
         p.add_argument("--N", type=num_vars, default=3, help="number of z variables")
         p.add_argument("--D", type=nonneg_int, default=6, help="total degree bound")
         p.add_argument("--json", action="store_true")
 
+    def document(p):
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--stats", action="store_true", help="memo counts as one JSON line on stderr")
+
     p = sub.add_parser("length", help="Coxeter length of a signed permutation")
-    p.add_argument("--w", required=True)
-    p.add_argument("--type", choices=list("ABCD"), default="B")
+    window(p, "ABCD")
     p.set_defaults(fn=cmd_length)
 
     p = sub.add_parser("fstanley", help="K-Stanley symmetric function, truncated")
-    add_common(p, "BCD")
+    window(p, "BCD")
+    truncation(p)
     p.add_argument("--method", choices=["compat", "unimodal"], default="compat")
-    p.set_defaults(fn=cmd_fstanley)
+    p.set_defaults(fn=lambda a: _cmd_oracle(a, hecke.fstanley, a.method))
 
     for name, fn in (("gp", tableaux.gp), ("gq", tableaux.gq)):
         p = sub.add_parser(name, help=f"K-theoretic Schur {name[-1].upper()}-function")
-        p.add_argument("--shape", type=_shape_arg, required=True)
-        p.add_argument("--inner", type=_shape_arg, default=())
-        p.add_argument("--N", type=num_vars, default=3)
-        p.add_argument("--D", type=nonneg_int, default=6)
-        p.add_argument("--json", action="store_true")
+        p.add_argument("--shape", type=_shape, required=True)
+        p.add_argument("--inner", type=_shape, default=())
+        truncation(p)
         p.set_defaults(fn=lambda a, f=fn: _cmd_gpgq(a, f))
 
     p = sub.add_parser("expand", help="expand F_w into Grassmannian terms")
-    p.add_argument("--w", required=True)
-    p.add_argument("--type", choices=list("BCD"), default="B")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--stats", action="store_true", help="memo counts as one JSON line on stderr")
-    p.set_defaults(fn=cmd_expand)
+    window(p, "BCD")
+    document(p)
+    p.set_defaults(fn=lambda a: _serve_expansion(
+        a, lambda: expand_mod.expand_grassmannian(a.type, parse_oneline(a.w))
+    ))
 
     p = sub.add_parser("skew", help="expand a skew GP/GQ function")
     p.add_argument("--basis", choices=["GP", "GQ"], required=True)
-    p.add_argument("--outer", type=_shape_arg, required=True)
-    p.add_argument("--inner", type=_shape_arg, default=())
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--stats", action="store_true", help="memo counts as one JSON line on stderr")
-    p.set_defaults(fn=cmd_skew)
+    p.add_argument("--outer", type=_shape, required=True)
+    p.add_argument("--inner", type=_shape, default=())
+    document(p)
+    p.set_defaults(fn=lambda a: _serve_expansion(
+        a, lambda: expand_mod.skew_expansion(a.basis, a.outer, a.inner)
+    ))
 
     p = sub.add_parser("groth-a", help="type A double Grothendieck polynomial")
-    p.add_argument("--w", required=True)
+    window(p)
     p.add_argument("--transition", action="store_true")
     p.set_defaults(fn=cmd_groth_a)
 
     p = sub.add_parser("kn-eval", help="classical-type double Grothendieck series at truncation")
-    add_common(p, "BCD")
-    p.set_defaults(fn=cmd_kn_eval)
+    window(p, "BCD")
+    truncation(p)
+    p.set_defaults(fn=lambda a: _cmd_oracle(a, kn.kn_eval))
 
     p = sub.add_parser("kn-transition", help="transition certificate with residual")
-    add_common(p, "BCD")
+    window(p, "BCD")
+    truncation(p)
     p.set_defaults(fn=cmd_kn_transition)
 
     p = sub.add_parser("verify-suite", help="run the identity battery")

@@ -155,15 +155,19 @@ def identity() -> SignedPermutation:
 # -- one-line notation ------------------------------------------------
 
 
-def parse_oneline(text: str) -> SignedPermutation:
-    """Parse comma-separated signed integers, with optional surrounding brackets."""
+def parse_ints(text: str) -> tuple[int, ...]:
+    """Comma-separated integers inside at most one pair of brackets; "" and
+    "[]" are empty, and an empty entry raises ValueError."""
     s = text.strip()
     if s.startswith("[") and s.endswith("]"):
         s = s[1:-1]
-    if not s:
-        return IDENTITY
+    return tuple(int(tok) for tok in s.split(",")) if s else ()
+
+
+def parse_oneline(text: str) -> SignedPermutation:
+    """Parse a window by the rule of ``parse_ints``."""
     try:
-        entries = [int(tok.strip()) for tok in s.split(",")]
+        entries = parse_ints(text)
     except ValueError as exc:
         raise ValueError(f"bad one-line notation {text!r}: {exc}") from None
     return SignedPermutation(entries)

@@ -217,6 +217,45 @@ class TestCommands:
         code, out = run(capsys, "gp", "--shape", "1", "--N", "1048575", "--D", "0")
         assert code == 0 and out == "0\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gp", "--shape", "3,,1"],
+            ["gp", "--shape", "3,1,"],
+            ["gp", "--shape", ",3"],
+            ["gp", "--shape", "[[3]]"],
+            ["gp", "--shape", "3,x"],
+            ["gq", "--shape", "3", "--inner", "1,,"],
+            ["skew", "--basis", "GP", "--outer", "3,1", "--inner", ","],
+            ["skew", "--basis", "GQ", "--outer", "3,,1"],
+        ],
+        ids=" ".join,
+    )
+    def test_malformed_shape_is_usage_error(self, capsys, argv):
+        # a shape is a comma list by the rule of windows: no empty part;
+        # the malformed value is the last argument, so argv[-2] is its flag
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"ktrans {argv[0]}: error: argument {argv[-2]}: bad shape ")
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["gp", "--shape", "", "--N", "1", "--D", "1"], "1\n"),
+            (["gq", "--shape", "[]", "--N", "1", "--D", "1"], "1\n"),
+            (["gp", "--shape", "[2]", "--inner", "[]", "--N", "1", "--D", "2"], "z1^2\n"),
+            (["skew", "--basis", "GP", "--outer", "3,1"], "lambda=[3, 1] coeff=1 beta_power=0\n"),
+        ],
+        ids=["gp-empty", "gq-brackets", "gp-inner-brackets", "skew-default-inner"],
+    )
+    def test_empty_shape_answers(self, capsys, monkeypatch, argv, want):
+        monkeypatch.delenv("KTRANS_CACHE_DIR", raising=False)
+        assert run(capsys, *argv) == (0, want)
+
 
 class TestVerifySuite:
     def test_battery_passes_in_parallel(self, capsys):
@@ -373,11 +412,120 @@ class TestVerifySuite:
         assert sum(line.startswith("FAIL") for line in lines) == 1
         assert lines[-1] == f"1 of {len(lines) - 2} checks failed"
 
+    @pytest.mark.parametrize("half", ["transition", "Monk identity"])
+    def test_merged_identity_checks_fail_on_either_half(self, monkeypatch, half):
+        # type A and types B/C/D share one check, which must still run both loops
+        from ktrans import cli, rings
+
+        if half == "transition":
+            monkeypatch.setattr(
+                rings, "transition_residual", lambda *args: rings.YRational.const(1)
+            )
+        else:
+            monkeypatch.setattr(rings, "monk_identity_holds", lambda *args: False)
+        checks = dict(cli.CHECKS)
+        for name, t in (("type-A-transitions", "A"), ("bcd-transitions", "B")):
+            ok, detail = checks[name]()
+            assert not ok and detail.startswith(f"{half} fails at ({t}, ")
+
+    @pytest.mark.parametrize("t", "ABCD")
+    def test_merged_identity_checks_run_every_type(self, monkeypatch, t):
+        from ktrans import cli, rings
+
+        # a Monk failure in type t fails the check that owns t, and only it
+        holds = rings.monk_identity_holds
+        monkeypatch.setattr(
+            rings, "monk_identity_holds", lambda u_t, *args: u_t != t and holds(u_t, *args)
+        )
+        checks = dict(cli.CHECKS)
+        assert checks["type-A-transitions"]()[0] == (t != "A")
+        assert checks["bcd-transitions"]()[0] == (t == "A")
+
 
 def _worker_pi_braid():
     from ktrans import cli
 
     return cli.CHECKS[-1][1]
+
+
+# every subcommand's options as (strings, default, choices, required, nargs)
+SURFACE = {
+    "length": [
+        (("--w",), None, None, True, None),
+        (("--type",), "B", ["A", "B", "C", "D"], False, None),
+    ],
+    "fstanley": [
+        (("--w",), None, None, True, None),
+        (("--type",), "B", ["B", "C", "D"], False, None),
+        (("--N",), 3, None, False, None),
+        (("--D",), 6, None, False, None),
+        (("--json",), False, None, False, 0),
+        (("--method",), "compat", ["compat", "unimodal"], False, None),
+    ],
+    **{
+        name: [
+            (("--shape",), None, None, True, None),
+            (("--inner",), (), None, False, None),
+            (("--N",), 3, None, False, None),
+            (("--D",), 6, None, False, None),
+            (("--json",), False, None, False, 0),
+        ]
+        for name in ("gp", "gq")
+    },
+    "expand": [
+        (("--w",), None, None, True, None),
+        (("--type",), "B", ["B", "C", "D"], False, None),
+        (("--json",), False, None, False, 0),
+        (("--stats",), False, None, False, 0),
+    ],
+    "skew": [
+        (("--basis",), None, ["GP", "GQ"], True, None),
+        (("--outer",), None, None, True, None),
+        (("--inner",), (), None, False, None),
+        (("--json",), False, None, False, 0),
+        (("--stats",), False, None, False, 0),
+    ],
+    "groth-a": [
+        (("--w",), None, None, True, None),
+        (("--transition",), False, None, False, 0),
+    ],
+    **{
+        name: [
+            (("--w",), None, None, True, None),
+            (("--type",), "B", ["B", "C", "D"], False, None),
+            (("--N",), 3, None, False, None),
+            (("--D",), 6, None, False, None),
+            (("--json",), False, None, False, 0),
+        ]
+        for name in ("kn-eval", "kn-transition")
+    },
+    "verify-suite": [
+        (("--jobs",), 1, None, False, None),
+        (("--seed",), None, None, False, None),
+        (("--check",), None, None, False, None),
+    ],
+}
+
+
+class TestSurface:
+    def test_every_option_is_pinned(self):
+        import argparse
+
+        from ktrans.cli import build_parser
+
+        [sub] = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        got = {
+            name: [
+                (tuple(a.option_strings), a.default, a.choices and list(a.choices),
+                 a.required, a.nargs)
+                for a in p._actions if not isinstance(a, argparse._HelpAction)
+            ]
+            for name, p in sub.choices.items()
+        }
+        assert got == SURFACE
+        assert list(got) == list(SURFACE)
 
 
 class TestCache:

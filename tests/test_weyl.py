@@ -22,6 +22,7 @@ from ktrans.weyl import (
     is_valid_reflection,
     length,
     length_increment_ok,
+    parse_ints,
     parse_oneline,
     r_chains,
     reduced_word,
@@ -66,10 +67,21 @@ class TestParse:
         for text in ("-3,4,-1,5,2", "2,1", "1"):
             assert format_oneline(parse_oneline(f"[{text}]")) == text
 
-    @pytest.mark.parametrize("bad", ["2,2", "0,1", "1,x", "3,1"])
+    @pytest.mark.parametrize("bad", ["2,2", "0,1", "1,x", "3,1", "2,,1", "2,1,", ",1", "[[2,1]]"])
     def test_rejects_bad_windows(self, bad):
         with pytest.raises(ValueError):
             parse_oneline(bad)
+
+    @pytest.mark.parametrize(
+        "text, want", [("", ()), ("[]", ()), (" [ 3, 1 ] ", (3, 1)), ("-2,1", (-2, 1))]
+    )
+    def test_comma_lists(self, text, want):
+        assert parse_ints(text) == want
+
+    @pytest.mark.parametrize("bad", ["3,,1", "3,1,", ",3", ",", "[[3]]", "[ ]", "3;1"])
+    def test_comma_list_rejects_empty_and_foreign_entries(self, bad):
+        with pytest.raises(ValueError):
+            parse_ints(bad)
 
     # [True] and [2, 1, 3.0] end in an entry that trimming would drop
     @pytest.mark.parametrize("bad", [[True, -2], [-2, True], [1.0], ["1"], [True], [2, 1, 3.0]])
