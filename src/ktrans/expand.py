@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .hecke import fstanley
 from .rings import TruncPoly
-from .tableaux import ShiftedSkewShape, gp, gq, w_shape
+from .tableaux import ShiftedSkewShape, check_strict, gp, gq, w_shape
 from .weyl import (
     SignedPermutation,
     _chains,
@@ -32,6 +32,7 @@ from .weyl import (
 )
 
 Window = tuple[int, ...]
+Shape = tuple[int, ...]  # a strict partition, the name of a GP/GQ term
 
 
 def _perm(win: Window) -> SignedPermutation:
@@ -95,9 +96,9 @@ class ExpansionResult:
     source: SignedPermutation
     length: int
     basis: str
-    terms: dict[tuple[int, ...], int]
+    terms: dict[Shape, int]
 
-    def beta_power(self, lam: tuple[int, ...]) -> int:
+    def beta_power(self, lam: Shape) -> int:
         return sum(lam) - self.length
 
     def to_json_dict(self) -> dict:
@@ -109,46 +110,47 @@ class ExpansionResult:
         return {**doc, "basis": self.basis, "terms": terms}
 
 
-_cache: dict[tuple[str, SignedPermutation], dict[SignedPermutation, int]] = {}
+_cache: dict[tuple[str, SignedPermutation], dict[Shape, int]] = {}
 
 
 @lru_cache(maxsize=None)
-def _expansion(t: str, u: Window, d: int) -> dict[SignedPermutation, int]:
-    """The Grassmannian expansion of F_u, for the trimmed window u with
+def _expansion(t: str, u: Window, d: int) -> dict[Shape, int]:
+    """The expansion {lambda: coeff} of F_u, for the trimmed window u with
     least descent d, shared by every caller and by `_cache`: not to be mutated.
 
     A dynamic program over the LD order, on plain windows.  A Grassmannian
-    u is its own expansion, and any other u is the sum of the expansions of
-    its ``_step`` outputs, each strictly below u and keyed with the LD that
-    ``_step`` computed.  `_cache` is not consulted here, so a persisted
-    entry serves its own key alone.  ``_step`` asserts the support bound of
-    u at every output; by induction, every intermediate of a root w stays
-    within support(w) + LD(w), memo hits included.
+    u is the one term of shape(t, u), and any other u is the sum of the
+    expansions of its ``_step`` outputs, each strictly below u and keyed with
+    the LD that ``_step`` computed.  `_cache` is not consulted here, so a
+    persisted entry serves its own key alone.  ``_step`` asserts the support
+    bound of u at every output; by induction, every intermediate of a root w
+    stays within support(w) + LD(w), memo hits included, so lambda_1 does too.
     """
     if not d:
-        return {_perm(u): 1}  # the leaf's one signed permutation, memoized with it
+        return {shape(t, _perm(u)): 1}  # the leaf's one shape, memoized with it
     outputs = _step(t, u, d)
     if len(outputs) == 1 and outputs[0][2] == 1:
         return _expansion(t, *outputs[0][:2])  # F_u = F_v: share v's expansion, as most steps do
-    total: dict[SignedPermutation, int] = {}
+    total: dict[Shape, int] = {}
     for v, dv, coeff in outputs:
-        for g, c in _expansion(t, v, dv).items():
-            total[g] = total.get(g, 0) + coeff * c
+        for lam, c in _expansion(t, v, dv).items():
+            total[lam] = total.get(lam, 0) + coeff * c
     return total
 
 
 def expand_grassmannian(t: str, w: SignedPermutation) -> ExpansionResult:
-    """Fully expand F_w into Grassmannian symbols by iterated transitions.
+    """Fully expand F_w into GP/GQ terms by iterated transitions.
 
     Two memos serve it.  `_expansion` keeps every key it expanded, in
     process; `_cache` keeps the requested keys alone, each mapped to the
     dict that `_expansion` returned, serves each only for itself, and is
     the one that `save_cache` persists.  Every step asserts that v * t_ab
     raises length by one, nonnegativity, descent in the LD order and the
-    support bound.
-    A chain of steps deeper than the interpreter's recursion limit raises
-    ValueError, as malformed input does.
+    support bound.  A type other than B, C or D, or a chain of steps deeper
+    than the interpreter's recursion limit, raises ValueError.
     """
+    if t not in ("B", "C", "D"):
+        raise ValueError(f"expansion needs type B, C, or D, not {t!r}")
     lw = length(t, w)
     cached = _cache.get((t, w))
     if cached is None:
@@ -156,12 +158,7 @@ def expand_grassmannian(t: str, w: SignedPermutation) -> ExpansionResult:
             cached = _cache[(t, w)] = _expansion(t, tuple(w), w.least_descent())
         except RecursionError:
             raise ValueError(f"the transition chain of {w} is too deep to expand") from None
-    basis = "GQ" if t == "C" else "GP"
-    terms: dict[tuple[int, ...], int] = {}
-    for u, coeff in cached.items():
-        lam = shape(t, u)
-        terms[lam] = terms.get(lam, 0) + coeff
-    return ExpansionResult(t, w, lw, basis, terms)
+    return ExpansionResult(t, w, lw, "GQ" if t == "C" else "GP", dict(cached))
 
 
 def skew_expansion(basis: str, outer, inner=()) -> ExpansionResult:
@@ -211,17 +208,17 @@ def verify_expansion(
 
 # -- cache persistence -------------------------------------------------------
 
-_VERSION = 2
+_VERSION = 3
 
 
 def save_cache(path: str) -> int:
-    """Write the memo as a version 2 JSON document; returns the entry count.
+    """Write the memo as a version 3 JSON document; returns the entry count.
 
-    ``{"version": 2, "entries": [[t, window, [[u_window, coeff], ...]], ...]}``,
-    keys sorted by type and window, values by window.
+    ``{"version": 3, "entries": [[t, window, [[lambda, coeff], ...]], ...]}``,
+    keys sorted by type and window, values by lambda.
     """
     entries = [
-        [t, list(w), sorted([list(u), c] for u, c in g.items())]
+        [t, list(w), sorted([list(lam), c] for lam, c in g.items())]
         for (t, w), g in sorted(_cache.items())
     ]
     text = json.dumps({"version": _VERSION, "entries": entries}, separators=(",", ":"))
@@ -251,16 +248,16 @@ def load_cache(path: str) -> int:
     All or nothing: a malformed document (a v1 binary file included), a
     group type other than B, C or D, a window the validating constructor
     rejects, a key outside the group of its type, a value that is not a
-    Grassmannian element of that group, a value whose shape has size
-    |lambda| below the key's length, a coefficient that is not a positive
-    int, a key or a value within one entry that repeats (windows compared
-    after trimming), an entry with no values, or a Grassmannian key whose
-    entry is not itself with coefficient 1 raises ValueError and merges no
-    entry.
+    strict partition of int parts (``check_strict``), a value whose first
+    part exceeds support(w) + LD(w) of its key w or whose size |lambda| is
+    below l(w), a coefficient that is not a positive int, a key or a value
+    within one entry that repeats (keys compared after trimming), an entry
+    with no values, or a Grassmannian key whose entry is not its own shape
+    with coefficient 1 raises ValueError and merges no entry.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    loaded: dict[tuple[str, SignedPermutation], dict[SignedPermutation, int]] = {}
+    loaded: dict[tuple[str, SignedPermutation], dict[Shape, int]] = {}
     try:
         doc = json.loads(data)
         if doc.get("version") != _VERSION:
@@ -274,30 +271,28 @@ def load_cache(path: str) -> int:
                 raise ValueError(f"the key {t} {w} repeats")
             if not w.in_group(t):
                 raise ValueError(f"the key {w} is not in the group of type {t}")
-            lw = length(t, w)
-            entries: dict[SignedPermutation, int] = {}
-            for uwin, coeff in _list(values):
+            lw, top = length(t, w), w.support + w.least_descent()
+            entries: dict[Shape, int] = {}
+            for parts, coeff in _list(values):
                 if type(coeff) is not int or coeff <= 0:
                     raise ValueError(f"the coefficient {coeff!r} is not a positive integer")
-                u = SignedPermutation(_list(uwin))
-                # shape refuses a value that is not a Grassmannian element
-                # of type t; a term a * beta^(|lam| - l(w)) needs |lam| >= l(w)
-                if sum(shape(t, u)) < lw:
-                    raise ValueError(f"the value {u} has |lambda| below l({w}) = {lw}")
-                if u in entries:
-                    raise ValueError(f"the value {u} repeats in the entry of {w}")
-                entries[u] = coeff
+                lam = check_strict(_list(parts))
+                # every leaf of w lies within the support bound, and a term
+                # a * beta^(|lam| - l(w)) needs |lam| >= l(w)
+                if lam and lam[0] > top:
+                    raise ValueError(f"the shape {lam} exceeds support + LD = {top} of {w}")
+                if sum(lam) < lw:
+                    raise ValueError(f"the shape {lam} has |lambda| below l({w}) = {lw}")
+                if lam in entries:
+                    raise ValueError(f"the shape {lam} repeats in the entry of {w}")
+                entries[lam] = coeff
             if not entries:
                 raise ValueError(f"the entry of {w} has no values")
-            if w.is_grassmannian() and entries != {w: 1}:
-                raise ValueError(f"the entry of the Grassmannian key {w} is not {w} alone")
+            if w.is_grassmannian() and entries != {shape(t, w): 1}:
+                raise ValueError(f"the entry of the Grassmannian key {w} is not its shape alone")
             loaded[(t, w)] = entries
     except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as exc:
         raise ValueError(f"{path} is not an expansion cache: {type(exc).__name__}: {exc}") from exc
     for key, entries in loaded.items():
         _cache.setdefault(key, entries)
     return len(loaded)
-
-
-def cache_dir_file(cache_dir: str) -> str:
-    return os.path.join(cache_dir, "expansions.ktrx")

@@ -25,8 +25,8 @@ from .weyl import SignedPermutation, generator, identity
 def check_strict(parts: tuple[int, ...]) -> tuple[int, ...]:
     parts = tuple(parts)
     for i, p in enumerate(parts):
-        if p <= 0:
-            raise ValueError(f"parts must be positive: {parts}")
+        if type(p) is not int or p <= 0:  # bools and floats are not parts
+            raise ValueError(f"parts must be positive integers: {parts}")
         if i and parts[i - 1] <= p:
             raise ValueError(f"parts must strictly decrease: {parts}")
     return parts

@@ -613,6 +613,23 @@ class TestCache:
         assert expand_mod.load_cache(str(path)) == 1
         assert list(expand_mod._cache) == [("B", (2, 1))]
 
+    def test_version_2_file_is_replaced_without_a_warning(self, capsys, tmp_path, monkeypatch):
+        from ktrans import expand as expand_mod
+
+        monkeypatch.setenv("KTRANS_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(expand_mod, "_cache", {})  # a fresh process
+        path = tmp_path / "expansions.ktrx"
+        path.write_bytes(_V2_B21)
+        code = main(["expand", "--type", "B", "--w", "2,1", "--json"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert {(1,): 2, (2,): 1} == {
+            tuple(t["lambda"]): t["coeff"] for t in json.loads(captured.out)["terms"]
+        }
+        assert json.loads(path.read_bytes()) == {
+            "version": 3, "entries": [["B", [2, 1], [[[1], 2], [[2], 1]]]]
+        }
+
     def test_overlapping_commands_keep_both_keys(self, capsys, tmp_path, monkeypatch):
         from ktrans import expand as expand_mod
         from ktrans.weyl import parse_oneline
@@ -682,48 +699,57 @@ class TestCache:
 
 
 # a well-formed record precedes each defect, so a partial merge would show
-_GOOD = ["B", [-1], [[[-1], 1]]]
+_GOOD = ["B", [-1], [[[1], 1]]]
 
 
-def _v2(*records, entries=None) -> bytes:
+def _v3(*records, entries=None) -> bytes:
     entries = [_GOOD, *records] if entries is None else entries
-    return json.dumps({"version": 2, "entries": entries}).encode()
+    return json.dumps({"version": 3, "entries": entries}).encode()
 
 
 MALFORMED = {
-    "entries-an-object": _v2(entries={}),
-    "entries-a-string": _v2(entries=""),
-    "record-too-short": _v2(["B", [2, 1]]),
-    "record-too-long": _v2(["B", [2, 1], [], []]),
-    "values-not-a-list": _v2(["B", [2, 1], {}]),
-    "key-window-not-a-list": _v2(["B", "", [[[-1], 1]]]),
-    "key-window-repeats": _v2(["B", [2, 2], [[[-1], 1]]]),
-    "value-window-not-a-list": _v2(["B", [2, 1], [["", 1]]]),
-    "value-window-repeats": _v2(["B", [2, 1], [[[2, 2], 1]]]),
-    "key-repeats": _v2(["B", [2, 1], [[[-1], 2], [[-2, 1], 1]]], ["B", [2, 1, 3], [[[-1], 9]]]),
-    "value-repeats": _v2(["B", [2, 1], [[[-1], 1], [[-2, 1], 1], [[-1, 2], 5]]]),
-    "window-of-booleans": _v2(["B", [True, -2], [[[-2, True], 1]]]),
-    "pair-too-long": _v2(["B", [2, 1], [[[-1], 1, 1]]]),
-    "group-type-A": _v2(["A", [2, 1], [[[-1], 1]]]),
-    "group-type-Z": _v2(["Z", [2, 1], [[[-1], 1]]]),
-    "coeff-string": _v2(["B", [2, 1], [[[-1], "1"]]]),
-    "coeff-float": _v2(["B", [2, 1], [[[-1], 1.0]]]),
-    "coeff-true": _v2(["B", [2, 1], [[[-1], True]]]),
-    "coeff-zero": _v2(["B", [2, 1], [[[-1], 0]]]),
-    "key-outside-type-D": _v2(["D", [-1, 2], [[[-2, -1], 1]]]),
-    "value-outside-type-D": _v2(["D", [2, 1], [[[-1], 1]]]),
-    "value-not-grassmannian": _v2(["B", [2, 1], [[[2, 1], 1]]]),
-    "lambda-below-key-length": _v2(["B", [2, 1], [[[], 1]]]),
-    "values-empty": _v2(["B", [2, 1], []]),
-    "grassmannian-key-not-itself": _v2(["B", [-2, 1], [[[-3, 1, 2], 1]]]),
-    "grassmannian-key-coeff-two": _v2(["B", [-2, 1], [[[-2, 1], 2]]]),
-    "grassmannian-key-and-more": _v2(["B", [-2, 1], [[[-2, 1], 1], [[-3, 1, 2], 1]]]),
+    "entries-an-object": _v3(entries={}),
+    "entries-a-string": _v3(entries=""),
+    "record-too-short": _v3(["B", [2, 1]]),
+    "record-too-long": _v3(["B", [2, 1], [], []]),
+    "values-not-a-list": _v3(["B", [2, 1], {}]),
+    "key-window-not-a-list": _v3(["B", "", [[[1], 1]]]),
+    "key-window-repeats": _v3(["B", [2, 2], [[[1], 1]]]),
+    "value-shape-not-a-list": _v3(["B", [2, 1], [["", 1]]]),
+    "value-part-repeats": _v3(["B", [2, 1], [[[2, 2], 1]]]),
+    "value-parts-increase": _v3(["B", [2, 1], [[[1, 2], 1]]]),
+    "value-part-bool": _v3(["B", [2, 1], [[[True], 1]]]),
+    "value-part-float": _v3(["B", [2, 1], [[[2.0], 1]]]),
+    "value-part-zero": _v3(["B", [2, 1], [[[1, 0], 1]]]),
+    # support(2,1) + LD(2,1) = 2 + 1 bounds lambda_1
+    "value-part-above-bound": _v3(["B", [2, 1], [[[4], 1]]]),
+    "key-repeats": _v3(["B", [2, 1], [[[1], 2], [[2], 1]]], ["B", [2, 1, 3], [[[1], 9]]]),
+    "value-repeats": _v3(["B", [2, 1], [[[1], 1], [[2], 1], [[1], 5]]]),
+    "window-of-booleans": _v3(["B", [True, -2], [[[2], 1]]]),
+    "pair-too-long": _v3(["B", [2, 1], [[[1], 1, 1]]]),
+    "group-type-A": _v3(["A", [2, 1], [[[1], 1]]]),
+    "group-type-Z": _v3(["Z", [2, 1], [[[1], 1]]]),
+    "coeff-string": _v3(["B", [2, 1], [[[1], "1"]]]),
+    "coeff-float": _v3(["B", [2, 1], [[[1], 1.0]]]),
+    "coeff-true": _v3(["B", [2, 1], [[[1], True]]]),
+    "coeff-zero": _v3(["B", [2, 1], [[[1], 0]]]),
+    "key-outside-type-D": _v3(["D", [-1, 2], [[[1], 1]]]),
+    "lambda-below-key-length": _v3(["B", [2, 1], [[[], 1]]]),
+    "values-empty": _v3(["B", [2, 1], []]),
+    # the shape of B -2,1 is (2,)
+    "grassmannian-key-not-itself": _v3(["B", [-2, 1], [[[2, 1], 1]]]),
+    "grassmannian-key-coeff-two": _v3(["B", [-2, 1], [[[2], 2]]]),
+    "grassmannian-key-and-more": _v3(["B", [-2, 1], [[[2], 1], [[2, 1], 1]]]),
     "not-an-object": b"[2, []]",
-    "no-entries": b'{"version": 2}',
-    "deeply-nested": b'{"version": 2, "entries": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
-    "not-utf8": b'{"version": 2, "entries": ["\xff"]}',
+    "no-entries": b'{"version": 3}',
+    "deeply-nested": b'{"version": 3, "entries": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    "not-utf8": b'{"version": 3, "entries": ["\xff"]}',
     "v1-binary": b"KTRX\x01\x00\x00\x00\x09B\x02\x04\x01\x01\x01\x01\x02",
 }
+
+# the version 2 layout named each term by its Grassmannian window: B 2,1
+# is 2 GP_(1) + beta GP_(2), with (1,) the shape of -1 and (2,) that of -2,1
+_V2_B21 = b'{"version":2,"entries":[["B",[2,1],[[[-2,1],1],[[-1],2]]]]}'
 
 
 class TestMalformedCache:
@@ -761,7 +787,7 @@ class TestMalformedCache:
         from ktrans import expand as expand_mod
 
         path = tmp_path / "expansions.ktrx"
-        path.write_text(json.dumps({"version": 3, "entries": [_GOOD]}))
+        path.write_bytes(_V2_B21)
         expand_mod._cache.clear()
         assert expand_mod.load_cache(str(path)) == 0
         assert expand_mod._cache == {}

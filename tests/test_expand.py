@@ -18,6 +18,7 @@ from ktrans.weyl import (
     length,
     parse_oneline,
     r_chains,
+    shape,
     transition_data,
 )
 from test_tableaux import strict_partitions
@@ -173,18 +174,21 @@ class TestMemo:
 
     def test_cache_holds_the_recursions_own_dict(self):
         # one copy of each expansion: `_cache` keeps the memo's dict, whose
-        # keys are the leaves' signed permutations, shared between roots
+        # keys are the leaves' shapes, plain tuples shared between roots
         from ktrans import expand as expand_mod
 
         _clear_memos()
         leaves = {}
         for t, w in (("B", GOLDEN_W), ("B", parse_oneline("-3,4,-2,1")), ("C", GOLDEN_W)):
-            expand_grassmannian(t, w)
+            result = expand_grassmannian(t, w)
             found = expand_mod._expansion(t, tuple(w), w.least_descent())
             assert expand_mod._cache[(t, w)] is found
-            for u in found:
-                assert type(u) is SignedPermutation
-                assert leaves.setdefault((t, u), u) is u
+            assert result.terms == found and result.terms is not found
+            for lam in found:
+                assert type(lam) is tuple
+                assert leaves.setdefault((t, lam), lam) is lam
+        # the two B roots share their leaves: fewer shapes than terms
+        assert len(leaves) < sum(len(g) for g in expand_mod._cache.values())
         _clear_memos()
 
     def test_cached_entry_serves_only_its_key(self):
@@ -351,6 +355,11 @@ class TestSkew:
         with pytest.raises(ValueError):
             skew_expansion("GP", (2,), (3,))
 
+    @pytest.mark.parametrize("outer", [(2.0, 1), (True,), (2, True), ("2",)])
+    def test_rejects_parts_that_are_not_ints(self, outer):
+        with pytest.raises(ValueError, match="parts must be positive integers"):
+            skew_expansion("GP", outer)
+
 
 class TestVerify:
     def test_gq_one_case(self):
@@ -378,7 +387,42 @@ class TestVerify:
         assert verify_expansion("B", GOLDEN_W, 3, 8).ok
 
 
+class TestShapeBounds:
+    """What the version 3 cache loader relies on: a term's shape names its
+    Grassmannian element, and lambda_1 stays within support + LD."""
+
+    @pytest.mark.parametrize("t", ["B", "C", "D"])
+    def test_shape_is_injective_on_grassmannian_elements(self, t):
+        grassmannian = [w for w in group_elements(t, 5) if w.is_grassmannian()]
+        shapes = {shape(t, w) for w in grassmannian}
+        assert len(shapes) == len(grassmannian) == 2 ** (5 if t != "D" else 4)
+
+    @pytest.mark.parametrize("t", ["B", "C", "D"])
+    def test_first_part_within_support_plus_ld(self, t):
+        attained = False
+        for w in group_elements(t, 4):
+            top = w.support + w.least_descent()
+            first = max((lam[0] for lam in expand_grassmannian(t, w).terms if lam), default=0)
+            assert first <= top, str(w)
+            attained = attained or first == top
+        assert attained
+
+
 class TestCachePersistence:
+    def test_type_a_raises_before_the_memo(self, tmp_path, monkeypatch):
+        from ktrans import expand as expand_mod
+
+        monkeypatch.setattr(expand_mod, "_cache", {})
+        with pytest.raises(ValueError, match="type B, C, or D"):
+            expand_grassmannian("A", parse_oneline("2,1"))
+        assert expand_mod._cache == {}
+        want = expand_grassmannian("B", parse_oneline("2,1")).terms
+        path = str(tmp_path / "expansions.ktrx")
+        assert save_cache(path) == 1
+        expand_mod._cache.clear()
+        assert load_cache(path) == 1
+        assert expand_mod._cache == {("B", (2, 1)): want}
+
     def test_round_trip(self, tmp_path):
         want = expand_grassmannian("B", GOLDEN_W).terms
         path = str(tmp_path / "expansions.ktrx")
