@@ -12,13 +12,13 @@ Python ints, so nothing overflows.
 The module also provides the localized ring with inverted (1 + beta*y_i)
 factors (YRational), the isobaric divided difference, the ominus series,
 the signed star substitution, the K-supersymmetry check, and the operator
-calculus on formal combinations that every type shares: the transition
-operator R_k, the Monk-type operator M_k, the transition certificate and
-the checks of the Monk and transition identities.  A combination is a
-plain dict from group elements to coefficients, as in the engine, and its
-group membership is checked once, in unit_combo.  Only the evaluator of
-the double Grothendieck polynomials differs by type (groth_a.groth_poly for
-A, kn.kn_eval for B, C, D); the checks take it as an argument.
+calculus that every type shares: the transition operator R_k and the
+Monk-type operator M_k, each acting on one group element, the transition
+certificate and the checks of the Monk and transition identities.  An
+operator's result is a plain dict from group elements to coefficients, as
+in the engine.  Only the evaluator of the double Grothendieck polynomials
+differs by type (groth_a.groth_poly for A, kn.kn_eval for B, C, D); the
+checks take it as an argument.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ from typing import Iterable
 
 from .weyl import (
     SignedPermutation,
+    _chains,
+    _transition_window,
     is_valid_reflection,
     length,
     length_increment_ok,
-    r_chains,
     reflection,
-    transition_data,
 )
 
 X, Y, Z = 0, 1, 2
@@ -223,13 +223,6 @@ class TruncPoly:
         }
         return TruncPoly(terms, self.bound)
 
-    def homogeneous_degree(self) -> int | None:
-        """Degree under deg(beta) = -1, deg(var) = 1; None if inhomogeneous."""
-        degs = {mono_degree(m) - m[0] for m in self.terms}
-        if not degs:
-            return 0
-        return degs.pop() if len(degs) == 1 else None
-
 
 ONE = TruncPoly.const(1)
 BETA = TruncPoly.beta()
@@ -250,12 +243,6 @@ def yvar(i: int, bound: int | None = None) -> TruncPoly:
 
 def zvar(i: int, bound: int | None = None) -> TruncPoly:
     return _var(Z, i, bound)
-
-
-def z_monomial(beta_exp: int, indices: Iterable[int]) -> Monomial:
-    """The monomial beta^beta_exp times z_i for each i in indices, a
-    repeated index raising its power."""
-    return (beta_exp, tuple(sorted(var_code(Z, i) for i in indices)))
 
 
 # -- divided differences -----------------------------------------------
@@ -399,10 +386,6 @@ class YRational:
         """Evaluate every y_i at 0; the denominator units become 1."""
         return self.num.set_zero([Y])
 
-    def homogeneous_degree(self) -> int | None:
-        """Degree with deg beta = -1, deg y = 1, deg 1/(1+beta*y) = 0."""
-        return self.num.homogeneous_degree()
-
 
 def _lift(x):
     """An int or TruncPoly as a YRational; anything else unchanged."""
@@ -453,11 +436,11 @@ def star_action(w: SignedPermutation, f: YRational) -> YRational:
     return result
 
 
-# -- linear combinations over a group -------------------------------------
+# -- the operators on one group element -----------------------------------
 #
-# Coefficients are TruncPoly or YRational, never zero.  unit_combo alone
-# checks group membership: every later term is its element times
-# reflections that is_valid_reflection admits, and those keep it in its group.
+# An operator acts on one element, checked to lie in its group, and returns
+# a plain dict from group elements to coefficients (TruncPoly or YRational,
+# never zero); its terms are that element times reflections of its type.
 
 
 def _add_term(terms: dict, w: SignedPermutation, coeff) -> None:
@@ -469,18 +452,18 @@ def _add_term(terms: dict, w: SignedPermutation, coeff) -> None:
         terms.pop(w, None)
 
 
-def apply_R(t: str, k: int, combo: dict) -> dict:
-    """The transition operator R_k on a combination, lifted linearly from
-    weyl.r_chains: a term c*w contributes
-    c * beta^(l(u)-l(w)) * (plain + via_n / (1 + beta*y_{w(k)})) to u."""
+def apply_R(t: str, k: int, w: SignedPermutation) -> dict:
+    """R_k on the element w from the chain counts of weyl._chains: a chain
+    end u gets beta^(l(u)-l(w)) * (plain + via_n / (1 + beta*y_{w(k)})); the
+    chains share one padded length, so distinct ends are distinct elements."""
+    lw = length(t, w)
     out: dict = {}
-    for w, c in combo.items():
-        lw = length(t, w)
-        for u, (plain, via_n) in r_chains(t, k, w).items():
-            coeff = c * plain
-            if via_n:
-                coeff = coeff + c * YRational.inverse_unit(w(k)) * via_n
-            _add_term(out, u, coeff * TruncPoly.beta(length(t, u) - lw))
+    for u, (plain, via_n) in _chains(t, k, w).items():
+        u = SignedPermutation._trusted(list(u))
+        coeff = YRational.const(plain)
+        if via_n:
+            coeff = coeff + YRational.inverse_unit(w(k)) * via_n
+        out[u] = coeff * TruncPoly.beta(length(t, u) - lw)
     return out
 
 
@@ -500,9 +483,9 @@ def _factor(t: str, combo: dict, i: int, j: int, weight, bound: int | None = Non
     return out
 
 
-def apply_M(t: str, k: int, combo: dict, bound: int | None = None) -> dict:
-    """The Monk-type operator M_k, which acts on a combination of double
-    Grothendieck polynomials as multiplication by 1 + beta*x_k.
+def apply_M(t: str, k: int, u: SignedPermutation, bound: int | None = None) -> dict:
+    """The Monk-type operator M_k, which acts on the double Grothendieck
+    polynomial of the element u as multiplication by 1 + beta*x_k.
 
     Factors act rightmost first: the v-scaling by 1/(1 + beta*y_{u(k)}), the
     twisted u-moves for j descending below k, the o-correction (type B only),
@@ -512,12 +495,13 @@ def apply_M(t: str, k: int, combo: dict, bound: int | None = None) -> dict:
     bound are dropped as they appear: their coefficients sit in degrees the
     truncation cannot see.
     """
+    if not u.in_group(t):
+        raise ValueError(f"{u} is not in the group of type {t}")
     if bound is None and t != "A":
         raise ValueError(f"the Monk operator of type {t} needs a length bound")
     out: dict = {}
-    for u, c in combo.items():
-        if bound is None or length(t, u) <= bound:
-            _add_term(out, u, c * y_factor(u(k), -1))
+    if bound is None or length(t, u) <= bound:
+        out[u] = y_factor(u(k), -1)
     j = k - 1
     while j >= -(max([k] + [u.support for u in out]) + 1):
         out = _factor(
@@ -533,15 +517,9 @@ def apply_M(t: str, k: int, combo: dict, bound: int | None = None) -> dict:
     return out
 
 
-def unit_combo(t: str, w: SignedPermutation) -> dict:
-    """The combination 1*w, for w in the group of type t."""
-    if not w.in_group(t):
-        raise ValueError(f"{w} is not in the group of type {t}")
-    return {w: YRational.const(1)}
-
-
 def transition(t: str, w: SignedPermutation) -> tuple[SignedPermutation, int, int, dict]:
-    """The transition certificate (v, a, c, R_a applied to the unit at v).
+    """The transition certificate (v, a, c, R_a v): a = LD(w), v = w * t_{ab}
+    as in weyl._transition_window, and c = w(b) = v(a), which may be negative.
 
     With G the double Grothendieck polynomial of the type, the identity is
     G_w = ((1+beta*y_c)(1+beta*x_a) * sum_u coeff_u G_u - G_v) / beta,
@@ -549,8 +527,11 @@ def transition(t: str, w: SignedPermutation) -> tuple[SignedPermutation, int, in
     """
     if not w.in_group(t):
         raise ValueError(f"{w} is not in the group of type {t}")
-    v, a, _, c = transition_data(w)
-    return v, a, c, apply_R(t, a, unit_combo(t, v))
+    a = w.least_descent()
+    if not a:
+        raise ValueError(f"{w} has no descent")
+    v = SignedPermutation._trusted(_transition_window(w, a)[0])
+    return v, a, v(a), apply_R(t, a, v)
 
 
 # -- the Monk and transition identities ---------------------------------------
@@ -573,7 +554,7 @@ def monk_identity_holds(
     """(1 + beta*x_k) G(u) == M_k G(u), with M_k cut at length bound (exact
     in type A with bound=None; G carries its own truncation)."""
     lhs = YRational.from_poly((ONE + BETA * xvar(k)) * G(u))
-    return lhs == combo_value(apply_M(t, k, unit_combo(t, u), bound), G)
+    return lhs == combo_value(apply_M(t, k, u, bound), G)
 
 
 def transition_residual(

@@ -17,8 +17,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-GROUP_TYPES = ("A", "B", "C", "D")
-
 
 def _support(win: list[int] | tuple[int, ...]) -> int:
     """The length of the window once its trailing fixed points are trimmed."""
@@ -328,20 +326,10 @@ def length_increment_ok(t: str, w: SignedPermutation, i: int, j: int) -> bool:
 # -- the transition operator -------------------------------------------------
 
 
-def transition_data(w: SignedPermutation) -> tuple[SignedPermutation, int, int, int]:
-    """(v, a, b, c) for the last-descent transition: a is the last descent,
-    b the largest index past a with w(b) < w(a), v = w * t_{ab}, and
-    c = w(b), which may be negative."""
-    a = w.least_descent()
-    if not a:
-        raise ValueError(f"{w} has no descent")
-    v, b = _transition_window(w, a)
-    return SignedPermutation._trusted(v), a, b, w[b - 1]
-
-
 def _transition_window(w: tuple[int, ...], a: int) -> tuple[list[int], int]:
     """(untrimmed window of v, b) for the trimmed window w with LD a > 0: b
-    lies inside it, as w(i) = i > w(a) past it, and v swaps entries a, b."""
+    is the largest index past a with w(b) < w(a), inside the window as
+    w(i) = i > w(a) past it, and v = w * t_{ab} swaps entries a, b."""
     x = w[a - 1]
     b = len(w)
     while w[b - 1] >= x:  # stops at a + 1, as a is a descent
@@ -351,38 +339,24 @@ def _transition_window(w: tuple[int, ...], a: int) -> tuple[list[int], int]:
     return v, b
 
 
-def r_chains(
-    t: str, k: int, v: SignedPermutation
-) -> dict[SignedPermutation, tuple[int, int]]:
-    """The transition operator R_k on one basis element v, as chain counts.
-
+def _chains(t: str, k: int, v: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, int]]:
+    """The transition operator R_k on the trimmed window v, as chain counts.
     R_k is the product of the factors (1 + beta*t_{jk}) acting on v: in type
     B the n-factor t_{0k} first, weighted by 1/(1 + beta*y_{v(k)}), then the
-    t-moves for j ascending from -(max(support, k)+1) to k-1.  Only valid
-    moves that raise length by one fire, so every chain from v to u has
-    l(u) - l(v) moves.  The result maps u to (plain, via_n), the numbers of
-    chains without and with the n-move, and the coefficient of u in R_k v is
-    beta^(l(u)-l(v)) * (plain + via_n / (1 + beta*y_{v(k)})).
-
-    The j-range is finite: a move below -(support+1) never raises length,
-    and once a move grows the support no later t-move can fire.
-
-    A wrapper over the window kernel ``_chains``, which the expansion
-    recursion calls directly and which inlines the length test per move
-    family: only the end windows are wrapped here, unchecked.
-    """
-    return {SignedPermutation._trusted(list(u)): c for u, c in _chains(t, k, v).items()}
-
-
-def _chains(t: str, k: int, v: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, int]]:
-    """R_k's chain counts on the trimmed window v.  The chains are windows
-    padded to max(support, k) + 1, the furthest position any move touches.
-    The factors run in ``r_chains``' order, one loop per move family: the
-    type B n-move, tested by ``_raises_length``; t_{-k,q} for q from the top
-    down to k+1; t_{-p,k} for p from k-1 down to 1; the sign change t_{0k}
-    in types B and C; and t_{ik} for i from 1 to k-1.  Each family inlines
-    its case of ``_raises_length``, applies its move as a swap or sign flip
-    of the window, and hands the moved chains to ``_merge``.
+    t-moves for j ascending from -(max(support, k)+1) to k-1 (a move below
+    never raises length, and once a move grows the support no later t-move
+    can fire).  Only moves that raise length by one fire, so a chain from v
+    to u has l(u) - l(v) moves.  The result maps u, a window padded to
+    max(support, k) + 1 (the furthest position any move touches, so
+    distinct chains trim to distinct elements), to the numbers (plain,
+    via_n) of chains without and with the n-move; the coefficient of u in
+    R_k v is beta^(l(u)-l(v)) * (plain + via_n / (1 + beta*y_{v(k)})).
+    The factors run in that order, one loop per move family: the type B
+    n-move, tested by ``_raises_length``; t_{-k,q} for q from the top down
+    to k+1; t_{-p,k} for p from k-1 down to 1; the sign change t_{0k} in
+    types B and C; and t_{ik} for i from 1 to k-1.  Each family inlines its
+    case of ``_raises_length``, applies its move as a swap or sign flip of
+    the window, and hands the moved chains to ``_merge``.
 
     One-move exit, in types B, C and D.  Let x = start(k) < 0 with every
     prefix entry start(1..k-1) of absolute value < |x|, let q be the first

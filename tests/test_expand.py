@@ -14,12 +14,13 @@ from ktrans.expand import (
 from ktrans.tableaux import ShiftedSkewShape, contains, gp, gq, w_shape
 from ktrans.weyl import (
     SignedPermutation,
+    _chains,
+    _support,
+    _transition_window,
     group_elements,
     length,
     parse_oneline,
-    r_chains,
     shape,
-    transition_data,
 )
 from test_tableaux import strict_partitions
 from test_weyl import ld_less  # the LD order, kept with its own tests
@@ -277,9 +278,11 @@ class TestWindowStep:
             wrapped = {SignedPermutation(u): c for u, _, c in outputs}
             assert len(wrapped) == len(outputs)
             assert transition_step(t, w) == wrapped, (t, str(w))
-            # and against the public chain counts and transition data
-            v, a, _, _ = transition_data(w)
-            want = {u: p + n - (u == v) for u, (p, n) in r_chains(t, a, v).items()}
+            # and against the kernel's chain counts at the transition window
+            v, _ = _transition_window(w, a)
+            v = tuple(v[: _support(v)])
+            ends = {u[: _support(u)]: c for u, c in _chains(t, a, v).items()}
+            want = {u: p + n - (u == v) for u, (p, n) in ends.items()}
             assert wrapped == {u: c for u, c in want.items() if c}, (t, str(w))
 
 

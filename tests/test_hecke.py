@@ -7,7 +7,7 @@ import pytest
 
 from ktrans import hecke
 from ktrans.hecke import _letter_key, _unimodal_step, fstanley, hecke_words, mperm, quasi
-from ktrans.rings import BETA, TruncPoly, poly_str, supersym_check, z_monomial, zvar
+from ktrans.rings import BETA, TruncPoly, poly_str, supersym_check, zvar
 from ktrans.tableaux import ShiftedSkewShape, gp, gq, w_shape
 from ktrans.weyl import (
     demazure_apply,
@@ -22,6 +22,7 @@ from ktrans.weyl import (
     reflection,
     shape,
 )
+from test_tableaux import z_monomial
 
 
 def compatible_sequences(t, a, num_vars):

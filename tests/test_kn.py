@@ -19,14 +19,22 @@ from ktrans.rings import (
     star_action,
     transition,
     transition_residual,
-    unit_combo,
     xvar,
     y_factor,
     yvar,
     yrational_str,
 )
 from ktrans.tableaux import ShiftedSkewShape, gp, gq
-from ktrans.weyl import group_elements, identity, length, parse_oneline, transition_data
+from ktrans.weyl import (
+    SignedPermutation,
+    _chains,
+    _transition_window,
+    group_elements,
+    identity,
+    length,
+    parse_oneline,
+)
+from test_rings import homogeneous_degree
 
 
 def kn_at(t, num_vars, bound):
@@ -71,7 +79,7 @@ class TestKnEval:
     @pytest.mark.parametrize("t", ["B", "C", "D"])
     def test_homogeneous(self, t):
         for w in group_elements(t, 2):
-            assert kn_eval(t, w, 2, 4).homogeneous_degree() == length(t, w)
+            assert homogeneous_degree(kn_eval(t, w, 2, 4)) == length(t, w)
 
     @pytest.mark.parametrize("t", ["B", "C", "D"])
     def test_support_cap_is_safe(self, t):
@@ -118,13 +126,24 @@ class TestROperator:
         for t in ("B", "C", "D"):
             for w in group_elements(t, 2):
                 for k in (1, 2):
-                    out = apply_R(t, k, unit_combo(t, w))
+                    out = apply_R(t, k, w)
                     assert out[w] == YRational.const(1)
                     for u in out:
                         assert u == w or length(t, u) > length(t, w)
 
+    @pytest.mark.parametrize("t", ["B", "C", "D"])
+    def test_one_term_per_chain(self, t):
+        # the chains of one call share their padded length, so each chain
+        # end trims to its own element and no coefficient is written twice
+        for w in group_elements(t, 4):
+            for k in range(1, 6):
+                chains = _chains(t, k, w)
+                out = apply_R(t, k, w)
+                assert len(out) == len(chains), (t, str(w), k)
+                assert set(out) == {SignedPermutation(u) for u in chains}, (t, str(w), k)
+
     def test_b_sign_term_from_identity(self):
-        out = apply_R("B", 1, unit_combo("B", identity()))
+        out = apply_R("B", 1, identity())
         got = {w: yrational_str(c) for w, c in out.items()}
         # the n-factor and the in-product sign move together contribute
         # b*(2 + b*y1)/(1 + b*y1) on the sign change
@@ -136,7 +155,7 @@ class TestROperator:
 
     def test_golden_five_term_example(self):
         v = parse_oneline("-3,4,-1,2,5")
-        out = apply_R("C", 4, unit_combo("C", v))
+        out = apply_R("C", 4, v)
         got = {w: yrational_str(c) for w, c in out.items()}
         assert got == {
             (-3, 4, -1, 2): "1",
@@ -150,19 +169,19 @@ class TestROperator:
 
 class TestMOperator:
     def test_v_scaling(self):
-        out = apply_M("C", 1, unit_combo("C", identity()), 0)
+        out = apply_M("C", 1, identity(), 0)
         assert out[identity()] == YRational.inverse_unit(1)
 
     @pytest.mark.parametrize("t", ["B", "C", "D"])
     def test_needs_a_bound(self, t):
         # the u-moves of types B, C, D grow the support without end
         with pytest.raises(ValueError):
-            apply_M(t, 1, unit_combo(t, identity()))
+            apply_M(t, 1, identity())
 
     def test_type_b_golden_terms(self):
         # the expansion of (1 + beta x_1) acting on the unit in type B,
         # with the alternating infinite tail cut at length 4
-        out = apply_M("B", 1, unit_combo("B", identity()), 4)
+        out = apply_M("B", 1, identity(), 4)
         got = {u: yrational_str(c) for u, c in out.items()}
         assert got == {
             (): "1/(1+b*y1)",
@@ -180,7 +199,7 @@ class TestMOperator:
         # a length-17 element: the expansion carries sign-twisted units, the
         # type-B-only correction pair, and the first alternating tail term
         w = parse_oneline("-6,-1,3,-4,-2,5")
-        out = apply_M("B", 3, unit_combo("B", w), 20)
+        out = apply_M("B", 3, w, 20)
         got = {u: yrational_str(c) for u, c in out.items()}
         assert got == {
             (-6, -1, 3, -4, -2, 5): "1/(1+b*y3)",
@@ -203,7 +222,7 @@ class TestMOperator:
             (-1, 3, -7, -4, -2, 5, 6): "-b^3 - b^4*y7",
         }
         for t in ("C", "D"):
-            other = apply_M(t, 3, unit_combo(t, w), length(t, w) + 3)
+            other = apply_M(t, 3, w, length(t, w) + 3)
             assert (-6, -3, -1, -4, -2, 5) not in other
             assert len(other) == 14
 
@@ -226,7 +245,7 @@ class TestMOperator:
         for t in ("B", "C", "D"):
             for w in group_elements(t, 2):
                 for k in (1, 2):
-                    lhs_c = apply_R(t, k, unit_combo(t, w))
+                    lhs_c = apply_R(t, k, w)
                     lhs = YRational.from_poly(ONE + BETA * xvar(k)) * combo_value(
                         lhs_c, kn_at(t, 2, bound)
                     )
@@ -247,7 +266,7 @@ class TestMOperator:
         for t in ("B", "C", "D"):
             for w in group_elements(t, 2):
                 for k in (1, 2):
-                    out = unit_combo(t, w)
+                    out = {w: YRational.const(1)}
                     j_min = -(max(k, w.support) + 1)
                     for j in range(j_min, k):
                         out = _factor(t, out, j, k, times_beta)
@@ -278,10 +297,12 @@ class TestMOperator:
 
 class TestTransition:
     def test_data_examples(self):
-        v, a, b, c = transition_data(parse_oneline("-3,4,-1,5,2"))
-        assert (v, a, b, c) == ((-3, 4, -1, 2), 4, 5, 2)
-        v, a, b, c = transition_data(parse_oneline("1,-2"))
-        assert (v, a, b, c) == ((-2, 1), 1, 2, -2)
+        w = parse_oneline("-3,4,-1,5,2")
+        v, a, c, _ = transition("B", w)
+        assert (v, a, _transition_window(w, a)[1], c) == ((-3, 4, -1, 2), 4, 5, 2)
+        w = parse_oneline("1,-2")
+        v, a, c, _ = transition("B", w)
+        assert (v, a, _transition_window(w, a)[1], c) == ((-2, 1), 1, 2, -2)
 
     def test_rejects_grassmannian(self):
         with pytest.raises(ValueError):

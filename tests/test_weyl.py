@@ -24,7 +24,6 @@ from ktrans.weyl import (
     length_increment_ok,
     parse_ints,
     parse_oneline,
-    r_chains,
     reduced_word,
     reflection,
     right_ascent,
@@ -343,11 +342,16 @@ class TestRChains:
     def test_matches_brute_force(self, t, n):
         # k runs past the support of every w, so the padded windows are
         # read too; the brute force starts two factors below the kernel's
-        # range, which pins the claim that those factors never fire
+        # range, which pins the claim that those factors never fire; the
+        # kernel's ends, trimmed, are the brute force's elements, and
+        # distinct chains trim to distinct ends
         for w in group_elements(t, n):
             for k in range(1, n + 2):
                 low = -(max(w.support, k) + 3)
-                assert r_chains(t, k, w) == brute_r_chains(t, k, w, low), (t, w, k)
+                chains = _chains(t, k, w)
+                ends = {u[: _support(u)]: c for u, c in chains.items()}
+                assert len(ends) == len(chains), (t, w, k)
+                assert ends == brute_r_chains(t, k, w, low), (t, w, k)
 
     @pytest.mark.parametrize("t", ["A", "B", "C", "D"])
     def test_kernel_matches_generic_loop(self, t):
