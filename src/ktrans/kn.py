@@ -5,10 +5,18 @@ This module only evaluates.  The operator calculus (R_k, M_k at truncation,
 the transition certificate) and the checks of the Monk and transition
 identities live in rings, shared with type A, and take kn_eval at a fixed
 truncation as their evaluator.  The triple-sum evaluator is deliberately
-independent of that calculus: it enumerates (sigma, u, tau) directly and is
-the oracle every operator identity is checked against.  Both the Demazure
-product and Bruhat order force the factors of w to have length at most l(w)
-and support inside the window of w, which keeps the enumeration small.
+independent of that calculus and is the oracle every operator identity is
+checked against.
+
+It meets only the triples (sigma, u, tau) with sigma^-1 o u o tau = w, by
+undoing Demazure steps from w: x o t_g = y holds exactly when g is a right
+descent of y and x is y or y*t_g.  Undoing the reduced word of tau from its
+last letter gives the set of p with p o tau = w; undoing the word of sigma
+the same way from each p^-1 gives, inverted, the u with sigma^-1 o u = p.
+A Demazure product lies above each factor in Bruhat order, so sigma^-1,
+u, p and tau all lie below w: each has length at most l(w) and support
+inside the window of w, and the walk, which only ever steps down from w,
+stays inside both caps without checking them.
 """
 
 from __future__ import annotations
@@ -18,7 +26,29 @@ from functools import lru_cache
 from .groth_a import groth_single
 from .hecke import fstanley
 from .rings import TruncPoly
-from .weyl import SignedPermutation, demazure_mul, elements_up_to_length, length
+from .weyl import (
+    SignedPermutation,
+    elements_up_to_length,
+    generator,
+    length,
+    reduced_word,
+    right_ascent,
+)
+
+
+def _undo(t: str, ends: dict, word: list[int]) -> dict:
+    """{x: l(x)} over the x with x o t_{a_1} o ... o t_{a_k} in ends, for
+    word = (a_1, ..., a_k) and ends mapping elements to their lengths.
+    Each x has one Demazure image, so no x is reached twice."""
+    for g in reversed(word):
+        tg = generator(t, g)
+        prev = {}
+        for y, ly in ends.items():
+            if not right_ascent(t, y, g):
+                prev[y] = ly
+                prev[y * tg] = ly - 1
+        ends = prev
+    return ends
 
 
 @lru_cache(maxsize=None)
@@ -27,29 +57,28 @@ def kn_eval(t: str, w: SignedPermutation, num_vars: int, bound: int) -> TruncPol
     if t not in ("B", "C", "D"):
         raise ValueError(f"type must be B, C, or D, not {t!r}")
     lw = length(t, w)
-    n = max(w.support, 1)
     cap = min(lw, bound)
-    sigmas = [(s, length("A", s)) for s in elements_up_to_length("A", n, cap)]
-    xelems = [(u, length(t, u)) for u in elements_up_to_length(t, n, cap)]
+    perms = [
+        (s, length("A", s), reduced_word("A", s))
+        for s in elements_up_to_length("A", max(w.support, 1), cap)
+    ]
     total = TruncPoly.zero(bound)
-    for sigma, ls in sigmas:
-        sigma_inv = sigma.inverse()
-        gy = groth_single(sigma, "y")
-        for u, lu in xelems:
-            if ls + lu > bound:
+    for tau, lt, tau_word in perms:
+        # p o tau = w, kept as p^-1 for the walk along sigma
+        ends = {p.inverse(): lp for p, lp in _undo(t, {w: lw}, tau_word).items()}
+        by_tau = TruncPoly.zero(bound)
+        for sigma, ls, sigma_word in perms:
+            room = bound - ls - lt
+            if room < 0:
                 continue
-            p = demazure_mul(t, sigma_inv, u)
-            if length(t, p) > lw:
-                continue
-            fu = None
-            for tau, lt in sigmas:
-                if ls + lu + lt > bound:
-                    continue
-                if demazure_mul(t, p, tau) != w:
-                    continue
-                if fu is None:
-                    fu = fstanley(t, u, num_vars, bound)
-                # the beta power carries the bound, so the product truncates from its first step
-                beta = TruncPoly.beta(ls + lu + lt - lw, bound)
-                total = total + beta * gy * fu * groth_single(tau, "x")
+            inner = TruncPoly.zero(bound)
+            # v o sigma = p^-1 exactly when sigma^-1 o v^-1 = p, so u = v^-1
+            for v, lu in _undo(t, ends, sigma_word).items():
+                if lu <= room:
+                    fu = fstanley(t, v.inverse(), num_vars, bound)
+                    inner = inner + TruncPoly.beta(ls + lu + lt - lw, bound) * fu
+            if inner:
+                by_tau = by_tau + inner * groth_single(sigma, "y")
+        if by_tau:
+            total = total + by_tau * groth_single(tau, "x")
     return total

@@ -159,6 +159,15 @@ class TruncPoly:
         if not isinstance(other, TruncPoly):
             return NotImplemented
         bound = self._join_bound(self.bound, other.bound)
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            # times one monomial: distinct monomials stay distinct and no
+            # coefficient is zero, so each term gives one term, unsorted
+            # when the monomial is a power of beta
+            many, one = (other, self) if len(self.terms) == 1 else (self, other)
+            ((b2, v2), c2), = one.terms.items()
+            cap = float("inf") if bound is None else bound - len(v2)
+            return TruncPoly({(b1 + b2, tuple(sorted(v1 + v2)) if v2 else v1): c1 * c2
+                              for (b1, v1), c1 in many.terms.items() if len(v1) <= cap}, bound)
         terms: dict[Monomial, int] = {}
         for (b1, v1), c1 in self.terms.items():
             d1 = len(v1)
@@ -541,10 +550,19 @@ def transition(t: str, w: SignedPermutation) -> tuple[SignedPermutation, int, in
 
 
 def combo_value(combo: dict, G) -> YRational:
-    """Sum coeff_u * G(u) over the combination."""
-    total = YRational.const(0)
+    """Sum coeff_u * G(u) over the combination: the numerators that share a
+    denominator are added first, then the few groups as YRationals."""
+    groups: dict[tuple, TruncPoly] = {}
     for u, c in combo.items():
-        total = total + c * G(u)
+        c = _lift(c)
+        den = tuple(sorted(c.den.items()))
+        num = c.num * G(u)
+        groups[den] = groups[den] + num if den in groups else num
+    total = YRational.const(0)
+    for den, num in groups.items():
+        term = YRational(num, dict(den))
+        # a zero total has the empty denominator, so the sum would be term
+        total = total + term if total else term
     return total
 
 

@@ -501,7 +501,7 @@ def _merge(chains: dict, moved: list) -> None:
         chains[u] = counts if old is None else (old[0] + counts[0], old[1] + counts[1])
 
 
-# -- words and products -------------------------------------------------
+# -- words and elements --------------------------------------------------
 
 
 def reduced_word(t: str, w: SignedPermutation) -> list[int]:
@@ -524,22 +524,6 @@ def reduced_word(t: str, w: SignedPermutation) -> list[int]:
             raise AssertionError(f"no descent found for {cur} in type {t}")
     word.reverse()
     return word
-
-
-def demazure_apply(t: str, w: SignedPermutation, g: int) -> SignedPermutation:
-    """w o t_g for a single generator: w * t_g when g is a right ascent of
-    w, else w itself."""
-    return w * generator(t, g) if right_ascent(t, w, g) else w
-
-
-@lru_cache(maxsize=None)
-def demazure_mul(t: str, u: SignedPermutation, v: SignedPermutation) -> SignedPermutation:
-    """The Demazure (0-Hecke) product u o v, along a reduced word of v."""
-    if not (u.in_group(t) and v.in_group(t)):
-        raise ValueError(f"operands must both lie in type {t}")
-    for g in reduced_word(t, v):
-        u = demazure_apply(t, u, g)
-    return u
 
 
 @lru_cache(maxsize=None)

@@ -848,6 +848,12 @@ GOLDEN_COMMANDS = {
     "kn-eval-B-rank4.json": [
         "kn-eval", "--type", "B", "--w=3,-1,4,2", "--N", "2", "--D", "5", "--json"
     ],
+    "kn-eval-C-rank4.json": [
+        "kn-eval", "--type", "C", "--w=3,-1,4,2", "--N", "2", "--D", "6", "--json"
+    ],
+    "kn-eval-D-rank4.json": [
+        "kn-eval", "--type", "D", "--w=3,-1,4,-2", "--N", "2", "--D", "6", "--json"
+    ],
 }
 
 

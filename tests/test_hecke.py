@@ -10,7 +10,6 @@ from ktrans.hecke import _letter_key, _unimodal_step, fstanley, hecke_words, mpe
 from ktrans.rings import BETA, TruncPoly, poly_str, supersym_check, zvar
 from ktrans.tableaux import ShiftedSkewShape, gp, gq, w_shape
 from ktrans.weyl import (
-    demazure_apply,
     elements_up_to_length,
     generator,
     generator_indices,
@@ -23,6 +22,7 @@ from ktrans.weyl import (
     shape,
 )
 from test_tableaux import z_monomial
+from test_weyl import demazure_apply
 
 
 def compatible_sequences(t, a, num_vars):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from ktrans.groth_a import groth_single
 from ktrans.hecke import fstanley
 from ktrans.kn import kn_eval
 from ktrans.rings import (
@@ -29,12 +30,38 @@ from ktrans.weyl import (
     SignedPermutation,
     _chains,
     _transition_window,
+    elements_up_to_length,
     group_elements,
     identity,
     length,
     parse_oneline,
 )
 from test_rings import homogeneous_degree
+from test_weyl import demazure_mul
+
+
+def forward_triple_sum(t, w, num_vars, bound):
+    """The triple sum by its definition: beta^(l(s)+l(u)+l(tau)-l(w))
+    G_s(y) F_u G_tau(x) over s, tau in S_n and u in W_n, n the window of w,
+    with l(s) + l(u) + l(tau) <= bound and s^-1 o u o tau = w as forward
+    Demazure products."""
+    lw = length(t, w)
+    n = max(w.support, 1)
+    perms = [(s, length("A", s)) for s in elements_up_to_length("A", n, bound)]
+    total = TruncPoly.zero(bound)
+    for s, ls in perms:
+        for u in elements_up_to_length(t, n, bound):
+            lu = length(t, u)
+            p = demazure_mul(t, s.inverse(), u)
+            for tau, lt in perms:
+                if ls + lu + lt <= bound and demazure_mul(t, p, tau) == w:
+                    total = total + (
+                        TruncPoly.beta(ls + lu + lt - lw, bound)
+                        * groth_single(s, "y")
+                        * fstanley(t, u, num_vars, bound)
+                        * groth_single(tau, "x")
+                    )
+    return total
 
 
 def kn_at(t, num_vars, bound):
@@ -82,12 +109,24 @@ class TestKnEval:
             assert homogeneous_degree(kn_eval(t, w, 2, 4)) == length(t, w)
 
     @pytest.mark.parametrize("t", ["B", "C", "D"])
+    @pytest.mark.parametrize(
+        "rank, num_vars, bound", [(3, 2, 4), (3, 1, 3), (3, 2, 0), (3, 2, -1), (4, 2, 4)]
+    )
+    def test_walk_matches_forward_triple_sum(self, t, rank, num_vars, bound):
+        # kn_eval undoes Demazure steps from w; the reference multiplies
+        # every candidate triple forward and keeps the ones that land on w
+        for w in group_elements(t, rank):
+            got = kn_eval(t, w, num_vars, bound)
+            want = forward_triple_sum(t, w, num_vars, bound)
+            assert (got.terms, got.bound) == (want.terms, want.bound), (t, str(w))
+
+    @pytest.mark.parametrize("t", ["B", "C", "D"])
     def test_support_cap_is_safe(self, t):
         # the triple enumeration restricts factors to the window of w; a
         # brute-force pass with the window widened by the degree bound must
         # find nothing extra
         from ktrans.groth_a import groth_single
-        from ktrans.weyl import demazure_mul, elements_up_to_length
+        from ktrans.weyl import elements_up_to_length
 
         bound = 3
         for w in group_elements(t, 2):

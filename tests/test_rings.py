@@ -15,8 +15,10 @@ from ktrans.rings import (
     TruncPoly,
     YRational,
     _add_term,
+    _lift,
     apply_M,
     apply_R,
+    combo_value,
     divided_difference,
     monk_identity_holds,
     mono_degree,
@@ -61,6 +63,20 @@ def random_poly(rng, nvars=4, max_deg=4, terms=6):
     return p
 
 
+def reference_product(a, b):
+    """The product by the generic double loop: every pair of terms, with
+    coefficients accumulated, cancellations dropped, and the degree filter
+    of the joined bound."""
+    bound = TruncPoly._join_bound(a.bound, b.bound)
+    terms = {}
+    for (b1, v1), c1 in a.terms.items():
+        for (b2, v2), c2 in b.terms.items():
+            if bound is None or len(v1) + len(v2) <= bound:
+                m = (b1 + b2, tuple(sorted(v1 + v2)))
+                terms[m] = terms.get(m, 0) + c1 * c2
+    return TruncPoly({m: c for m, c in terms.items() if c}, bound)
+
+
 class TestTruncPoly:
     def test_basic_identities(self):
         x1, x2 = xvar(1), xvar(2)
@@ -97,6 +113,38 @@ class TestTruncPoly:
     def test_homogeneous_degree(self):
         assert homogeneous_degree(xvar(1) + yvar(2) + BETA * xvar(1) * xvar(2)) == 1
         assert homogeneous_degree(xvar(1) + xvar(1) * xvar(2)) is None
+
+
+class TestOneMonomialProduct:
+    """A factor with one term takes the one-pass path of TruncPoly.__mul__;
+    it must give the double loop's terms and bound, on either side."""
+
+    @staticmethod
+    def one_term_factors():
+        x1, y2, z3 = (var_code(f, i) for f, i in ((X, 1), (Y, 2), (Z, 3)))
+        return [
+            TruncPoly.beta(3),
+            TruncPoly.const(-5),
+            TruncPoly({(2, (x1, x1, y2)): 7}),
+            TruncPoly({(0, (x1, y2, y2, z3)): -2}),
+        ]
+
+    @staticmethod
+    def many_term_factors():
+        rng = random.Random(5)
+        polys = [random_poly(rng, terms=6) for _ in range(4)]
+        mixed = (ONE + BETA * yvar(2)) * (xvar(1) + zvar(3)) ** 2 - BETA ** 2 * xvar(1)
+        return polys + [mixed, xvar(1) * yvar(2)]
+
+    @pytest.mark.parametrize("bounds", [(None, None), (None, 3), (3, None), (2, 4), (4, 2)])
+    def test_matches_the_double_loop(self, bounds):
+        for one in self.one_term_factors():
+            for many in self.many_term_factors():
+                a = TruncPoly(dict(many.terms), bounds[0])
+                b = TruncPoly(dict(one.terms), bounds[1])
+                for got, want in ((a * b, reference_product(a, b)),
+                                  (b * a, reference_product(b, a))):
+                    assert (got.terms, got.bound) == (want.terms, want.bound)
 
 
 class TestNegativeBound:
@@ -357,3 +405,23 @@ class TestCombination:
                 monk_identity_holds(t, w, 1, lambda u: ONE, bound)
         with pytest.raises(ValueError):
             transition(t, w)
+
+    def test_combo_value_matches_the_term_by_term_sum(self):
+        # coefficients over four denominators (the empty one included) and
+        # a plain polynomial; the groups must sum to what the terms do
+        G = lambda u: kn_eval("B", u, 2, 4)  # noqa: E731
+        combo = {
+            parse_oneline("-1"): YRational(yvar(1), {1: 1}),
+            parse_oneline("2,1"): YRational(BETA, {2: 1}),
+            parse_oneline("-2,1"): YRational(ONE + xvar(1), {1: 1, 2: 2}),
+            parse_oneline("1,-2"): YRational(-yvar(2) * BETA, {1: 1}),
+            parse_oneline("-1,-2"): YRational(BETA * BETA),
+            parse_oneline("2,-1"): BETA * xvar(2),
+        }
+        assert len({tuple(sorted(_lift(c).den.items())) for c in combo.values()}) >= 3
+        want = YRational.const(0)
+        for u, c in combo.items():
+            want = want + c * G(u)
+        got = combo_value(combo, G)
+        assert (got.num.terms, got.num.bound, got.den) == (
+            want.num.terms, want.num.bound, want.den)

@@ -2,6 +2,7 @@
 
 import itertools
 import pickle
+from functools import lru_cache
 
 import pytest
 
@@ -12,7 +13,6 @@ from ktrans.weyl import (
     _raises_length,
     _support,
     _transition_window,
-    demazure_mul,
     elements_up_to_length,
     format_oneline,
     generator,
@@ -29,6 +29,27 @@ from ktrans.weyl import (
     right_ascent,
     shape,
 )
+
+
+# The forward Demazure product, the reference the oracles are checked
+# against: kn.kn_eval undoes its steps, and every Hecke word of w must
+# multiply back to w through it.
+
+
+def demazure_apply(t, w, g):
+    """w o t_g for a single generator: w * t_g when g is a right ascent of
+    w, else w itself."""
+    return w * generator(t, g) if right_ascent(t, w, g) else w
+
+
+@lru_cache(maxsize=None)
+def demazure_mul(t, u, v):
+    """The Demazure (0-Hecke) product u o v, along a reduced word of v."""
+    if not (u.in_group(t) and v.in_group(t)):
+        raise ValueError(f"operands must both lie in type {t}")
+    for g in reduced_word(t, v):
+        u = demazure_apply(t, u, g)
+    return u
 
 
 def bfs_distance(t, w):
