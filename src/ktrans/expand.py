@@ -192,7 +192,7 @@ def expansion_poly(result: ExpansionResult, num_vars: int, bound: int) -> TruncP
     fn = gp if result.basis == "GP" else gq
     total = TruncPoly.zero(bound)
     for lam, coeff in result.terms.items():
-        term = TruncPoly.beta(result.beta_power(lam), bound) * coeff
+        term = TruncPoly.beta(result.beta_power(lam)) * coeff
         total = total + term * fn(ShiftedSkewShape(lam), num_vars, bound)
     return total
 

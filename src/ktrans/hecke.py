@@ -66,8 +66,8 @@ def _walk(
             return
         rem = max_len - len(word) - 1
         for g in letters:
-            if right_ascent(t, p, g):
-                if lw - lp - 1 > rem or right_ascent(t, r, g):
+            if right_ascent(p, g):
+                if lw - lp - 1 > rem or right_ascent(r, g):
                     continue
                 q, rq, lq = p * gens[g], r * gens[g], lp + 1
             else:

@@ -36,7 +36,7 @@ from .weyl import (
 )
 
 
-def _undo(t: str, ends: dict, word: list[int]) -> dict:
+def _undo(t: str, ends: dict, word: tuple[int, ...]) -> dict:
     """{x: l(x)} over the x with x o t_{a_1} o ... o t_{a_k} in ends, for
     word = (a_1, ..., a_k) and ends mapping elements to their lengths.
     Each x has one Demazure image, so no x is reached twice."""
@@ -44,11 +44,18 @@ def _undo(t: str, ends: dict, word: list[int]) -> dict:
         tg = generator(t, g)
         prev = {}
         for y, ly in ends.items():
-            if not right_ascent(t, y, g):
+            if not right_ascent(y, g):
                 prev[y] = ly
                 prev[y * tg] = ly - 1
         ends = prev
     return ends
+
+
+@lru_cache(maxsize=None)
+def _perms(n: int, cap: int) -> tuple:
+    """(s, l(s), a reduced word of s) over the s in S_n of length <= cap."""
+    return tuple((s, length("A", s), tuple(reduced_word("A", s)))
+                 for s in elements_up_to_length("A", n, cap))
 
 
 @lru_cache(maxsize=None)
@@ -57,11 +64,7 @@ def kn_eval(t: str, w: SignedPermutation, num_vars: int, bound: int) -> TruncPol
     if t not in ("B", "C", "D"):
         raise ValueError(f"type must be B, C, or D, not {t!r}")
     lw = length(t, w)
-    cap = min(lw, bound)
-    perms = [
-        (s, length("A", s), reduced_word("A", s))
-        for s in elements_up_to_length("A", max(w.support, 1), cap)
-    ]
+    perms = _perms(max(w.support, 1), min(lw, bound))
     total = TruncPoly.zero(bound)
     for tau, lt, tau_word in perms:
         # p o tau = w, kept as p^-1 for the walk along sigma
@@ -76,7 +79,7 @@ def kn_eval(t: str, w: SignedPermutation, num_vars: int, bound: int) -> TruncPol
             for v, lu in _undo(t, ends, sigma_word).items():
                 if lu <= room:
                     fu = fstanley(t, v.inverse(), num_vars, bound)
-                    inner = inner + TruncPoly.beta(ls + lu + lt - lw, bound) * fu
+                    inner = inner + TruncPoly.beta(ls + lu + lt - lw) * fu
             if inner:
                 by_tau = by_tau + inner * groth_single(sigma, "y")
         if by_tau:

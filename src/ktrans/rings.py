@@ -207,11 +207,12 @@ class TruncPoly:
 
     # -- substitutions ------------------------------------------------------
 
-    def substitute(self, mapping: dict[int, "TruncPoly"], bound: int | None = None) -> "TruncPoly":
-        """Replace variables (by code) with polynomials; others are kept."""
-        bound = self._join_bound(bound, self.bound)
+    def substitute(self, mapping: dict[int, "TruncPoly"]) -> "TruncPoly":
+        """Replace variables (by code) with polynomials; others are kept.
+        The result, and each image, is cut at the bound of self."""
+        bound = self.bound
         mapping = {code: p.with_bound(bound) for code, p in mapping.items()}
-        result = TruncPoly.zero(bound)
+        terms: dict[Monomial, int] = {}
         for (b, v), c in self.terms.items():
             term = TruncPoly({(b, tuple(code for code in v if code not in mapping)): c}, bound)
             for code in v:
@@ -219,8 +220,9 @@ class TruncPoly:
                     term = term * mapping[code]
                     if term.is_zero():
                         break
-            result = result + term
-        return result
+            for m, tc in term.terms.items():
+                _add_term(terms, m, tc)
+        return TruncPoly(terms, bound)
 
     def set_zero(self, families: Iterable[int]) -> "TruncPoly":
         """Kill every monomial using a variable from the given families."""
@@ -292,14 +294,15 @@ def pi_operator(i: int, f: TruncPoly) -> TruncPoly:
 # -- the ominus series ---------------------------------------------------
 
 
-def ominus_series(a: TruncPoly, bound: int) -> TruncPoly:
-    """The series -a + beta a^2 - beta^2 a^3 + ... truncated at total degree bound."""
-    if (0, ()) in a.terms:
-        raise ValueError("ominus needs a series with zero constant term")
-    a = a.with_bound(bound)
-    acc = TruncPoly.zero(bound)
+def ominus_series(a: TruncPoly) -> TruncPoly:
+    """The series -a + beta a^2 - beta^2 a^3 + ... truncated at the bound of
+    a.  Each power of a raises the least degree, so the sum ends when a is
+    truncated and has no term of degree 0 (a constant or a power of beta)."""
+    if a.bound is None or any(not v for _, v in a.terms):
+        raise ValueError("ominus needs a truncated series with no term of degree 0")
+    acc = TruncPoly.zero(a.bound)
     power = a
-    factor = TruncPoly.const(-1, bound)
+    factor = TruncPoly.const(-1, a.bound)
     while power:
         acc = acc + factor * power
         power = power * a
@@ -566,13 +569,14 @@ def combo_value(combo: dict, G) -> YRational:
     return total
 
 
-def monk_identity_holds(
-    t: str, u: SignedPermutation, k: int, G, bound: int | None = None
-) -> bool:
-    """(1 + beta*x_k) G(u) == M_k G(u), with M_k cut at length bound (exact
-    in type A with bound=None; G carries its own truncation)."""
-    lhs = YRational.from_poly((ONE + BETA * xvar(k)) * G(u))
-    return lhs == combo_value(apply_M(t, k, u, bound), G)
+def monk_identity_holds(t: str, u: SignedPermutation, k: int, G) -> bool:
+    """(1 + beta*x_k) G(u) == M_k G(u), with M_k cut at the length D =
+    G(u).bound.  The cut is exact: G(v) has least degree l(v), so it is zero
+    at D when l(v) > D, and every factor of M_k raises length, so no dropped
+    term feeds back below D.  An untruncated G (type A) gives the exact M_k."""
+    gu = G(u)
+    lhs = YRational.from_poly((ONE + BETA * xvar(k)) * gu)
+    return lhs == combo_value(apply_M(t, k, u, gu.bound), G)
 
 
 def transition_residual(
@@ -592,22 +596,14 @@ def transition_residual(
 # -- the K-supersymmetry check ---------------------------------------------
 
 
-def supersym_check(f: TruncPoly, num_vars: int, bound: int) -> bool:
-    """Whether f(t, ominus t, z_3, ...) == f(0, 0, z_3, ...) up to the bound.
-
-    The fresh variable t is modeled as z_{num_vars+1}.
-    """
-    if num_vars < 2:
-        raise ValueError("need at least two z variables")
-    t = zvar(num_vars + 1, bound)
-    lhs = f.substitute(
-        {var_code(Z, 1): t, var_code(Z, 2): ominus_series(t, bound)}, bound
-    )
-    rhs = f.substitute(
-        {var_code(Z, 1): TruncPoly.zero(bound), var_code(Z, 2): TruncPoly.zero(bound)},
-        bound,
-    )
-    return lhs == rhs
+def supersym_check(f: TruncPoly) -> bool:
+    """Whether f(t, ominus t, z_3, ...) == f(0, 0, z_3, ...) up to the bound
+    of f, which must be truncated, with t a fresh z past z_2 and every z of f."""
+    last = max([2] + [code_index(c) for _, v in f.terms for c in v if code_family(c) == Z])
+    t = zvar(last + 1, f.bound)
+    z1, z2 = var_code(Z, 1), var_code(Z, 2)
+    lhs = f.substitute({z1: t, z2: ominus_series(t)})
+    return lhs == f.substitute({z1: TruncPoly.zero(), z2: TruncPoly.zero()})
 
 
 # -- rendering and parsing ---------------------------------------------------

@@ -254,10 +254,10 @@ def length(t: str, w: SignedPermutation) -> int:
     return total
 
 
-def right_ascent(t: str, w: SignedPermutation, g: int) -> bool:
+def right_ascent(w: SignedPermutation, g: int) -> bool:
     """True iff multiplying by generator g on the right raises length by 1.
-
-    Read from the window: past it, w(i) = i exceeds every |window entry|."""
+    The index alone names the case: t_0 is a generator only in types B and
+    C, t_{-1} only in D.  Past the window, w(i) = i exceeds every |entry|."""
     if g >= 1:
         return g >= len(w) or w[g - 1] < w[g]
     if g == 0:
@@ -516,7 +516,7 @@ def reduced_word(t: str, w: SignedPermutation) -> list[int]:
     cur = w
     while not cur.is_identity():
         for g in generator_indices(t, cur.support):
-            if not right_ascent(t, cur, g):
+            if not right_ascent(cur, g):
                 word.append(g)
                 cur = cur * generator(t, g)
                 break
@@ -536,7 +536,7 @@ def elements_up_to_length(t: str, n: int, max_len: int) -> tuple[SignedPermutati
         nxt = []
         for w in frontier:
             for g, tg in gens:
-                if right_ascent(t, w, g):
+                if right_ascent(w, g):
                     u = w * tg
                     if u not in seen:
                         seen.add(u)

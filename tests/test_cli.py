@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import shlex
 import sys
 from pathlib import Path
 
@@ -855,6 +856,26 @@ GOLDEN_COMMANDS = {
         "kn-eval", "--type", "D", "--w=3,-1,4,-2", "--N", "2", "--D", "6", "--json"
     ],
 }
+
+
+# the examples of README's "Command line" block, each as the argv after "ktrans"
+_README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+README_COMMANDS = [
+    shlex.split(line)[1:]
+    for line in _README.split("## Command line", 1)[1].split("```")[1].splitlines()
+    if line.startswith("ktrans ")
+]
+
+
+class TestReadme:
+    def test_block_has_examples(self):
+        assert len(README_COMMANDS) >= 10
+
+    @pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: argv[0])
+    def test_example_runs(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.setenv("KTRANS_CACHE_DIR", str(tmp_path))
+        code, out = run(capsys, *argv)
+        assert code == 0 and out
 
 
 class TestGolden:

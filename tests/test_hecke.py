@@ -293,7 +293,7 @@ class TestFStanley:
     def test_supersymmetric(self):
         for t in ("B", "C", "D"):
             for w in group_elements(t, 2):
-                assert supersym_check(fstanley(t, w, 3, 5), 3, 5)
+                assert supersym_check(fstanley(t, w, 3, 5))
 
     def test_grassmannian_law_examples(self):
         w = parse_oneline("-2,1")

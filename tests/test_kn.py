@@ -269,14 +269,25 @@ class TestMOperator:
     @pytest.mark.parametrize("k", [1, 2])
     def test_monk_identity_rank_two(self, t, k):
         for u in group_elements(t, 2):
-            assert monk_identity_holds(t, u, k, kn_at(t, 2, 4), 4), (t, str(u), k)
+            assert monk_identity_holds(t, u, k, kn_at(t, 2, 4)), (t, str(u), k)
 
     @pytest.mark.parametrize("t", ["B", "C", "D"])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_monk_identity_rank_three(self, t, k):
         # all of W_3: the v-scaling and the twisted u-moves meet units y_{-i}
         for u in group_elements(t, 3):
-            assert monk_identity_holds(t, u, k, kn_at(t, 2, 4), 4), (t, str(u), k)
+            assert monk_identity_holds(t, u, k, kn_at(t, 2, 4)), (t, str(u), k)
+
+    @pytest.mark.parametrize("t", ["B", "C", "D"])
+    def test_monk_cut_at_the_truncation_is_exact(self, t):
+        # G(v) vanishes at D = 4 when l(v) > 4, so a cut 2 longer adds nothing
+        G = kn_at(t, 2, 4)
+        for u in group_elements(t, 2):
+            for k in (1, 2, 3):
+                cut = G(u).bound
+                value = combo_value(apply_M(t, k, u, cut), G)
+                assert value == combo_value(apply_M(t, k, u, cut + 2), G), (str(u), k)
+                assert monk_identity_holds(t, u, k, G), (str(u), k)
 
     def test_x_factor_absorbs_r_operator(self):
         # (1 + beta x_k) R_k F == (t-tail . v_k) F at truncation

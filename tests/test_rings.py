@@ -147,6 +147,42 @@ class TestOneMonomialProduct:
                     assert (got.terms, got.bound) == (want.terms, want.bound)
 
 
+def reference_substitute(f, mapping):
+    """The substitution as a running sum of one product per term of f, each
+    image cut at the bound of f."""
+    mapping = {code: p.with_bound(f.bound) for code, p in mapping.items()}
+    result = TruncPoly.zero(f.bound)
+    for (b, v), c in f.terms.items():
+        term = TruncPoly({(b, tuple(code for code in v if code not in mapping)): c}, f.bound)
+        for code in v:
+            if code in mapping:
+                term = term * mapping[code]
+        result = result + term
+    return result
+
+
+class TestSubstitute:
+    def test_keeps_its_bound(self):
+        # images of degree above the bound are cut, and no second bound is taken
+        f = (zvar(1) + zvar(2) * zvar(3)).with_bound(2)
+        got = f.substitute({var_code(Z, 1): zvar(4) + zvar(3) ** 5})
+        assert (got.terms, got.bound) == ((zvar(4) + zvar(2) * zvar(3)).terms, 2)
+        with pytest.raises(TypeError):
+            (zvar(3) ** 5 + zvar(1)).substitute({var_code(Z, 1): zvar(4)}, 2)
+
+    @pytest.mark.parametrize("bound", [None, 2, 4])
+    def test_matches_the_term_by_term_sum(self, bound):
+        rng = random.Random(17)
+        for _ in range(10):
+            f = random_poly(rng).with_bound(bound)
+            mapping = {
+                var_code(X, i): random_poly(rng, terms=3) - xvar(i)
+                for i in rng.sample(range(1, 5), 2)
+            }
+            got, want = f.substitute(mapping), reference_substitute(f, mapping)
+            assert (got.terms, got.bound) == (want.terms, want.bound)
+
+
 class TestNegativeBound:
     # every monomial has degree >= 0, so a negative bound keeps none of them
     def test_every_truncated_object_is_zero(self):
@@ -279,16 +315,27 @@ class TestPiOperator:
 
 class TestOminus:
     def test_zero(self):
-        assert ominus_series(TruncPoly.zero(), 3) == TruncPoly.zero(3)
+        assert ominus_series(TruncPoly.zero(3)) == TruncPoly.zero(3)
 
     def test_geometric_expansion(self):
         t = zvar(1)
         expect = -1 * t + BETA * t * t - BETA * BETA * t * t * t
-        assert ominus_series(t, 3) == expect.with_bound(3)
+        got = ominus_series(t.with_bound(3))
+        assert (got.terms, got.bound) == (expect.with_bound(3).terms, 3)
 
     def test_involution(self):
-        t = zvar(1)
-        assert ominus_series(ominus_series(t, 4), 4) == t.with_bound(4)
+        t = zvar(1).with_bound(4)
+        assert ominus_series(ominus_series(t)) == t
+
+    def test_refuses_an_untruncated_series(self):
+        # its powers never leave the truncation, so the sum would not end
+        with pytest.raises(ValueError):
+            ominus_series(zvar(1))
+
+    @pytest.mark.parametrize("head", [BETA, ONE, -2 * BETA ** 3])
+    def test_refuses_a_term_of_degree_zero(self, head):
+        with pytest.raises(ValueError):
+            ominus_series((head + zvar(1)).with_bound(2))
 
 
 class TestYRational:
@@ -358,10 +405,14 @@ class TestStarAction:
 
 class TestSupersym:
     def test_constant(self):
-        assert supersym_check(ONE.with_bound(4), 3, 4)
+        assert supersym_check(ONE.with_bound(4))
 
     def test_single_variable_fails(self):
-        assert not supersym_check(zvar(1).with_bound(4), 3, 4)
+        assert not supersym_check(zvar(1).with_bound(4))
+
+    def test_fresh_variable_is_new_to_f(self):
+        # with t = z3, f(t, ominus t, z3) would read t^2 - t*t = 0
+        assert not supersym_check((zvar(1) * zvar(1) - zvar(1) * zvar(3)).with_bound(4))
 
     def test_gp_one_passes(self):
         # e_1 + beta e_2 + beta^2 e_3 in three variables
@@ -369,11 +420,11 @@ class TestSupersym:
         e2 = zvar(1) * zvar(2) + zvar(1) * zvar(3) + zvar(2) * zvar(3)
         e3 = zvar(1) * zvar(2) * zvar(3)
         f = (e1 + BETA * e2 + BETA * BETA * e3).with_bound(4)
-        assert supersym_check(f, 3, 4)
+        assert supersym_check(f)
 
-    def test_needs_two_variables(self):
+    def test_refuses_an_untruncated_series(self):
         with pytest.raises(ValueError):
-            supersym_check(ONE, 1, 3)
+            supersym_check(ONE)
 
 
 class TestCombination:
@@ -402,7 +453,7 @@ class TestCombination:
             with pytest.raises(ValueError):
                 apply_M(t, 1, w, bound)
             with pytest.raises(ValueError):
-                monk_identity_holds(t, w, 1, lambda u: ONE, bound)
+                monk_identity_holds(t, w, 1, lambda u: ONE.with_bound(bound))
         with pytest.raises(ValueError):
             transition(t, w)
 

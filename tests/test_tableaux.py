@@ -229,8 +229,8 @@ class TestGeneratingFunctions:
     def test_supersymmetry_small_shapes(self):
         for lam in strict_partitions(4):
             sh = ShiftedSkewShape(lam)
-            assert supersym_check(gp(sh, 3, 6), 3, 6), ("gp", lam)
-            assert supersym_check(gq(sh, 3, 6), 3, 6), ("gq", lam)
+            assert supersym_check(gp(sh, 3, 6)), ("gp", lam)
+            assert supersym_check(gq(sh, 3, 6)), ("gq", lam)
 
     def test_homogeneous(self):
         sh = ShiftedSkewShape((3, 1), (1,))

@@ -39,7 +39,7 @@ from ktrans.weyl import (
 def demazure_apply(t, w, g):
     """w o t_g for a single generator: w * t_g when g is a right ascent of
     w, else w itself."""
-    return w * generator(t, g) if right_ascent(t, w, g) else w
+    return w * generator(t, g) if right_ascent(w, g) else w
 
 
 @lru_cache(maxsize=None)
@@ -132,7 +132,7 @@ class TestLength:
             lw = length(t, w)
             for g in generator_indices(t, 5):
                 raised = length(t, w * generator(t, g)) == lw + 1
-                assert right_ascent(t, w, g) == raised, (t, w, g)
+                assert right_ascent(w, g) == raised, (t, w, g)
 
     def test_type_membership(self):
         with pytest.raises(ValueError):
