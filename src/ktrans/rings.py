@@ -10,20 +10,21 @@ z exceeds the bound; beta is never truncated.  All coefficients are
 Python ints, so nothing overflows.
 
 The module also provides the localized ring with inverted (1 + beta*y_i)
-factors (YRational), the isobaric divided difference, the ominus series,
-the signed star substitution, the K-supersymmetry check, and the operator
-calculus that every type shares: the transition operator R_k and the
-Monk-type operator M_k, each acting on one group element, the transition
-certificate and the checks of the Monk and transition identities.  An
-operator's result is a plain dict from group elements to coefficients, as
-in the engine.  Only the evaluator of the double Grothendieck polynomials
-differs by type (groth_a.groth_poly for A, kn.kn_eval for B, C, D); the
-checks take it as an argument.
+factors (YRational), the isobaric divided difference, the signed star
+substitution, the K-supersymmetry check, and the operator calculus that
+every type shares: the transition operator R_k and the Monk-type operator
+M_k, each acting on one group element, the transition certificate and the
+checks of the Monk and transition identities.  An operator's result is a
+plain dict from group elements to coefficients, as in the engine.  Only the
+evaluator of the double Grothendieck polynomials differs by type
+(groth_a.groth_poly for A, kn.kn_eval for B, C, D); the checks take it as
+an argument.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
+from math import comb
 from typing import Iterable
 
 from .weyl import (
@@ -69,14 +70,30 @@ def mono_degree(mono: Monomial) -> int:
 
 
 class TruncPoly:
-    """Sparse polynomial in beta and the x/y/z families, optionally truncated."""
+    """Sparse polynomial in beta and the x/y/z families, optionally truncated.
+
+    It holds no monomial of degree above its bound: the constructor cuts what
+    it is handed, and the arithmetic, whose results keep that property when
+    its operands have it, builds them through _within without a second scan."""
 
     __slots__ = ("terms", "bound")
 
     def __init__(self, terms: dict[Monomial, int] | None = None, bound: int | None = None):
-        # no monomial has a negative degree, so a negative bound keeps nothing
-        self.terms = (terms or {}) if bound is None or bound >= 0 else {}
+        terms = terms or {}
+        if bound is not None and any(len(v) > bound for _, v in terms):
+            # a monomial above the bound is not in the truncated series; a
+            # negative bound keeps none, since no monomial has negative degree
+            terms = {m: c for m, c in terms.items() if len(m[1]) <= bound}
+        self.terms = terms
         self.bound = bound
+
+    @staticmethod
+    def _within(terms: dict[Monomial, int], bound: int | None) -> "TruncPoly":
+        """A TruncPoly of terms already of degree at most bound."""
+        p = object.__new__(TruncPoly)
+        p.terms = terms
+        p.bound = bound
+        return p
 
     # -- constructors ---------------------------------------------------
 
@@ -103,10 +120,7 @@ class TruncPoly:
         return min(a, b)
 
     def with_bound(self, bound: int | None) -> "TruncPoly":
-        if bound is None:
-            return TruncPoly(dict(self.terms), None)
-        terms = {m: c for m, c in self.terms.items() if mono_degree(m) <= bound}
-        return TruncPoly(terms, bound)
+        return TruncPoly(dict(self.terms), bound)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -134,14 +148,14 @@ class TruncPoly:
                 terms[m] = new
             else:
                 terms.pop(m, None)
-        if bound is not None and (self.bound != bound or other.bound != bound):
-            terms = {m: c for m, c in terms.items() if mono_degree(m) <= bound}
+        if self.bound == other.bound:
+            return TruncPoly._within(terms, bound)
         return TruncPoly(terms, bound)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncPoly":
-        return TruncPoly({m: -c for m, c in self.terms.items()}, self.bound)
+        return TruncPoly._within({m: -c for m, c in self.terms.items()}, self.bound)
 
     def __sub__(self, other) -> "TruncPoly":
         if isinstance(other, int):
@@ -155,7 +169,7 @@ class TruncPoly:
         if isinstance(other, int):
             if other == 0:
                 return TruncPoly.zero(self.bound)
-            return TruncPoly({m: c * other for m, c in self.terms.items()}, self.bound)
+            return TruncPoly._within({m: c * other for m, c in self.terms.items()}, self.bound)
         if not isinstance(other, TruncPoly):
             return NotImplemented
         bound = self._join_bound(self.bound, other.bound)
@@ -166,8 +180,9 @@ class TruncPoly:
             many, one = (other, self) if len(self.terms) == 1 else (self, other)
             ((b2, v2), c2), = one.terms.items()
             cap = float("inf") if bound is None else bound - len(v2)
-            return TruncPoly({(b1 + b2, tuple(sorted(v1 + v2)) if v2 else v1): c1 * c2
-                              for (b1, v1), c1 in many.terms.items() if len(v1) <= cap}, bound)
+            terms = {(b1 + b2, tuple(sorted(v1 + v2)) if v2 else v1): c1 * c2
+                     for (b1, v1), c1 in many.terms.items() if len(v1) <= cap}
+            return TruncPoly._within(terms, bound)
         terms: dict[Monomial, int] = {}
         for (b1, v1), c1 in self.terms.items():
             d1 = len(v1)
@@ -180,7 +195,7 @@ class TruncPoly:
                     terms[m] = new
                 else:
                     del terms[m]
-        return TruncPoly(terms, bound)
+        return TruncPoly._within(terms, bound)
 
     __rmul__ = __mul__
 
@@ -203,7 +218,7 @@ class TruncPoly:
             if b == 0:
                 raise ArithmeticError("polynomial is not divisible by beta")
             terms[(b - 1, v)] = c
-        return TruncPoly(terms, self.bound)
+        return TruncPoly._within(terms, self.bound)
 
     # -- substitutions ------------------------------------------------------
 
@@ -289,25 +304,6 @@ def pi_operator(i: int, f: TruncPoly) -> TruncPoly:
     if i < 1:
         raise ValueError("pi_i needs a positive index")
     return divided_difference(i, (ONE + BETA * xvar(i + 1)) * f)
-
-
-# -- the ominus series ---------------------------------------------------
-
-
-def ominus_series(a: TruncPoly) -> TruncPoly:
-    """The series -a + beta a^2 - beta^2 a^3 + ... truncated at the bound of
-    a.  Each power of a raises the least degree, so the sum ends when a is
-    truncated and has no term of degree 0 (a constant or a power of beta)."""
-    if a.bound is None or any(not v for _, v in a.terms):
-        raise ValueError("ominus needs a truncated series with no term of degree 0")
-    acc = TruncPoly.zero(a.bound)
-    power = a
-    factor = TruncPoly.const(-1, a.bound)
-    while power:
-        acc = acc + factor * power
-        power = power * a
-        factor = factor * (-BETA)
-    return acc
 
 
 # -- the localized coefficient ring --------------------------------------
@@ -597,13 +593,31 @@ def transition_residual(
 
 
 def supersym_check(f: TruncPoly) -> bool:
-    """Whether f(t, ominus t, z_3, ...) == f(0, 0, z_3, ...) up to the bound
-    of f, which must be truncated, with t a fresh z past z_2 and every z of f."""
-    last = max([2] + [code_index(c) for _, v in f.terms for c in v if code_family(c) == Z])
-    t = zvar(last + 1, f.bound)
+    """Whether f(t, ominus t, z_3, ...) == f(0, 0, z_3, ...) up to the bound D
+    of f, which must be truncated, with t a fresh variable.
+
+    No series is built.  As ominus t = -t/(1 + beta*t), the coefficient of
+    t^k in t^a (ominus t)^b is (-1)^(k-a) C(k-a-1, b-1) beta^(k-a-b) when
+    b >= 1, and [k = a] when b = 0.  A term z_1^a z_2^b r of f, with r free
+    of z_1 and z_2, so gives r times that coefficient at t^k for each k with
+    a + b <= k <= D - deg(r).  The t^0 part is f(0, 0, z_3, ...), so f
+    passes when every sum at t^k, k >= 1, is zero."""
+    bound = f.bound
+    if bound is None:
+        raise ValueError("the supersymmetry check needs a truncated series")
     z1, z2 = var_code(Z, 1), var_code(Z, 2)
-    lhs = f.substitute({z1: t, z2: ominus_series(t)})
-    return lhs == f.substitute({z1: TruncPoly.zero(), z2: TruncPoly.zero()})
+    sums: dict[tuple[int, Monomial], int] = {}
+    for (beta, v), c in f.terms.items():
+        a, b = v.count(z1), v.count(z2)
+        if not a + b:
+            continue
+        rest = tuple(code for code in v if code != z1 and code != z2)
+        top = bound - len(rest) if b else min(a, bound - len(rest))
+        for k in range(a + b, top + 1):
+            coeff = (-1) ** (k - a) * comb(k - a - 1, b - 1) if b else 1
+            key = (k, (beta + k - a - b, rest))
+            sums[key] = sums.get(key, 0) + c * coeff
+    return not any(sums.values())
 
 
 # -- rendering and parsing ---------------------------------------------------

@@ -292,8 +292,8 @@ class TestFStanley:
 
     def test_supersymmetric(self):
         for t in ("B", "C", "D"):
-            for w in group_elements(t, 2):
-                assert supersym_check(fstanley(t, w, 3, 5))
+            for w in group_elements(t, 3):
+                assert supersym_check(fstanley(t, w, 3, 6)), (t, str(w))
 
     def test_grassmannian_law_examples(self):
         w = parse_oneline("-2,1")

@@ -18,11 +18,12 @@ from ktrans.rings import (
     _lift,
     apply_M,
     apply_R,
+    code_family,
+    code_index,
     combo_value,
     divided_difference,
     monk_identity_holds,
     mono_degree,
-    ominus_series,
     ominus_y,
     pi_operator,
     poly_str,
@@ -50,13 +51,13 @@ def homogeneous_degree(f):
     return degs.pop() if len(degs) == 1 else None
 
 
-def random_poly(rng, nvars=4, max_deg=4, terms=6):
+def random_poly(rng, nvars=4, max_deg=4, terms=6, var=xvar):
     p = TruncPoly.zero()
     for _ in range(terms):
         term = TruncPoly.const(rng.randint(-3, 3))
         budget = rng.randint(0, max_deg)
         for _ in range(budget):
-            term = term * xvar(rng.randint(1, nvars))
+            term = term * var(rng.randint(1, nvars))
         if rng.random() < 0.3:
             term = term * BETA
         p = p + term
@@ -113,6 +114,14 @@ class TestTruncPoly:
     def test_homogeneous_degree(self):
         assert homogeneous_degree(xvar(1) + yvar(2) + BETA * xvar(1) * xvar(2)) == 1
         assert homogeneous_degree(xvar(1) + xvar(1) * xvar(2)) is None
+
+    def test_constructor_cuts_at_its_bound(self):
+        # z3^5 is above the bound 2, so a sum and a product agree on dropping it
+        p = TruncPoly({(0, (var_code(Z, 3),) * 5): 1}, 2)
+        assert p.is_zero()
+        added, multiplied = p + zvar(1), p * TruncPoly.const(1, 2) + zvar(1)
+        assert added.terms == multiplied.terms == zvar(1).terms
+        assert added.bound == multiplied.bound == 2
 
 
 class TestOneMonomialProduct:
@@ -313,6 +322,22 @@ class TestPiOperator:
             assert pi_operator(1, pi_operator(3, f)) == pi_operator(3, pi_operator(1, f))
 
 
+def ominus_series(a):
+    """The series -a + beta a^2 - beta^2 a^3 + ... truncated at the bound of
+    a.  Each power of a raises the least degree, so the sum ends when a is
+    truncated and has no term of degree 0 (a constant or a power of beta)."""
+    if a.bound is None or any(not v for _, v in a.terms):
+        raise ValueError("ominus needs a truncated series with no term of degree 0")
+    acc = TruncPoly.zero(a.bound)
+    power = a
+    factor = TruncPoly.const(-1, a.bound)
+    while power:
+        acc = acc + factor * power
+        power = power * a
+        factor = factor * (-BETA)
+    return acc
+
+
 class TestOminus:
     def test_zero(self):
         assert ominus_series(TruncPoly.zero(3)) == TruncPoly.zero(3)
@@ -425,6 +450,65 @@ class TestSupersym:
     def test_refuses_an_untruncated_series(self):
         with pytest.raises(ValueError):
             supersym_check(ONE)
+
+
+def reference_supersym(f):
+    """The supersymmetry check by its definition: substitute t and the series
+    ominus t for z_1 and z_2, with t a z past z_2 and every z of f, and
+    compare with f(0, 0, z_3, ...)."""
+    last = max([2] + [code_index(c) for _, v in f.terms for c in v if code_family(c) == Z])
+    t = zvar(last + 1, f.bound)
+    z1, z2 = var_code(Z, 1), var_code(Z, 2)
+    lhs = f.substitute({z1: t, z2: ominus_series(t)})
+    return lhs == f.substitute({z1: TruncPoly.zero(), z2: TruncPoly.zero()})
+
+
+def bumped(f, rng):
+    """f with one coefficient raised by 1: that of a term in z_1 or z_2 of f,
+    or of z_1 itself when f has none (of 1 at bound 0)."""
+    z12 = (var_code(Z, 1), var_code(Z, 2))
+    terms = [m for m in sorted(f.terms) if any(c in z12 for c in m[1])]
+    m = rng.choice(terms) if terms else (0, z12[:1] if f.bound else ())
+    return f + TruncPoly({m: 1}, f.bound)
+
+
+class TestSupersymAgainstSubstitution:
+    """supersym_check reads coefficients off a closed form; the substitution
+    of t and the ominus series must give the same answer, true or false, on
+    each input and on the input with one coefficient bumped."""
+
+    @staticmethod
+    def agree(cases):
+        rng = random.Random(30)
+        answers = []
+        for f in cases:
+            for g in (f, bumped(f, rng)):
+                got = supersym_check(g)
+                assert got == reference_supersym(g), poly_str(g)
+                answers.append(got)
+        return answers
+
+    def test_k_stanley_functions_of_rank_three(self):
+        cases = [fstanley(t, w, 3, 6) for t in "BCD" for w in group_elements(t, 3)]
+        answers = self.agree(cases)
+        # every F_w passes, and a bump of a term in z_1 or z_2 breaks it
+        assert answers == [True, False] * len(cases)
+
+    def test_gp_gq_up_to_size_six(self):
+        from test_tableaux import strict_partitions
+
+        cases = [fn(ShiftedSkewShape(lam), 3, 6) for lam in strict_partitions(6) for fn in (gp, gq)]
+        assert self.agree(cases) == [True, False] * len(cases)
+
+    @pytest.mark.parametrize("bound", range(7))
+    def test_random_polynomials(self, bound):
+        rng = random.Random(100 + bound)
+        cases = [random_poly(rng, max_deg=6, var=zvar).with_bound(bound) for _ in range(12)]
+        # supersymmetric ones too: GP_(2,1) in z_1..z_4 times a polynomial in z_3, z_4
+        g = gp(ShiftedSkewShape((2, 1)), 4, bound)
+        cases += [g * (random_poly(rng, nvars=2, terms=3, var=lambda i: zvar(i + 2)) + 1)
+                  for _ in range(4)]
+        self.agree(cases)
 
 
 class TestCombination:

@@ -227,7 +227,7 @@ class TestGeneratingFunctions:
                 assert swap(f, 2) == f
 
     def test_supersymmetry_small_shapes(self):
-        for lam in strict_partitions(4):
+        for lam in strict_partitions(6):
             sh = ShiftedSkewShape(lam)
             assert supersym_check(gp(sh, 3, 6)), ("gp", lam)
             assert supersym_check(gq(sh, 3, 6)), ("gq", lam)
