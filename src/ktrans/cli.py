@@ -561,7 +561,8 @@ def main(argv=None) -> int:
         print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # a degree bound or a chain too large for the interpreter's stack
+        # the engine's transition chain or groth_a._descend, too deep for the
+        # interpreter's stack
         print(
             f"{parser.prog} {args.command}: error: the input is too large to compute"
             " within the recursion limit",

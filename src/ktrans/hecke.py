@@ -3,21 +3,24 @@ brute-force generating-function oracles built from them.
 
 Everything here enumerates: these are the reference implementations the
 operator calculus is checked against, so they stay close to the defining
-sums.  `_walk` is the one walk over Demazure prefixes: it visits the prefix
-tree of the Hecke words of w depth first and carries a state down each
-edge.  `hecke_words` carries nothing.  `fstanley` carries the list of
-partial sequences valid for the prefix, each with its monomial, and extends
-them by one letter per edge through the method's one per-letter step,
-`_compat_step` or `_unimodal_step`.  Every sequence rule looks only at
-earlier positions, so a prefix with no valid sequence is dropped with its
-whole subtree, and the walk goes no deeper than the longest sequence.
-`quasi` walks the words that collapse to a multi-permutation the same way.
+sums.  `_walk` is the one pass over Demazure prefixes.  It runs layer by
+word length, and a layer maps each state (the prefix p, w^-1 p, l(p) and
+the last two letters) to a value: a table from partial sequences to
+counts.  Prefixes that reach the same state share one table, whose counts
+add.  `hecke_words` carries the words themselves.  `fstanley` carries the
+partial sequences valid for the prefix, each with its monomial, and
+extends them by one letter per edge through the method's one per-letter
+step, `_compat_step` or `_unimodal_step`, which reads only the last two
+letters.  Every sequence rule looks only at earlier positions, so a state
+with no valid sequence is dropped, and the pass stops at its first empty
+layer.  `quasi` runs the same kind of pass over the words that collapse to
+a multi-permutation, keyed by the letter of it they end in.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Callable, Sequence
+from functools import lru_cache, partial
+from typing import Sequence
 
 from .rings import Z, Monomial, TruncPoly, var_code
 from .weyl import (
@@ -30,20 +33,19 @@ from .weyl import (
 )
 
 
-def _walk(
-    t: str,
-    w: SignedPermutation,
-    max_len: int,
-    root,
-    extend: Callable,
-    emit: Callable,
-) -> None:
-    """Walk the prefixes of the Hecke words of w of length <= max_len, in
-    lexicographic order, carrying a state from root down each edge.
+def _add(into: dict, value: dict) -> None:
+    """Add the counts of value into the table into."""
+    for s, c in value.items():
+        into[s] = into.get(s, 0) + c
 
-    extend(state, word, g) is the state of word + (g,), or a falsy one for
-    a dead prefix, which is dropped with its subtree.  emit(word, state)
-    sees each word whose Demazure product is w.
+
+def _walk(t: str, w: SignedPermutation, max_len: int, root: dict, step) -> dict:
+    """The merged value of the words of length <= max_len whose Demazure
+    product is w, starting from root at the empty word.
+
+    step(last, g, value) is the value of the prefixes ending in the letters
+    last, at most two, extended by the letter g; an empty one drops the
+    state.
 
     Letters come from supp(w), the generators of a reduced word of w: the
     Demazure product of a word lies above each of its letters in Bruhat
@@ -51,48 +53,49 @@ def _walk(
     order, so a prefix p can still reach w iff p <= w in that order and
     l(w) - l(p) letters remain.  With w = p u and l(w) = l(p) + l(u), a
     letter g that raises p keeps p t_g below w iff g is a left descent of
-    u, that is a right descent of r = u^-1 = w^-1 p, which the walk carries.
+    u, that is a right descent of r = u^-1 = w^-1 p, which the state holds.
     """
     letters = sorted(set(reduced_word(t, w)))
     gens = {g: generator(t, g) for g in letters}
     lw = length(t, w)
-    word: list[int] = []
+    done: dict = {}
+    layer = {(identity(), w.inverse(), 0, ()): root}
+    n = 0
+    while layer:
+        rem = max_len - n - 1
+        nxt: dict = {}
+        for (p, r, lp, last), value in layer.items():
+            if lp == lw:
+                # p <= w and l(p) = l(w): p is w
+                _add(done, value)
+            for g in letters:
+                if right_ascent(p, g):
+                    if lw - lp - 1 > rem or right_ascent(r, g):
+                        continue
+                    key = (p * gens[g], r * gens[g], lp + 1, (*last[-1:], g))
+                else:
+                    if lw - lp > rem:
+                        continue
+                    key = (p, r, lp, (*last[-1:], g))
+                out = step(last, g, value)
+                if out:
+                    # a state keeps its first table, uncopied; later ones add into it
+                    held = nxt.setdefault(key, out)
+                    if held is not out:
+                        _add(held, out)
+        layer, n = nxt, n + 1
+    return done
 
-    def rec(p: SignedPermutation, r: SignedPermutation, lp: int, state) -> None:
-        if lp == lw:
-            # p <= w and l(p) = l(w): p is w
-            emit(word, state)
-        if len(word) == max_len:
-            return
-        rem = max_len - len(word) - 1
-        for g in letters:
-            if right_ascent(p, g):
-                if lw - lp - 1 > rem or right_ascent(r, g):
-                    continue
-                q, rq, lq = p * gens[g], r * gens[g], lp + 1
-            else:
-                if lw - lp > rem:
-                    continue
-                q, rq, lq = p, r, lp
-            nxt = extend(state, word, g)
-            if nxt:
-                word.append(g)
-                rec(q, rq, lq, nxt)
-                word.pop()
 
-    rec(identity(), w.inverse(), 0, root)
+def _word_step(last, g: int, words: dict) -> dict:
+    """Extend each word by the letter g."""
+    return {a + (g,): c for a, c in words.items()}
 
 
 def hecke_words(t: str, w: SignedPermutation, max_len: int) -> list[tuple[int, ...]]:
     """All words of length <= max_len whose Demazure product is w, in
     lexicographic order."""
-    words: list[tuple[int, ...]] = []
-
-    def emit(word, state):
-        words.append(tuple(word))
-
-    _walk(t, w, max_len, True, lambda state, word, g: True, emit)
-    return words
+    return sorted(_walk(t, w, max_len, {(): 1}, _word_step))
 
 
 def _is_o(t: str, g: int) -> bool:
@@ -100,37 +103,39 @@ def _is_o(t: str, g: int) -> bool:
     return (t == "B" and g == 0) or (t == "D" and abs(g) == 1)
 
 
-def _compat_step(
-    t: str, top: int, word: Sequence[int], g: int, seqs: list[tuple[tuple[int, ...], int]]
-) -> list[tuple[tuple[int, ...], int]]:
-    """Extend each partial compatible sequence of word by the letter g.
+def _compat_step(t: str, top: int, last: Sequence[int], g: int, seqs: dict) -> dict:
+    """Extend each partial compatible sequence of a prefix ending in the
+    letters last (at most two) by the letter g.
 
     A partial sequence is (b, e): b is its weakly increasing values, as z
-    codes up to top, and e the exponent of its weight 2^e so far.  b_{i-1}
-    < b_{i+1} at every weak peak |a_{i-1}| <= |a_i| >= |a_{i+1}|, and b
-    strictly increases across equal adjacent o-letters.  The exponent is e
-    = |b| - gamma - o, where |b| counts the distinct values of b, gamma the
-    positions repeating both the previous letter and the previous value,
-    and o the o-letters.  The output keeps the order of seqs and, within
-    one, increasing values, so lexicographic input stays lexicographic.
+    codes up to top, and e the exponent of its weight 2^e so far; seqs maps
+    each to its count.  b_{i-1} < b_{i+1} at every weak peak |a_{i-1}| <=
+    |a_i| >= |a_{i+1}|, and b strictly increases across equal adjacent
+    o-letters.  The exponent is e = |b| - gamma - o, where |b| counts the
+    distinct values of b, gamma the positions repeating both the previous
+    letter and the previous value, and o the o-letters.  The output keeps
+    the order of seqs and, within one, increasing values.
     """
     is_o = _is_o(t, g)
-    peak = len(word) >= 2 and abs(word[-2]) <= abs(word[-1]) >= abs(g)
-    repeat = bool(word) and word[-1] == g
-    out = []
-    for b, e in seqs:
+    peak = len(last) >= 2 and abs(last[-2]) <= abs(last[-1]) >= abs(g)
+    repeat = bool(last) and last[-1] == g
+    out: dict = {}
+    for (b, e), n in seqs.items():
         if b:
-            last = b[-1]
+            v = b[-1]
             # a repeated value: only a strict rise before a peak allows it,
             # and equal adjacent o-letters never do
-            if not (peak and b[-2] >= last) and not (repeat and is_o):
-                out.append((b + (last,), e - repeat - is_o))
-            lo = last + 1
+            if not (peak and b[-2] >= v) and not (repeat and is_o):
+                s = (b + (v,), e - repeat - is_o)
+                out[s] = out.get(s, 0) + n
+            lo = v + 1
         else:
             lo = var_code(Z, 1)
         # a new value rises past b[-1] >= b[-2], so a peak cannot stop it
         grow = e + 1 - is_o
-        out += [(b + (c,), grow) for c in range(lo, top + 1)]
+        for c in range(lo, top + 1):
+            s = (b + (c,), grow)
+            out[s] = out.get(s, 0) + n
     return out
 
 
@@ -146,36 +151,38 @@ def _letter_key(t: str, x: int):
     return (abs(x), 0)
 
 
-def _unimodal_step(
-    t: str, symbols: list, word: Sequence[int], g: int, seqs: list[tuple[tuple, int]]
-) -> list[tuple[tuple, int]]:
-    """Extend each partial unimodal factorization of word by the letter g.
+def _unimodal_step(t: str, symbols: list, last: Sequence[int], g: int, seqs: dict) -> dict:
+    """Extend each partial unimodal factorization of a prefix ending in the
+    letters last (at most two) by the letter g.
 
     Values run -1 < 1 < -2 < 2 < ..., index i standing for -(i//2 + 1)
     when i is even and i//2 + 1 when odd; a partial factorization is
     (b, i), b its symbols (``symbols[i]`` for each value) and i the index
-    of its last value.  b weakly increases; a repeated value needs the
-    letter keys (``_letter_key``) to fall if it is negative and to rise if
-    positive; an o-letter takes positive values only.  The output keeps
-    the order of seqs and, within one, increasing values, so lexicographic
-    input stays lexicographic.
+    of its last value, and seqs maps each to its count.  b weakly
+    increases; a repeated value needs the letter keys (``_letter_key``) to
+    fall if it is negative and to rise if positive; an o-letter takes
+    positive values only.  Two factorizations can meet: with z_1 for both
+    -1 and 1, (b, 0) moving on and (b, 1) repeating both reach
+    (b + (z_1,), 1), so counts add.  The output keeps the order of seqs
+    and, within one, increasing values.
     """
     is_o = _is_o(t, g)
-    if word:
-        prev, cur = _letter_key(t, word[-1]), _letter_key(t, g)
+    if last:
+        prev, cur = _letter_key(t, last[-1]), _letter_key(t, g)
         fall, rise = prev > cur, prev < cur
-    out = []
-    for b, i in seqs:
-        if word:
+    size = len(symbols)
+    out: dict = {}
+    for (b, i), n in seqs.items():
+        if last:
             # repeat the last value: i odd is positive, i even negative
             if (rise if i % 2 else fall and not is_o):
-                out.append((b + (symbols[i],), i))
+                s = (b + (symbols[i],), i)
+                out[s] = out.get(s, 0) + n
             i += 1
-        if is_o:
-            # the positive values past the last one: odd indices only
-            out += [(b + (symbols[j],), j) for j in range(i | 1, len(symbols), 2)]
-        else:
-            out += [(b + (symbols[j],), j) for j in range(i, len(symbols))]
+        # an o-letter takes the positive values past the last one: odd indices
+        for j in range(i | 1, size, 2) if is_o else range(i, size):
+            s = (b + (symbols[j],), j)
+            out[s] = out.get(s, 0) + n
     return out
 
 
@@ -196,7 +203,7 @@ def fstanley(
 
     method "compat" sums 2^(|b|-gamma-o) z^b over compatible sequences;
     method "unimodal" sums z^|b| over unimodal factorizations.  The two
-    must agree.  One `_walk` enumerates every (word, sequence) pair; each
+    must agree.  One `_walk` counts every sequence of every word; each
     partial sequence carries its monomial as sorted z codes, since b (and
     |b| in the unimodal order) weakly increases.
     """
@@ -205,41 +212,25 @@ def fstanley(
     if t not in ("B", "C", "D"):
         raise ValueError(f"K-Stanley functions need type B, C, or D, not {t!r}")
     lw = length(t, w)
-    terms: dict[Monomial, int] = {}
     z1 = var_code(Z, 1)
-    if method == "unimodal":
-        symbols = [z1 + i // 2 for i in range(2 * num_vars)]
-
-        def extend(seqs, word, g):
-            return _unimodal_step(t, symbols, word, g, seqs)
-
-        def emit(word, seqs):
-            for b, _ in seqs:
-                m = (len(b) - lw, b)
-                terms[m] = terms.get(m, 0) + 1
-
-        _walk(t, w, bound, [((), 0)], extend, emit)
-        return TruncPoly(terms, bound)
-
-    top = z1 + num_vars - 1
-
-    def extend(seqs, word, g):
-        return _compat_step(t, top, word, g, seqs)
-
-    # Individual words can carry half-integer weights 2^e; accumulate
+    compat = method == "compat"
+    if compat:
+        step = partial(_compat_step, t, z1 + num_vars - 1)
+    else:
+        step = partial(_unimodal_step, t, [z1 + i // 2 for i in range(2 * num_vars)])
+    # A compatible sequence can carry a half-integer weight 2^e; accumulate
     # everything scaled by 2^bound and divide back at the end.
-    def emit(word, seqs):
-        for b, e in seqs:
-            m = (len(b) - lw, b)
-            terms[m] = terms.get(m, 0) + 2 ** (bound + e)
-
-    _walk(t, w, bound, [((), 0)], extend, emit)
-    divisor = 2**bound
-    for m, c in terms.items():
-        q, r = divmod(c, divisor)
-        if r:
-            raise AssertionError("compatible-sequence weights did not sum to integers")
-        terms[m] = q
+    terms: dict[Monomial, int] = {}
+    for (b, e), n in _walk(t, w, bound, {((), 0): 1}, step).items():
+        m = (len(b) - lw, b)
+        terms[m] = terms.get(m, 0) + (n * 2 ** (bound + e) if compat else n)
+    if compat:
+        divisor = 2**bound
+        for m, c in terms.items():
+            q, r = divmod(c, divisor)
+            if r:
+                raise AssertionError("compatible-sequence weights did not sum to integers")
+            terms[m] = q
     return TruncPoly(terms, bound)
 
 
@@ -259,31 +250,33 @@ def quasi(pi: tuple[int, ...], num_vars: int, bound: int) -> TruncPoly:
     """The multi-peak quasisymmetric function attached to a
     multi-permutation, truncated: the sum of beta^(|a|-|pi|) z^|b| over the
     words a = pi_1^+ pi_2^+ ... of length <= bound and the type C unimodal
-    factorizations b of a.  A walk on the prefixes of those words, each
-    letter repeating pi_j or moving on to pi_(j+1), carries the partial
-    factorizations through `_unimodal_step`, as `fstanley` does."""
+    factorizations b of a.  A pass by word length keys each prefix by the j
+    with the prefix ending in pi_j; its next letter repeats pi_j or moves
+    on to pi_(j+1), and the partial factorizations, with their counts, ride
+    along through `_unimodal_step`, as in `fstanley`."""
     if mperm(pi) != tuple(pi):
         raise ValueError(f"{pi} is not a multi-permutation")
     r = len(pi)
     symbols = [var_code(Z, 1) + i // 2 for i in range(2 * num_vars)]
     terms: dict[Monomial, int] = {}
-    word: list[int] = []
-
-    def rec(j: int, seqs: list[tuple[tuple, int]]) -> None:
-        # word ends in pi[j], or is empty at j = -1
-        if j == r - 1:
-            for b, _ in seqs:
-                m = (len(b) - r, b)
-                terms[m] = terms.get(m, 0) + 1
-        for k in range(max(j, 0), min(j + 2, r)):
-            # pi[k] and the r - k - 1 letters after it must fit
-            if len(word) + r - k > bound:
-                continue
-            nxt = _unimodal_step("C", symbols, word, pi[k], seqs)
-            if nxt:
-                word.append(pi[k])
-                rec(k, nxt)
-                word.pop()
-
-    rec(-1, [((), 0)])
+    # the empty prefix sits at j = -1
+    layer = {-1: {((), 0): 1}}
+    n = 0
+    while layer:
+        nxt: dict = {}
+        for j, seqs in layer.items():
+            if j == r - 1:
+                for (b, _), c in seqs.items():
+                    m = (len(b) - r, b)
+                    terms[m] = terms.get(m, 0) + c
+            for k in range(max(j, 0), min(j + 2, r)):
+                # pi[k] and the r - k - 1 letters after it must fit
+                if n + r - k > bound:
+                    continue
+                out = _unimodal_step("C", symbols, pi[max(j, 0) : j + 1], pi[k], seqs)
+                if out:
+                    held = nxt.setdefault(k, out)
+                    if held is not out:
+                        _add(held, out)
+        layer, n = nxt, n + 1
     return TruncPoly(terms, bound)

@@ -64,11 +64,6 @@ Monomial = tuple[int, tuple[int, ...]]
 _ONE_MONO: Monomial = (0, ())
 
 
-def mono_degree(mono: Monomial) -> int:
-    """Total degree over x, y, z (beta does not count)."""
-    return len(mono[1])
-
-
 class TruncPoly:
     """Sparse polynomial in beta and the x/y/z families, optionally truncated.
 
@@ -265,10 +260,6 @@ def xvar(i: int, bound: int | None = None) -> TruncPoly:
 
 def yvar(i: int, bound: int | None = None) -> TruncPoly:
     return _var(Y, i, bound)
-
-
-def zvar(i: int, bound: int | None = None) -> TruncPoly:
-    return _var(Z, i, bound)
 
 
 # -- divided differences -----------------------------------------------

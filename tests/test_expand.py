@@ -389,6 +389,20 @@ class TestVerify:
     def test_golden_element_deep_truncation(self):
         assert verify_expansion("B", GOLDEN_W, 3, 8).ok
 
+    def test_rank_eight_past_three_rows(self):
+        # N = 5 variables see every shape of this expansion (up to five rows),
+        # where GP of a shape with more rows than variables vanishes; D =
+        # l(w) = 16 checks the beta^0 part, every |lambda| = 16 term
+        rep = verify_expansion("D", parse_oneline("-6,5,-2,7,8,1,3,4"), 5, 16)
+        assert rep.ok
+        terms = rep.expansion.terms
+        assert terms[(6, 4, 3, 2, 1)] == 4
+        four_rows = [lam for lam in terms if len(lam) == 4 and sum(lam) == 16]
+        assert len(four_rows) == 7
+        # any one of those coefficients bumped by one no longer matches
+        for lam in four_rows:
+            assert not (rep.difference + gp(ShiftedSkewShape(lam), 5, 16)).is_zero(), lam
+
 
 class TestShapeBounds:
     """What the version 3 cache loader relies on: a term's shape names its

@@ -31,7 +31,7 @@ from ktrans.weyl import (
     parse_oneline,
     reflection,
 )
-from test_rings import homogeneous_degree
+from test_rings import homogeneous_degree, mono_degree
 
 
 def x_to_y(p):
@@ -93,8 +93,6 @@ class TestGrothPoly:
         for w in group_elements("A", 4):
             g0 = [m for m in groth_poly(w).terms if m[0] == 0]
             lw = length("A", w)
-            from ktrans.rings import mono_degree
-
             assert all(mono_degree(m) == lw for m in g0)
 
     def test_single_polynomials(self):

@@ -2,14 +2,17 @@
 
 import itertools
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 import pytest
 
 from ktrans import hecke
 from ktrans.hecke import _letter_key, _unimodal_step, fstanley, hecke_words, mperm, quasi
-from ktrans.rings import BETA, TruncPoly, poly_str, supersym_check, zvar
+from ktrans.rings import BETA, Z, TruncPoly, poly_str, supersym_check, var_code
 from ktrans.tableaux import ShiftedSkewShape, gp, gq, w_shape
 from ktrans.weyl import (
+    SignedPermutation,
     elements_up_to_length,
     generator,
     generator_indices,
@@ -19,8 +22,10 @@ from ktrans.weyl import (
     parse_oneline,
     reduced_word,
     reflection,
+    right_ascent,
     shape,
 )
+from test_rings import zvar
 from test_tableaux import z_monomial
 from test_weyl import demazure_apply
 
@@ -64,11 +69,12 @@ def compatible_sequences(t, a, num_vars):
 def unimodal_factorizations(t, a, num_vars):
     """The reference: unimodal factorizations b of the whole word a with
     |b_i| <= num_vars, in lexicographic order of -1 < 1 < -2 < 2 < ...,
-    folded letter by letter through `_unimodal_step`."""
+    folded letter by letter through `_unimodal_step`, which keeps insertion
+    order; signed values never collide, so every count is 1."""
     values = [v for m in range(1, num_vars + 1) for v in (-m, m)]
-    seqs = [((), 0)]
+    seqs = {((), 0): 1}
     for pos, g in enumerate(a):
-        seqs = _unimodal_step(t, values, a[:pos], g, seqs)
+        seqs = _unimodal_step(t, values, a[max(pos - 2, 0) : pos], g, seqs)
     return (b for b, _ in seqs)
 
 
@@ -100,6 +106,95 @@ def quasi_reference(pi, num_vars, bound):
         for b in unimodal_factorizations("C", a, num_vars):
             m = z_monomial(len(a) - len(pi), [abs(v) for v in b])
             terms[m] = terms.get(m, 0) + 1
+    return terms
+
+
+def tree_walk(
+    t: str,
+    w: SignedPermutation,
+    max_len: int,
+    root,
+    extend: Callable,
+    emit: Callable,
+) -> None:
+    """Walk the prefixes of the Hecke words of w of length <= max_len, in
+    lexicographic order, carrying a state from root down each edge.
+
+    extend(state, word, g) is the state of word + (g,), or a falsy one for
+    a dead prefix, which is dropped with its subtree.  emit(word, state)
+    sees each word whose Demazure product is w.
+
+    Letters come from supp(w), the generators of a reduced word of w: the
+    Demazure product of a word lies above each of its letters in Bruhat
+    order.  The Demazure prefixes of a word climb a chain in the right weak
+    order, so a prefix p can still reach w iff p <= w in that order and
+    l(w) - l(p) letters remain.  With w = p u and l(w) = l(p) + l(u), a
+    letter g that raises p keeps p t_g below w iff g is a left descent of
+    u, that is a right descent of r = u^-1 = w^-1 p, which the walk carries.
+    """
+    letters = sorted(set(reduced_word(t, w)))
+    gens = {g: generator(t, g) for g in letters}
+    lw = length(t, w)
+    word: list[int] = []
+
+    def rec(p: SignedPermutation, r: SignedPermutation, lp: int, state) -> None:
+        if lp == lw:
+            # p <= w and l(p) = l(w): p is w
+            emit(word, state)
+        if len(word) == max_len:
+            return
+        rem = max_len - len(word) - 1
+        for g in letters:
+            if right_ascent(p, g):
+                if lw - lp - 1 > rem or right_ascent(r, g):
+                    continue
+                q, rq, lq = p * gens[g], r * gens[g], lp + 1
+            else:
+                if lw - lp > rem:
+                    continue
+                q, rq, lq = p, r, lp
+            nxt = extend(state, word, g)
+            if nxt:
+                word.append(g)
+                rec(q, rq, lq, nxt)
+                word.pop()
+
+    rec(identity(), w.inverse(), 0, root)
+
+
+def tree_hecke_words(t, w, max_len):
+    """The reference: the words the tree walk reaches, in its order."""
+    words = []
+
+    def emit(word, state):
+        words.append(tuple(word))
+
+    tree_walk(t, w, max_len, True, lambda state, word, g: True, emit)
+    return words
+
+
+def tree_fstanley(t, w, num_vars, bound, method):
+    """The reference: the terms of F_w from the tree walk, which carries
+    each word's own list of partial sequences and never merges two words.
+    Each sequence goes through the step alone, as a one-entry table, and
+    each weight is an exact fraction."""
+    z1 = var_code(Z, 1)
+    if method == "compat":
+        step = partial(hecke._compat_step, t, z1 + num_vars - 1)
+    else:
+        step = partial(hecke._unimodal_step, t, [z1 + i // 2 for i in range(2 * num_vars)])
+    lw = length(t, w)
+    terms = {}
+
+    def extend(seqs, word, g):
+        return [s for seq in seqs for s in step(tuple(word[-2:]), g, {seq: 1})]
+
+    def emit(word, seqs):
+        for b, e in seqs:
+            m = (len(b) - lw, b)
+            terms[m] = terms.get(m, 0) + (Fraction(2) ** e if method == "compat" else 1)
+
+    tree_walk(t, w, bound, [((), 0)], extend, emit)
     return terms
 
 
@@ -235,15 +330,16 @@ class TestFStanley:
     def test_dead_prefix_is_dropped(self, monkeypatch, method, step):
         # at N = 1 no sequence of the word 1,1,1 exists (a weak peak needs two
         # values, a repeat a strict letter key), so the walk stops at 1,1,
-        # while hecke_words, which carries no sequence, goes on to D letters
+        # while hecke_words, which carries no sequence, goes on to D letters;
+        # the step sees the last two letters, which here are the whole prefix
         w = parse_oneline("2,1")
         real = getattr(hecke, step)
         live = []
 
-        def recording(t, table, word, g, seqs):
-            out = real(t, table, word, g, seqs)
+        def recording(t, table, last, g, seqs):
+            out = real(t, table, last, g, seqs)
             if out:
-                live.append((*word, g))
+                live.append((*last, g))
             return out
 
         monkeypatch.setattr(hecke, step, recording)
@@ -307,8 +403,6 @@ class TestFStanley:
         assert fstanley("D", w, 2, 6) == gp(ShiftedSkewShape((4, 2)), 2, 6)
 
     def test_symmetric_in_z(self):
-        from ktrans.rings import Z, var_code
-
         def swap(f, i):
             return f.substitute(
                 {var_code(Z, i): zvar(i + 1, f.bound), var_code(Z, i + 1): zvar(i, f.bound)}
@@ -325,6 +419,35 @@ class TestFStanley:
         assert fstanley("B", w_shape("B", sh), 2, 5) == want_p
         assert fstanley("D", w_shape("D", sh), 2, 5) == want_p
         assert fstanley("C", w_shape("C", sh), 2, 5) == gq(sh, 2, 5)
+
+
+class TestMergedPass:
+    """The layered pass, which merges prefixes that share a state, against
+    the tree walk, which never merges two words."""
+
+    @pytest.mark.parametrize("t", ["B", "C", "D"])
+    def test_matches_tree_walk_on_w4(self, t):
+        for w in group_elements(t, 4):
+            assert hecke_words(t, w, 6) == tree_hecke_words(t, w, 6), (t, str(w))
+            for num_vars in (2, 3):
+                for method in ("compat", "unimodal"):
+                    got = fstanley.__wrapped__(t, w, num_vars, 6, method).terms
+                    want = tree_fstanley(t, w, num_vars, 6, method)
+                    assert got == want, (t, str(w), num_vars, method)
+
+    @pytest.mark.parametrize("t", ["B", "C"])
+    def test_matches_tree_walk_on_golden_element(self, t):
+        w = parse_oneline("-3,4,-1,5,2")
+        for method in ("compat", "unimodal"):
+            got = fstanley.__wrapped__(t, w, 3, 10, method).terms
+            assert got == tree_fstanley(t, w, 3, 10, method), method
+
+    @pytest.mark.parametrize("t", ["B", "C"])
+    def test_golden_element_in_five_variables(self, t):
+        # past three rows: the methods agree, and F_w is K-supersymmetric
+        f = fstanley(t, parse_oneline("-3,4,-1,5,2"), 5, 10)
+        assert f == fstanley(t, parse_oneline("-3,4,-1,5,2"), 5, 10, "unimodal")
+        assert supersym_check(f)
 
 
 class TestQuasisymmetric:

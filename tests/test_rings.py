@@ -23,7 +23,6 @@ from ktrans.rings import (
     combo_value,
     divided_difference,
     monk_identity_holds,
-    mono_degree,
     ominus_y,
     pi_operator,
     poly_str,
@@ -35,10 +34,19 @@ from ktrans.rings import (
     y_factor,
     yrational_str,
     yvar,
-    zvar,
 )
 from ktrans.tableaux import ShiftedSkewShape, gp, gq
 from ktrans.weyl import SignedPermutation, group_elements, identity, parse_oneline, reflection
+
+
+def zvar(i, bound=None):
+    """The variable z_i, cut at the bound if one is given."""
+    return TruncPoly({(0, (var_code(Z, i),)): 1}, bound)
+
+
+def mono_degree(mono):
+    """Total degree over x, y, z (beta does not count)."""
+    return len(mono[1])
 
 
 def homogeneous_degree(f):

@@ -4,7 +4,7 @@ from typing import Iterator
 
 import pytest
 
-from ktrans.rings import BETA, Z, TruncPoly, supersym_check, var_code, zvar
+from ktrans.rings import BETA, Z, TruncPoly, supersym_check, var_code
 from ktrans.tableaux import (
     ShiftedSkewShape,
     contains,
@@ -15,7 +15,7 @@ from ktrans.tableaux import (
     w_shape,
 )
 from ktrans.weyl import length, parse_oneline, identity
-from test_rings import homogeneous_degree
+from test_rings import homogeneous_degree, zvar
 
 Tableau = dict[tuple[int, int], frozenset[int]]
 
