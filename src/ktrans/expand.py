@@ -184,7 +184,7 @@ class VerificationReport:
 
     @property
     def ok(self) -> bool:
-        return self.difference.is_zero()
+        return not self.difference
 
 
 def expansion_poly(result: ExpansionResult, num_vars: int, bound: int) -> TruncPoly:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .rings import BETA, ONE, X, TruncPoly, pi_operator, var_code, xvar, yvar
+from .rings import BETA, ONE, Y, TruncPoly, code_index, pi_operator, var_code, xvar, yvar
 from .weyl import SignedPermutation, reflection
 
 # the one descent memo, keyed by (w, double); bench/worker.reset clears it
@@ -52,12 +52,14 @@ def groth_poly(w: SignedPermutation) -> TruncPoly:
 @lru_cache(maxsize=None)
 def groth_single(w: SignedPermutation, family: str) -> TruncPoly:
     """The single Grothendieck polynomial G_w(x), the double one at y = 0;
-    in the y family, the same polynomial with y_i substituted for each x_i."""
+    in the y family, the same polynomial with each x_i renamed y_i.  Every
+    code of G_w(x) is an x, so each renamed tuple stays sorted."""
     if not w.in_group("A"):
         raise ValueError(f"{w} is not a type A element")
     if family == "x":
         return _descend(w, False)
     if family == "y":
-        rename = {var_code(X, i): yvar(i) for i in range(1, w.support + 1)}
-        return _descend(w, False).substitute(rename)
+        terms = {(b, tuple(var_code(Y, code_index(code)) for code in v)): c
+                 for (b, v), c in _descend(w, False).terms.items()}
+        return TruncPoly(terms)
     raise ValueError(f"family must be x or y, got {family!r}")

@@ -101,8 +101,8 @@ class TruncPoly:
         return TruncPoly({_ONE_MONO: c} if c else {}, bound)
 
     @staticmethod
-    def beta(exp: int = 1, bound: int | None = None) -> "TruncPoly":
-        return TruncPoly({(exp, ()): 1}, bound)
+    def beta(exp: int = 1) -> "TruncPoly":
+        return TruncPoly({(exp, ()): 1})
 
     # -- helpers ----------------------------------------------------------
 
@@ -116,9 +116,6 @@ class TruncPoly:
 
     def with_bound(self, bound: int | None) -> "TruncPoly":
         return TruncPoly(dict(self.terms), bound)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -198,12 +195,8 @@ class TruncPoly:
         if n < 0:
             raise ValueError("negative powers are not defined")
         result = TruncPoly.const(1, self.bound)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        for _ in range(n):
+            result = result * self
         return result
 
     def divide_beta(self) -> "TruncPoly":
@@ -214,25 +207,6 @@ class TruncPoly:
                 raise ArithmeticError("polynomial is not divisible by beta")
             terms[(b - 1, v)] = c
         return TruncPoly._within(terms, self.bound)
-
-    # -- substitutions ------------------------------------------------------
-
-    def substitute(self, mapping: dict[int, "TruncPoly"]) -> "TruncPoly":
-        """Replace variables (by code) with polynomials; others are kept.
-        The result, and each image, is cut at the bound of self."""
-        bound = self.bound
-        mapping = {code: p.with_bound(bound) for code, p in mapping.items()}
-        terms: dict[Monomial, int] = {}
-        for (b, v), c in self.terms.items():
-            term = TruncPoly({(b, tuple(code for code in v if code not in mapping)): c}, bound)
-            for code in v:
-                if code in mapping:
-                    term = term * mapping[code]
-                    if term.is_zero():
-                        break
-            for m, tc in term.terms.items():
-                _add_term(terms, m, tc)
-        return TruncPoly(terms, bound)
 
     def set_zero(self, families: Iterable[int]) -> "TruncPoly":
         """Kill every monomial using a variable from the given families."""
@@ -249,17 +223,12 @@ ONE = TruncPoly.const(1)
 BETA = TruncPoly.beta()
 
 
-def _var(family: int, i: int, bound: int | None) -> TruncPoly:
-    code = var_code(family, i)
-    return TruncPoly({(0, (code,)): 1} if bound is None or bound >= 1 else {}, bound)
+def xvar(i: int) -> TruncPoly:
+    return TruncPoly({(0, (var_code(X, i),)): 1})
 
 
-def xvar(i: int, bound: int | None = None) -> TruncPoly:
-    return _var(X, i, bound)
-
-
-def yvar(i: int, bound: int | None = None) -> TruncPoly:
-    return _var(Y, i, bound)
+def yvar(i: int) -> TruncPoly:
+    return TruncPoly({(0, (var_code(Y, i),)): 1})
 
 
 # -- divided differences -----------------------------------------------
@@ -310,14 +279,10 @@ class YRational:
         den = {i: e for i, e in (den or {}).items() if e}
         if any(e < 0 for e in den.values()):
             raise ValueError("denominator multiplicities must be nonnegative")
-        if num.is_zero():
+        if not num:
             den = {}
         self.num = num
         self.den = den
-
-    @staticmethod
-    def from_poly(p: TruncPoly) -> "YRational":
-        return YRational(p, {})
 
     @staticmethod
     def const(c: int) -> "YRational":
@@ -327,9 +292,6 @@ class YRational:
     def inverse_unit(i: int, exp: int = 1) -> "YRational":
         """1 / (1 + beta*y_i)^exp."""
         return YRational(ONE, {i: exp})
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -391,7 +353,7 @@ def _lift(x):
     if isinstance(x, int):
         return YRational.const(x)
     if isinstance(x, TruncPoly):
-        return YRational.from_poly(x)
+        return YRational(x)
     return x
 
 
@@ -414,7 +376,7 @@ def y_factor(c: int, e: int = 1) -> YRational:
     inverted unit otherwise; this is the one place that reading is applied
     to a unit."""
     if (c > 0) == (e > 0):
-        return YRational.from_poly(_unit_product({abs(c): abs(e)}))
+        return YRational(_unit_product({abs(c): abs(e)}))
     return YRational.inverse_unit(abs(c), abs(e))
 
 
@@ -428,7 +390,7 @@ def star_action(w: SignedPermutation, f: YRational) -> YRational:
                 term = term * TruncPoly({(0, (code,)): 1})
                 continue
             target = w(code_index(code))
-            term = term * (YRational.from_poly(yvar(target)) if target > 0 else ominus_y(-target))
+            term = term * (YRational(yvar(target)) if target > 0 else ominus_y(-target))
         result = result + term
     for i, e in sorted(f.den.items()):
         result = result * y_factor(w(i), -e)
@@ -508,9 +470,7 @@ def apply_M(t: str, k: int, u: SignedPermutation, bound: int | None = None) -> d
         )
         j -= 1
     if t == "B":
-        out = _factor(
-            t, out, 0, k, lambda u, v, c: YRational.from_poly(c.at_y_zero()) * BETA * (-1), bound
-        )
+        out = _factor(t, out, 0, k, lambda u, v, c: YRational(c.at_y_zero()) * BETA * (-1), bound)
     for l in range(max([k] + [u.support for u in out]) + 1, k, -1):
         out = _factor(t, out, k, l, lambda u, v, c: c * BETA, bound)
     return out
@@ -562,7 +522,7 @@ def monk_identity_holds(t: str, u: SignedPermutation, k: int, G) -> bool:
     at D when l(v) > D, and every factor of M_k raises length, so no dropped
     term feeds back below D.  An untruncated G (type A) gives the exact M_k."""
     gu = G(u)
-    lhs = YRational.from_poly((ONE + BETA * xvar(k)) * gu)
+    lhs = YRational((ONE + BETA * xvar(k)) * gu)
     return lhs == combo_value(apply_M(t, k, u, gu.bound), G)
 
 
@@ -645,7 +605,7 @@ def _mono_str(mono: Monomial, coeff: int) -> str:
 def _signed_terms(p: TruncPoly, suffix: str = "") -> str:
     """The terms of p in canonical order, each followed by suffix, joined
     with their signs."""
-    if p.is_zero():
+    if not p:
         return "0"
     out = []
     for mono in sorted(p.terms, key=_mono_sort_key):

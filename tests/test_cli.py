@@ -168,19 +168,17 @@ class TestCommands:
         assert code == 0 and captured.err == ""
         assert captured.out.splitlines()[-1] == want
 
-    def test_recursion_limit_is_usage_error(self, capsys, monkeypatch):
-        from ktrans import hecke
-
-        def too_deep(*args):
-            raise RecursionError("maximum recursion depth exceeded")
-
-        monkeypatch.setattr(hecke, "fstanley", too_deep)
-        code = main(["fstanley", "--type", "B", "--w", "2,1", "--N", "1", "--D", "2"])
+    def test_recursion_limit_is_usage_error(self, capsys):
+        # groth_a._descend takes one call per step down from the longest
+        # element of S_50 to 1,...,48,50,49: 1,224 calls, past the default
+        # limit of 1,000
+        w = ",".join(map(str, [*range(1, 49), 50, 49]))
+        code = main(["groth-a", "--w", w])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "ktrans fstanley: error: the input is too large to compute"
+            "ktrans groth-a: error: the input is too large to compute"
             " within the recursion limit"
         ]
 

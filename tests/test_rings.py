@@ -111,7 +111,7 @@ class TestTruncPoly:
 
     def test_beta_never_truncated(self):
         p = (BETA ** 5 * xvar(1)).with_bound(2)
-        assert not p.is_zero()
+        assert p
 
     def test_divide_beta(self):
         p = BETA * xvar(1) + BETA * BETA
@@ -126,7 +126,7 @@ class TestTruncPoly:
     def test_constructor_cuts_at_its_bound(self):
         # z3^5 is above the bound 2, so a sum and a product agree on dropping it
         p = TruncPoly({(0, (var_code(Z, 3),) * 5): 1}, 2)
-        assert p.is_zero()
+        assert not p
         added, multiplied = p + zvar(1), p * TruncPoly.const(1, 2) + zvar(1)
         assert added.terms == multiplied.terms == zvar(1).terms
         assert added.bound == multiplied.bound == 2
@@ -178,37 +178,15 @@ def reference_substitute(f, mapping):
     return result
 
 
-class TestSubstitute:
-    def test_keeps_its_bound(self):
-        # images of degree above the bound are cut, and no second bound is taken
-        f = (zvar(1) + zvar(2) * zvar(3)).with_bound(2)
-        got = f.substitute({var_code(Z, 1): zvar(4) + zvar(3) ** 5})
-        assert (got.terms, got.bound) == ((zvar(4) + zvar(2) * zvar(3)).terms, 2)
-        with pytest.raises(TypeError):
-            (zvar(3) ** 5 + zvar(1)).substitute({var_code(Z, 1): zvar(4)}, 2)
-
-    @pytest.mark.parametrize("bound", [None, 2, 4])
-    def test_matches_the_term_by_term_sum(self, bound):
-        rng = random.Random(17)
-        for _ in range(10):
-            f = random_poly(rng).with_bound(bound)
-            mapping = {
-                var_code(X, i): random_poly(rng, terms=3) - xvar(i)
-                for i in rng.sample(range(1, 5), 2)
-            }
-            got, want = f.substitute(mapping), reference_substitute(f, mapping)
-            assert (got.terms, got.bound) == (want.terms, want.bound)
-
-
 class TestNegativeBound:
     # every monomial has degree >= 0, so a negative bound keeps none of them
     def test_every_truncated_object_is_zero(self):
         empty = ShiftedSkewShape(())
         objects = [
             TruncPoly.const(1, -1),
-            TruncPoly.beta(1, -1),
+            TruncPoly.beta(1).with_bound(-1),
             (ONE + xvar(1)).with_bound(-1),
-            xvar(1, -1),
+            xvar(1).with_bound(-1),
             gp(empty, 2, -1),
             gq(empty, 2, -1),
             quasi((), 2, -1),
@@ -217,7 +195,7 @@ class TestNegativeBound:
             kn_eval("D", identity(), 2, -1),
         ]
         for p in objects:
-            assert p.is_zero() and p.bound == -1, p.terms
+            assert not p and p.bound == -1, p.terms
 
     def test_compat_weights_stay_integers(self):
         # the compatible-sequence sum divides by 2**bound at the end
@@ -269,7 +247,7 @@ class TestMonomialFormat:
             var_code(family, 2**20)
 
     def test_rename_into_a_present_family_merges_powers(self):
-        renamed = (yvar(2) * zvar(2)).substitute({var_code(Y, 2): zvar(2)})
+        renamed = reference_substitute(yvar(2) * zvar(2), {var_code(Y, 2): zvar(2)})
         assert renamed.terms == (zvar(2) * zvar(2)).terms == {(0, (var_code(Z, 2),) * 2): 1}
 
 
@@ -285,7 +263,8 @@ class TestDividedDifference:
                     term = term * xvar(j) ** rng.randint(0, 3)
                 f = f + term * BETA ** rng.randint(0, 1)
             for i in (1, 2, 3):
-                swapped = f.substitute({var_code(X, i): xvar(i + 1), var_code(X, i + 1): xvar(i)})
+                swap = {var_code(X, i): xvar(i + 1), var_code(X, i + 1): xvar(i)}
+                swapped = reference_substitute(f, swap)
                 assert (xvar(i) - xvar(i + 1)) * divided_difference(i, f) == f - swapped
 
 
@@ -387,7 +366,7 @@ class TestYRational:
     @pytest.mark.parametrize("c", [2, -2])
     def test_signed_unit_power_matches_product(self, c):
         # (1 + beta*y_c)^e, with y_{-2} read as the ominus of y_2
-        unit = YRational.from_poly(ONE + BETA * yvar(c)) if c > 0 else 1 + BETA * ominus_y(-c)
+        unit = YRational(ONE + BETA * yvar(c)) if c > 0 else 1 + BETA * ominus_y(-c)
         for e in range(-2, 3):
             power = YRational.const(1)
             for _ in range(abs(e)):
@@ -403,7 +382,7 @@ class TestYRational:
     def test_normalization(self):
         # the fraction keeps its factor; equality cross-multiplies
         f = YRational((ONE + BETA * yvar(2)) * yvar(1), {2: 1})
-        assert f == YRational.from_poly(yvar(1))
+        assert f == YRational(yvar(1))
         assert f.den == {2: 1}
 
     def test_homogeneity_additive(self):
@@ -419,14 +398,14 @@ class TestStarAction:
 
     def test_sign_change(self):
         t0 = reflection(0, 1)
-        assert star_action(t0, YRational.from_poly(yvar(1))) == ominus_y(1)
-        twice = star_action(t0, star_action(t0, YRational.from_poly(yvar(1))))
-        assert twice == YRational.from_poly(yvar(1))
+        assert star_action(t0, YRational(yvar(1))) == ominus_y(1)
+        twice = star_action(t0, star_action(t0, YRational(yvar(1))))
+        assert twice == YRational(yvar(1))
 
     def test_group_action_on_rank_two(self):
         probes = [
-            YRational.from_poly(yvar(1)),
-            YRational.from_poly(yvar(2)),
+            YRational(yvar(1)),
+            YRational(yvar(2)),
             YRational(yvar(1), {2: 1}),
         ]
         elems = group_elements("B", 2)
@@ -467,8 +446,8 @@ def reference_supersym(f):
     last = max([2] + [code_index(c) for _, v in f.terms for c in v if code_family(c) == Z])
     t = zvar(last + 1, f.bound)
     z1, z2 = var_code(Z, 1), var_code(Z, 2)
-    lhs = f.substitute({z1: t, z2: ominus_series(t)})
-    return lhs == f.substitute({z1: TruncPoly.zero(), z2: TruncPoly.zero()})
+    lhs = reference_substitute(f, {z1: t, z2: ominus_series(t)})
+    return lhs == reference_substitute(f, {z1: TruncPoly.zero(), z2: TruncPoly.zero()})
 
 
 def bumped(f, rng):

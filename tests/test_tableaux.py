@@ -15,7 +15,7 @@ from ktrans.tableaux import (
     w_shape,
 )
 from ktrans.weyl import length, parse_oneline, identity
-from test_rings import homogeneous_degree, zvar
+from test_rings import homogeneous_degree, reference_substitute, zvar
 
 Tableau = dict[tuple[int, int], frozenset[int]]
 
@@ -216,8 +216,8 @@ class TestGeneratingFunctions:
         from ktrans.rings import Z, var_code
 
         def swap(f, i):
-            return f.substitute(
-                {var_code(Z, i): zvar(i + 1, f.bound), var_code(Z, i + 1): zvar(i, f.bound)}
+            return reference_substitute(
+                f, {var_code(Z, i): zvar(i + 1, f.bound), var_code(Z, i + 1): zvar(i, f.bound)}
             )
 
         for lam in ((2, 1), (3,), (3, 1)):
