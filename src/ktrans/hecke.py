@@ -4,10 +4,12 @@ brute-force generating-function oracles built from them.
 Everything here enumerates: these are the reference implementations the
 operator calculus is checked against, so they stay close to the defining
 sums.  `_walk` is the one pass over Demazure prefixes.  It runs layer by
-word length, and a layer maps each state (the prefix p, w^-1 p, l(p) and
-the last two letters) to a value: a table from partial sequences to
-counts.  Prefixes that reach the same state share one table, whose counts
-add.  `hecke_words` carries the words themselves.  `fstanley` carries the
+word length, and a layer maps each state (the prefix p, l(p) and the last
+two letters) to a value: a table from partial sequences to counts.
+Prefixes that reach the same state share one table, whose counts add.  A
+prefix's moves are built on its first visit and kept per (t, w), so every
+walk of w, whatever the oracle or (N, D), shares them.  `hecke_words`
+carries the words themselves.  `fstanley` carries the
 partial sequences valid for the prefix, each with its monomial, and
 extends them by one letter per edge through the method's one per-letter
 step, `_compat_step` or `_unimodal_step`, which reads only the last two
@@ -39,6 +41,17 @@ def _add(into: dict, value: dict) -> None:
         into[s] = into.get(s, 0) + c
 
 
+@lru_cache(maxsize=None)
+def _prefix_moves(t: str, w: SignedPermutation) -> tuple:
+    """(the letters of w with their generators, w^-1, l(w), the move table
+    of w).  The table maps each Demazure prefix p that a walk of w has
+    reached to its moves (g, p o t_g, l(p o t_g)), one per letter g that
+    keeps p below w.  A prefix's moves are built on its first visit, and
+    the walks of every oracle at every (N, D) share them."""
+    letters = sorted(set(reduced_word(t, w)))
+    return {g: generator(t, g) for g in letters}, w.inverse(), length(t, w), {}
+
+
 def _walk(t: str, w: SignedPermutation, max_len: int, root: dict, step) -> dict:
     """The merged value of the words of length <= max_len whose Demazure
     product is w, starting from root at the empty word.
@@ -53,33 +66,36 @@ def _walk(t: str, w: SignedPermutation, max_len: int, root: dict, step) -> dict:
     order, so a prefix p can still reach w iff p <= w in that order and
     l(w) - l(p) letters remain.  With w = p u and l(w) = l(p) + l(u), a
     letter g that raises p keeps p t_g below w iff g is a left descent of
-    u, that is a right descent of r = u^-1 = w^-1 p, which the state holds.
+    u, that is a right descent of r = u^-1 = w^-1 p.
     """
-    letters = sorted(set(reduced_word(t, w)))
-    gens = {g: generator(t, g) for g in letters}
-    lw = length(t, w)
+    gens, w_inv, lw, table = _prefix_moves(t, w)
     done: dict = {}
-    layer = {(identity(), w.inverse(), 0, ()): root}
+    layer = {(identity(), 0, ()): root}
     n = 0
     while layer:
         rem = max_len - n - 1
         nxt: dict = {}
-        for (p, r, lp, last), value in layer.items():
+        for (p, lp, last), value in layer.items():
             if lp == lw:
                 # p <= w and l(p) = l(w): p is w
                 _add(done, value)
-            for g in letters:
-                if right_ascent(p, g):
-                    if lw - lp - 1 > rem or right_ascent(r, g):
-                        continue
-                    key = (p * gens[g], r * gens[g], lp + 1, (*last[-1:], g))
-                else:
-                    if lw - lp > rem:
-                        continue
-                    key = (p, r, lp, (*last[-1:], g))
+            moves = table.get(p)
+            if moves is None:
+                r, moves = w_inv * p, []
+                for g, tg in gens.items():
+                    if not right_ascent(p, g):
+                        moves.append((g, p, lp))
+                    elif not right_ascent(r, g):
+                        moves.append((g, p * tg, lp + 1))
+                # only a whole list enters the table, so an interrupted walk leaves none
+                table[p] = moves
+            for g, q, lq in moves:
+                if lw - lq > rem:
+                    continue
                 out = step(last, g, value)
                 if out:
                     # a state keeps its first table, uncopied; later ones add into it
+                    key = (q, lq, (*last[-1:], g))
                     held = nxt.setdefault(key, out)
                     if held is not out:
                         _add(held, out)

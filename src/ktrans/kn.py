@@ -17,6 +17,12 @@ A Demazure product lies above each factor in Bruhat order, so sigma^-1,
 u, p and tau all lie below w: each has length at most l(w) and support
 inside the window of w, and the walk, which only ever steps down from w,
 stays inside both caps without checking them.
+
+The sum factors through p: the half-sum K_p over the (sigma, u) with
+sigma^-1 o u = p is memoized by (t, p, N, D), so every w whose walk
+reaches p shares it.  Both levels add into one term table, and since codes
+sort x < y < z, a product of G_tau(x), G_sigma(y) and F_u(z) monomials is
+their code tuples joined.
 """
 
 from __future__ import annotations
@@ -58,30 +64,47 @@ def _perms(n: int, cap: int) -> tuple:
                  for s in elements_up_to_length("A", n, cap))
 
 
+def _add_product(into: dict, left: dict, right: dict, shift: int, bound: int) -> None:
+    """Add beta^shift times the product of two term tables into the table
+    into, cut at degree bound.  Every code of left sorts before every code
+    of right (x < y < z), so a product's codes are the two tuples joined."""
+    for (b1, v1), c1 in left.items():
+        room, b1 = bound - len(v1), b1 + shift
+        for (b2, v2), c2 in right.items():
+            if len(v2) <= room:
+                m = (b1 + b2, v1 + v2)
+                into[m] = into.get(m, 0) + c1 * c2
+
+
+@lru_cache(maxsize=None)
+def _half_sum(t: str, p: SignedPermutation, num_vars: int, bound: int) -> dict:
+    """K_p, the sum of beta^(l(sigma)+l(u)-l(p)) G_sigma(y) F_u(z) over the
+    sigma^-1 o u = p, as a term table cut at degree bound.  sigma^-1 lies
+    below p in Bruhat order, so sigma is in S_n, n the support of p, and
+    l(sigma) <= l(p)."""
+    lp = length(t, p)
+    table: dict = {}
+    for sigma, ls, sigma_word in _perms(max(p.support, 1), min(lp, bound)):
+        # v o sigma = p^-1 exactly when sigma^-1 o v^-1 = p, so u = v^-1
+        for v, lu in _undo(t, {p.inverse(): lp}, sigma_word).items():
+            if ls + lu <= bound:
+                fu = fstanley(t, v.inverse(), num_vars, bound).terms
+                _add_product(table, groth_single(sigma, "y").terms, fu, ls + lu - lp, bound)
+    return {m: c for m, c in table.items() if c}
+
+
 @lru_cache(maxsize=None)
 def kn_eval(t: str, w: SignedPermutation, num_vars: int, bound: int) -> TruncPoly:
-    """The classical-type double Grothendieck series of w, truncated."""
+    """The classical-type double Grothendieck series of w, truncated: the
+    sum of beta^(l(p)+l(tau)-l(w)) G_tau(x) K_p over the p o tau = w."""
     if t not in ("B", "C", "D"):
         raise ValueError(f"type must be B, C, or D, not {t!r}")
     lw = length(t, w)
-    perms = _perms(max(w.support, 1), min(lw, bound))
-    total = TruncPoly.zero(bound)
-    for tau, lt, tau_word in perms:
-        # p o tau = w, kept as p^-1 for the walk along sigma
-        ends = {p.inverse(): lp for p, lp in _undo(t, {w: lw}, tau_word).items()}
-        by_tau = TruncPoly.zero(bound)
-        for sigma, ls, sigma_word in perms:
-            room = bound - ls - lt
-            if room < 0:
-                continue
-            inner = TruncPoly.zero(bound)
-            # v o sigma = p^-1 exactly when sigma^-1 o v^-1 = p, so u = v^-1
-            for v, lu in _undo(t, ends, sigma_word).items():
-                if lu <= room:
-                    fu = fstanley(t, v.inverse(), num_vars, bound)
-                    inner = inner + TruncPoly.beta(ls + lu + lt - lw) * fu
-            if inner:
-                by_tau = by_tau + inner * groth_single(sigma, "y")
-        if by_tau:
-            total = total + by_tau * groth_single(tau, "x")
-    return total
+    total: dict = {}
+    for tau, lt, tau_word in _perms(max(w.support, 1), min(lw, bound)):
+        gx = groth_single(tau, "x").terms
+        for p, lp in _undo(t, {w: lw}, tau_word).items():
+            # K_p has least degree l(p)
+            if lp + lt <= bound:
+                _add_product(total, gx, _half_sum(t, p, num_vars, bound), lp + lt - lw, bound)
+    return TruncPoly({m: c for m, c in total.items() if c}, bound)

@@ -364,11 +364,6 @@ def _unit_product(exps: dict[int, int]) -> TruncPoly:
     return p
 
 
-def ominus_y(i: int) -> YRational:
-    """y_{-i} = -y_i / (1 + beta*y_i)."""
-    return YRational(-yvar(i), {i: 1})
-
-
 def y_factor(c: int, e: int = 1) -> YRational:
     """(1 + beta*y_c)^e for a signed index c and any integer e.  Reading
     y_{-i} as the ominus of y_i makes 1 + beta*y_{-i} = 1/(1 + beta*y_i), so
@@ -381,20 +376,37 @@ def y_factor(c: int, e: int = 1) -> YRational:
 
 
 def star_action(w: SignedPermutation, f: YRational) -> YRational:
-    """Substitute y_i -> y_{w(i)}, reading y_{-j} as -y_j/(1+beta*y_j)."""
-    result = YRational.const(0)
+    """Substitute y_i -> y_{w(i)}, reading y_{-j} as -y_j/(1+beta*y_j).
+
+    A term whose y_i meet k negative targets has k unit factors below it,
+    so the terms are grouped by that denominator: each group adds as a
+    polynomial, and only the few groups add as fractions."""
+    groups: dict[tuple, dict] = {}
     for (b, v), c in f.num.terms.items():
-        term = YRational(TruncPoly({(b, ()): c}))
+        codes, den = [], {}
         for code in v:
-            if code_family(code) != Y:
-                term = term * TruncPoly({(0, (code,)): 1})
-                continue
-            target = w(code_index(code))
-            term = term * (YRational(yvar(target)) if target > 0 else ominus_y(-target))
-        result = result + term
+            if code_family(code) == Y:
+                target = w(code_index(code))
+                if target < 0:
+                    c, target = -c, -target
+                    den[target] = den.get(target, 0) + 1
+                code = var_code(Y, target)
+            codes.append(code)
+        # w permutes the indices, so distinct terms stay distinct
+        groups.setdefault(tuple(sorted(den.items())), {})[(b, tuple(sorted(codes)))] = c
+    result = YRational.const(0)
+    for den, terms in groups.items():
+        term = YRational(TruncPoly(terms), dict(den))
+        result = result + term if result else term
     for i, e in sorted(f.den.items()):
         result = result * y_factor(w(i), -e)
     return result
+
+
+def _times_beta(c: YRational, sign: int) -> YRational:
+    """sign * beta * c, shifting each beta exponent in one pass."""
+    num = {(b + 1, v): sign * k for (b, v), k in c.num.terms.items()}
+    return YRational(TruncPoly._within(num, c.num.bound), c.den)
 
 
 # -- the operators on one group element -----------------------------------
@@ -466,13 +478,14 @@ def apply_M(t: str, k: int, u: SignedPermutation, bound: int | None = None) -> d
     j = k - 1
     while j >= -(max([k] + [u.support for u in out]) + 1):
         out = _factor(
-            t, out, j, k, lambda u, v, c: star_action(v * u.inverse(), c) * BETA * (-1), bound
+            t, out, j, k, lambda u, v, c: _times_beta(star_action(v * u.inverse(), c), -1), bound
         )
         j -= 1
     if t == "B":
-        out = _factor(t, out, 0, k, lambda u, v, c: YRational(c.at_y_zero()) * BETA * (-1), bound)
+        out = _factor(t, out, 0, k, lambda u, v, c: _times_beta(YRational(c.at_y_zero()), -1),
+                      bound)
     for l in range(max([k] + [u.support for u in out]) + 1, k, -1):
-        out = _factor(t, out, k, l, lambda u, v, c: c * BETA, bound)
+        out = _factor(t, out, k, l, lambda u, v, c: _times_beta(c, 1), bound)
     return out
 
 

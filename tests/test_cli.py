@@ -853,6 +853,10 @@ GOLDEN_COMMANDS = {
     "kn-eval-D-rank4.json": [
         "kn-eval", "--type", "D", "--w=3,-1,4,-2", "--N", "2", "--D", "6", "--json"
     ],
+    # support 5, the widest element bcd-transitions evaluates: sigma, tau in S_5
+    "kn-eval-D-rank5.json": [
+        "kn-eval", "--type", "D", "--w=-5,-1,2,3,4", "--N", "3", "--D", "6", "--json"
+    ],
 }
 
 

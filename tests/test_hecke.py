@@ -25,6 +25,7 @@ from ktrans.weyl import (
     right_ascent,
     shape,
 )
+from test_expand import _clear_memos
 from test_rings import reference_substitute, zvar
 from test_tableaux import z_monomial
 from test_weyl import demazure_apply
@@ -448,6 +449,35 @@ class TestMergedPass:
         f = fstanley(t, parse_oneline("-3,4,-1,5,2"), 5, 10)
         assert f == fstanley(t, parse_oneline("-3,4,-1,5,2"), 5, 10, "unimodal")
         assert supersym_check(f)
+
+
+class TestMoveTable:
+    """Each Demazure prefix's moves are built on its first visit and kept
+    per (t, w) for every later walk."""
+
+    def test_stays_lazy(self):
+        # the rank-10 element is far longer than D, so no walk leaves the
+        # empty word and the table holds that one prefix
+        _clear_memos()
+        w = parse_oneline("6,5,-9,-3,10,-7,8,1,-2,4")
+        table = hecke._prefix_moves("D", w)[-1]
+        for bound in (0, 3):
+            assert fstanley("D", w, 2, bound) == 0
+            assert sum(length("D", p) > bound for p in table) == 0
+            assert len(table) == 1
+
+    @pytest.mark.parametrize("t", ["B", "C", "D"])
+    def test_shallow_table_serves_deeper_walk(self, t):
+        _clear_memos()
+        elements = group_elements(t, 3)
+        for w in elements:
+            for method in ("compat", "unimodal"):
+                fstanley(t, w, 2, 2, method)
+        for w in elements:
+            assert hecke_words(t, w, 6) == sorted(tree_hecke_words(t, w, 6)), str(w)
+            for method in ("compat", "unimodal"):
+                got = fstanley(t, w, 2, 6, method).terms
+                assert got == tree_fstanley(t, w, 2, 6, method), (str(w), method)
 
 
 class TestQuasisymmetric:

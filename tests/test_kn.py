@@ -36,6 +36,7 @@ from ktrans.weyl import (
     length,
     parse_oneline,
 )
+from test_expand import _clear_memos
 from test_rings import homogeneous_degree
 from test_weyl import demazure_mul
 
@@ -119,6 +120,19 @@ class TestKnEval:
             got = kn_eval(t, w, num_vars, bound)
             want = forward_triple_sum(t, w, num_vars, bound)
             assert (got.terms, got.bound) == (want.terms, want.bound), (t, str(w))
+
+    def test_half_sum_memo_keyed_by_truncation(self):
+        # one process, three truncations in turn: a K_p memo keyed without
+        # N or D would serve the first truncation's half-sums to the others
+        _clear_memos()
+        for num_vars, bound in ((2, 4), (3, 4), (2, 5)):
+            for t in ("B", "C", "D"):
+                for w in group_elements(t, 3):
+                    got = kn_eval(t, w, num_vars, bound)
+                    want = forward_triple_sum(t, w, num_vars, bound)
+                    assert (got.terms, got.bound) == (want.terms, want.bound), (
+                        t, str(w), num_vars, bound
+                    )
 
     @pytest.mark.parametrize("t", ["B", "C", "D"])
     def test_support_cap_is_safe(self, t):

@@ -23,7 +23,6 @@ from ktrans.rings import (
     combo_value,
     divided_difference,
     monk_identity_holds,
-    ominus_y,
     pi_operator,
     poly_str,
     star_action,
@@ -391,7 +390,83 @@ class TestYRational:
         assert homogeneous_degree(f * g) == homogeneous_degree(f) + homogeneous_degree(g)
 
 
+def ominus_y(i):
+    """y_{-i} = -y_i / (1 + beta*y_i)."""
+    return YRational(-yvar(i), {i: 1})
+
+
+def reference_star_action(w, f):
+    """The reference: substitute y_i -> y_{w(i)} term by term, each term a
+    YRational, reading y_{-j} as -y_j/(1+beta*y_j), and add the terms one by
+    one as fractions."""
+    result = YRational.const(0)
+    for (b, v), c in f.num.terms.items():
+        term = YRational(TruncPoly({(b, ()): c}))
+        for code in v:
+            if code_family(code) != Y:
+                term = term * TruncPoly({(0, (code,)): 1})
+                continue
+            target = w(code_index(code))
+            term = term * (YRational(yvar(target)) if target > 0 else ominus_y(-target))
+        result = result + term
+    for i, e in sorted(f.den.items()):
+        result = result * y_factor(w(i), -e)
+    return result
+
+
+def random_fraction(rng):
+    """A fraction in x, y, z over units of y_1..y_3, built as a + 2b - b'
+    with b' the fraction b over one more unit, so that terms cancel."""
+    a, b = (
+        YRational(
+            random_poly(rng, nvars=3, max_deg=3, terms=3, var=yvar)
+            * random_poly(rng, nvars=2, max_deg=1, terms=2, var=rng.choice([xvar, zvar])),
+            {i: rng.randint(0, 1) for i in (1, 2, 3)},
+        )
+        for _ in range(2)
+    )
+    i = rng.randint(1, 3)
+    wider = YRational(b.num * (ONE + BETA * yvar(i)), {**b.den, i: b.den.get(i, 0) + 1})
+    return a + b + b - wider
+
+
 class TestStarAction:
+    @pytest.mark.parametrize(
+        "t, rank, bound", [(t, rank, 4) for t in "BCD" for rank in (2, 3)] + [("A", 4, None)]
+    )
+    def test_matches_reference_inside_monk(self, monkeypatch, t, rank, bound):
+        # every (w, f) that apply_M hands to star_action: each answer is the
+        # reference's fraction, with the same numerator and denominator
+        import ktrans.rings as rings_mod
+
+        seen = []
+
+        def recording(w, f):
+            got = star_action(w, f)
+            seen.append((w, f, got))
+            return got
+
+        monkeypatch.setattr(rings_mod, "star_action", recording)
+        for u in group_elements(t, rank):
+            for k in range(1, rank + 1):
+                apply_M(t, k, u, bound)
+        assert seen
+        for w, f, got in seen:
+            want = reference_star_action(w, f)
+            assert got == want, (str(w), yrational_str(f))
+            assert (got.num.terms, got.den) == (want.num.terms, want.den), str(w)
+
+    def test_matches_reference_on_random_fractions(self):
+        # negated targets turn y_i into units, and the fractions cancel terms
+        rng = random.Random(33)
+        fractions = [random_fraction(rng) for _ in range(6)]
+        fractions.append(YRational(yvar(1) - yvar(1)))
+        for w in group_elements("B", 3):
+            for f in fractions:
+                got, want = star_action(w, f), reference_star_action(w, f)
+                assert got == want, (str(w), yrational_str(f))
+                assert (got.num.terms, got.den) == (want.num.terms, want.den), str(w)
+
     def test_identity(self):
         f = YRational(yvar(1), {2: 1})
         assert star_action(identity(), f) == f
