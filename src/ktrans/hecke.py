@@ -26,9 +26,9 @@ from typing import Sequence
 
 from .rings import Z, Monomial, TruncPoly, var_code
 from .weyl import (
+    IDENTITY,
     SignedPermutation,
     generator,
-    identity,
     length,
     reduced_word,
     right_ascent,
@@ -70,7 +70,7 @@ def _walk(t: str, w: SignedPermutation, max_len: int, root: dict, step) -> dict:
     """
     gens, w_inv, lw, table = _prefix_moves(t, w)
     done: dict = {}
-    layer = {(identity(), 0, ()): root}
+    layer = {(IDENTITY, 0, ()): root}
     n = 0
     while layer:
         rem = max_len - n - 1

@@ -20,9 +20,11 @@ stays inside both caps without checking them.
 
 The sum factors through p: the half-sum K_p over the (sigma, u) with
 sigma^-1 o u = p is memoized by (t, p, N, D), so every w whose walk
-reaches p shares it.  Both levels add into one term table, and since codes
-sort x < y < z, a product of G_tau(x), G_sigma(y) and F_u(z) monomials is
-their code tuples joined.
+reaches p shares it.  Both levels are one Demazure fold, _fold: K_p folds
+G_sigma(y) against F_u(z) at p^-1, and kn_eval folds G_tau(x) against K_p
+at w.  The fold adds into one term table, and since codes sort x < y < z,
+a product of G_tau(x), G_sigma(y) and F_u(z) monomials is their code
+tuples joined.
 """
 
 from __future__ import annotations
@@ -76,21 +78,29 @@ def _add_product(into: dict, left: dict, right: dict, shift: int, bound: int) ->
                 into[m] = into.get(m, 0) + c1 * c2
 
 
+def _fold(t: str, y: SignedPermutation, family: str, inner, bound: int) -> dict:
+    """The sum of beta^(l(s)+l(x)-l(y)) G_s(family) inner(x) over s in S_n,
+    n the support of y, and the x with x o s = y, as a term table cut at
+    degree bound.  s lies below y in Bruhat order, so its reduced words use
+    only y's generators and l(s) <= l(y); inner(x) has least degree l(x),
+    and its codes sort after those of family."""
+    ly = length(t, y)
+    table: dict = {}
+    for s, ls, s_word in _perms(max(y.support, 1), min(ly, bound)):
+        # G_s is built only for an s that some x meets
+        for x, lx in _undo(t, {y: ly}, s_word).items():
+            if ls + lx <= bound:
+                _add_product(table, groth_single(s, family).terms, inner(x), ls + lx - ly, bound)
+    return {m: c for m, c in table.items() if c}
+
+
 @lru_cache(maxsize=None)
 def _half_sum(t: str, p: SignedPermutation, num_vars: int, bound: int) -> dict:
     """K_p, the sum of beta^(l(sigma)+l(u)-l(p)) G_sigma(y) F_u(z) over the
-    sigma^-1 o u = p, as a term table cut at degree bound.  sigma^-1 lies
-    below p in Bruhat order, so sigma is in S_n, n the support of p, and
-    l(sigma) <= l(p)."""
-    lp = length(t, p)
-    table: dict = {}
-    for sigma, ls, sigma_word in _perms(max(p.support, 1), min(lp, bound)):
-        # v o sigma = p^-1 exactly when sigma^-1 o v^-1 = p, so u = v^-1
-        for v, lu in _undo(t, {p.inverse(): lp}, sigma_word).items():
-            if ls + lu <= bound:
-                fu = fstanley(t, v.inverse(), num_vars, bound).terms
-                _add_product(table, groth_single(sigma, "y").terms, fu, ls + lu - lp, bound)
-    return {m: c for m, c in table.items() if c}
+    sigma^-1 o u = p: the fold at p^-1, since v o sigma = p^-1 exactly when
+    sigma^-1 o v^-1 = p, so u = v^-1."""
+    return _fold(t, p.inverse(), "y",
+                 lambda v: fstanley(t, v.inverse(), num_vars, bound).terms, bound)
 
 
 @lru_cache(maxsize=None)
@@ -99,12 +109,4 @@ def kn_eval(t: str, w: SignedPermutation, num_vars: int, bound: int) -> TruncPol
     sum of beta^(l(p)+l(tau)-l(w)) G_tau(x) K_p over the p o tau = w."""
     if t not in ("B", "C", "D"):
         raise ValueError(f"type must be B, C, or D, not {t!r}")
-    lw = length(t, w)
-    total: dict = {}
-    for tau, lt, tau_word in _perms(max(w.support, 1), min(lw, bound)):
-        gx = groth_single(tau, "x").terms
-        for p, lp in _undo(t, {w: lw}, tau_word).items():
-            # K_p has least degree l(p)
-            if lp + lt <= bound:
-                _add_product(total, gx, _half_sum(t, p, num_vars, bound), lp + lt - lw, bound)
-    return TruncPoly({m: c for m, c in total.items() if c}, bound)
+    return TruncPoly(_fold(t, w, "x", lambda p: _half_sum(t, p, num_vars, bound), bound), bound)

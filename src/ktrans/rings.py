@@ -288,11 +288,6 @@ class YRational:
     def const(c: int) -> "YRational":
         return YRational(TruncPoly.const(c), {})
 
-    @staticmethod
-    def inverse_unit(i: int, exp: int = 1) -> "YRational":
-        """1 / (1 + beta*y_i)^exp."""
-        return YRational(ONE, {i: exp})
-
     def __bool__(self) -> bool:
         return bool(self.num)
 
@@ -372,7 +367,18 @@ def y_factor(c: int, e: int = 1) -> YRational:
     to a unit."""
     if (c > 0) == (e > 0):
         return YRational(_unit_product({abs(c): abs(e)}))
-    return YRational.inverse_unit(abs(c), abs(e))
+    return YRational(ONE, {abs(c): abs(e)})
+
+
+def _sum_by_den(groups: dict[tuple, TruncPoly]) -> YRational:
+    """The sum of num / den over groups, a dict from sorted denominator items
+    to numerators, each already the sum of the terms over its denominator."""
+    total = YRational.const(0)
+    for den, num in groups.items():
+        term = YRational(num, dict(den))
+        # a zero total has the empty denominator, so the sum would be term
+        total = total + term if total else term
+    return total
 
 
 def star_action(w: SignedPermutation, f: YRational) -> YRational:
@@ -381,6 +387,8 @@ def star_action(w: SignedPermutation, f: YRational) -> YRational:
     A term whose y_i meet k negative targets has k unit factors below it,
     so the terms are grouped by that denominator: each group adds as a
     polynomial, and only the few groups add as fractions."""
+    if not f:
+        return f  # zero, at the truncation of f
     groups: dict[tuple, dict] = {}
     for (b, v), c in f.num.terms.items():
         codes, den = [], {}
@@ -394,10 +402,9 @@ def star_action(w: SignedPermutation, f: YRational) -> YRational:
             codes.append(code)
         # w permutes the indices, so distinct terms stay distinct
         groups.setdefault(tuple(sorted(den.items())), {})[(b, tuple(sorted(codes)))] = c
-    result = YRational.const(0)
-    for den, terms in groups.items():
-        term = YRational(TruncPoly(terms), dict(den))
-        result = result + term if result else term
+    # an index permutation keeps degree, so each group keeps f's bound
+    result = _sum_by_den({den: TruncPoly._within(terms, f.num.bound)
+                          for den, terms in groups.items()})
     for i, e in sorted(f.den.items()):
         result = result * y_factor(w(i), -e)
     return result
@@ -435,7 +442,8 @@ def apply_R(t: str, k: int, w: SignedPermutation) -> dict:
         u = SignedPermutation._trusted(list(u))
         coeff = YRational.const(plain)
         if via_n:
-            coeff = coeff + YRational.inverse_unit(w(k)) * via_n
+            # the n-move fires only when w(k) > 0
+            coeff = coeff + y_factor(w(k), -1) * via_n
         out[u] = coeff * TruncPoly.beta(length(t, u) - lw)
     return out
 
@@ -521,12 +529,7 @@ def combo_value(combo: dict, G) -> YRational:
         den = tuple(sorted(c.den.items()))
         num = c.num * G(u)
         groups[den] = groups[den] + num if den in groups else num
-    total = YRational.const(0)
-    for den, num in groups.items():
-        term = YRational(num, dict(den))
-        # a zero total has the empty denominator, so the sum would be term
-        total = total + term if total else term
-    return total
+    return _sum_by_den(groups)
 
 
 def monk_identity_holds(t: str, u: SignedPermutation, k: int, G) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .rings import Z, TruncPoly, var_code
-from .weyl import SignedPermutation, generator, identity
+from .weyl import IDENTITY, SignedPermutation, generator
 
 
 def check_strict(parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -191,7 +191,7 @@ def reading_word(t: str, shape: ShiftedSkewShape) -> list[int]:
 def w_shape(t: str, shape: ShiftedSkewShape) -> SignedPermutation:
     """The fully commutative signed permutation whose K-Stanley function is
     GP (types B, D) or GQ (type C) of the shape."""
-    w = identity()
+    w = IDENTITY
     for a in reading_word(t, shape):
         w = w * generator(t if t == "D" else "B", a)
     return w

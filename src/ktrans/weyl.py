@@ -129,14 +129,6 @@ class SignedPermutation(tuple):
             return self.num_negatives() % 2 == 0
         raise ValueError(f"unknown group type {t!r}")
 
-    def descents(self) -> set[int]:
-        """Des(w) = { i > 0 : w(i) > w(i+1) }, scanned over the window alone.
-
-        The window is trimmed, so |w(n)| <= n < n + 1 = w(n + 1) and the
-        last position n is never a descent.
-        """
-        return {i for i in range(1, len(self)) if self[i - 1] > self[i]}
-
     least_descent = _least_descent
 
     def is_grassmannian(self) -> bool:
@@ -144,10 +136,6 @@ class SignedPermutation(tuple):
 
 
 IDENTITY = SignedPermutation(())
-
-
-def identity() -> SignedPermutation:
-    return IDENTITY
 
 
 # -- one-line notation ------------------------------------------------

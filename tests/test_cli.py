@@ -317,6 +317,29 @@ class TestVerifySuite:
         assert code == 0 and "all 15 checks passed" in out
         assert cli.CHECKS[-1][1] is cli._check_pi_braid
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_seed_keeps_a_check_added_after_pi_braid(self, capsys, monkeypatch, jobs):
+        import multiprocessing
+
+        from ktrans import cli
+
+        # a forked worker inherits the added check, as the parent holds it
+        monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
+        monkeypatch.setattr(cli, "CHECKS", cli.CHECKS + [("new-check", lambda: (False, "forced"))])
+        code, out = run(
+            capsys, "verify-suite", "--check", "pi-braid-relations", "--check", "new-check",
+            "--seed", "3", "--jobs", jobs,
+        )
+        assert code == 1
+        assert out.splitlines() == [
+            "PASS  pi-braid-relations",
+            "FAIL  new-check  (forced)",
+            "  reproduce: ktrans verify-suite --check new-check --seed 3",
+            "1 of 2 checks failed",
+        ]
+        assert cli.CHECKS[-1][0] == "new-check"
+        assert dict(cli.CHECKS)["pi-braid-relations"] is cli._check_pi_braid
+
     def test_spawned_worker_gets_the_seed(self, capsys, monkeypatch):
         import multiprocessing
 

@@ -12,12 +12,12 @@ from ktrans.hecke import _letter_key, _unimodal_step, fstanley, hecke_words, mpe
 from ktrans.rings import BETA, Z, TruncPoly, poly_str, supersym_check, var_code
 from ktrans.tableaux import ShiftedSkewShape, gp, gq, w_shape
 from ktrans.weyl import (
+    IDENTITY,
     SignedPermutation,
     elements_up_to_length,
     generator,
     generator_indices,
     group_elements,
-    identity,
     length,
     parse_oneline,
     reduced_word,
@@ -160,7 +160,7 @@ def tree_walk(
                 rec(q, rq, lq, nxt)
                 word.pop()
 
-    rec(identity(), w.inverse(), 0, root)
+    rec(IDENTITY, w.inverse(), 0, root)
 
 
 def tree_hecke_words(t, w, max_len):
@@ -204,7 +204,7 @@ class TestHeckeWords:
         assert sorted(hecke_words("B", reflection(0, 1), 2)) == [(0,), (0, 0)]
 
     def test_identity(self):
-        assert list(hecke_words("B", identity(), 1)) == [()]
+        assert list(hecke_words("B", IDENTITY, 1)) == [()]
 
     def test_reduced_words_only_at_minimal_length(self):
         # all 2-letter words over the alphabet whose product is t_1 t_0
@@ -233,7 +233,7 @@ class TestHeckeWords:
                         rec(demazure_apply(t, p, g), word)
                         word.pop()
 
-                rec(identity(), [])
+                rec(IDENTITY, [])
                 assert found
                 support = set(reduced_word(t, w))
                 assert all(g in support for a in found for g in a), (t, str(w))
@@ -245,7 +245,7 @@ class TestHeckeWords:
             if length(t, w) > 2:
                 continue
             for a in hecke_words(t, w, 3):
-                acc = identity()
+                acc = IDENTITY
                 for g in a:
                     acc = demazure_apply(t, acc, g)
                 assert acc == w
@@ -359,7 +359,7 @@ class TestFStanley:
         assert poly_str(f) == "2*z1 + b*z1^2"
 
     def test_identity(self):
-        assert fstanley("B", identity(), 2, 3) == TruncPoly.const(1, 3)
+        assert fstanley("B", IDENTITY, 2, 3) == TruncPoly.const(1, 3)
 
     @pytest.mark.parametrize("t", ["B", "C", "D"])
     def test_methods_agree_rank_two(self, t):
@@ -379,7 +379,7 @@ class TestFStanley:
 
     def test_d_star_symmetry(self):
         def star(w):
-            acc = identity()
+            acc = IDENTITY
             for g in reduced_word("D", w):
                 acc = acc * generator("D", -g if abs(g) == 1 else g)
             return acc

@@ -35,7 +35,7 @@ from ktrans.rings import (
     yvar,
 )
 from ktrans.tableaux import ShiftedSkewShape, gp, gq
-from ktrans.weyl import SignedPermutation, group_elements, identity, parse_oneline, reflection
+from ktrans.weyl import IDENTITY, SignedPermutation, group_elements, parse_oneline, reflection
 
 
 def zvar(i, bound=None):
@@ -189,16 +189,16 @@ class TestNegativeBound:
             gp(empty, 2, -1),
             gq(empty, 2, -1),
             quasi((), 2, -1),
-            fstanley("B", identity(), 2, -1),
-            fstanley("C", identity(), 2, -1, "unimodal"),
-            kn_eval("D", identity(), 2, -1),
+            fstanley("B", IDENTITY, 2, -1),
+            fstanley("C", IDENTITY, 2, -1, "unimodal"),
+            kn_eval("D", IDENTITY, 2, -1),
         ]
         for p in objects:
             assert not p and p.bound == -1, p.terms
 
     def test_compat_weights_stay_integers(self):
         # the compatible-sequence sum divides by 2**bound at the end
-        one = fstanley("B", identity(), 2, 0)
+        one = fstanley("B", IDENTITY, 2, 0)
         assert one.terms == {(0, ()): 1}
         assert all(type(c) is int for c in one.terms.values())
 
@@ -355,7 +355,7 @@ class TestYRational:
         assert f + YRational.const(0) == f
 
     def test_unit_inverse(self):
-        assert YRational.inverse_unit(1) * (ONE + BETA * yvar(1)) == YRational.const(1)
+        assert YRational(ONE, {1: 1}) * (ONE + BETA * yvar(1)) == YRational.const(1)
 
     def test_ominus_convention(self):
         # 1/(1 + beta*y_{-1}) = 1 + beta*y_1
@@ -469,7 +469,19 @@ class TestStarAction:
 
     def test_identity(self):
         f = YRational(yvar(1), {2: 1})
-        assert star_action(identity(), f) == f
+        assert star_action(IDENTITY, f) == f
+
+    def test_keeps_the_truncation(self):
+        # an index permutation keeps degree, so the image is cut where f is,
+        # and a term above the cut added to it is dropped, as it is from f
+        f = YRational((yvar(1) + yvar(1) * yvar(2)).with_bound(1))
+        for w in (parse_oneline("2,1"), parse_oneline("-2,1")):
+            assert star_action(w, f).num.bound == 1, str(w)
+        total = star_action(parse_oneline("2,1"), f) + YRational(yvar(2) * yvar(1))
+        assert (total.num.terms, total.num.bound) == (yvar(2).terms, 1)
+        assert (f + YRational(yvar(2) * yvar(1))).num.terms == yvar(1).terms
+        zero = YRational(TruncPoly.zero(1))
+        assert not (star_action(parse_oneline("2,1"), zero) + YRational(yvar(2) * yvar(1)))
 
     def test_sign_change(self):
         t0 = reflection(0, 1)

@@ -14,7 +14,7 @@ from ktrans.tableaux import (
     shifted_cells,
     w_shape,
 )
-from ktrans.weyl import length, parse_oneline, identity
+from ktrans.weyl import IDENTITY, length, parse_oneline
 from test_rings import homogeneous_degree, reference_substitute, zvar
 
 Tableau = dict[tuple[int, int], frozenset[int]]
@@ -279,7 +279,7 @@ class TestReadingWords:
         assert w_shape("D", sh) == parse_oneline("4,-2,5,-1,6,3")
 
     def test_empty_shape(self):
-        assert w_shape("B", ShiftedSkewShape(())) == identity()
+        assert w_shape("B", ShiftedSkewShape(())) == IDENTITY
 
     def test_length_equals_shape_size(self):
         for lam in strict_partitions(6):

@@ -7,6 +7,7 @@ from functools import lru_cache
 import pytest
 
 from ktrans.weyl import (
+    IDENTITY,
     SignedPermutation,
     _chains,
     _merge,
@@ -18,7 +19,6 @@ from ktrans.weyl import (
     generator,
     generator_indices,
     group_elements,
-    identity,
     is_valid_reflection,
     length,
     length_increment_ok,
@@ -55,8 +55,8 @@ def demazure_mul(t, u, v):
 def bfs_distance(t, w):
     """Cayley-graph distance from the identity, the independent length oracle."""
     gens = [generator(t, g) for g in generator_indices(t, max(w.support, 2))]
-    seen = {identity(): 0}
-    frontier = [identity()]
+    seen = {IDENTITY: 0}
+    frontier = [IDENTITY]
     while frontier:
         nxt = []
         for u in frontier:
@@ -73,7 +73,7 @@ def bfs_distance(t, w):
 
 class TestParse:
     def test_identity_trims_fixed_points(self):
-        assert parse_oneline("1,2,3") == identity()
+        assert parse_oneline("1,2,3") == IDENTITY
         assert parse_oneline("1,2,3") == ()
 
     def test_signed_window(self):
@@ -112,7 +112,7 @@ class TestParse:
 
 class TestLength:
     def test_identity(self):
-        assert length("B", identity()) == 0
+        assert length("B", IDENTITY) == 0
 
     def test_known_values(self):
         assert length("B", parse_oneline("-2,1")) == 2
@@ -148,8 +148,8 @@ class TestLength:
     def test_type_d_below_rank_two_is_trivial(self, n):
         # t_{-1} moves position 2, so W^D_0 and W^D_1 have no generator
         assert generator_indices("D", n) == []
-        assert group_elements("D", n) == (identity(),)
-        assert windowed_elements("D", n) == [identity()]
+        assert group_elements("D", n) == (IDENTITY,)
+        assert windowed_elements("D", n) == [IDENTITY]
 
 
 def windowed_elements(t, n):
@@ -189,7 +189,7 @@ class TestElementType:
     def test_is_its_window_tuple(self):
         w = parse_oneline("-3,4,-1,5,2")
         assert isinstance(w, tuple) and hash(w) == hash((-3, 4, -1, 5, 2))
-        assert identity() == () and identity().is_identity()
+        assert IDENTITY == () and IDENTITY.is_identity()
 
     def test_immutable(self):
         w = parse_oneline("2,1")
@@ -204,7 +204,7 @@ class TestPickle:
     @pytest.mark.parametrize("t", ["B", "D"])
     def test_round_trip(self, t):
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            for w in (identity(),) + group_elements(t, 3):
+            for w in (IDENTITY,) + group_elements(t, 3):
                 # every protocol rebuilds through the validating constructor
                 assert w.__reduce_ex__(protocol)[0] is SignedPermutation
                 back = pickle.loads(pickle.dumps(w, protocol))
@@ -233,7 +233,7 @@ class TestReflection:
         assert bfs_distance("D", r) == 1
 
     def test_degenerate_is_identity(self):
-        assert reflection(-2, 2) == identity()
+        assert reflection(-2, 2) == IDENTITY
 
     @pytest.mark.parametrize("i,j", [(2, 1), (1, 1), (-1, 0), (0, 0)])
     def test_rejects_bad_pairs(self, i, j):
@@ -243,11 +243,11 @@ class TestReflection:
 
 class TestLengthIncrement:
     def test_t0_from_identity(self):
-        assert length_increment_ok("B", identity(), 0, 1)
+        assert length_increment_ok("B", IDENTITY, 0, 1)
 
     def test_forbidden_in_d(self):
         with pytest.raises(ValueError):
-            length_increment_ok("D", identity(), 0, 1)
+            length_increment_ok("D", IDENTITY, 0, 1)
 
     def test_spec_example_matches_direct(self):
         w = parse_oneline("-2,1")
@@ -415,22 +415,27 @@ class TestRChains:
         assert list(chains.items()) == [(a, (1, 0)), (b, (1, 2)), (c, (2, 0))]
 
 
+def descent_set(w):
+    """Des(w) = { i > 0 : w(i) > w(i+1) }, by the definition: the reference
+    for the window scan of least_descent.  Past the support n, w(i) = i <
+    w(i+1), so the positions 1..n hold every descent."""
+    return {i for i in range(1, w.support + 1) if w(i) > w(i + 1)}
+
+
 class TestDescents:
     def test_examples(self):
-        assert identity().descents() == set()
-        assert identity().least_descent() == 0
+        assert descent_set(IDENTITY) == set()
+        assert IDENTITY.least_descent() == 0
         w = parse_oneline("-3,4,-1,5,2")
-        assert w.descents() == {2, 4}
+        assert descent_set(w) == {2, 4}
         assert w.least_descent() == 4
-        assert parse_oneline("-2,1").descents() == set()
+        assert descent_set(parse_oneline("-2,1")) == set()
 
     @pytest.mark.parametrize("t", ["B", "D"])
     def test_window_scan_matches_definition(self, t):
         for w in group_elements(t, 5):
-            n = w.support
-            assert w.descents() == {i for i in range(1, n + 1) if w(i) > w(i + 1)}, w
-            assert w.least_descent() == max(w.descents(), default=0), w
-            assert w.is_grassmannian() == (not w.descents()), w
+            assert w.least_descent() == max(descent_set(w), default=0), w
+            assert w.is_grassmannian() == (not descent_set(w)), w
 
 
 class TestDemazure:
@@ -440,8 +445,8 @@ class TestDemazure:
 
     def test_identity_unit(self):
         for w in group_elements("B", 2):
-            assert demazure_mul("B", w, identity()) == w
-            assert demazure_mul("B", identity(), w) == w
+            assert demazure_mul("B", w, IDENTITY) == w
+            assert demazure_mul("B", IDENTITY, w) == w
 
     def test_sign_change_product(self):
         assert demazure_mul("B", generator("B", 1), generator("B", 0)) == parse_oneline("-2,1")
@@ -466,13 +471,13 @@ class TestDemazure:
 
 class TestReducedWord:
     def test_identity_empty(self):
-        assert reduced_word("B", identity()) == []
+        assert reduced_word("B", IDENTITY) == []
 
     def test_length_seven_window(self):
         w = parse_oneline("-3,4,-1,5,2")
         word = reduced_word("B", w)
         assert len(word) == 7
-        acc = identity()
+        acc = IDENTITY
         for g in word:
             acc = acc * generator("B", g)
         assert acc == w
@@ -483,7 +488,7 @@ class TestReducedWord:
     @pytest.mark.parametrize("t", ["B", "D"])
     def test_round_trips(self, t):
         for w in group_elements(t, 3):
-            acc = identity()
+            acc = IDENTITY
             for g in reduced_word(t, w):
                 acc = acc * generator(t, g)
             assert acc == w
@@ -504,13 +509,13 @@ class TestTechnicalLemma:
                     wt = w * reflection(i, k)
                     assert wt.support <= 3
                     assert wt(k) < w(k)
-                    assert wt.descents() <= w.descents() | {k - 1}
+                    assert descent_set(wt) <= descent_set(w) | {k - 1}
 
 
 class TestShapes:
     def test_identity(self):
-        assert identity().is_grassmannian()
-        assert shape("B", identity()) == ()
+        assert IDENTITY.is_grassmannian()
+        assert shape("B", IDENTITY) == ()
 
     def test_direct_b_example(self):
         w = parse_oneline("-4,-2,-1,3")
@@ -538,7 +543,7 @@ def ld_less(u, v):
 class TestLdOrder:
     def test_identity_below_everything_with_descent(self):
         w = parse_oneline("2,1")
-        assert ld_less(identity(), w)
+        assert ld_less(IDENTITY, w)
 
     def test_irreflexive(self):
         for w in group_elements("B", 2):
