@@ -16,6 +16,7 @@ are counted together.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .rings import Z, TruncPoly, var_code
@@ -47,14 +48,16 @@ def shifted_cells(parts: tuple[int, ...]) -> set[tuple[int, int]]:
     }
 
 
+@dataclass(frozen=True, slots=True)
 class ShiftedSkewShape:
     """A skew shifted shape lambda/mu with mu contained in lambda."""
 
-    __slots__ = ("outer", "inner")
+    outer: tuple[int, ...]
+    inner: tuple[int, ...] = ()
 
-    def __init__(self, outer, inner=()):
-        self.outer = check_strict(tuple(outer)) if outer else ()
-        self.inner = check_strict(tuple(inner)) if inner else ()
+    def __post_init__(self):
+        object.__setattr__(self, "outer", check_strict(tuple(self.outer)) if self.outer else ())
+        object.__setattr__(self, "inner", check_strict(tuple(self.inner)) if self.inner else ())
         if not contains(self.outer, self.inner):
             raise ValueError(f"{self.inner} is not contained in {self.outer}")
 
@@ -65,16 +68,6 @@ class ShiftedSkewShape:
 
     def size(self) -> int:
         return sum(self.outer) - sum(self.inner)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ShiftedSkewShape)
-            and self.outer == other.outer
-            and self.inner == other.inner
-        )
-
-    def __hash__(self):
-        return hash((self.outer, self.inner))
 
     def __str__(self):
         return f"outer={list(self.outer)} inner={list(self.inner)}"

@@ -75,7 +75,9 @@ def unimodal_factorizations(t, a, num_vars):
     values = [v for m in range(1, num_vars + 1) for v in (-m, m)]
     seqs = {((), 0): 1}
     for pos, g in enumerate(a):
-        seqs = _unimodal_step(t, values, a[max(pos - 2, 0) : pos], g, seqs)
+        nxt = {}
+        _unimodal_step(t, values, a[max(pos - 2, 0) : pos], g, seqs, nxt)
+        seqs = nxt
     return (b for b, _ in seqs)
 
 
@@ -188,7 +190,12 @@ def tree_fstanley(t, w, num_vars, bound, method):
     terms = {}
 
     def extend(seqs, word, g):
-        return [s for seq in seqs for s in step(tuple(word[-2:]), g, {seq: 1})]
+        out = []
+        for seq in seqs:
+            into = {}
+            step(tuple(word[-2:]), g, {seq: 1}, into)
+            out += into
+        return out
 
     def emit(word, seqs):
         for b, e in seqs:
@@ -335,19 +342,22 @@ class TestFStanley:
         # the step sees the last two letters, which here are the whole prefix
         w = parse_oneline("2,1")
         real = getattr(hecke, step)
-        live = []
+        calls, live = [], []
 
-        def recording(t, table, last, g, seqs):
-            out = real(t, table, last, g, seqs)
-            if out:
+        def recording(t, table, last, g, seqs, into):
+            before = dict(into)
+            real(t, table, last, g, seqs, into)
+            calls.append((*last, g))
+            if into != before:
                 live.append((*last, g))
-            return out
 
         monkeypatch.setattr(hecke, step, recording)
         f = fstanley.__wrapped__("B", w, 1, 8, method)
         assert poly_str(f) == "2*z1 + b*z1^2"
         assert hecke_words("B", w, 8) == [(1,) * n for n in range(1, 9)]
         assert live == [(1,), (1, 1)]
+        # 1,1,1 leaves an empty table, which the pass extends no further
+        assert calls == [(1,), (1, 1), (1, 1, 1)]
 
     def test_b_sign_change(self):
         f = fstanley("B", reflection(0, 1), 2, 2)
@@ -436,7 +446,7 @@ class TestMergedPass:
                     want = tree_fstanley(t, w, num_vars, 6, method)
                     assert got == want, (t, str(w), num_vars, method)
 
-    @pytest.mark.parametrize("t", ["B", "C"])
+    @pytest.mark.parametrize("t", ["B", "C", "D"])
     def test_matches_tree_walk_on_golden_element(self, t):
         w = parse_oneline("-3,4,-1,5,2")
         for method in ("compat", "unimodal"):
@@ -463,7 +473,7 @@ class TestMoveTable:
         table = hecke._prefix_moves("D", w)[-1]
         for bound in (0, 3):
             assert fstanley("D", w, 2, bound) == 0
-            assert sum(length("D", p) > bound for p in table) == 0
+            assert sum(length("D", p) > bound for p, _ in table) == 0
             assert len(table) == 1
 
     @pytest.mark.parametrize("t", ["B", "C", "D"])
@@ -504,6 +514,20 @@ class TestQuasisymmetric:
                 for bound in range(7):
                     want = quasi_reference(pi, num_vars, bound)
                     assert quasi(pi, num_vars, bound).terms == want, (pi, num_vars, bound)
+
+    def test_prunes_prefixes_that_cannot_finish(self, monkeypatch):
+        # at D = 3 only the word 1,2,3 collapses to (1,2,3): a repeated letter
+        # leaves too few letters for the rest of pi, so the step never sees one
+        real = hecke._unimodal_step
+        calls = []
+
+        def recording(t, symbols, last, g, seqs, into):
+            calls.append((*last, g))
+            real(t, symbols, last, g, seqs, into)
+
+        monkeypatch.setattr(hecke, "_unimodal_step", recording)
+        assert quasi((1, 2, 3), 2, 3).terms == quasi_reference((1, 2, 3), 2, 3)
+        assert calls == [(1,), (1, 2), (1, 2, 3)]
 
     def test_k_expansion_of_type_c(self):
         # the K-quasisymmetric expansion of F^C over multi-permutation words
