@@ -550,7 +550,9 @@ def _merge_value_flags(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    """Run one command: exit 0 ok, 1 verification failure, 2 usage error."""
+    """Run one command: exit 0 ok, 1 verification failure, 2 usage error,
+    a ValueError printed as one line: a malformed input, or one too large
+    to compute (an engine chain too deep, a groth_a pass past MAX_TERMS)."""
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
@@ -558,17 +560,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except ValueError as exc:
-        # malformed windows, shapes and group elements are usage errors
         print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # groth_a._descend, too deep for the interpreter's stack (the engine's
-        # transition chain is already a ValueError from expand_grassmannian)
-        print(
-            f"{parser.prog} {args.command}: error: the input is too large to compute"
-            " within the recursion limit",
-            file=sys.stderr,
-        )
         return 2
 
 

@@ -1,44 +1,83 @@
-"""Type A double Grothendieck polynomials.
+"""Type A double Grothendieck polynomials, as sums over pipe dreams.
 
-The double polynomial of the longest element of S_n is the product of
-x_i + y_j + beta*x_i*y_j over i + j <= n, and every double polynomial
-descends from it through the isobaric divided differences.  The single
-polynomials, the double ones at y = 0, descend the same way from x^delta =
-x_1^(n-1) x_2^(n-2) ... x_(n-1), far more cheaply than building the double
-polynomial and dropping its y terms.  This module only evaluates: the
-operator calculus (R_k, M_k, the transition certificate) and the checks of
-the Monk identity and Lascoux's transition equation live in rings, shared
-with types B, C, D, and take groth_poly as their evaluator.
+A pipe dream of w crosses some cells (i, j), i + j <= n = support(w); read
+row by row from the top, each row right to left, its crosses spell a word
+in the letters i + j - 1 whose Demazure product is w (Fomin and Kirillov
+1994, Knutson and Miller 2005).  G_w sums beta^(crosses - l(w)) times a
+factor per cross: x_i + y_j + beta*x_i*y_j for the double polynomial, x_i
+for the single one G_w(x), the double one at y = 0, and y_i for its y
+copy.  One pass reads the cells on `hecke._prefix_moves`, the machine of
+the B, C, D word oracles.  This module only evaluates: the operator
+calculus and the Monk and transition checks live in rings, shared with
+types B, C, D, and take groth_poly as their evaluator.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from .hecke import _prefix_moves
+from .rings import X, Y, Monomial, TruncPoly, var_code
+from .weyl import SignedPermutation
 
-from .rings import BETA, ONE, Y, TruncPoly, code_index, pi_operator, var_code, xvar, yvar
-from .weyl import SignedPermutation, reflection
+# the most terms one layer of tables may hold, counted as each enters:
+# every element of S_6 fits, while s_k holds 4^k - 1, so s_11 is refused
+MAX_TERMS = 1 << 20
 
-# the one descent memo, keyed by (w, double); bench/worker.reset clears it
-_memo: dict[tuple[SignedPermutation, bool], TruncPoly] = {}
+# the one memo, keyed by (w, family), family "xy" (double), "x" or "y";
+# bench/worker.reset clears it
+_memo: dict[tuple[SignedPermutation, str], TruncPoly] = {}
 
 
-def _descend(w: SignedPermutation, double: bool) -> TruncPoly:
-    """The double polynomial of w if double, else the single one: from the
-    longest element of S_n down to w, one pi_operator at each first ascent."""
-    cached = _memo.get((w, double))
+def _cross(terms: dict[Monomial, int], factor: tuple, extra: int):
+    """The terms of a table times a cross's factor and beta^extra."""
+    for (b, v), c in terms.items():
+        for fb, fv in factor:
+            yield (b + fb + extra, tuple(sorted(v + fv))), c
+
+
+def _pipe_dreams(w: SignedPermutation, family: str) -> TruncPoly:
+    """The Grothendieck polynomial of w in family "xy", "x" or "y".
+
+    One pass over the cells whose letter is in supp(w) holds a term table
+    per Demazure prefix state: an elbow keeps a table, a cross moves it
+    along the letter's move, and a state that the cells left cannot finish
+    is dropped.  A ValueError naming w refuses the pass before a layer of
+    tables holds more than MAX_TERMS terms."""
+    cached = _memo.get((w, family))
     if cached is not None:
         return cached
+    start, goal, moves = _prefix_moves("A", w)
     n = w.support
-    result = ONE
-    if w == tuple(range(n, 0, -1)):
-        for i in range(1, n):
-            for j in range(1, n - i + 1):
-                xi, yj = xvar(i), yvar(j)
-                result = result * ((xi + yj + BETA * xi * yj) if double else xi)
-    else:
-        i = next(i for i in range(1, n) if w(i) < w(i + 1))
-        result = pi_operator(i, _descend(w * reflection(i, i + 1), double))
-    _memo[w, double] = result
+    cells = [(i, j) for i in range(1, n) for j in range(n - i, 0, -1) if i + j - 1 in moves.gens]
+    tables: dict[tuple, dict[Monomial, int]] = {start: {(0, ()): 1}}
+    for k, (i, j) in enumerate(cells):
+        rem = len(cells) - 1 - k  # the cells left after this one
+        g = i + j - 1
+        if family == "xy":
+            cx, cy = var_code(X, i), var_code(Y, j)
+            factor = ((0, (cx,)), (0, (cy,)), (1, (cx, cy)))
+        else:
+            factor = ((0, (var_code(X if family == "x" else Y, i),)),)
+        nxt: dict[tuple, dict[Monomial, int]] = {}
+        held = 0
+        for state, terms in tables.items():
+            steps = [(state, terms.items())] if moves.lw - state[1] <= rem else []  # an elbow
+            for h, q, need in moves[state]:
+                if h == g and need <= rem:  # a cross, one more beta if it does not raise
+                    steps.append((q, _cross(terms, factor, int(q == state))))
+            for q, new in steps:
+                into = nxt.setdefault(q, {})
+                for m, c in new:
+                    if m in into:
+                        into[m] += c
+                        continue
+                    held += 1
+                    if held > MAX_TERMS:
+                        raise ValueError(
+                            f"{w}: the pipe-dream tables would hold more than {MAX_TERMS} terms")
+                    into[m] = c
+        tables = nxt
+    result = TruncPoly(tables.get(goal, {}))
+    _memo[w, family] = result
     return result
 
 
@@ -46,20 +85,14 @@ def groth_poly(w: SignedPermutation) -> TruncPoly:
     """The double Grothendieck polynomial of a permutation, exact in beta, x, y."""
     if not w.in_group("A"):
         raise ValueError(f"{w} is not a type A element")
-    return _descend(w, True)
+    return _pipe_dreams(w, "xy")
 
 
-@lru_cache(maxsize=None)
 def groth_single(w: SignedPermutation, family: str) -> TruncPoly:
     """The single Grothendieck polynomial G_w(x), the double one at y = 0;
-    in the y family, the same polynomial with each x_i renamed y_i.  Every
-    code of G_w(x) is an x, so each renamed tuple stays sorted."""
+    in the y family, the same polynomial in y_i for each x_i."""
     if not w.in_group("A"):
         raise ValueError(f"{w} is not a type A element")
-    if family == "x":
-        return _descend(w, False)
-    if family == "y":
-        terms = {(b, tuple(var_code(Y, code_index(code)) for code in v)): c
-                 for (b, v), c in _descend(w, False).terms.items()}
-        return TruncPoly(terms)
-    raise ValueError(f"family must be x or y, got {family!r}")
+    if family not in ("x", "y"):
+        raise ValueError(f"family must be x or y, got {family!r}")
+    return _pipe_dreams(w, family)

@@ -14,11 +14,14 @@ prefixes (p, l(p)) of w serve `hecke_words` and `fstanley`; a prefix's
 moves are built on its first visit and kept per (t, w), so every walk of
 w, whatever the oracle or (N, D), shares them.  The positions j of a
 multi-permutation serve `quasi`: its words collapse to it, and a prefix
-ends in its letter pi_j.  `hecke_words` carries the words themselves.
-`fstanley` and `quasi` carry the partial sequences valid for the
-prefix, each with its monomial, and extend them by one letter per edge
-through the method's one per-letter step, `_compat_step` or
-`_unimodal_step`, which reads only the last two letters.  Every sequence
+ends in its letter pi_j.  Outside `_walk`, the Demazure-prefix machine
+also serves type A: `groth_a` runs it over the cells of the pipe dreams of
+w, so types A to D build their prefixes through `_prefix_moves` alone.
+`hecke_words` carries the words themselves.  `fstanley` and `quasi`
+carry the partial sequences valid for the prefix, each with its
+monomial, and extend them by one letter per edge through the method's
+one per-letter step, `_compat_step` or `_unimodal_step`, which reads
+only the last two letters.  Every sequence
 rule looks only at earlier positions, so a state with no valid sequence
 is dropped, and the pass stops at its first empty layer.
 """
@@ -75,7 +78,8 @@ class _PrefixMoves(dict):
 def _prefix_moves(t: str, w: SignedPermutation) -> tuple:
     """The Demazure-prefix machine of w: its start (e, 0), its goal
     (w, l(w)) and its lazy move table, kept so that the walks of every
-    oracle at every (N, D) share it.  p <= w and l(p) = l(w) make p = w."""
+    oracle at every (N, D), and the pipe-dream passes of groth_a, share
+    it.  p <= w and l(p) = l(w) make p = w."""
     table = _PrefixMoves(t, w)
     return (IDENTITY, 0), (w, table.lw), table
 

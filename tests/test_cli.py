@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from ktrans import groth_a
 from ktrans.cli import main
 
 
@@ -168,19 +169,31 @@ class TestCommands:
         assert code == 0 and captured.err == ""
         assert captured.out.splitlines()[-1] == want
 
-    def test_recursion_limit_is_usage_error(self, capsys):
-        # groth_a._descend takes one call per step down from the longest
-        # element of S_50 to 1,...,48,50,49: 1,224 calls, past the default
-        # limit of 1,000
-        w = ",".join(map(str, [*range(1, 49), 50, 49]))
+    @pytest.mark.parametrize("support", [50, 45], ids=["support-50", "support-45"])
+    def test_term_cap_is_usage_error(self, capsys, support):
+        # the pipe-dream tables of the transposition s_k hold 4^k terms, so
+        # these are refused by groth_a.MAX_TERMS long before they finish
+        w = ",".join(map(str, [*range(1, support - 1), support, support - 1]))
         code = main(["groth-a", "--w", w])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "ktrans groth-a: error: the input is too large to compute"
-            " within the recursion limit"
+            f"ktrans groth-a: error: {w}: the pipe-dream tables would hold"
+            f" more than {groth_a.MAX_TERMS} terms"
         ]
+
+    @pytest.mark.parametrize(
+        "w, terms", [("1,2,3,4,5,7,6", 4095), ("2,3,4,5,6,7,8,9,10,1", 2816)]
+    )
+    def test_cap_counts_terms_not_cells(self, capsys, w, terms):
+        # s_6 crosses on 6 cells, the Coxeter element on all 45 of S_10:
+        # both answer, each well under the cap
+        code = main(["groth-a", "--w", w])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert captured.out.count(" + ") == terms - 1
+        assert " - " not in captured.out
 
     @pytest.mark.parametrize(
         "argv",

@@ -45,6 +45,30 @@ def oplus(a, b):
     return a + b + BETA * a * b
 
 
+def staircase(n, double):
+    """The polynomial of the longest element of S_n: the product of
+    x_i + y_j + beta*x_i*y_j over i + j <= n, or x^delta if not double."""
+    result = ONE
+    for i in range(1, n):
+        for j in range(1, n - i + 1):
+            result = result * (oplus(xvar(i), yvar(j)) if double else xvar(i))
+    return result
+
+
+def isobaric_descent(w, double, memo):
+    """The Grothendieck polynomial of w by the isobaric divided differences:
+    from the staircase of S_n, n = support(w), one pi_i at the first ascent
+    i of each element on the way down to w."""
+    if w not in memo:
+        n = w.support
+        if w == tuple(range(n, 0, -1)):
+            memo[w] = staircase(n, double)
+        else:
+            i = next(i for i in range(1, n) if w(i) < w(i + 1))
+            memo[w] = pi_operator(i, isobaric_descent(w * reflection(i, i + 1), double, memo))
+    return memo[w]
+
+
 class TestGrothPoly:
     def test_identity(self):
         assert groth_poly(IDENTITY) == ONE
@@ -65,11 +89,33 @@ class TestGrothPoly:
         with pytest.raises(ValueError):
             groth_poly(parse_oneline("-1"))
 
+    def test_cap_is_on_terms_held(self, monkeypatch):
+        # s_3's last layer holds its 4^3 - 1 = 63 terms and nothing else: a
+        # state that cannot finish is dropped, so 63 answers and 62 refuses
+        w = parse_oneline("1,2,4,3")
+        monkeypatch.setattr(groth_a, "_memo", {})
+        monkeypatch.setattr(groth_a, "MAX_TERMS", 63)
+        assert len(groth_poly(w).terms) == 63
+        groth_a._memo.clear()
+        monkeypatch.setattr(groth_a, "MAX_TERMS", 62)
+        with pytest.raises(ValueError, match="^1,2,4,3: .* more than 62 terms$"):
+            groth_poly(w)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_isobaric_descent(self, n):
+        # the pipe-dream pass against the divided differences, in each family
+        double, single = {}, {}
+        for w in group_elements("A", n):
+            at_y_zero = isobaric_descent(w, False, single)
+            assert groth_poly(w) == isobaric_descent(w, True, double), str(w)
+            assert groth_single(w, "x") == at_y_zero, str(w)
+            assert groth_single(w, "y") == x_to_y(at_y_zero), str(w)
+
     def test_path_independence(self):
         # recompute every S_4 polynomial along the opposite descent strategy
         def groth_last_ascent(w, n):
             if w == tuple(range(n, 0, -1)):
-                return groth_poly(w)
+                return staircase(n, True)
             i = max(i for i in range(1, n) if w(i) < w(i + 1))
             return pi_operator(i, groth_last_ascent(w * reflection(i, i + 1), n))
 
@@ -104,7 +150,7 @@ class TestGrothPoly:
 
 class TestGrothSingle:
     def test_equals_double_polynomial_at_y_zero_on_s4(self):
-        # the x^delta descent against the double staircase with y set to 0
+        # the single pass against the double pass with y set to 0
         for w in group_elements("A", 4):
             at_y_zero = groth_poly(w).set_zero([Y])
             assert groth_single(w, "x") == at_y_zero, str(w)
@@ -129,10 +175,11 @@ class TestGrothSingle:
         # bench/worker.reset clears every module-level cache_clear and
         # groth_a._memo; a memo it cannot see would make the second call free
         calls = []
+        cross = groth_a._cross
 
-        def counting_pi(i, f):
-            calls.append(i)
-            return pi_operator(i, f)
+        def counting_cross(terms, factor, extra):
+            calls.append(extra)
+            return cross(terms, factor, extra)
 
         def clear():
             for obj in vars(groth_a).values():
@@ -140,7 +187,7 @@ class TestGrothSingle:
                     obj.cache_clear()
             groth_a._memo.clear()
 
-        monkeypatch.setattr(groth_a, "pi_operator", counting_pi)
+        monkeypatch.setattr(groth_a, "_cross", counting_cross)
         w = parse_oneline("2,4,1,3")
         counts = []
         for _ in range(2):
