@@ -6,7 +6,7 @@ operator calculus is checked against, so they stay close to the defining
 sums.  `_walk` is the one layered pass over words.  It takes its machine
 from the caller: a start state, a goal state and each state's moves
 (letter, next state, letters still needed).  It runs layer by word
-length, and a layer maps each state, with the last two letters, to a
+length, and a layer maps each state, with the last letter, to a
 value: a table from partial sequences to counts.  Prefixes that reach
 the same key share one table, and each per-letter step adds into the
 table of the key it reaches.  There are two machines.  The Demazure
@@ -21,15 +21,14 @@ w, so types A to D build their prefixes through `_prefix_moves` alone.
 carry the partial sequences valid for the prefix, each with its
 monomial, and extend them by one letter per edge through the method's
 one per-letter step, `_compat_step` or `_unimodal_step`, which reads
-only the last two letters.  Every sequence
-rule looks only at earlier positions, so a state with no valid sequence
-is dropped, and the pass stops at its first empty layer.
+only the last letter; a compatible sequence carries its own peak bit.
+Every sequence rule looks only at earlier positions, so a state with no
+valid sequence is dropped, and the pass stops at its first empty layer.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import Sequence
 
 from .rings import Z, Monomial, TruncPoly, var_code
 from .weyl import (
@@ -90,12 +89,12 @@ def _walk(start, goal, moves, max_len: int, root: dict, step) -> dict:
 
     moves[state] lists the state's moves (g, next state, letters still
     needed after g); a move that needs more letters than remain is pruned.
-    step(last, g, value, into) adds into the table into the value of the
-    prefixes ending in the letters last, at most two, extended by the
-    letter g.  A state whose table stays empty is dropped.
+    A prefix is keyed by its state and last letter, None for the empty
+    word; step(last, g, value, into) adds its value, extended by g, into
+    the table into.  A state whose table stays empty is dropped.
     """
     done: dict = {}
-    layer = {(start, ()): root}
+    layer = {(start, None): root}
     rem = max_len
     while layer:
         rem -= 1
@@ -108,7 +107,7 @@ def _walk(start, goal, moves, max_len: int, root: dict, step) -> dict:
                     done[s] = done.get(s, 0) + c
             for g, q, need in moves[state]:
                 if need <= rem:
-                    step(last, g, value, nxt.setdefault((q, last[-1:] + (g,)), {}))
+                    step(last, g, value, nxt.setdefault((q, g), {}))
         layer = nxt
     return done
 
@@ -130,30 +129,31 @@ def _is_o(t: str, g: int) -> bool:
     return (t == "B" and g == 0) or (t == "D" and abs(g) == 1)
 
 
-def _compat_step(t: str, top: int, last: Sequence[int], g: int, seqs: dict, into: dict) -> None:
+def _compat_step(t: str, top: int, last: int | None, g: int, seqs: dict, into: dict) -> None:
     """Extend each partial compatible sequence of a prefix ending in the
-    letters last (at most two) by the letter g, adding the counts into the
-    table into.
+    letter last (None for the empty prefix) by the letter g, adding the
+    counts into the table into.
 
-    A partial sequence is (b, e): b is its weakly increasing values, as z
-    codes up to top, and e the exponent of its weight 2^e so far; seqs maps
-    each to its count.  b_{i-1} < b_{i+1} at every weak peak |a_{i-1}| <=
-    |a_i| >= |a_{i+1}|, and b strictly increases across equal adjacent
-    o-letters.  The exponent is e = |b| - gamma - o, where |b| counts the
-    distinct values of b, gamma the positions repeating both the previous
-    letter and the previous value, and o the o-letters.  New sequences
-    enter into in the order of seqs and, within one, of increasing values.
+    A partial sequence is (b, e, rose): b its weakly increasing values, as z
+    codes up to top, e the exponent of its weight 2^e so far, and rose
+    whether |a_{i-1}| <= |a_i| at its last letter a_i; seqs maps each to its
+    count.  b_{i-1} < b_{i+1} at every weak peak |a_{i-1}| <= |a_i| >=
+    |a_{i+1}|, and b strictly increases across equal adjacent o-letters.
+    The exponent is e = |b| - gamma - o, where |b| counts the distinct
+    values of b, gamma the positions repeating both the previous letter and
+    the previous value, and o the o-letters.  New sequences enter into in
+    the order of seqs and, within one, of increasing values.
     """
     is_o = _is_o(t, g)
-    peak = len(last) >= 2 and abs(last[-2]) <= abs(last[-1]) >= abs(g)
-    repeat = bool(last) and last[-1] == g
-    for (b, e), n in seqs.items():
+    rise = last is not None and abs(last) <= abs(g)  # not `last`: the letter 0 is falsy
+    repeat = last == g
+    for (b, e, rose), n in seqs.items():
         if b:
             v = b[-1]
             # a repeated value: only a strict rise before a peak allows it,
             # and equal adjacent o-letters never do
-            if not (peak and b[-2] >= v) and not (repeat and is_o):
-                s = (b + (v,), e - repeat - is_o)
+            if not (rose and abs(last) >= abs(g) and b[-2] >= v) and not (repeat and is_o):
+                s = (b + (v,), e - repeat - is_o, rise)
                 into[s] = into.get(s, 0) + n
             lo = v + 1
         else:
@@ -161,7 +161,7 @@ def _compat_step(t: str, top: int, last: Sequence[int], g: int, seqs: dict, into
         # a new value rises past b[-1] >= b[-2], so a peak cannot stop it
         grow = e + 1 - is_o
         for c in range(lo, top + 1):
-            s = (b + (c,), grow)
+            s = (b + (c,), grow, rise)
             into[s] = into.get(s, 0) + n
 
 
@@ -177,10 +177,10 @@ def _letter_key(t: str, x: int):
     return (abs(x), 0)
 
 
-def _unimodal_step(t: str, symbols: list, last: Sequence[int], g: int, seqs: dict, into: dict) -> None:
+def _unimodal_step(t: str, symbols: list, last: int | None, g: int, seqs: dict, into: dict) -> None:
     """Extend each partial unimodal factorization of a prefix ending in the
-    letters last (at most two) by the letter g, adding the counts into the
-    table into.
+    letter last (None for the empty prefix) by the letter g, adding the
+    counts into the table into.
 
     Values run -1 < 1 < -2 < 2 < ..., index i standing for -(i//2 + 1)
     when i is even and i//2 + 1 when odd; a partial factorization is
@@ -194,12 +194,12 @@ def _unimodal_step(t: str, symbols: list, last: Sequence[int], g: int, seqs: dic
     order of seqs and, within one, of increasing values.
     """
     is_o = _is_o(t, g)
-    if last:
-        prev, cur = _letter_key(t, last[-1]), _letter_key(t, g)
+    if last is not None:
+        prev, cur = _letter_key(t, last), _letter_key(t, g)
         fall, rise = prev > cur, prev < cur
     size = len(symbols)
     for (b, i), n in seqs.items():
-        if last:
+        if last is not None:
             # repeat the last value: i odd is positive, i even negative
             if (rise if i % 2 else fall and not is_o):
                 s = (b + (symbols[i],), i)
@@ -241,13 +241,13 @@ def fstanley(
     z1 = var_code(Z, 1)
     compat = method == "compat"
     if compat:
-        step = partial(_compat_step, t, z1 + num_vars - 1)
+        step, root = partial(_compat_step, t, z1 + num_vars - 1), ((), 0, False)
     else:
-        step = partial(_unimodal_step, t, [z1 + i // 2 for i in range(2 * num_vars)])
+        step, root = partial(_unimodal_step, t, [z1 + i // 2 for i in range(2 * num_vars)]), ((), 0)
     # A compatible sequence can carry a half-integer weight 2^e; accumulate
     # everything scaled by 2^bound and divide back at the end.
     terms: dict[Monomial, int] = {}
-    for (b, e), n in _walk(*_prefix_moves(t, w), bound, {((), 0): 1}, step).items():
+    for (b, e, *_), n in _walk(*_prefix_moves(t, w), bound, {root: 1}, step).items():
         m = (len(b) - lw, b)
         terms[m] = terms.get(m, 0) + (n * 2 ** (bound + e) if compat else n)
     if compat:

@@ -76,7 +76,7 @@ def unimodal_factorizations(t, a, num_vars):
     seqs = {((), 0): 1}
     for pos, g in enumerate(a):
         nxt = {}
-        _unimodal_step(t, values, a[max(pos - 2, 0) : pos], g, seqs, nxt)
+        _unimodal_step(t, values, a[pos - 1] if pos else None, g, seqs, nxt)
         seqs = nxt
     return (b for b, _ in seqs)
 
@@ -193,16 +193,16 @@ def tree_fstanley(t, w, num_vars, bound, method):
         out = []
         for seq in seqs:
             into = {}
-            step(tuple(word[-2:]), g, {seq: 1}, into)
+            step(word[-1] if word else None, g, {seq: 1}, into)
             out += into
         return out
 
     def emit(word, seqs):
-        for b, e in seqs:
+        for b, e, *_ in seqs:
             m = (len(b) - lw, b)
             terms[m] = terms.get(m, 0) + (Fraction(2) ** e if method == "compat" else 1)
 
-    tree_walk(t, w, bound, [((), 0)], extend, emit)
+    tree_walk(t, w, bound, [((), 0, False) if method == "compat" else ((), 0)], extend, emit)
     return terms
 
 
@@ -339,7 +339,7 @@ class TestFStanley:
         # at N = 1 no sequence of the word 1,1,1 exists (a weak peak needs two
         # values, a repeat a strict letter key), so the walk stops at 1,1,
         # while hecke_words, which carries no sequence, goes on to D letters;
-        # the step sees the last two letters, which here are the whole prefix
+        # the step sees the last letter, None for the empty prefix
         w = parse_oneline("2,1")
         real = getattr(hecke, step)
         calls, live = [], []
@@ -347,17 +347,17 @@ class TestFStanley:
         def recording(t, table, last, g, seqs, into):
             before = dict(into)
             real(t, table, last, g, seqs, into)
-            calls.append((*last, g))
+            calls.append((last, g))
             if into != before:
-                live.append((*last, g))
+                live.append((last, g))
 
         monkeypatch.setattr(hecke, step, recording)
         f = fstanley.__wrapped__("B", w, 1, 8, method)
         assert poly_str(f) == "2*z1 + b*z1^2"
         assert hecke_words("B", w, 8) == [(1,) * n for n in range(1, 9)]
-        assert live == [(1,), (1, 1)]
+        assert live == [(None, 1), (1, 1)]
         # 1,1,1 leaves an empty table, which the pass extends no further
-        assert calls == [(1,), (1, 1), (1, 1, 1)]
+        assert calls == [(None, 1), (1, 1), (1, 1)]
 
     def test_b_sign_change(self):
         f = fstanley("B", reflection(0, 1), 2, 2)
@@ -453,12 +453,28 @@ class TestMergedPass:
             got = fstanley.__wrapped__(t, w, 3, 10, method).terms
             assert got == tree_fstanley(t, w, 3, 10, method), method
 
-    @pytest.mark.parametrize("t", ["B", "C"])
+    @pytest.mark.parametrize("t", ["B", "C", "D"])
     def test_golden_element_in_five_variables(self, t):
         # past three rows: the methods agree, and F_w is K-supersymmetric
         f = fstanley(t, parse_oneline("-3,4,-1,5,2"), 5, 10)
         assert f == fstanley(t, parse_oneline("-3,4,-1,5,2"), 5, 10, "unimodal")
         assert supersym_check(f)
+
+    @pytest.mark.parametrize("t, steps", [("B", 321), ("C", 322), ("D", 163)])
+    @pytest.mark.parametrize("method, step", [("compat", "_compat_step"), ("unimodal", "_unimodal_step")])
+    def test_golden_element_step_count(self, monkeypatch, t, steps, method, step):
+        # one step per (key, move): prefixes that end in one state and one
+        # letter share a key, whatever the letter before
+        real = getattr(hecke, step)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            real(*args)
+
+        monkeypatch.setattr(hecke, step, counting)
+        fstanley.__wrapped__(t, parse_oneline("-3,4,-1,5,2"), 3, 10, method)
+        assert len(calls) == steps
 
 
 class TestMoveTable:
@@ -515,19 +531,32 @@ class TestQuasisymmetric:
                     want = quasi_reference(pi, num_vars, bound)
                     assert quasi(pi, num_vars, bound).terms == want, (pi, num_vars, bound)
 
-    def test_prunes_prefixes_that_cannot_finish(self, monkeypatch):
-        # at D = 3 only the word 1,2,3 collapses to (1,2,3): a repeated letter
-        # leaves too few letters for the rest of pi, so the step never sees one
+    @staticmethod
+    def record_steps(monkeypatch):
+        """The (last, g) of each `_unimodal_step` call, in call order."""
         real = hecke._unimodal_step
         calls = []
 
         def recording(t, symbols, last, g, seqs, into):
-            calls.append((*last, g))
+            calls.append((last, g))
             real(t, symbols, last, g, seqs, into)
 
         monkeypatch.setattr(hecke, "_unimodal_step", recording)
+        return calls
+
+    def test_prunes_prefixes_that_cannot_finish(self, monkeypatch):
+        # at D = 3 only the word 1,2,3 collapses to (1,2,3): a repeated letter
+        # leaves too few letters for the rest of pi, so the step never sees one
+        calls = self.record_steps(monkeypatch)
         assert quasi((1, 2, 3), 2, 3).terms == quasi_reference((1, 2, 3), 2, 3)
-        assert calls == [(1,), (1, 2), (1, 2, 3)]
+        assert calls == [(None, 1), (1, 2), (2, 3)]
+
+    def test_prefixes_merge_across_the_letter_before_last(self, monkeypatch):
+        # a prefix is keyed by its position and last letter: 1,1,2 and 1,2,2
+        # both end at pi_2 = 2, so the pass extends them as one key
+        calls = self.record_steps(monkeypatch)
+        assert quasi((1, 2), 2, 4).terms == quasi_reference((1, 2), 2, 4)
+        assert calls == [(None, 1), (1, 1), (1, 2), (1, 1), (1, 2), (2, 2), (1, 2), (2, 2)]
 
     def test_k_expansion_of_type_c(self):
         # the K-quasisymmetric expansion of F^C over multi-permutation words
