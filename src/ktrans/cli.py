@@ -9,6 +9,7 @@ import json
 import os
 import random
 import sys
+import time
 
 from . import expand as expand_mod
 from . import groth_a, hecke, kn, rings, tableaux, weyl
@@ -382,6 +383,13 @@ def _run_check(index: int) -> tuple[str, bool, str]:
     return name, bool(ok), detail
 
 
+def _timed_check(index: int) -> tuple[tuple[str, bool, str], float]:
+    """_run_check(index) and its wall seconds."""
+    start = time.perf_counter()
+    result = _run_check(index)
+    return result, time.perf_counter() - start
+
+
 def _seed_checks(seed: int | None) -> None:
     """Seed the pi-braid check, found by its name; a pool runs this in each
     worker, as a spawned worker does not inherit the parent's CHECKS."""
@@ -392,7 +400,11 @@ def _seed_checks(seed: int | None) -> None:
 
 def cmd_verify_suite(args) -> int:
     """Run the battery, or with --check only the named checks, in CHECKS
-    order; each FAIL line is followed by the command that reruns it."""
+    order; each FAIL line is followed by the command that reruns it.
+    --stats adds one JSON line on stderr mapping each check run to its wall
+    seconds, as _timed_check measures them, in this process or in a pool
+    worker; it looks _run_check up at each call, so a rebinding of it is
+    timed too."""
     names = [name for name, _ in CHECKS]
     indices = list(range(len(CHECKS)))
     if args.check:
@@ -400,6 +412,7 @@ def cmd_verify_suite(args) -> int:
             if name not in names:
                 raise ValueError(f"unknown check {name!r}; the checks are {', '.join(names)}")
         indices = [i for i in indices if names[i] in args.check]
+    check = _timed_check if args.stats else _run_check
     default = CHECKS[:]
     _seed_checks(args.seed)
     try:
@@ -408,11 +421,14 @@ def cmd_verify_suite(args) -> int:
 
             processes = min(args.jobs, len(indices))
             with multiprocessing.Pool(processes, _seed_checks, (args.seed,)) as pool:
-                results = pool.map(_run_check, indices)
+                results = pool.map(check, indices)
         else:
-            results = [_run_check(i) for i in indices]
+            results = [check(i) for i in indices]
     finally:
         CHECKS[:] = default
+    if args.stats:
+        print(json.dumps({result[0]: round(s, 6) for result, s in results}), file=sys.stderr)
+        results = [result for result, _ in results]
     seed = "" if args.seed is None else f" --seed {args.seed}"
     failed = 0
     for name, ok, detail in results:
@@ -525,6 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--check", action="append", metavar="NAME", help="run only this check (repeatable)")
+    p.add_argument("--stats", action="store_true",
+                   help="wall seconds per check as one JSON line on stderr")
     p.set_defaults(fn=cmd_verify_suite)
 
     return parser

@@ -23,6 +23,7 @@ an argument.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import groupby
 from math import comb
 from typing import Iterable
@@ -30,10 +31,10 @@ from typing import Iterable
 from .weyl import (
     SignedPermutation,
     _chains,
+    _raises_length,
     _transition_window,
     is_valid_reflection,
     length,
-    length_increment_ok,
     reflection,
 )
 
@@ -62,6 +63,19 @@ def code_index(code: int) -> int:
 Monomial = tuple[int, tuple[int, ...]]
 
 _ONE_MONO: Monomial = (0, ())
+
+
+def _mul_into(into: dict, left: dict, right: dict, bound: int | None) -> None:
+    """Add the product of the term tables left and right into the table
+    into, cut at degree bound.  A coefficient there may cancel to zero; the
+    caller drops it.  A monomial with no variables joins without a sort."""
+    top = float("inf") if bound is None else bound
+    for (b1, v1), c1 in left.items():
+        room = top - len(v1)
+        for (b2, v2), c2 in right.items():
+            if len(v2) <= room:
+                m = (b1 + b2, tuple(sorted(v1 + v2)) if v1 and v2 else v1 or v2)
+                into[m] = into.get(m, 0) + c1 * c2
 
 
 class TruncPoly:
@@ -176,18 +190,8 @@ class TruncPoly:
                      for (b1, v1), c1 in many.terms.items() if len(v1) <= cap}
             return TruncPoly._within(terms, bound)
         terms: dict[Monomial, int] = {}
-        for (b1, v1), c1 in self.terms.items():
-            d1 = len(v1)
-            for (b2, v2), c2 in other.terms.items():
-                if bound is not None and d1 + len(v2) > bound:
-                    continue
-                m = (b1 + b2, tuple(sorted(v1 + v2)))
-                new = terms.get(m, 0) + c1 * c2
-                if new:
-                    terms[m] = new
-                else:
-                    del terms[m]
-        return TruncPoly._within(terms, bound)
+        _mul_into(terms, self.terms, other.terms, bound)
+        return TruncPoly._within({m: c for m, c in terms.items() if c}, bound)
 
     __rmul__ = __mul__
 
@@ -271,7 +275,7 @@ def pi_operator(i: int, f: TruncPoly) -> TruncPoly:
 
 class YRational:
     """num / prod (1 + beta*y_i)^{e_i}, kept as built: no factor is divided
-    out of num, and equality is decided by cross-multiplying."""
+    out of num, and equality is decided over the least common denominator."""
 
     __slots__ = ("num", "den")
 
@@ -352,11 +356,23 @@ def _lift(x):
     return x
 
 
+@lru_cache(maxsize=None)
+def _unit_power(items: tuple[tuple[int, int], ...]) -> TruncPoly:
+    """prod (1 + beta*y_i)^e over the items (i, e), sorted by i with e >= 1,
+    by the binomial theorem: beta^(sum k_i) prod y_i^k_i has coefficient
+    prod C(e_i, k_i), and its codes, taken in index order, are sorted.
+    Callers share the result, so none may change it."""
+    terms = {_ONE_MONO: 1}
+    for i, e in items:
+        code = var_code(Y, i)
+        terms = {(b + k, v + (code,) * k): c * comb(e, k)
+                 for (b, v), c in terms.items() for k in range(e + 1)}
+    return TruncPoly._within(terms, None)
+
+
 def _unit_product(exps: dict[int, int]) -> TruncPoly:
-    p = ONE
-    for i, e in sorted(exps.items()):
-        p = p * (ONE + BETA * yvar(i)) ** e
-    return p
+    """prod (1 + beta*y_i)^{e_i} over the e_i >= 0 of exps, from the memo."""
+    return _unit_power(tuple(sorted((i, e) for i, e in exps.items() if e)))
 
 
 def y_factor(c: int, e: int = 1) -> YRational:
@@ -370,15 +386,26 @@ def y_factor(c: int, e: int = 1) -> YRational:
     return YRational(ONE, {abs(c): abs(e)})
 
 
-def _sum_by_den(groups: dict[tuple, TruncPoly]) -> YRational:
-    """The sum of num / den over groups, a dict from sorted denominator items
-    to numerators, each already the sum of the terms over its denominator."""
-    total = YRational.const(0)
-    for den, num in groups.items():
-        term = YRational(num, dict(den))
-        # a zero total has the empty denominator, so the sum would be term
-        total = total + term if total else term
-    return total
+def _sum_by_den(parts: list, bound: int | None) -> YRational:
+    """The sum of left * right / den over parts, triples (den, left, right)
+    of a denominator (a dict from index to multiplicity) and two term
+    tables, cut at degree bound.  The sum stands over the least common
+    denominator of the parts: each left is scaled once, by its cofactor,
+    and every product adds into one term table."""
+    lcm: dict[int, int] = {}
+    for den, _, _ in parts:
+        for i, e in den.items():
+            if e > lcm.get(i, 0):
+                lcm[i] = e
+    terms: dict[Monomial, int] = {}
+    for den, left, right in parts:
+        scale = {i: e - den.get(i, 0) for i, e in lcm.items()}
+        if any(scale.values()):
+            scaled: dict[Monomial, int] = {}
+            _mul_into(scaled, left, _unit_product(scale).terms, bound)
+            left = scaled
+        _mul_into(terms, left, right, bound)
+    return YRational(TruncPoly._within({m: c for m, c in terms.items() if c}, bound), lcm)
 
 
 def star_action(w: SignedPermutation, f: YRational) -> YRational:
@@ -386,12 +413,23 @@ def star_action(w: SignedPermutation, f: YRational) -> YRational:
 
     A term whose y_i meet k negative targets has k unit factors below it,
     so the terms are grouped by that denominator: each group adds as a
-    polynomial, and only the few groups add as fractions."""
+    polynomial, and the groups add over their least common denominator.
+    A unit of f's denominator becomes 1/(1 + beta*y_{w(i)}), a unit of the
+    denominator, when w(i) > 0, and 1 + beta*y_{-w(i)}, a unit of the
+    numerator, when w(i) < 0; both join that one sum."""
     if not f:
         return f  # zero, at the truncation of f
+    above: dict[int, int] = {}
+    below: dict[int, int] = {}
+    for i, e in f.den.items():
+        target = w(i)
+        if target > 0:
+            below[target] = e
+        else:
+            above[-target] = e
     groups: dict[tuple, dict] = {}
     for (b, v), c in f.num.terms.items():
-        codes, den = [], {}
+        codes, den = [], dict(below)
         for code in v:
             if code_family(code) == Y:
                 target = w(code_index(code))
@@ -403,11 +441,8 @@ def star_action(w: SignedPermutation, f: YRational) -> YRational:
         # w permutes the indices, so distinct terms stay distinct
         groups.setdefault(tuple(sorted(den.items())), {})[(b, tuple(sorted(codes)))] = c
     # an index permutation keeps degree, so each group keeps f's bound
-    result = _sum_by_den({den: TruncPoly._within(terms, f.num.bound)
-                          for den, terms in groups.items()})
-    for i, e in sorted(f.den.items()):
-        result = result * y_factor(w(i), -e)
-    return result
+    units = _unit_product(above).terms
+    return _sum_by_den([(dict(den), units, terms) for den, terms in groups.items()], f.num.bound)
 
 
 def _times_beta(c: YRational, sign: int) -> YRational:
@@ -448,19 +483,26 @@ def apply_R(t: str, k: int, w: SignedPermutation) -> dict:
     return out
 
 
-def _factor(t: str, combo: dict, i: int, j: int, weight, bound: int | None = None) -> dict:
+def _factor(t: str, combo: dict, lengths: dict, i: int, j: int, weight,
+            bound: int | None = None) -> dict:
     """One factor of M_k on a combination: each term c*u of the input also
     adds weight(u, v, c) at v = u * t_{ij}, when t_{ij} is a reflection of
     type t that raises the length of u by one and v has length at most
-    bound."""
+    bound.  lengths maps each element of combo to its length, and gains
+    l(v) = l(u) + 1 at each v added, so no length is counted again."""
     if not is_valid_reflection(t, i, j):
         return combo
+    tij = reflection(i, j)
+    if abs(i) > j:
+        i, j = -j, -i  # the same reflection, in the form _raises_length reads
     out = dict(combo)
     for u, c in combo.items():
-        if length_increment_ok(t, u, i, j):
-            v = u * reflection(i, j)
-            if bound is None or length(t, v) <= bound:
-                _add_term(out, v, weight(u, v, c))
+        lv = lengths[u] + 1
+        if (bound is None or lv <= bound) and _raises_length(
+                t, u + tuple(range(len(u) + 1, j + 1)), i, j):
+            v = u * tij
+            lengths[v] = lv
+            _add_term(out, v, weight(u, v, c))
     return out
 
 
@@ -481,19 +523,21 @@ def apply_M(t: str, k: int, u: SignedPermutation, bound: int | None = None) -> d
     if bound is None and t != "A":
         raise ValueError(f"the Monk operator of type {t} needs a length bound")
     out: dict = {}
-    if bound is None or length(t, u) <= bound:
+    lengths = {u: length(t, u)}
+    if bound is None or lengths[u] <= bound:
         out[u] = y_factor(u(k), -1)
     j = k - 1
     while j >= -(max([k] + [u.support for u in out]) + 1):
         out = _factor(
-            t, out, j, k, lambda u, v, c: _times_beta(star_action(v * u.inverse(), c), -1), bound
+            t, out, lengths, j, k,
+            lambda u, v, c: _times_beta(star_action(v * u.inverse(), c), -1), bound
         )
         j -= 1
     if t == "B":
-        out = _factor(t, out, 0, k, lambda u, v, c: _times_beta(YRational(c.at_y_zero()), -1),
-                      bound)
+        out = _factor(t, out, lengths, 0, k,
+                      lambda u, v, c: _times_beta(YRational(c.at_y_zero()), -1), bound)
     for l in range(max([k] + [u.support for u in out]) + 1, k, -1):
-        out = _factor(t, out, k, l, lambda u, v, c: _times_beta(c, 1), bound)
+        out = _factor(t, out, lengths, k, l, lambda u, v, c: _times_beta(c, 1), bound)
     return out
 
 
@@ -520,26 +564,37 @@ def transition(t: str, w: SignedPermutation) -> tuple[SignedPermutation, int, in
 # groth_a.groth_poly in type A, kn.kn_eval at a fixed (t, N, D) in B, C, D.
 
 
-def combo_value(combo: dict, G) -> YRational:
-    """Sum coeff_u * G(u) over the combination: the numerators that share a
-    denominator are added first, then the few groups as YRationals."""
-    groups: dict[tuple, TruncPoly] = {}
+def _combo_parts(combo: dict, G) -> tuple[list, int | None]:
+    """The parts (den, numerator, G(u)) of the sum of coeff_u * G(u) over
+    the combination, for _sum_by_den, and the bound of that sum.  A zero
+    G(u) adds no part, so its denominator is not in the sum's."""
+    parts, bound = [], None
     for u, c in combo.items():
-        c = _lift(c)
-        den = tuple(sorted(c.den.items()))
-        num = c.num * G(u)
-        groups[den] = groups[den] + num if den in groups else num
-    return _sum_by_den(groups)
+        c, g = _lift(c), G(u)
+        bound = TruncPoly._join_bound(bound, TruncPoly._join_bound(c.num.bound, g.bound))
+        if g:
+            parts.append((c.den, c.num.terms, g.terms))
+    return parts, bound
+
+
+def combo_value(combo: dict, G) -> YRational:
+    """Sum coeff_u * G(u) over the combination, over the least common
+    denominator of the coefficients: each numerator is scaled once by its
+    cofactor, and each product with G(u) adds into one term table."""
+    return _sum_by_den(*_combo_parts(combo, G))
 
 
 def monk_identity_holds(t: str, u: SignedPermutation, k: int, G) -> bool:
     """(1 + beta*x_k) G(u) == M_k G(u), with M_k cut at the length D =
     G(u).bound.  The cut is exact: G(v) has least degree l(v), so it is zero
     at D when l(v) > D, and every factor of M_k raises length, so no dropped
-    term feeds back below D.  An untruncated G (type A) gives the exact M_k."""
+    term feeds back below D.  An untruncated G (type A) gives the exact M_k.
+    The left side joins the sum of the right as one more part, so the two
+    sides meet over one denominator and the identity holds when it is zero."""
     gu = G(u)
-    lhs = YRational((ONE + BETA * xvar(k)) * gu)
-    return lhs == combo_value(apply_M(t, k, u, gu.bound), G)
+    parts, bound = _combo_parts(apply_M(t, k, u, gu.bound), G)
+    parts.append(({}, (-(ONE + BETA * xvar(k))).terms, gu.terms))
+    return not _sum_by_den(parts, TruncPoly._join_bound(bound, gu.bound))
 
 
 def transition_residual(
@@ -595,14 +650,25 @@ def _powers(vars_: tuple[int, ...]) -> list[tuple[int, int]]:
     return [(code, len(list(run))) for code, run in groupby(vars_)]
 
 
-def _mono_sort_key(mono: Monomial):
+def _mono_sort_key(mono: Monomial) -> list:
+    """The canonical order: by the beta exponent, then for x, y and z in
+    turn by the degree in the family and by its (index, exponent) pairs.
+    One pass over the sorted codes builds the flat key [b, deg_x, x pairs,
+    deg_y, y pairs, deg_z, z pairs], a pair as (code, exponent): two blocks
+    of one degree differ inside both unless equal, so the flat pairs compare
+    as their tuples would, and a family with no codes after the last one
+    read is left out, which sorts first, as its zero degree would."""
     b, v = mono
-    powers = _powers(v)
-    blocks = []
-    for fam in (X, Y, Z):
-        fam_vars = [(code_index(c), e) for c, e in powers if code_family(c) == fam]
-        blocks.append((sum(e for _, e in fam_vars), tuple(fam_vars)))
-    return (b, *blocks)
+    key, at, family = [b, 0], 1, X  # at: where the degree of family is kept
+    for code, run in groupby(v):
+        while family < code // _STRIDE:
+            family += 1
+            at = len(key)
+            key.append(0)
+        e = sum(1 for _ in run)
+        key[at] += e
+        key += (code, e)
+    return key
 
 
 def _mono_str(mono: Monomial, coeff: int) -> str:

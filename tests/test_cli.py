@@ -406,6 +406,61 @@ class TestVerifySuite:
         assert code == 0 and "all 15 checks passed" in out
         assert started == [processes]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_stats_times_each_check_run(self, capsys, monkeypatch, jobs):
+        # stdout is the document without --stats; stderr is one JSON line
+        # timing each check run, through a rebound _run_check too, in this
+        # process or in a worker (here an in-process pool)
+        import multiprocessing
+        import time
+
+        from ktrans import cli
+
+        class InProcessPool:
+            def __init__(self, processes, initializer, initargs):
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, indices):
+                return [fn(i) for i in indices]
+
+        def slow_transition_step(index):
+            name = cli.CHECKS[index][0]
+            if name == "transition-step":
+                time.sleep(0.05)
+            return name, True, ""
+
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        monkeypatch.setattr(cli, "_run_check", slow_transition_step)
+        argv = ["verify-suite", "--jobs", jobs, "--check", "transition-step",
+                "--check", "kn-oracle", "--check", "golden-expansion-B"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main([*argv, "--stats"]) == 0
+        timed = capsys.readouterr()
+        assert timed.out == plain.out and plain.err == ""
+        (line,) = timed.err.splitlines()
+        stats = json.loads(line)
+        assert list(stats) == ["golden-expansion-B", "transition-step", "kn-oracle"]
+        assert stats["transition-step"] >= 0.05
+        assert 0 <= stats["kn-oracle"] < 0.05 and 0 <= stats["golden-expansion-B"] < 0.05
+
+    def test_stats_names_every_check_of_the_battery(self, capsys):
+        code, out = run(capsys, "verify-suite", "--seed", "3")
+        assert main(["verify-suite", "--seed", "3", "--stats"]) == code == 0
+        timed = capsys.readouterr()
+        assert timed.out == out
+        stats = json.loads(timed.err)
+        from ktrans import cli
+
+        assert list(stats) == [name for name, _ in cli.CHECKS]
+        assert all(isinstance(s, float) and s >= 0 for s in stats.values())
+
     def test_check_runs_only_the_named_checks_in_order(self, capsys, monkeypatch):
         from ktrans import cli
 
@@ -549,6 +604,7 @@ SURFACE = {
         (("--jobs",), 1, None, False, None),
         (("--seed",), None, None, False, None),
         (("--check",), None, None, False, None),
+        (("--stats",), False, None, False, 0),
     ],
 }
 

@@ -263,9 +263,9 @@ class TestOperators:
             lhs = YRational(ONE + BETA * xvar(k)) * combo_value(
                 apply_R("A", k, w), groth_poly
             )
-            out = {w: YRational(ONE, {w(k): 1})}
+            out, lengths = {w: YRational(ONE, {w(k): 1})}, {w: length("A", w)}
             for l in range(max(k, w.support) + 1, k, -1):
-                out = _factor("A", out, k, l, lambda u, v, c: c * BETA)
+                out = _factor("A", out, lengths, k, l, lambda u, v, c: c * BETA)
             assert lhs == combo_value(out, groth_poly), str(w)
 
 

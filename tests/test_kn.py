@@ -319,9 +319,9 @@ class TestMOperator:
                         if wk > 0
                         else YRational(ONE + BETA * yvar(-wk))
                     )
-                    out = {w: coeff}
+                    out, lengths = {w: coeff}, {w: length(t, w)}
                     for l in range(max(k, w.support) + 1, k, -1):
-                        out = _factor(t, out, k, l, times_beta, bound)
+                        out = _factor(t, out, lengths, k, l, times_beta, bound)
                     assert lhs == combo_value(out, kn_at(t, 2, bound)), (t, str(w), k)
 
     def test_twisted_product_collapses_to_scaling(self):
@@ -330,10 +330,10 @@ class TestMOperator:
         for t in ("B", "C", "D"):
             for w in group_elements(t, 2):
                 for k in (1, 2):
-                    out = {w: YRational.const(1)}
+                    out, lengths = {w: YRational.const(1)}, {w: length(t, w)}
                     j_min = -(max(k, w.support) + 1)
                     for j in range(j_min, k):
-                        out = _factor(t, out, j, k, times_beta)
+                        out = _factor(t, out, lengths, j, k, times_beta)
                     scaled = {}
                     for u, c in out.items():
                         uk = u(k)
@@ -346,7 +346,7 @@ class TestMOperator:
                     j = k - 1
                     out = scaled
                     while out and j >= -(max(k, max(u.support for u in out)) + 1):
-                        out = _factor(t, out, j, k, twisted, bound)
+                        out = _factor(t, out, lengths, j, k, twisted, bound)
                         j -= 1
                     wk = w(k)
                     expect = (

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ktrans.groth_a import groth_poly
 from ktrans.hecke import fstanley, quasi
 from ktrans.kn import kn_eval
 from ktrans.rings import (
@@ -16,6 +17,10 @@ from ktrans.rings import (
     YRational,
     _add_term,
     _lift,
+    _mono_sort_key,
+    _mul_into,
+    _unit_power,
+    _unit_product,
     apply_M,
     apply_R,
     code_family,
@@ -634,3 +639,189 @@ class TestCombination:
         got = combo_value(combo, G)
         assert (got.num.terms, got.num.bound, got.den) == (
             want.num.terms, want.num.bound, want.den)
+
+
+def running_sum(groups):
+    """The reference sum of num / den over groups, a dict from sorted
+    denominator items to numerators: a running pairwise sum of YRationals,
+    which re-scales the growing total at every group."""
+    total = YRational.const(0)
+    for den, num in groups.items():
+        term = YRational(num, dict(den))
+        # a zero total has the empty denominator, so the sum would be term
+        total = total + term if total else term
+    return total
+
+
+def reference_combo_value(combo, G):
+    """The reference sum of coeff_u * G(u): each coefficient times G(u) as a
+    product, the products added per denominator, then the running sum."""
+    groups = {}
+    for u, c in combo.items():
+        c = _lift(c)
+        den = tuple(sorted(c.den.items()))
+        num = c.num * G(u)
+        groups[den] = groups[den] + num if den in groups else num
+    return running_sum(groups)
+
+
+def same_fraction(got, want):
+    """The same value, and the same numerator terms, bound and denominator."""
+    return got == want and (got.num.terms, got.num.bound, got.den) == (
+        want.num.terms, want.num.bound, want.den)
+
+
+def monk_combinations(t, rank, bound):
+    """Every combination apply_M builds on W_rank (k <= 3), factor by factor."""
+    import ktrans.rings as rings_mod
+
+    seen = []
+    factor = rings_mod._factor
+
+    def recording(*args, **kwargs):
+        seen.append(factor(*args, **kwargs))
+        return seen[-1]
+
+    rings_mod._factor = recording
+    try:
+        for u in group_elements(t, rank):
+            for k in range(1, min(rank, 3) + 1):
+                seen.append(apply_M(t, k, u, bound))
+    finally:
+        rings_mod._factor = factor
+    return seen
+
+
+class TestOneDenominator:
+    """combo_value and star_action sum over the least common denominator to
+    what the running pairwise sum gives, in value and in representation."""
+
+    @pytest.mark.parametrize("t, rank, bound", [(t, 3, 4) for t in "BCD"] + [("A", 4, None)])
+    def test_combo_value_on_every_monk_combination(self, t, rank, bound):
+        G = groth_poly if t == "A" else (lambda u: kn_eval(t, u, 2, bound))  # noqa: E731
+        combos = monk_combinations(t, rank, bound)
+        assert any(len({tuple(sorted(c.den.items())) for c in combo.values()}) > 2
+                   for combo in combos)
+        for combo in combos:
+            assert same_fraction(combo_value(combo, G), reference_combo_value(combo, G))
+
+    @pytest.mark.parametrize("t", "ABCD")
+    def test_combo_value_on_every_transition_certificate(self, t):
+        G = groth_poly if t == "A" else (lambda u: kn_eval(t, u, 2, 4))  # noqa: E731
+        for w in group_elements(t, 4 if t == "A" else 3):
+            if w.least_descent():
+                combo = transition(t, w)[3]
+                assert same_fraction(combo_value(combo, G), reference_combo_value(combo, G)), str(w)
+
+    @pytest.mark.parametrize("t", "BCD")
+    def test_monk_check_is_the_fraction_comparison(self, t):
+        # the check sums both sides over one denominator; it must answer as
+        # comparing the two fractions does, also where a bumped G breaks it
+        G = lambda u: kn_eval(t, u, 2, 4)  # noqa: E731
+        bump = TruncPoly({(1, (var_code(X, 1), var_code(Y, 2))): 1}, 4)
+        answers = []
+        for v in group_elements(t, 2):
+            bumped = lambda u, v=v: G(u) + bump if u == v else G(u)  # noqa: E731
+            for u in group_elements(t, 2):
+                for k in (1, 2, 3):
+                    for g in (G, bumped):
+                        gu = g(u)
+                        want = YRational((ONE + BETA * xvar(k)) * gu) == combo_value(
+                            apply_M(t, k, u, gu.bound), g)
+                        assert monk_identity_holds(t, u, k, g) == want, (str(v), str(u), k)
+                        answers.append(want)
+        assert True in answers and False in answers
+
+    def test_empty_combination_is_zero(self):
+        got = combo_value({}, lambda u: ONE)
+        assert same_fraction(got, reference_combo_value({}, lambda u: ONE))
+
+    def test_star_action_against_the_grouped_running_sum(self):
+        # the grouped substitution summed pairwise, then times f's units
+        rng = random.Random(38)
+        fractions = [random_fraction(rng) for _ in range(6)]
+        for w in group_elements("C", 3):
+            for f in fractions:
+                groups = {}
+                for (b, v), c in f.num.terms.items():
+                    term = reference_star_action(w, YRational(TruncPoly({(b, v): c}, f.num.bound)))
+                    den = tuple(sorted(term.den.items()))
+                    groups[den] = groups[den] + term.num if den in groups else term.num
+                want = running_sum(groups)
+                for i, e in sorted(f.den.items()):
+                    want = want * y_factor(w(i), -e)
+                assert same_fraction(star_action(w, f), want), (str(w), yrational_str(f))
+
+
+class TestUnitPower:
+    @pytest.mark.parametrize("e", range(1, 7))
+    def test_matches_repeated_multiplication(self, e):
+        unit = ONE + BETA * yvar(2)
+        power = ONE
+        for _ in range(e):
+            power = power * unit
+        assert _unit_power(((2, e),)).terms == power.terms
+        for f in (1, 3, 6):
+            other = ONE
+            for _ in range(f):
+                other = other * (ONE + BETA * yvar(5))
+            assert _unit_power(((2, e), (5, f))).terms == (power * other).terms
+            assert _unit_product({5: f, 2: e, 7: 0}) is _unit_power(((2, e), (5, f)))
+
+    def test_every_code_tuple_is_sorted(self):
+        for (b, v), c in _unit_power(((1, 3), (4, 2), (9, 4))).terms.items():
+            assert v == tuple(sorted(v)) and b == len(v) and c > 0
+
+    def test_empty_product_is_one(self):
+        assert _unit_power(()).terms == ONE.terms
+
+    def test_cleared_with_the_package_memos(self):
+        from test_expand import _clear_memos
+
+        _unit_product({1: 2})
+        assert _unit_power.cache_info().currsize > 0
+        _clear_memos()
+        assert _unit_power.cache_info().currsize == 0
+
+
+class TestProductKernel:
+    def test_adds_into_the_table_it_is_given(self):
+        # cancellation leaves a zero coefficient, which the caller drops
+        into = {(0, (var_code(X, 1),)): 5, (1, ()): -1}
+        _mul_into(into, ONE.terms, (xvar(1) + BETA).terms, None)
+        assert into == {(0, (var_code(X, 1),)): 6, (1, ()): 0}
+
+    def test_cut_at_the_bound(self):
+        rng = random.Random(38)
+        for bound in (None, 0, 2, 5):
+            a, b = random_poly(rng).with_bound(bound), random_poly(rng)
+            into = {}
+            _mul_into(into, a.terms, b.terms, bound)
+            want = reference_product(a, b)
+            assert {m: c for m, c in into.items() if c} == want.terms
+
+
+def reference_sort_key(mono):
+    """The canonical order by its definition: beta exponent, then for x, y,
+    z in turn the degree in the family and its (index, exponent) pairs."""
+    b, v = mono
+    powers = [(code, v.count(code)) for code in sorted(set(v))]
+    blocks = []
+    for fam in (X, Y, Z):
+        pairs = tuple((code_index(c), e) for c, e in powers if code_family(c) == fam)
+        blocks.append((sum(e for _, e in pairs), pairs))
+    return (b, *blocks)
+
+
+class TestSortKey:
+    def test_orders_as_the_definition(self):
+        rng = random.Random(38)
+        monos = {
+            (rng.randint(0, 2),
+             tuple(sorted(var_code(rng.randrange(3), rng.randint(1, 3))
+                          for _ in range(rng.randint(0, 5)))))
+            for _ in range(4000)
+        }
+        monos = sorted(monos)
+        rng.shuffle(monos)
+        assert sorted(monos, key=_mono_sort_key) == sorted(monos, key=reference_sort_key)
