@@ -1,4 +1,10 @@
-"""Command-line front end: batch computation plus a verification battery."""
+"""Command-line front end: batch computation plus a verification battery.
+
+The engine commands (expand, skew, length) run on expand, weyl and the shape
+half of tableaux, which are all this module imports.  The oracle layers
+(rings, hecke, kn, groth_a) are imported by the commands and checks that run
+them, so a call of an engine command never loads them.
+"""
 
 from __future__ import annotations
 
@@ -7,13 +13,11 @@ import fcntl
 import functools
 import json
 import os
-import random
 import sys
 import time
 
 from . import expand as expand_mod
-from . import groth_a, hecke, kn, rings, tableaux, weyl
-from .rings import BETA, ONE, TruncPoly, poly_str, yrational_str
+from . import tableaux, weyl
 from .tableaux import ShiftedSkewShape
 from .weyl import parse_oneline
 
@@ -71,6 +75,8 @@ def cmd_length(args) -> int:
 
 
 def _emit_poly(args, poly, **fields) -> int:
+    from .rings import poly_str
+
     if args.json:
         print(json.dumps({**fields, "N": args.N, "D": args.D, "poly": poly_str(poly)}))
     else:
@@ -124,6 +130,8 @@ def _by_length(t, combo) -> list:
 
 def _print_certificate(t, name, yc, w, certificate) -> None:
     """The transition recursion for name[w], with y_c written as yc."""
+    from .rings import yrational_str
+
     v, a, c, combo = certificate
     print(f"w = {w}")
     print(f"a = {a}  v = {v}  c = {c}")
@@ -132,7 +140,22 @@ def _print_certificate(t, name, yc, w, certificate) -> None:
         print(f"  {name}[{u}] * ({yrational_str(coeff)})")
 
 
+def cmd_fstanley(args) -> int:
+    from .hecke import fstanley
+
+    return _cmd_oracle(args, fstanley, args.method)
+
+
+def cmd_kn_eval(args) -> int:
+    from .kn import kn_eval
+
+    return _cmd_oracle(args, kn_eval)
+
+
 def cmd_groth_a(args) -> int:
+    from . import groth_a, rings
+    from .rings import poly_str
+
     w = parse_oneline(args.w)
     if not args.transition:
         print(poly_str(groth_a.groth_poly(w)))
@@ -145,6 +168,9 @@ def cmd_groth_a(args) -> int:
 
 
 def cmd_kn_transition(args) -> int:
+    from . import kn, rings
+    from .rings import yrational_str
+
     t, w = args.type, parse_oneline(args.w)
     certificate = rings.transition(t, w)
     residual = rings.transition_residual(
@@ -202,6 +228,8 @@ def _check_skew():
 
 
 def _check_gq_gp():
+    from .rings import BETA
+
     num_vars, bound = 3, 6
     for n in (1, 2, 3):
         lhs = tableaux.gq(ShiftedSkewShape((n,)), num_vars, bound)
@@ -217,6 +245,8 @@ def _check_gq_gp():
 
 
 def _check_method_agreement():
+    from . import hecke
+
     for t in ("B", "C", "D"):
         for w in weyl.group_elements(t, 3):
             if weyl.length(t, w) <= 3:
@@ -228,6 +258,8 @@ def _check_method_agreement():
 
 
 def _check_grassmannian_law():
+    from . import hecke
+
     for t in ("B", "C", "D"):
         for w in weyl.group_elements(t, 3):
             if w.is_grassmannian():
@@ -239,6 +271,9 @@ def _check_grassmannian_law():
 
 
 def _check_kn_oracle():
+    from . import kn, rings
+    from .rings import BETA, ONE
+
     num_vars, bound = 2, 4
     w = parse_oneline("-2,1")
     y1 = rings.yvar(1)
@@ -258,6 +293,8 @@ def _check_transitions(types, G, rank, monk_rank, ks):
     the Monk identity at each (u, k), u in W_monk_rank and k in ks, for each
     type t, with G(t, u) the double Grothendieck polynomial (the Monk rule
     cut at the truncation of G)."""
+    from . import rings
+
     for t in types:
         Gt = functools.partial(G, t)
         for w in weyl.group_elements(t, rank):
@@ -290,6 +327,8 @@ def _check_length_rule():
 
 
 def _check_supersym():
+    from . import hecke, rings
+
     num_vars, bound = 3, 6
     for t in ("B", "C", "D"):
         for w in weyl.group_elements(t, 2):
@@ -304,6 +343,9 @@ def _check_supersym():
 
 
 def _check_quasisym():
+    from . import hecke
+    from .rings import TruncPoly
+
     num_vars, bound = 3, 5
     for w in weyl.group_elements("C", 2):
         lw = weyl.length("C", w)
@@ -325,6 +367,11 @@ def _check_positivity_sweep():
 
 
 def _check_pi_braid(seed=0):
+    import random
+
+    from . import rings
+    from .rings import TruncPoly
+
     rng = random.Random(seed)
     xs = [rings.xvar(i) for i in range(1, 5)]
     for _ in range(5):
@@ -346,6 +393,20 @@ def _check_pi_braid(seed=0):
     return True, ""
 
 
+# the evaluators G(t, u) of the identity checks, each looking its oracle up
+# at call time, so a rebinding of groth_poly or kn_eval reaches it
+def _groth_a_G(t, u):
+    from . import groth_a
+
+    return groth_a.groth_poly(u)
+
+
+def _kn_G(t, u):
+    from . import kn
+
+    return kn.kn_eval(t, u, 2, 4)
+
+
 CHECKS = [
     ("golden-expansion-B", functools.partial(_check_golden_expansion, "B", {
         (4, 2, 1): 4, (4, 3): 2, (5, 2): 2, (4, 3, 1): 5, (5, 2, 1): 5, (5, 3): 3, (5, 3, 1): 6,
@@ -358,13 +419,12 @@ CHECKS = [
     ("gq-gp-relations", _check_gq_gp),
     ("method-agreement", _check_method_agreement),
     ("grassmannian-law", _check_grassmannian_law),
-    # G is looked up at call time, so a rebinding of groth_poly or kn_eval reaches it
     ("type-A-transitions", functools.partial(
-        _check_transitions, "A", lambda t, u: groth_a.groth_poly(u), 4, 3, (1, 2, 3),
+        _check_transitions, "A", _groth_a_G, 4, 3, (1, 2, 3),
     )),
     ("kn-oracle", _check_kn_oracle),
     ("bcd-transitions", functools.partial(
-        _check_transitions, "BCD", lambda t, u: kn.kn_eval(t, u, 2, 4), 2, 2, (1, 2),
+        _check_transitions, "BCD", _kn_G, 2, 2, (1, 2),
     )),
     ("length-rule-equivalence", _check_length_rule),
     ("supersymmetry", _check_supersym),
@@ -464,6 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
         return value
 
     def num_vars(text):
+        from . import rings
+
         value = positive_int(text)
         if value > rings.MAX_INDEX:
             raise argparse.ArgumentTypeError(f"must be at most {rings.MAX_INDEX}")
@@ -497,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     window(p, "BCD")
     truncation(p)
     p.add_argument("--method", choices=["compat", "unimodal"], default="compat")
-    p.set_defaults(fn=lambda a: _cmd_oracle(a, hecke.fstanley, a.method))
+    p.set_defaults(fn=cmd_fstanley)
 
     for name, fn in (("gp", tableaux.gp), ("gq", tableaux.gq)):
         p = sub.add_parser(name, help=f"K-theoretic Schur {name[-1].upper()}-function")
@@ -530,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kn-eval", help="classical-type double Grothendieck series at truncation")
     window(p, "BCD")
     truncation(p)
-    p.set_defaults(fn=lambda a: _cmd_oracle(a, kn.kn_eval))
+    p.set_defaults(fn=cmd_kn_eval)
 
     p = sub.add_parser("kn-transition", help="transition certificate with residual")
     window(p, "BCD")

@@ -8,18 +8,19 @@ stands for the single monomial a * beta^(l(u) - l); the transition step
 counts R_k's chains in the Weyl group and never builds a polynomial.
 Every output of a step lies strictly below its source in the LD order, so
 the full expansion is one memoized recursion over that order.
+
+The recursion needs weyl and the shapes of tableaux alone; the numerical
+check against the oracles (expansion_poly, verify_expansion) imports rings,
+hecke and the GP/GQ functions when it runs.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .hecke import fstanley
-from .rings import TruncPoly
-from .tableaux import ShiftedSkewShape, check_strict, gp, gq, w_shape
+from .tableaux import ShiftedSkewShape, check_strict, w_shape
 from .weyl import (
     SignedPermutation,
     _chains,
@@ -88,15 +89,18 @@ def transition_step(t: str, w: SignedPermutation) -> dict[SignedPermutation, int
     return {_perm(u): coeff for u, _, coeff in _step(t, tuple(w), a)}
 
 
-@dataclass
 class ExpansionResult:
     """A finite nonnegative expansion F_w = sum a_lam * beta^(|lam|-l) GP/GQ."""
 
-    group_type: str
-    source: SignedPermutation
-    length: int
-    basis: str
-    terms: dict[Shape, int]
+    def __init__(
+        self, group_type: str, source: SignedPermutation, length: int, basis: str,
+        terms: dict[Shape, int],
+    ):
+        self.group_type = group_type
+        self.source = source
+        self.length = length
+        self.basis = basis
+        self.terms = terms
 
     def beta_power(self, lam: Shape) -> int:
         return sum(lam) - self.length
@@ -175,12 +179,12 @@ def skew_expansion(basis: str, outer, inner=()) -> ExpansionResult:
     return expand_grassmannian(t, w_shape(t, sh))
 
 
-@dataclass
 class VerificationReport:
     """Numerical certification of an expansion against the word oracle."""
 
-    expansion: ExpansionResult
-    difference: TruncPoly = field(repr=False)
+    def __init__(self, expansion: ExpansionResult, difference: TruncPoly):
+        self.expansion = expansion
+        self.difference = difference
 
     @property
     def ok(self) -> bool:
@@ -189,6 +193,9 @@ class VerificationReport:
 
 def expansion_poly(result: ExpansionResult, num_vars: int, bound: int) -> TruncPoly:
     """Sum a_lam * beta^(|lam|-l) * GP/GQ_lam at the truncation."""
+    from .rings import TruncPoly
+    from .tableaux import gp, gq
+
     fn = gp if result.basis == "GP" else gq
     total = TruncPoly.zero(bound)
     for lam, coeff in result.terms.items():
@@ -200,6 +207,8 @@ def expansion_poly(result: ExpansionResult, num_vars: int, bound: int) -> TruncP
 def verify_expansion(
     t: str, w: SignedPermutation, num_vars: int, bound: int
 ) -> VerificationReport:
+    from .hecke import fstanley
+
     result = expand_grassmannian(t, w)
     recombined = expansion_poly(result, num_vars, bound)
     direct = fstanley(t, w, num_vars, bound)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import groupby
 from math import comb
-from typing import Iterable
+from collections.abc import Iterable
 
 from .weyl import (
     SignedPermutation,

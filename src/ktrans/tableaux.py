@@ -12,14 +12,16 @@ code of each filled cell an unfilled cell still borders, with the letters
 used so far.  Each state holds its partial tableaux as a table from
 monomial to count, so tableaux that agree on the state and the monomial
 are counted together.
+
+The engine needs only the shape half (check_strict, ShiftedSkewShape,
+w_shape), so the generating function imports rings in its body, which
+runs once per cache miss.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .rings import Z, TruncPoly, var_code
 from .weyl import IDENTITY, SignedPermutation, generator
 
 
@@ -48,18 +50,40 @@ def shifted_cells(parts: tuple[int, ...]) -> set[tuple[int, int]]:
     }
 
 
-@dataclass(frozen=True, slots=True)
 class ShiftedSkewShape:
-    """A skew shifted shape lambda/mu with mu contained in lambda."""
+    """A skew shifted shape lambda/mu with mu contained in lambda: immutable,
+    equal and hashed by (outer, inner)."""
 
-    outer: tuple[int, ...]
-    inner: tuple[int, ...] = ()
+    __slots__ = ("outer", "inner")
 
-    def __post_init__(self):
-        object.__setattr__(self, "outer", check_strict(tuple(self.outer)) if self.outer else ())
-        object.__setattr__(self, "inner", check_strict(tuple(self.inner)) if self.inner else ())
-        if not contains(self.outer, self.inner):
-            raise ValueError(f"{self.inner} is not contained in {self.outer}")
+    def __init__(self, outer: tuple[int, ...], inner: tuple[int, ...] = ()):
+        outer = check_strict(outer) if outer else ()
+        inner = check_strict(inner) if inner else ()
+        if not contains(outer, inner):
+            raise ValueError(f"{inner} is not contained in {outer}")
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "inner", inner)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.outer, self.inner) == (other.outer, other.inner)
+
+    def __hash__(self):
+        return hash((self.outer, self.inner))
+
+    def __reduce__(self):
+        # unpickle through the validating constructor
+        return (ShiftedSkewShape, (self.outer, self.inner))
+
+    def __repr__(self):
+        return f"ShiftedSkewShape(outer={self.outer!r}, inner={self.inner!r})"
 
     def cells(self) -> list[tuple[int, int]]:
         """Row-major list of the skew cells."""
@@ -93,6 +117,8 @@ def _generating_function(
     the back, drops the one and, if it has no cell below, the other, and
     joins the back itself if a cell lies to its right or below.
     """
+    from .rings import Z, TruncPoly, var_code
+
     cells = shape.cells()
     skew = set(cells)
     k = len(cells)

@@ -15,7 +15,7 @@ window entries.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
+from collections.abc import Iterable
 
 
 def _support(win: list[int] | tuple[int, ...]) -> int:

@@ -280,6 +280,43 @@ class TestCommands:
         assert run(capsys, *argv) == (0, want)
 
 
+class TestEngineImports:
+    def test_engine_commands_load_no_oracle(self):
+        # expand, skew and length run on expand, weyl and the shape half of
+        # tableaux; the oracle layers load only in the commands that run them
+        import os
+        import subprocess
+
+        import ktrans
+
+        watched = ["ktrans.rings", "ktrans.hecke", "ktrans.kn", "ktrans.groth_a",
+                   "dataclasses", "typing"]
+        report = f"print(' '.join(m for m in {watched!r} if m in sys.modules))"
+        commands = [
+            ["expand", "--type", "B", "--w", "-3,4,-1,5,2", "--json"],
+            ["skew", "--basis", "GQ", "--outer", "5,3,1", "--inner", "2"],
+            ["length", "--type", "D", "--w", "-2,-1,3"],
+        ]
+        engine = (
+            "import contextlib, io, sys\n"
+            "import ktrans.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [ktrans.cli.main(argv) for argv in {commands!r}]\n"
+            "assert codes == [0, 0, 0], codes\n" + report
+        )
+        env = {k: v for k, v in os.environ.items() if k != "KTRANS_CACHE_DIR"}
+        env["PYTHONPATH"] = str(Path(ktrans.__file__).parents[1])
+
+        def loaded(code):
+            done = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            return set(done.stdout.split())
+
+        bare = loaded("import sys\n" + report)
+        assert loaded(engine) <= bare
+
+
 class TestVerifySuite:
     def test_battery_passes_in_parallel(self, capsys):
         code, out = run(capsys, "verify-suite", "--jobs", "2", "--seed", "1")
@@ -296,7 +333,7 @@ class TestVerifySuite:
 
         from test_expand import _clear_memos
 
-        from ktrans import expand, hecke, kn
+        from ktrans import hecke, kn
 
         _clear_memos()
         monkeypatch.delenv("KTRANS_CACHE_DIR", raising=False)
@@ -311,7 +348,8 @@ class TestVerifySuite:
             return raw(*args, **kwargs)
 
         cached = functools.lru_cache(maxsize=None)(counting)
-        for mod in (hecke, kn, expand):
+        # verify_expansion imports fstanley from hecke at each call
+        for mod in (hecke, kn):
             monkeypatch.setattr(mod, "fstanley", cached)
         code, out = run(capsys, "verify-suite")
         assert code == 0 and "all 15 checks passed" in out

@@ -1,5 +1,6 @@
 """Shifted tableau enumeration and the GP/GQ generating functions."""
 
+import pickle
 from typing import Iterator
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from ktrans.rings import BETA, Z, TruncPoly, supersym_check, var_code
 from ktrans.tableaux import (
     ShiftedSkewShape,
+    _generating_function,
     contains,
     gp,
     gq,
@@ -159,6 +161,42 @@ class TestShapes:
     def test_serialization(self):
         sh = ShiftedSkewShape((5, 3, 1), (2,))
         assert str(sh) == "outer=[5, 3, 1] inner=[2]"
+
+    def test_equal_shapes_share_one_cache_entry(self):
+        a, b = ShiftedSkewShape((4, 2), (1,)), ShiftedSkewShape([4, 2], [1])
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != ShiftedSkewShape((4, 2)) and a != ((4, 2), (1,))
+        first = gp(a, 2, 5)
+        before = _generating_function.cache_info()
+        assert gp(b, 2, 5) is first
+        after = _generating_function.cache_info()
+        assert after.hits == before.hits + 1 and after.currsize == before.currsize
+
+    def test_immutable(self):
+        sh = ShiftedSkewShape((3, 1))
+        with pytest.raises(AttributeError):
+            sh.outer = (4, 1)
+        with pytest.raises(AttributeError):
+            del sh.inner
+        assert (sh.outer, sh.inner) == ((3, 1), ())
+
+    def test_repr_names_both_parts(self):
+        sh = ShiftedSkewShape((5, 3, 1), (2,))
+        assert repr(sh) == "ShiftedSkewShape(outer=(5, 3, 1), inner=(2,))"
+
+    @pytest.mark.parametrize(
+        "outer, inner",
+        [((2, 2), ()), ((3, 0), ()), ((True,), ()), ((3,), (1, 1)), ((3,), (4,)), ((3,), (1, 1.0))],
+    )
+    def test_bad_or_uncontained_inner_raises(self, outer, inner):
+        with pytest.raises(ValueError):
+            ShiftedSkewShape(outer, inner)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        sh = ShiftedSkewShape((5, 3, 1), (2,))
+        back = pickle.loads(pickle.dumps(sh, protocol))
+        assert back == sh and back.cells() == sh.cells()
 
 
 class TestEnumeration:
