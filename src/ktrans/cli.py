@@ -30,20 +30,21 @@ def _shape(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad shape {text!r}: {exc}") from None
 
 
-def _load_cache() -> tuple[str | None, int]:
-    """The cache file under KTRANS_CACHE_DIR, if set, and the number of
-    entries it holds: 0 for a missing or an ignored file."""
+def _load_cache() -> tuple[str | None, int, bool]:
+    """The cache file under KTRANS_CACHE_DIR, if set, the number of entries
+    it holds (0 for a missing or an ignored file), and whether it was
+    ignored with a warning."""
     cache_dir = os.environ.get("KTRANS_CACHE_DIR")
     if not cache_dir:
-        return None, 0
+        return None, 0, False
     path = os.path.join(cache_dir, "expansions.ktrx")
-    held = 0
     if os.path.exists(path):
         try:
-            held = expand_mod.load_cache(path)
+            return path, expand_mod.load_cache(path), False
         except (OSError, ValueError) as exc:
             print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)
-    return path, held
+            return path, 0, True
+    return path, 0, False
 
 
 def _save_cache(path: str | None) -> None:
@@ -100,14 +101,16 @@ def _cmd_gpgq(args, fn) -> int:
 def _serve_expansion(args, compute) -> int:
     """Serve compute() through the persisted memo and print the expansion.
     --stats adds one JSON line on stderr: the recursion memo's hits and misses
-    (keys expanded), and whether the root came from `_cache` (no recursion)."""
-    path, held = _load_cache()
+    (keys expanded), whether the root came from `_cache` (no recursion), the
+    entries the cache file held, and whether the file was ignored."""
+    path, held, ignored = _load_cache()
     before = expand_mod._expansion.cache_info() if args.stats else None
     result = compute()
     if args.stats:
         after = expand_mod._expansion.cache_info()
         hits, misses = after.hits - before.hits, after.misses - before.misses
-        stats = {"expansion_hits": hits, "expansion_misses": misses, "root_cached": not hits + misses}
+        stats = {"expansion_hits": hits, "expansion_misses": misses, "root_cached": not hits + misses,
+                 "cache_loaded": held, "cache_ignored": ignored}
         print(json.dumps(stats), file=sys.stderr)
     # every key of the file is now in _cache, so _cache holds more keys only
     # when the file lacks one: a warm command leaves the file as it is
@@ -549,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def document(p):
         p.add_argument("--json", action="store_true")
-        p.add_argument("--stats", action="store_true", help="memo counts as one JSON line on stderr")
+        p.add_argument("--stats", action="store_true", help="memo and cache counts as one JSON line on stderr")
 
     p = sub.add_parser("length", help="Coxeter length of a signed permutation")
     window(p, "ABCD")

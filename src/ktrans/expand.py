@@ -263,6 +263,13 @@ def load_cache(path: str) -> int:
     within one entry that repeats (keys compared after trimming), an entry
     with no values, or a Grassmannian key whose entry is not its own shape
     with coefficient 1 raises ValueError and merges no entry.
+
+    A value is checked in one scan: every part p of its list must pass
+    ``type(p) is int and 0 < p < prev``, where prev starts at support + LD
+    + 1 and then is the part before, which tests int, positive and strictly
+    decreasing parts and the bound on lambda_1 at once.  Only a value that
+    fails the scan goes through ``check_strict`` and then the bound, so its
+    error names the same rule, with the same message, as a check per rule.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -280,16 +287,24 @@ def load_cache(path: str) -> int:
                 raise ValueError(f"the key {t} {w} repeats")
             if not w.in_group(t):
                 raise ValueError(f"the key {w} is not in the group of type {t}")
-            lw, top = length(t, w), w.support + w.least_descent()
+            d = w.least_descent()
+            lw, top = length(t, w), len(w) + d
             entries: dict[Shape, int] = {}
             for parts, coeff in _list(values):
                 if type(coeff) is not int or coeff <= 0:
                     raise ValueError(f"the coefficient {coeff!r} is not a positive integer")
-                lam = check_strict(_list(parts))
+                if type(parts) is not list:
+                    _list(parts)  # raises, naming the type
                 # every leaf of w lies within the support bound, and a term
                 # a * beta^(|lam| - l(w)) needs |lam| >= l(w)
-                if lam and lam[0] > top:
-                    raise ValueError(f"the shape {lam} exceeds support + LD = {top} of {w}")
+                prev = top + 1
+                for p in parts:
+                    if type(p) is not int or not 0 < p < prev:  # bools are not parts
+                        # check_strict passing leaves the bound as the failed rule
+                        lam = check_strict(parts)
+                        raise ValueError(f"the shape {lam} exceeds support + LD = {top} of {w}")
+                    prev = p
+                lam = tuple(parts)
                 if sum(lam) < lw:
                     raise ValueError(f"the shape {lam} has |lambda| below l({w}) = {lw}")
                 if lam in entries:
@@ -297,7 +312,7 @@ def load_cache(path: str) -> int:
                 entries[lam] = coeff
             if not entries:
                 raise ValueError(f"the entry of {w} has no values")
-            if w.is_grassmannian() and entries != {shape(t, w): 1}:
+            if not d and entries != {shape(t, w): 1}:
                 raise ValueError(f"the entry of the Grassmannian key {w} is not its shape alone")
             loaded[(t, w)] = entries
     except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as exc:

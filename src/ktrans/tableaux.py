@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .weyl import IDENTITY, SignedPermutation, generator
+from .weyl import SignedPermutation, _apply_word
 
 
 def check_strict(parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -209,8 +209,6 @@ def reading_word(t: str, shape: ShiftedSkewShape) -> list[int]:
 
 def w_shape(t: str, shape: ShiftedSkewShape) -> SignedPermutation:
     """The fully commutative signed permutation whose K-Stanley function is
-    GP (types B, D) or GQ (type C) of the shape."""
-    w = IDENTITY
-    for a in reading_word(t, shape):
-        w = w * generator(t if t == "D" else "B", a)
-    return w
+    GP (types B, D) or GQ (type C) of the shape: the product of the
+    generators of its reading word, applied to one window in place."""
+    return SignedPermutation._trusted(_apply_word(t, [], reading_word(t, shape)))

@@ -209,6 +209,35 @@ def generator(t: str, g: int) -> SignedPermutation:
     raise ValueError(f"invalid generator index {g}")
 
 
+def _apply_word(t: str, win: list[int], word: Iterable[int]) -> list[int]:
+    """Multiply the window win on the right by the simple generators of
+    word, in order and in place, and return it: t_g for g >= 1 swaps
+    entries g and g + 1, t_0 negates entry 1, and t_{-1} sends (w_1, w_2)
+    to (-w_2, -w_1).  win is padded with fixed points when a letter reaches
+    past it.  A letter that is not a generator of type t raises ValueError,
+    as ``generator`` does."""
+    for g in word:
+        if g >= 1:
+            if g >= len(win):
+                win.extend(range(len(win) + 1, g + 2))
+            win[g - 1], win[g] = win[g], win[g - 1]
+        elif g == 0:
+            if t not in ("B", "C"):
+                raise ValueError(f"generator 0 is not in type {t}")
+            if not win:
+                win.append(1)
+            win[0] = -win[0]
+        elif g == -1:
+            if t != "D":
+                raise ValueError("generator -1 only exists in type D")
+            if len(win) < 2:
+                win.extend(range(len(win) + 1, 3))
+            win[0], win[1] = -win[1], -win[0]
+        else:
+            raise ValueError(f"invalid generator index {g}")
+    return win
+
+
 def generator_indices(t: str, n: int) -> list[int]:
     """Simple generators of W^t_n, affecting positions <= n."""
     if t == "A":

@@ -1039,13 +1039,16 @@ class TestStats:
         assert cold.out == (GOLDEN / name).read_text(encoding="utf-8")
         (line,) = cold.err.splitlines()
         stats = json.loads(line)
-        assert set(stats) == {"expansion_hits", "expansion_misses", "root_cached"}
+        assert set(stats) == {
+            "expansion_hits", "expansion_misses", "root_cached", "cache_loaded", "cache_ignored"
+        }
         assert stats["expansion_misses"] > 0 and stats["root_cached"] is False
         assert main([*GOLDEN_COMMANDS[name], "--stats"]) == 0
         warm = capsys.readouterr()
         assert warm.out == cold.out
         assert json.loads(warm.err) == {
-            "expansion_hits": 0, "expansion_misses": 0, "root_cached": True
+            "expansion_hits": 0, "expansion_misses": 0, "root_cached": True,
+            "cache_loaded": 0, "cache_ignored": False,
         }
         expand_mod._expansion.cache_clear()
 
@@ -1072,6 +1075,23 @@ class TestStats:
         assert stats["expansion_misses"] == 25 + len(leaves)
         assert stats["expansion_hits"] + stats["expansion_misses"] == 1 + sum(map(len, outputs))
         expand_mod._expansion.cache_clear()
+
+    def test_cache_counts(self, capsys, tmp_path, monkeypatch):
+        # a missing file loads nothing, a warm run loads what the file
+        # holds, and a malformed file is ignored and loads nothing
+        from ktrans import expand as expand_mod
+
+        monkeypatch.setenv("KTRANS_CACHE_DIR", str(tmp_path))
+        argv = ["expand", "--type", "B", "--w", "2,1", "--stats"]
+        seen = []
+        for data in (None, None, MALFORMED["value-part-float"], None):
+            if data is not None:
+                (tmp_path / "expansions.ktrx").write_bytes(data)
+            monkeypatch.setattr(expand_mod, "_cache", {})  # a fresh process
+            assert main(argv) == 0
+            stats = json.loads(capsys.readouterr().err.splitlines()[-1])
+            seen.append((stats["cache_loaded"], stats["cache_ignored"], stats["root_cached"]))
+        assert seen == [(0, False, False), (1, False, True), (0, True, False), (1, False, True)]
 
     def test_without_stats_stderr_is_empty(self, capsys, monkeypatch):
         from ktrans import expand as expand_mod

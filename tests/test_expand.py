@@ -518,3 +518,115 @@ class TestCachePersistence:
         assert errors == []
         assert [p.name for p in tmp_path.iterdir()] == ["expansions.ktrx"]
         assert load_cache(path) >= 1
+
+    # one version 3 record per rule of load_cache, each after a good record
+    # so that a partial merge would show, with the message that names it
+    REJECTED = {
+        "part-float": (["B", [2, 1], [[[2.0], 1]]], "parts must be positive integers: (2.0,)"),
+        "part-bool": (["B", [2, 1], [[[True], 1]]], "parts must be positive integers: (True,)"),
+        "part-zero": (["B", [2, 1], [[[1, 0], 1]]], "parts must be positive integers: (1, 0)"),
+        "part-negative": (["B", [2, 1], [[[-1], 1]]], "parts must be positive integers: (-1,)"),
+        "parts-equal": (["B", [2, 1], [[[2, 2], 1]]], "parts must strictly decrease: (2, 2)"),
+        "parts-rising": (["B", [2, 1], [[[1, 2], 1]]], "parts must strictly decrease: (1, 2)"),
+        # a non-strict shape is named so even when its first part is too big
+        "parts-equal-above-bound": (
+            ["B", [2, 1], [[[5, 5], 1]]], "parts must strictly decrease: (5, 5)"
+        ),
+        "part-float-above-bound": (
+            ["B", [2, 1], [[[9.0], 1]]], "parts must be positive integers: (9.0,)"
+        ),
+        "part-above-bound": (
+            ["B", [2, 1], [[[4], 1]]], "the shape (4,) exceeds support + LD = 3 of 2,1"
+        ),
+        "size-below-length": (
+            ["B", [2, 1], [[[], 1]]], "the shape () has |lambda| below l(2,1) = 1"
+        ),
+        "shape-repeats": (
+            ["B", [2, 1], [[[1], 1], [[2], 1], [[1], 5]]], "the shape (1,) repeats in the entry of 2,1"
+        ),
+        "no-values": (["B", [2, 1], []], "the entry of 2,1 has no values"),
+        "parts-a-string": (["B", [2, 1], [["21", 1]]], "expected a list, not str"),
+        "parts-empty-string": (["B", [2, 1], [["", 1]]], "expected a list, not str"),
+        "parts-an-object": (["B", [2, 1], [[{}, 1]]], "expected a list, not dict"),
+        "coeff-float": (["B", [2, 1], [[[1], 2.0]]], "the coefficient 2.0 is not a positive integer"),
+        "coeff-true": (["B", [2, 1], [[[1], True]]], "the coefficient True is not a positive integer"),
+        "coeff-zero": (["B", [2, 1], [[[1], 0]]], "the coefficient 0 is not a positive integer"),
+        "pair-too-long": (["B", [2, 1], [[[1], 1, 1]]], "too many values to unpack (expected 2)"),
+        "pair-too-short": (
+            ["B", [2, 1], [[[1]]]], "not enough values to unpack (expected 2, got 1)"
+        ),
+        "key-D-odd-negatives": (
+            ["D", [-1, 2], [[[1], 1]]], "the key -1 is not in the group of type D"
+        ),
+        "key-type-A": (["A", [2, 1], [[[1], 1]]], "the group type 'A' is not B, C or D"),
+        "window-float": (
+            ["B", [2.0, 1], [[[1], 1]]], "window entries must be nonzero integers: [2.0, 1]"
+        ),
+        "window-zero": (
+            ["B", [0, 1], [[[1], 1]]], "window entries must be nonzero integers: [0, 1]"
+        ),
+        "window-repeats": (
+            ["B", [2, -2], [[[1], 1]]], "repeated absolute value 2 in window [2, -2]"
+        ),
+        "window-gap": (
+            ["B", [1, 3], [[[1], 1]]], "window [1, 3] is not a signed permutation of 1..2"
+        ),
+        # the shape of the Grassmannian B -2,1 is (2,)
+        "grassmannian-other-shape": (
+            ["B", [-2, 1], [[[2, 1], 1]]],
+            "the entry of the Grassmannian key -2,1 is not its shape alone",
+        ),
+        "grassmannian-coeff-two": (
+            ["B", [-2, 1], [[[2], 2]]],
+            "the entry of the Grassmannian key -2,1 is not its shape alone",
+        ),
+    }
+
+    @staticmethod
+    def _write(tmp_path, *records) -> str:
+        import json
+
+        path = tmp_path / "expansions.ktrx"
+        path.write_text(json.dumps({"version": 3, "entries": [["B", [-1], [[[1], 1]]], *records]}))
+        return str(path)
+
+    @pytest.mark.parametrize("record, message", REJECTED.values(), ids=REJECTED.keys())
+    def test_each_rule_rejects_with_its_message(self, tmp_path, monkeypatch, record, message):
+        from ktrans import expand as expand_mod
+
+        held = {("C", (2, 1)): {(1,): 2, (2,): 1}}
+        monkeypatch.setattr(expand_mod, "_cache", dict(held))
+        path = self._write(tmp_path, record)
+        with pytest.raises(ValueError) as err:
+            load_cache(path)
+        assert str(err.value) == f"{path} is not an expansion cache: ValueError: {message}"
+        assert expand_mod._cache == held
+
+    def test_repeated_key_after_trimming(self, tmp_path, monkeypatch):
+        from ktrans import expand as expand_mod
+
+        monkeypatch.setattr(expand_mod, "_cache", {})
+        path = self._write(tmp_path, ["B", [2, 1, 3], [[[1], 2]]], ["B", [2, 1], [[[1], 2]]])
+        with pytest.raises(ValueError) as err:
+            load_cache(path)
+        assert str(err.value) == f"{path} is not an expansion cache: ValueError: the key B 2,1 repeats"
+        assert expand_mod._cache == {}
+
+    @pytest.mark.parametrize(
+        "record, key",
+        [
+            (["B", [], [[[], 1]]], ("B", ())),  # the identity is its own empty shape
+            (["B", [2, 1], [[[3], 1]]], ("B", (2, 1))),  # lambda_1 = support + LD
+            (["B", [2, 1], [[[1], 1]]], ("B", (2, 1))),  # |lambda| = l(w)
+            (["D", [-2, -1, 3], [[[1], 1]]], ("D", (-2, -1))),  # trimmed; (1,) is the shape of D -2,-1
+        ],
+        ids=["identity", "first-part-at-bound", "size-at-length", "trimmed-grassmannian-D"],
+    )
+    def test_accepts_the_edge_cases(self, tmp_path, monkeypatch, record, key):
+        from ktrans import expand as expand_mod
+
+        monkeypatch.setattr(expand_mod, "_cache", {})
+        assert load_cache(self._write(tmp_path, record)) == 2
+        assert expand_mod._cache == {
+            ("B", (-1,)): {(1,): 1}, key: {tuple(lam): c for lam, c in record[2]}
+        }

@@ -1,5 +1,6 @@
 """Shifted tableau enumeration and the GP/GQ generating functions."""
 
+import itertools
 import pickle
 from typing import Iterator
 
@@ -16,7 +17,7 @@ from ktrans.tableaux import (
     shifted_cells,
     w_shape,
 )
-from ktrans.weyl import IDENTITY, length, parse_oneline
+from ktrans.weyl import IDENTITY, SignedPermutation, generator, length, parse_oneline
 from test_rings import homogeneous_degree, reference_substitute, zvar
 
 Tableau = dict[tuple[int, int], frozenset[int]]
@@ -331,3 +332,41 @@ class TestReadingWords:
                 assert length("B", w_shape("B", sh)) == sh.size()
                 assert length("C", w_shape("C", sh)) == sh.size()
                 assert length("D", w_shape("D", sh)) == sh.size()
+
+
+def product_w_shape(t, shape):
+    """The reference w_shape: the product of the generators of the reading
+    word, one signed permutation per letter."""
+    w = IDENTITY
+    for a in reading_word(t, shape):
+        w = w * generator(t if t == "D" else "B", a)
+    return w
+
+
+def skew_shapes_up_to(max_outer, max_rows, max_inner):
+    """Every skew shape lam/mu with lam_1 <= max_outer, at most max_rows
+    rows, and mu_1 <= max_inner, the empty one included."""
+    def strict(top):
+        return [
+            tuple(sorted(parts, reverse=True))
+            for k in range(max_rows + 1)
+            for parts in itertools.combinations(range(1, top + 1), k)
+        ]
+
+    return [
+        ShiftedSkewShape(lam, mu)
+        for lam in strict(max_outer)
+        for mu in strict(max_inner)
+        if contains(lam, mu)
+    ]
+
+
+class TestWShape:
+    @pytest.mark.parametrize("t", ["B", "C", "D"])
+    def test_matches_the_product_of_generators(self, t):
+        shapes = skew_shapes_up_to(7, 4, 4)
+        assert len(shapes) == 1285
+        for sh in shapes:
+            w = w_shape(t, sh)
+            assert w == product_w_shape(t, sh), sh
+            assert type(w) is SignedPermutation

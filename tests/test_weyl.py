@@ -9,6 +9,7 @@ import pytest
 from ktrans.weyl import (
     IDENTITY,
     SignedPermutation,
+    _apply_word,
     _chains,
     _merge,
     _raises_length,
@@ -183,6 +184,35 @@ class TestProducts:
         assert u * v == (-2, 1, -4, 3)
         assert v * u == (-2, 1, -4, 3)
         assert u * reflection(3, 4) == (-2, 1, 4, 3)
+
+
+class TestApplyWord:
+    @pytest.mark.parametrize("t", ["A", "B", "C", "D"])
+    def test_each_letter_is_a_generator_product(self, t):
+        # indices up to 4 include those past every rank-4 window, so the
+        # window is padded; elements come from their windows, not products
+        letters = generator_indices(t, 5)
+        for w in windowed_elements(t, 4):
+            for g in letters:
+                win = list(w)
+                assert _apply_word(t, win, [g]) is win
+                assert SignedPermutation._trusted(win) == w * generator(t, g), (w, g)
+
+    @pytest.mark.parametrize(
+        "t, g, message",
+        [
+            ("D", 0, "generator 0 is not in type D"),
+            ("A", 0, "generator 0 is not in type A"),
+            ("B", -1, "generator -1 only exists in type D"),
+            ("C", -1, "generator -1 only exists in type D"),
+            *[(t, -2, "invalid generator index -2") for t in "ABCD"],
+        ],
+    )
+    def test_a_letter_outside_the_type_raises(self, t, g, message):
+        with pytest.raises(ValueError, match=message):
+            generator(t, g)
+        with pytest.raises(ValueError, match=message):
+            _apply_word(t, [2, 1], [1, g])
 
 
 class TestElementType:
