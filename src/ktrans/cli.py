@@ -30,26 +30,40 @@ def _shape(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad shape {text!r}: {exc}") from None
 
 
-def _load_cache() -> tuple[str | None, int, bool]:
+def _stamp(path: str) -> tuple[int, int, int] | None:
+    """The (inode, size, mtime_ns) of the file at path, None if it is missing
+    or cannot be stat'ed.  ``save_cache`` replaces the file through
+    os.replace, so every write gives it a new inode."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _load_cache() -> tuple[str | None, int, bool, tuple[int, int, int] | None]:
     """The cache file under KTRANS_CACHE_DIR, if set, the number of entries
-    it holds (0 for a missing or an ignored file), and whether it was
-    ignored with a warning."""
+    it holds (0 for a missing or an ignored file), whether it was ignored
+    with a warning, and its ``_stamp``, taken before it was read."""
     cache_dir = os.environ.get("KTRANS_CACHE_DIR")
     if not cache_dir:
-        return None, 0, False
+        return None, 0, False, None
     path = os.path.join(cache_dir, "expansions.ktrx")
-    if os.path.exists(path):
+    stamp = _stamp(path)
+    if stamp is not None:
         try:
-            return path, expand_mod.load_cache(path), False
+            return path, expand_mod.load_cache(path), False, stamp
         except (OSError, ValueError) as exc:
             print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)
-            return path, 0, True
-    return path, 0, False
+            return path, 0, True, stamp
+    return path, 0, False, None
 
 
-def _save_cache(path: str | None) -> None:
+def _save_cache(path: str | None, stamp: tuple[int, int, int] | None) -> None:
     """Write `_cache` to path, first merging what other commands saved there
-    since this one loaded it, under an exclusive lock on path + ".lock"."""
+    since this one loaded it, under an exclusive lock on path + ".lock".
+    A file whose ``_stamp`` is still the one taken at load time holds
+    nothing new, and is not read again."""
     if path is None:
         return
     try:
@@ -57,12 +71,13 @@ def _save_cache(path: str | None) -> None:
         lock = os.open(path + ".lock", os.O_RDONLY | os.O_CREAT, 0o666)
         try:
             fcntl.flock(lock, fcntl.LOCK_EX)
-            try:
-                expand_mod.load_cache(path)
-            except (OSError, ValueError):
-                # a missing file has nothing to merge; one that cannot be
-                # read or parsed was warned about when loaded, and is replaced
-                pass
+            if _stamp(path) != stamp:
+                try:
+                    expand_mod.load_cache(path)
+                except (OSError, ValueError):
+                    # a file that vanished has nothing to merge; one that
+                    # cannot be read or parsed is replaced
+                    pass
             expand_mod.save_cache(path)
         finally:
             os.close(lock)
@@ -103,7 +118,7 @@ def _serve_expansion(args, compute) -> int:
     --stats adds one JSON line on stderr: the recursion memo's hits and misses
     (keys expanded), whether the root came from `_cache` (no recursion), the
     entries the cache file held, and whether the file was ignored."""
-    path, held, ignored = _load_cache()
+    path, held, ignored, stamp = _load_cache()
     before = expand_mod._expansion.cache_info() if args.stats else None
     result = compute()
     if args.stats:
@@ -115,7 +130,7 @@ def _serve_expansion(args, compute) -> int:
     # every key of the file is now in _cache, so _cache holds more keys only
     # when the file lacks one: a warm command leaves the file as it is
     if len(expand_mod._cache) > held:
-        _save_cache(path)
+        _save_cache(path, stamp)
     if args.json:
         print(json.dumps(result.to_json_dict()))
     else:

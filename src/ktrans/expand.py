@@ -7,7 +7,10 @@ A coefficient a of u in the expansion of a source of length l therefore
 stands for the single monomial a * beta^(l(u) - l); the transition step
 counts R_k's chains in the Weyl group and never builds a polynomial.
 Every output of a step lies strictly below its source in the LD order, so
-the full expansion is one memoized recursion over that order.
+the full expansion is one memoized recursion over that order.  Most steps
+fire one move (``weyl._one_move``) and have one output with coefficient 1;
+the recursion follows such chains in a loop, so its depth counts only the
+steps with several outputs.
 
 The recursion needs weyl and the shapes of tableaux alone; the numerical
 check against the oracles (expansion_poly, verify_expansion) imports rings,
@@ -18,14 +21,16 @@ from __future__ import annotations
 
 import json
 import os
-from functools import lru_cache
+from collections import namedtuple
 
 from .tableaux import ShiftedSkewShape, check_strict, w_shape
 from .weyl import (
     SignedPermutation,
     _chains,
     _least_descent,
+    _one_move,
     _raises_length,
+    _shape,
     _support,
     _transition_window,
     length,
@@ -34,6 +39,8 @@ from .weyl import (
 
 Window = tuple[int, ...]
 Shape = tuple[int, ...]  # a strict partition, the name of a GP/GQ term
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")  # an lru_cache's
 
 
 def _perm(win: Window) -> SignedPermutation:
@@ -45,13 +52,38 @@ def _step(t: str, w: Window, a: int) -> list[tuple[Window, int, int]]:
     each output u, trimmed, of the trimmed window w with least descent a > 0.
     Asserts that v * t_{ab} = w raises length by one, and that every
     coefficient is positive, every u lies below w in the LD order, and
-    support(u) + LD(u) <= support(w) + LD(w)."""
+    support(u) + LD(u) <= support(w) + LD(w).
+
+    Most steps fire one move: when ``_one_move`` finds that R_a fires
+    t_{-a,q} alone on v, the one output is that move, with coefficient 1
+    by its lemma, applied to v in place; no padded copy or chain table is
+    built.  Any other step counts R_a's chains with ``_chains``.
+    """
     v, b = _transition_window(w, a)
     if not _raises_length(t, v, a, b):
         raise AssertionError(f"{_perm(v)} * t_({a},{b}) = {_perm(w)} does not raise length by one")
-    v = tuple(v[: _support(v)])
     x = w[a - 1]
     bound = len(w) + a
+    hit = _one_move(v, a)
+    if hit is not None:
+        q, y = hit
+        z = v[a - 1]
+        if q > len(v):
+            v.append(-z)
+        else:
+            v[q - 1] = -z
+        v[a - 1] = -y
+        # u is trimmed: v(n) = n only when b = n and w(a) = n, and then
+        # v(a+1..n-1) = w(a+1..n-1) < w(n) = z < 0, so the scan stops at
+        # q = n; an appended entry is |z| <= n
+        u = tuple(v)
+        d = _least_descent(u)
+        if d > a or (d == a and u[d - 1] >= x):
+            raise AssertionError(f"transition produced {_perm(u)} not below {_perm(w)} in LD order")
+        if len(u) + d > bound:
+            raise AssertionError(f"{_perm(u)} escapes the support bound {bound} of {_perm(w)}")
+        return [(u, d, 1)]
+    v = tuple(v[: _support(v)])
     outputs = []
     for u, (plain, via_n) in _chains(t, a, v).items():
         u = u[: _support(u)]
@@ -117,29 +149,67 @@ class ExpansionResult:
 _cache: dict[tuple[str, SignedPermutation], dict[Shape, int]] = {}
 
 
-@lru_cache(maxsize=None)
+_memo: dict[tuple[str, Window], dict[Shape, int]] = {}
+_lookups = [0, 0]  # the hits and misses of `_memo`, one per key looked up
+
+
 def _expansion(t: str, u: Window, d: int) -> dict[Shape, int]:
     """The expansion {lambda: coeff} of F_u, for the trimmed window u with
     least descent d, shared by every caller and by `_cache`: not to be mutated.
 
-    A dynamic program over the LD order, on plain windows.  A Grassmannian
-    u is the one term of shape(t, u), and any other u is the sum of the
-    expansions of its ``_step`` outputs, each strictly below u and keyed with
-    the LD that ``_step`` computed.  `_cache` is not consulted here, so a
-    persisted entry serves its own key alone.  ``_step`` asserts the support
-    bound of u at every output; by induction, every intermediate of a root w
-    stays within support(w) + LD(w), memo hits included, so lambda_1 does too.
+    A dynamic program over the LD order, on plain windows, memoized in
+    `_memo` by (t, u).  A Grassmannian u is the one term of its shape, and
+    any other u is the sum of the expansions of its ``_step`` outputs, each
+    strictly below u and keyed with the LD that ``_step`` computed.  Most
+    steps have one output with coefficient 1, so F_u = F_v: such a chain
+    is followed in a loop, and every key on it gets the dict at its end.
+    Only a step with several outputs recurses, so the depth counts those
+    steps alone.  `_cache` is not consulted here, so a persisted entry
+    serves its own key alone.  ``_step`` asserts the support bound of u at
+    every output; by induction, every intermediate of a root w stays within
+    support(w) + LD(w), memo hits included, so lambda_1 does too.
+
+    ``cache_info()`` and ``cache_clear()`` work as an lru_cache's would:
+    every key looked up counts one hit or one miss, chain keys included.
     """
-    if not d:
-        return {shape(t, _perm(u)): 1}  # the leaf's one shape, memoized with it
-    outputs = _step(t, u, d)
-    if len(outputs) == 1 and outputs[0][2] == 1:
-        return _expansion(t, *outputs[0][:2])  # F_u = F_v: share v's expansion, as most steps do
-    total: dict[Shape, int] = {}
-    for v, dv, coeff in outputs:
-        for lam, c in _expansion(t, v, dv).items():
-            total[lam] = total.get(lam, 0) + coeff * c
+    memo, lookups = _memo, _lookups
+    key = (t, u)
+    total = memo.get(key)
+    if total is not None:
+        lookups[0] += 1
+        return total
+    lookups[1] += 1
+    chain = [key]
+    while d:
+        outputs = _step(t, u, d)
+        if len(outputs) != 1 or outputs[0][2] != 1:
+            total = {}
+            for v, dv, coeff in outputs:
+                for lam, c in _expansion(t, v, dv).items():
+                    total[lam] = total.get(lam, 0) + coeff * c
+            break
+        u, d, _ = outputs[0]
+        key = (t, u)
+        total = memo.get(key)
+        if total is not None:
+            lookups[0] += 1
+            break
+        lookups[1] += 1
+        chain.append(key)
+    else:  # a Grassmannian leaf: the one term of its shape
+        total = {_shape(t, u): 1}
+    for key in chain:
+        memo[key] = total
     return total
+
+
+def _clear_expansion() -> None:
+    _memo.clear()
+    _lookups[:] = [0, 0]
+
+
+_expansion.cache_clear = _clear_expansion
+_expansion.cache_info = lambda: _CacheInfo(*_lookups, None, len(_memo))
 
 
 def expand_grassmannian(t: str, w: SignedPermutation) -> ExpansionResult:
@@ -150,8 +220,9 @@ def expand_grassmannian(t: str, w: SignedPermutation) -> ExpansionResult:
     dict that `_expansion` returned, serves each only for itself, and is
     the one that `save_cache` persists.  Every step asserts that v * t_ab
     raises length by one, nonnegativity, descent in the LD order and the
-    support bound.  A type other than B, C or D, or a chain of steps deeper
-    than the interpreter's recursion limit, raises ValueError.
+    support bound.  A type other than B, C or D, or steps with several
+    outputs nested deeper than the interpreter's recursion limit, raises
+    ValueError.
     """
     if t not in ("B", "C", "D"):
         raise ValueError(f"expansion needs type B, C, or D, not {t!r}")

@@ -356,6 +356,53 @@ def _transition_window(w: tuple[int, ...], a: int) -> tuple[list[int], int]:
     return v, b
 
 
+def _one_move(win: list[int] | tuple[int, ...], k: int) -> tuple[int, int] | None:
+    """(q, y) when R_k, in type B, C or D, fires the one move t_{-k,q} on
+    the window win and nothing else, where y = w(q); None otherwise.  win
+    has its fixed points implied past its end: when the scan for q passes
+    the end, q = y = len(win) + 1.  The caller decides that the type is not
+    A, where no t_{-k,q} exists.
+
+    The lemma.  Let x = w(k) < 0 with every prefix entry w(1..k-1) of
+    absolute value < |x|, let q be the first position past k with
+    y = w(q) > |x|, and let no position past q hold an entry strictly
+    between |x| and y.  Then R_k fires exactly one move, t_{-k,q}, and
+    u = w with u(k) = -y, u(q) = -x fires nothing after it, so the chains
+    of ``_chains`` are w and u, each once without the n-move.  Proof, one
+    family of R_k's factors at a time:
+    - the B n-move needs w(k) > 0, so it does not fire;
+    - t_{-k,q'} with q' > q runs first, on w alone: it needs
+      w(q') > |x|, hence w(q') > y, and then y lies in its middle scan,
+      strictly between -x and w(q');
+    - t_{-k,q} fires on w: no prefix entry lies in (-y, x) or (|x|, y),
+      and no middle entry exceeds |x|;
+    - t_{-k,q'} with k < q' < q needs w'(q') > -w'(k): on w
+      w(q') <= |x|, and on u w(q') <= |x| < y;
+    - t_{-p,k} needs w'(p) > -w'(k), t_{0k} needs w'(k) > 0 and t_{ik}
+      needs w'(i) < w'(k): on w every |w(p)| < |x| and w(k) = x < 0, and
+      on u every |w(p)| < |x| < y and u(k) = -y < 0.
+    """
+    n = len(win)
+    if k > n:
+        return None  # w(k) = k > 0
+    x = win[k - 1]
+    if x > 0:
+        return None
+    for e in win[: k - 1]:
+        if e <= x or e >= -x:
+            return None
+    q = k + 1
+    while q <= n and win[q - 1] < -x:
+        q += 1
+    if q > n:
+        return q, q
+    y = win[q - 1]
+    for e in win[q:]:
+        if -x < e < y:
+            return None
+    return q, y
+
+
 def _chains(t: str, k: int, v: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, int]]:
     """The transition operator R_k on the trimmed window v, as chain counts.
     R_k is the product of the factors (1 + beta*t_{jk}) acting on v: in type
@@ -375,29 +422,21 @@ def _chains(t: str, k: int, v: tuple[int, ...]) -> dict[tuple[int, ...], tuple[i
     case of ``_raises_length``, applies its move as a swap or sign flip of
     the window, and hands the moved chains to ``_merge``.
 
-    One-move exit, in types B, C and D.  Let x = start(k) < 0 with every
-    prefix entry start(1..k-1) of absolute value < |x|, let q be the first
-    position past k with y = start(q) > |x| (start(top) = top is one), and
-    let no position past q hold an entry strictly between |x| and y.  Then
-    R_k fires exactly one move, t_{-k,q}, and u = start with u(k) = -y,
-    u(q) = -x fires nothing after it, so the chains are start and u, each
-    once without the n-move.  Proof, one family at a time:
-    - the B n-move needs start(k) > 0, so it does not fire;
-    - t_{-k,q'} with q' > q runs first, on start alone: it needs
-      start(q') > |x|, hence start(q') > y, and then y lies in its middle
-      scan, strictly between -x and start(q');
-    - t_{-k,q} fires on start: no prefix entry lies in (-y, x) or (|x|, y),
-      and no middle entry exceeds |x|;
-    - t_{-k,q'} with k < q' < q needs w(q') > -w(k): on start
-      start(q') <= |x|, and on u start(q') <= |x| < y;
-    - t_{-p,k} needs w(p) > -w(k), t_{0k} needs w(k) > 0 and t_{ik} needs
-      w(i) < w(k): on start every |w(p)| < |x| and w(k) = x < 0, and on u
-      every |w(p)| < |x| < y and w(k) = -y < 0.
+    When ``_one_move`` finds that R_k fires t_{-k,q} alone, the chains are
+    start and its one move, each counted once without the n-move; the lemma
+    and its proof are that helper's.
     """
     top = max(len(v), k) + 1
     start = (*v, *range(len(v) + 1, top + 1))
-    chains = {start: (1, 0)}
     k1 = k - 1
+    if t != "A":
+        hit = _one_move(start, k)
+        if hit is not None:
+            q, y = hit
+            u = list(start)
+            u[k1], u[q - 1] = -y, -start[k1]
+            return {start: (1, 0), tuple(u): (1, 0)}
+    chains = {start: (1, 0)}
     if t == "B" and _raises_length("B", start, 0, k):
         u = list(start)
         u[k1] = -u[k1]
@@ -405,23 +444,6 @@ def _chains(t: str, k: int, v: tuple[int, ...]) -> dict[tuple[int, ...], tuple[i
     if t != "A":
         bc = t != "D"
         pre = start[:k1]
-        x = start[k1]
-        if x < 0:
-            for e in pre:
-                if e <= x or e >= -x:
-                    break
-            else:
-                q = k + 1
-                while start[q - 1] < -x:
-                    q += 1
-                y = start[q - 1]
-                for e in start[q:]:
-                    if -x < e < y:
-                        break
-                else:
-                    u = list(start)
-                    u[k1], u[q - 1] = -y, -x
-                    return {start: (1, 0), tuple(u): (1, 0)}
         for q in range(top, k, -1):
             # t_{-k,q}: the earlier moves touched positions k and past q
             # only, so every chain holds start's entries at q, in the prefix
@@ -576,10 +598,17 @@ def shape(t: str, w: SignedPermutation) -> tuple[int, ...]:
         raise ValueError(f"{w} is not in the group of type {t}")
     if not w.is_grassmannian():
         raise ValueError(f"{w} has a descent; no Grassmannian shape")
+    return _shape(t, w)
+
+
+def _shape(t: str, win: tuple[int, ...]) -> tuple[int, ...]:
+    """The leaf rule of ``shape``, on the window of a Grassmannian element
+    of type t, checked by the caller: the negated negative entries, each
+    lowered by one in type D, where a part 0 is dropped."""
     # the window increases, so its negative entries come first
-    parts = [-v for v in w if v < 0]
+    parts = [-v for v in win if v < 0]
     if t == "D":
         parts = [p - 1 for p in parts]
-    while parts and parts[-1] == 0:
-        parts.pop()
+        if parts and parts[-1] == 0:  # distinct parts: one 0 at most
+            parts.pop()
     return tuple(parts)

@@ -12,6 +12,20 @@ from ktrans import groth_a
 from ktrans.cli import main
 
 
+def _depth() -> int:
+    """The current recursion depth as the interpreter counts it: the limit
+    less the calls that still fit.  Under a test runner it can exceed
+    ``len(inspect.stack(0))``, as calls made through C code count too."""
+
+    def probe(n):
+        try:
+            return probe(n + 1)
+        except RecursionError:
+            return n
+
+    return sys.getrecursionlimit() - probe(1)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -125,11 +139,11 @@ class TestCommands:
         assert len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err
 
-    def test_too_deep_transition_chain_is_usage_error(self, capsys, monkeypatch):
-        # the recursion over the LD order of 2,3,...,600,1 is 600 calls deep;
-        # how many an interpreter allows depends on its version (3.13 answers
-        # this element), so the limit is set 200 frames past the current
-        # depth for the call and restored after it
+    def test_deep_one_output_chain_answers(self, capsys, monkeypatch):
+        # the first step of 2,3,...,600,1 has two outputs, and each heads a
+        # chain of one-output steps (1,199 keys in all) that the recursion
+        # follows in a loop: it answers with the limit 200 frames past the
+        # current depth
         from ktrans import expand as expand_mod
 
         monkeypatch.delenv("KTRANS_CACHE_DIR", raising=False)
@@ -141,11 +155,42 @@ class TestCommands:
             code = main(["expand", "--type", "B", "--w", w])
         finally:
             sys.setrecursionlimit(limit)
-        assert code == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "Traceback" not in captured.err
-        assert len(captured.err.splitlines()) == 1 and w in captured.err
-        assert expand_mod._cache == {}
+        assert code == 0 and captured.err == ""
+        assert captured.out == "lambda=[599] coeff=2 beta_power=0\nlambda=[600] coeff=1 beta_power=1\n"
+
+    @pytest.mark.parametrize("margin, code", [(9, 2), (40, 0)])
+    def test_too_deep_nesting_is_usage_error(self, capsys, monkeypatch, margin, code):
+        # steps with several outputs still recurse: the rank-8 B element
+        # nests them 9 deep, so a limit 9 frames past the depth at which
+        # the expansion starts is refused as a usage error, and 40 answers
+        from ktrans import expand as expand_mod
+
+        monkeypatch.delenv("KTRANS_CACHE_DIR", raising=False)
+        monkeypatch.setattr(expand_mod, "_cache", {})
+        expand_mod._expansion.cache_clear()
+        expand = expand_mod.expand_grassmannian
+
+        def lowered(t, w):
+            limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(_depth() + margin)
+            try:
+                return expand(t, w)
+            finally:
+                sys.setrecursionlimit(limit)
+
+        monkeypatch.setattr(expand_mod, "expand_grassmannian", lowered)
+        w = "4,7,2,6,-8,1,-5,-3"
+        assert main(["expand", "--type", "B", "--w", w, "--json"]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == "" and "Traceback" not in captured.err
+            assert len(captured.err.splitlines()) == 1 and w in captured.err
+            assert expand_mod._cache == {}
+        else:
+            assert captured.out == (GOLDEN / "expand-B-rank8.json").read_text(encoding="utf-8")
+            assert captured.err == ""
+        expand_mod._expansion.cache_clear()
 
     @pytest.mark.parametrize(
         "command, want",
@@ -796,6 +841,64 @@ class TestCache:
         assert expand_mod.load_cache(str(path)) == 2
         assert set(expand_mod._cache) == {("B", (1, 3, 2)), ("B", (3, 1, 2))}
 
+    def test_cold_run_loads_the_file_once(self, capsys, tmp_path, monkeypatch):
+        # the file is unchanged when the command saves, so it is not read again
+        from ktrans import expand as expand_mod
+
+        monkeypatch.setenv("KTRANS_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(expand_mod, "_cache", {})  # a fresh process
+        run(capsys, "expand", "--type", "B", "--w", "2,1")
+        monkeypatch.setattr(expand_mod, "_cache", {})
+        load = expand_mod.load_cache
+        paths = []
+
+        def counted(path):
+            paths.append(path)
+            return load(path)
+
+        monkeypatch.setattr(expand_mod, "load_cache", counted)
+        code, _ = run(capsys, "expand", "--type", "B", "--w", "3,1,2")
+        assert code == 0
+        assert paths == [str(tmp_path / "expansions.ktrx")]
+        expand_mod._cache.clear()
+        assert load(paths[0]) == 2
+
+    def test_file_replaced_after_the_load_is_merged(self, capsys, tmp_path, monkeypatch):
+        # the file held B 2,1 when loaded; a second command replaced it with
+        # one holding B 2,1 and 1,3,2 before this one saves
+        from ktrans import expand as expand_mod
+        from ktrans.weyl import parse_oneline
+
+        monkeypatch.setenv("KTRANS_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(expand_mod, "_cache", {})  # a fresh process
+        run(capsys, "expand", "--type", "B", "--w", "2,1")
+        path = tmp_path / "expansions.ktrx"
+        monkeypatch.setattr(expand_mod, "_cache", {})
+        expand = expand_mod.expand_grassmannian
+        loads = []
+        load = expand_mod.load_cache
+
+        def counted(path):
+            loads.append(path)
+            return load(path)
+
+        def racing(t, w):
+            mine = expand_mod._cache
+            monkeypatch.setattr(expand_mod, "_cache", {})
+            load(str(path))
+            expand("B", parse_oneline("1,3,2"))
+            expand_mod.save_cache(str(path))
+            monkeypatch.setattr(expand_mod, "_cache", mine)
+            return expand(t, w)
+
+        monkeypatch.setattr(expand_mod, "load_cache", counted)
+        monkeypatch.setattr(expand_mod, "expand_grassmannian", racing)
+        code, _ = run(capsys, "expand", "--type", "B", "--w", "3,1,2")
+        assert code == 0 and len(loads) == 2
+        expand_mod._cache.clear()
+        assert load(str(path)) == 3
+        assert set(expand_mod._cache) == {("B", (2, 1)), ("B", (1, 3, 2)), ("B", (3, 1, 2))}
+
     def test_concurrent_processes_keep_every_key(self, tmp_path):
         import os
         import subprocess
@@ -1074,6 +1177,28 @@ class TestStats:
         assert len(outputs) == 25
         assert stats["expansion_misses"] == 25 + len(leaves)
         assert stats["expansion_hits"] + stats["expansion_misses"] == 1 + sum(map(len, outputs))
+        expand_mod._expansion.cache_clear()
+
+    @pytest.mark.parametrize(
+        "name, hits, misses",
+        [
+            ("expand-B-golden.json", 8, 32),
+            ("expand-C-golden.json", 8, 32),
+            ("expand-D-rank8.json", 291, 631),
+        ],
+    )
+    def test_cold_counts_are_pinned(self, capsys, monkeypatch, name, hits, misses):
+        # the loop over one-output chains counts each key it looks up, as
+        # the recursion through an lru_cache did
+        from ktrans import expand as expand_mod
+
+        monkeypatch.delenv("KTRANS_CACHE_DIR", raising=False)
+        monkeypatch.setattr(expand_mod, "_cache", {})
+        expand_mod._expansion.cache_clear()
+        assert main([*GOLDEN_COMMANDS[name], "--stats"]) == 0
+        stats = json.loads(capsys.readouterr().err)
+        assert (stats["expansion_hits"], stats["expansion_misses"]) == (hits, misses)
+        assert expand_mod._expansion.cache_info().currsize == misses
         expand_mod._expansion.cache_clear()
 
     def test_cache_counts(self, capsys, tmp_path, monkeypatch):

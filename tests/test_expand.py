@@ -15,6 +15,7 @@ from ktrans.tableaux import ShiftedSkewShape, contains, gp, gq, w_shape
 from ktrans.weyl import (
     SignedPermutation,
     _chains,
+    _one_move,
     _support,
     _transition_window,
     group_elements,
@@ -212,6 +213,48 @@ class TestMemo:
             _clear_memos()
 
 
+class TestMemoContract:
+    """`_expansion` keeps an lru_cache's two methods on a plain dict memo,
+    which ``_clear_memos`` and the benchmark's reset find by attribute."""
+
+    def test_cleared_memo_is_empty(self):
+        from ktrans import expand as expand_mod
+
+        expand_grassmannian("B", GOLDEN_W)
+        assert expand_mod._expansion.cache_info().currsize > 0
+        _clear_memos()
+        info = expand_mod._expansion.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        assert expand_mod._memo == {}
+
+    def test_no_module_level_class_has_cache_clear(self):
+        # the scans call cache_clear() on what they find; on a class that
+        # would be an unbound call, which raises
+        from ktrans import cli, expand, groth_a, hecke, kn, rings, tableaux, weyl
+
+        for mod in (cli, expand, groth_a, hecke, kn, rings, tableaux, weyl):
+            for name, obj in vars(mod).items():
+                if isinstance(obj, type):
+                    assert not hasattr(obj, "cache_clear"), (mod.__name__, name)
+
+    def test_chain_keys_share_the_dict_at_its_end(self):
+        # B 2,3,4,5,1 has two outputs, each the head of a chain of four keys
+        # that ends at a leaf: each key of a chain holds that leaf's dict
+        from ktrans import expand as expand_mod
+
+        _clear_memos()
+        terms = expand_grassmannian("B", parse_oneline("2,3,4,5,1")).terms
+        assert terms == {(4,): 2, (5,): 1}
+        groups = {}
+        for key, found in expand_mod._memo.items():
+            groups.setdefault(id(found), (found, []))[1].append(key)
+        assert len(expand_mod._memo) == expand_mod._expansion.cache_info().misses == 9
+        assert sorted((len(keys), sorted(found.items())) for found, keys in groups.values()) == [
+            (1, sorted(terms.items())), (4, [((4,), 1)]), (4, [((5,), 1)])
+        ]
+        _clear_memos()
+
+
 class TestAssertions:
     """The engine's assertions fire, through expand_grassmannian, on a step
     that breaks them: each fault is injected into a function that the
@@ -259,6 +302,38 @@ class TestAssertions:
         with pytest.raises(AssertionError, match="does not raise length by one"):
             expand_grassmannian("B", GOLDEN_W)
 
+    # the one-move exit: B 2,-1 steps to -2,1 and B 1,-2 to -3,1,2 by it
+
+    @pytest.mark.parametrize("w", ["2,-1", "1,-2"])
+    def test_exit_steps(self, w):
+        w = parse_oneline(w)
+        v, _ = _transition_window(w, w.least_descent())
+        assert _one_move(v, w.least_descent()) is not None
+
+    def test_exit_step_that_does_not_raise_length(self, monkeypatch):
+        from ktrans import expand as expand_mod
+
+        monkeypatch.setattr(expand_mod, "_raises_length", lambda t, win, i, j: False)
+        with pytest.raises(AssertionError, match="does not raise length by one"):
+            expand_grassmannian("B", parse_oneline("2,-1"))
+
+    def test_exit_output_not_below_in_ld_order(self, monkeypatch):
+        from ktrans import expand as expand_mod
+
+        # a scan that runs past the end moves 2,-1 to -3,2,1, of LD 2
+        monkeypatch.setattr(expand_mod, "_one_move", lambda win, k: (len(win) + 1, len(win) + 1))
+        with pytest.raises(AssertionError, match="-3,2,1 not below 2,-1 in LD order"):
+            expand_grassmannian("B", parse_oneline("2,-1"))
+
+    def test_exit_output_escaping_the_support_bound(self, monkeypatch):
+        from ktrans import expand as expand_mod
+
+        # an LD scan that reads 1 for -3,1,2 puts it below 1,-2 in LD order,
+        # with support 3 + LD 1 past the bound 2 + 1 of 1,-2
+        monkeypatch.setattr(expand_mod, "_least_descent", lambda u: 1)
+        with pytest.raises(AssertionError, match="-3,1,2 escapes the support bound 3 of 1,-2"):
+            expand_grassmannian("B", parse_oneline("1,-2"))
+
 
 class TestWindowStep:
     """The recursion's window step against the public, wrapped forms."""
@@ -285,6 +360,60 @@ class TestWindowStep:
             ends = {u[: _support(u)]: c for u, c in _chains(t, a, v).items()}
             want = {u: p + n - (u == v) for u, (p, n) in ends.items()}
             assert wrapped == {u: c for u, c in want.items() if c}, (t, str(w))
+
+
+class TestOneMoveStep:
+    """The step's one-move exit against its general path through
+    ``_chains``, reached by a ``_one_move`` that never hits."""
+
+    @staticmethod
+    def general(monkeypatch, t, u, a):
+        from ktrans import expand as expand_mod
+
+        with monkeypatch.context() as m:
+            m.setattr(expand_mod, "_one_move", lambda win, k: None)
+            return expand_mod._step(t, u, a)
+
+    @pytest.mark.parametrize("t", ["B", "C", "D"])
+    def test_matches_general_path_on_w4(self, monkeypatch, t):
+        from ktrans import expand as expand_mod
+
+        exits = 0
+        for w in group_elements(t, 4):
+            a = w.least_descent()
+            if not a:
+                continue
+            v, _ = _transition_window(w, a)
+            exits += _one_move(v, a) is not None
+            got = expand_mod._step(t, tuple(w), a)
+            assert got == self.general(monkeypatch, t, tuple(w), a), (t, str(w))
+        assert exits > 0
+
+    @pytest.mark.parametrize(
+        "t, w", [("C", "-3,4,-1,5,2"), ("D", "-6,5,-2,7,8,1,3,4"), ("B", "4,7,2,6,-8,1,-5,-3")]
+    )
+    def test_matches_general_path_on_every_key(self, monkeypatch, t, w):
+        # every key that the cold expansion steps, as in TestWorklist
+        from ktrans import expand as expand_mod
+
+        keys = []
+        step = expand_mod._step
+
+        def recording_step(tt, u, a):
+            keys.append((u, a))
+            return step(tt, u, a)
+
+        _clear_memos()
+        with monkeypatch.context() as m:
+            m.setattr(expand_mod, "_step", recording_step)
+            expand_grassmannian(t, parse_oneline(w))
+        _clear_memos()
+        exits = 0
+        for u, a in keys:
+            v, _ = _transition_window(u, a)
+            exits += _one_move(v, a) is not None
+            assert step(t, u, a) == self.general(monkeypatch, t, u, a), (t, u)
+        assert 0 < exits < len(keys)
 
 
 class TestSkew:

@@ -12,7 +12,9 @@ from ktrans.weyl import (
     _apply_word,
     _chains,
     _merge,
+    _one_move,
     _raises_length,
+    _shape,
     _support,
     _transition_window,
     elements_up_to_length,
@@ -435,6 +437,47 @@ class TestRChains:
             got = list(_chains(t, a, v).items())
             assert got == list(generic_chains(t, a, v).items()), (t, w)
 
+    @pytest.mark.parametrize("t", ["B", "C", "D"])
+    def test_one_move_is_the_kernels_exit(self, t):
+        # on every window of W_4 and every k up to its support + 1, the helper
+        # hits exactly where the lemma applies, and there the generic loop
+        # and the kernel both give start and its one move, once each; an
+        # untrimmed or padded copy of the window gives the same hit
+        hits = passes_end = 0
+        for w in group_elements(t, 4):
+            for k in range(1, w.support + 2):
+                hit = _one_move(w, k)
+                lemma = one_move_exit(t, k, w)
+                assert (hit is None) == (lemma is None), (t, w, k)
+                top = max(len(w), k) + 1
+                start = (*w, *range(len(w) + 1, top + 1))
+                assert _one_move(list(start), k) == hit, (t, w, k)
+                if hit is None:
+                    continue
+                hits += 1
+                q, y = hit
+                passes_end += q == len(w) + 1
+                assert y == (start[q - 1] if q <= len(w) else q), (t, w, k)
+                u = list(start)
+                u[k - 1], u[q - 1] = -y, -start[k - 1]
+                want = [(start, (1, 0)), (tuple(u), (1, 0))]
+                assert list(_chains(t, k, w).items()) == want, (t, w, k)
+                assert list(generic_chains(t, k, w).items()) == want, (t, w, k)
+        assert hits > passes_end > 0
+
+    def test_one_move_past_the_end(self):
+        # -2,1: no entry past position 1 exceeds 2, so q = y = 3
+        assert _one_move((-2, 1), 1) == (3, 3)
+        assert _one_move((-2, 1, 3), 1) == (3, 3)
+        assert _one_move((2, 1), 1) is None  # w(1) > 0
+        assert _one_move((-1, -2), 2) == (3, 3)
+        assert _one_move((-2, -1), 2) is None  # |w(1)| = 2 > 1
+        assert _one_move((3, -1, 2), 2) is None  # |w(1)| = 3 > 1
+        assert _one_move((-3, 2, 1), 1) == (4, 4)
+        assert _one_move((-2, 3, 1), 1) == (2, 3)
+        assert _one_move((-1, 3, 2), 1) is None  # 2 lies between 1 and 3, past q = 2
+        assert _one_move((1, 2), 3) is None  # w(3) = 3 > 0
+
     def test_merge(self):
         # a held window gains both counts in place, a new one goes last;
         # both via_n counts matter, though no kernel input seen so far lands
@@ -560,6 +603,16 @@ class TestShapes:
     def test_requires_grassmannian(self):
         with pytest.raises(ValueError):
             shape("B", parse_oneline("2,1"))
+
+    @pytest.mark.parametrize("t", ["B", "C", "D"])
+    def test_leaf_rule_matches_shape_on_w5(self, t):
+        leaves = 0
+        for w in group_elements(t, 5):
+            if w.is_grassmannian():
+                leaves += 1
+                got = _shape(t, tuple(w))
+                assert type(got) is tuple and got == shape(t, w), (t, w)
+        assert leaves == (32 if t != "D" else 16)
 
 
 def ld_less(u, v):
