@@ -461,16 +461,9 @@ def _run_check(index: int) -> tuple[str, bool, str]:
     return name, bool(ok), detail
 
 
-def _timed_check(index: int) -> tuple[tuple[str, bool, str], float]:
-    """_run_check(index) and its wall seconds."""
-    start = time.perf_counter()
-    result = _run_check(index)
-    return result, time.perf_counter() - start
-
-
 def _seed_checks(seed: int | None) -> None:
-    """Seed the pi-braid check, found by its name; a pool runs this in each
-    worker, as a spawned worker does not inherit the parent's CHECKS."""
+    """Seed the pi-braid check, found by its name, so that a check added
+    after it keeps its place."""
     if seed is not None:
         at = [name for name, _ in CHECKS].index("pi-braid-relations")
         CHECKS[at] = ("pi-braid-relations", functools.partial(_check_pi_braid, seed))
@@ -478,11 +471,10 @@ def _seed_checks(seed: int | None) -> None:
 
 def cmd_verify_suite(args) -> int:
     """Run the battery, or with --check only the named checks, in CHECKS
-    order; each FAIL line is followed by the command that reruns it.
-    --stats adds one JSON line on stderr mapping each check run to its wall
-    seconds, as _timed_check measures them, in this process or in a pool
-    worker; it looks _run_check up at each call, so a rebinding of it is
-    timed too."""
+    order and in this process; each FAIL line is followed by the command
+    that reruns it. --stats adds one JSON line on stderr mapping each check
+    run to its wall seconds; _run_check is looked up at each call, so a
+    rebinding of it is timed too."""
     names = [name for name, _ in CHECKS]
     indices = list(range(len(CHECKS)))
     if args.check:
@@ -490,23 +482,18 @@ def cmd_verify_suite(args) -> int:
             if name not in names:
                 raise ValueError(f"unknown check {name!r}; the checks are {', '.join(names)}")
         indices = [i for i in indices if names[i] in args.check]
-    check = _timed_check if args.stats else _run_check
     default = CHECKS[:]
     _seed_checks(args.seed)
+    results, seconds = [], {}
     try:
-        if args.jobs > 1:
-            import multiprocessing
-
-            processes = min(args.jobs, len(indices))
-            with multiprocessing.Pool(processes, _seed_checks, (args.seed,)) as pool:
-                results = pool.map(check, indices)
-        else:
-            results = [check(i) for i in indices]
+        for i in indices:
+            start = time.perf_counter()
+            results.append(_run_check(i))
+            seconds[results[-1][0]] = round(time.perf_counter() - start, 6)
     finally:
         CHECKS[:] = default
     if args.stats:
-        print(json.dumps({result[0]: round(s, 6) for result, s in results}), file=sys.stderr)
-        results = [result for result, _ in results]
+        print(json.dumps(seconds), file=sys.stderr)
     seed = "" if args.seed is None else f" --seed {args.seed}"
     failed = 0
     for name, ok, detail in results:
@@ -618,7 +605,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_kn_transition)
 
     p = sub.add_parser("verify-suite", help="run the identity battery")
-    p.add_argument("--jobs", type=positive_int, default=1)
+    # accepted and ignored: the checks run in this process, and
+    # bench/worker.py still passes --jobs 1
+    p.add_argument("--jobs", type=positive_int, default=1, help=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--check", action="append", metavar="NAME", help="run only this check (repeatable)")
     p.add_argument("--stats", action="store_true",

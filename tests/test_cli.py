@@ -325,15 +325,26 @@ class TestCommands:
         assert run(capsys, *argv) == (0, want)
 
 
+def _fresh_stdout(code: str) -> str:
+    """The stdout of ``code`` run in a new interpreter on this source tree,
+    with no cache directory; it must exit 0."""
+    import os
+    import subprocess
+
+    import ktrans
+
+    env = {k: v for k, v in os.environ.items() if k != "KTRANS_CACHE_DIR"}
+    env["PYTHONPATH"] = str(Path(ktrans.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 class TestEngineImports:
     def test_engine_commands_load_no_oracle(self):
         # expand, skew and length run on expand, weyl and the shape half of
         # tableaux; the oracle layers load only in the commands that run them
-        import os
-        import subprocess
-
-        import ktrans
-
         watched = ["ktrans.rings", "ktrans.hecke", "ktrans.kn", "ktrans.groth_a",
                    "dataclasses", "typing"]
         report = f"print(' '.join(m for m in {watched!r} if m in sys.modules))"
@@ -349,27 +360,11 @@ class TestEngineImports:
             f"    codes = [ktrans.cli.main(argv) for argv in {commands!r}]\n"
             "assert codes == [0, 0, 0], codes\n" + report
         )
-        env = {k: v for k, v in os.environ.items() if k != "KTRANS_CACHE_DIR"}
-        env["PYTHONPATH"] = str(Path(ktrans.__file__).parents[1])
-
-        def loaded(code):
-            done = subprocess.run([sys.executable, "-c", code], env=env,
-                                  capture_output=True, text=True, timeout=60)
-            assert done.returncode == 0, done.stderr
-            return set(done.stdout.split())
-
-        bare = loaded("import sys\n" + report)
-        assert loaded(engine) <= bare
+        bare = _fresh_stdout("import sys\n" + report)
+        assert set(_fresh_stdout(engine).split()) <= set(bare.split())
 
 
 class TestVerifySuite:
-    def test_battery_passes_in_parallel(self, capsys):
-        code, out = run(capsys, "verify-suite", "--jobs", "2", "--seed", "1")
-        assert code == 0
-        lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-        assert len(lines) == 15
-        assert all(l.startswith("PASS") for l in lines)
-
     def test_cold_battery_computes_each_fstanley_once(self, capsys, monkeypatch):
         # lru_cache keys a call that spells out the default method apart from
         # one that leaves it out, so a check that spells it out recomputes
@@ -413,14 +408,11 @@ class TestVerifySuite:
         assert code == 0 and "all 15 checks passed" in out
         assert cli.CHECKS[-1][1] is cli._check_pi_braid
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
+    # --jobs 1 is the form the benchmark passes
+    @pytest.mark.parametrize("jobs", ["1"])
     def test_seed_keeps_a_check_added_after_pi_braid(self, capsys, monkeypatch, jobs):
-        import multiprocessing
-
         from ktrans import cli
 
-        # a forked worker inherits the added check, as the parent holds it
-        monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
         monkeypatch.setattr(cli, "CHECKS", cli.CHECKS + [("new-check", lambda: (False, "forced"))])
         code, out = run(
             capsys, "verify-suite", "--check", "pi-braid-relations", "--check", "new-check",
@@ -436,81 +428,14 @@ class TestVerifySuite:
         assert cli.CHECKS[-1][0] == "new-check"
         assert dict(cli.CHECKS)["pi-braid-relations"] is cli._check_pi_braid
 
-    def test_spawned_worker_gets_the_seed(self, capsys, monkeypatch):
-        import multiprocessing
-
-        from ktrans import cli
-
-        seen = []
-
-        def spawn_pool(*args, **kwargs):
-            pool = multiprocessing.get_context("spawn").Pool(*args, **kwargs)
-
-            def stub_map(fn, indices):
-                # ask a worker for its pi-braid check instead of running the battery
-                seen.append(pool.apply(_worker_pi_braid))
-                return [(cli.CHECKS[i][0], True, "") for i in indices]
-
-            pool.map = stub_map
-            return pool
-
-        monkeypatch.setattr(multiprocessing, "Pool", spawn_pool)
-        code, out = run(capsys, "verify-suite", "--jobs", "2", "--seed", "3")
-        assert code == 0 and "all 15 checks passed" in out
-        [fn] = seen
-        assert fn.func is cli._check_pi_braid and fn.args == (3,)
-
-    @pytest.mark.parametrize("jobs, processes", [(2, 2), (15, 15), (64, 15)])
-    def test_pool_starts_no_more_workers_than_checks(self, capsys, monkeypatch, jobs, processes):
-        import multiprocessing
-
-        from ktrans import cli
-
-        started = []
-
-        class InProcessPool:
-            # records the worker count and starts no process
-            def __init__(self, processes, initializer, initargs):
-                started.append(processes)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, indices):
-                return [fn(i) for i in indices]
-
-        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
-        monkeypatch.setattr(cli, "_run_check", lambda i: (cli.CHECKS[i][0], True, ""))
-        code, out = run(capsys, "verify-suite", "--jobs", str(jobs))
-        assert code == 0 and "all 15 checks passed" in out
-        assert started == [processes]
-
-    @pytest.mark.parametrize("jobs", ["1", "2"])
+    # --jobs 1 is the form the benchmark passes
+    @pytest.mark.parametrize("jobs", ["1"])
     def test_stats_times_each_check_run(self, capsys, monkeypatch, jobs):
         # stdout is the document without --stats; stderr is one JSON line
-        # timing each check run, through a rebound _run_check too, in this
-        # process or in a worker (here an in-process pool)
-        import multiprocessing
+        # timing each check run, through a rebound _run_check too
         import time
 
         from ktrans import cli
-
-        class InProcessPool:
-            def __init__(self, processes, initializer, initargs):
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, indices):
-                return [fn(i) for i in indices]
 
         def slow_transition_step(index):
             name = cli.CHECKS[index][0]
@@ -518,7 +443,6 @@ class TestVerifySuite:
                 time.sleep(0.05)
             return name, True, ""
 
-        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
         monkeypatch.setattr(cli, "_run_check", slow_transition_step)
         argv = ["verify-suite", "--jobs", jobs, "--check", "transition-step",
                 "--check", "kn-oracle", "--check", "golden-expansion-B"]
@@ -532,6 +456,36 @@ class TestVerifySuite:
         assert list(stats) == ["golden-expansion-B", "transition-step", "kn-oracle"]
         assert stats["transition-step"] >= 0.05
         assert 0 <= stats["kn-oracle"] < 0.05 and 0 <= stats["golden-expansion-B"] < 0.05
+
+    def test_benchmark_call_form_runs_every_check_in_order(self, capsys, monkeypatch):
+        # the benchmark rebinds _run_check to a wrapper over the original and
+        # passes --jobs 1; --jobs is accepted and ignored
+        from ktrans import cli
+
+        run_check = cli._run_check
+        ran = []
+
+        def recording(index):
+            ran.append(index)
+            return run_check(index)
+
+        plain = run(capsys, "verify-suite", "--seed", "3")
+        monkeypatch.setattr(cli, "_run_check", recording)
+        code, out = run(capsys, "verify-suite", "--seed", "3", "--jobs", "1")
+        assert code == 0 and out.endswith("all 15 checks passed\n")
+        assert ran == list(range(len(cli.CHECKS))) and len(ran) == 15
+        monkeypatch.setattr(cli, "_run_check", run_check)
+        assert (code, out) == plain == run(capsys, "verify-suite", "--seed", "3", "--jobs", "2")
+
+    def test_no_pool_is_started(self):
+        _fresh_stdout(
+            "import contextlib, io, sys\n"
+            "import ktrans.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = ktrans.cli.main(['verify-suite', '--jobs', '2', '--check', 'golden-expansion-B'])\n"
+            "assert code == 0, code\n"
+            "assert 'multiprocessing' not in sys.modules\n"
+        )
 
     def test_stats_names_every_check_of_the_battery(self, capsys):
         code, out = run(capsys, "verify-suite", "--seed", "3")
@@ -624,12 +578,6 @@ class TestVerifySuite:
         checks = dict(cli.CHECKS)
         assert checks["type-A-transitions"]()[0] == (t != "A")
         assert checks["bcd-transitions"]()[0] == (t == "A")
-
-
-def _worker_pi_braid():
-    from ktrans import cli
-
-    return cli.CHECKS[-1][1]
 
 
 # every subcommand's options as (strings, default, choices, required, nargs)
