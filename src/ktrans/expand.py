@@ -55,15 +55,15 @@ def _step(t: str, w: Window, a: int) -> list[tuple[Window, int, int]]:
     support(u) + LD(u) <= support(w) + LD(w).
 
     Most steps fire one move: when ``_one_move`` finds that R_a fires
-    t_{-a,q} alone on v, the one output is that move, with coefficient 1
-    by its lemma, applied to v in place; no padded copy or chain table is
-    built.  Any other step counts R_a's chains with ``_chains``.
+    t_{-a,q} alone on v, the one end is that move, with coefficient 1 by
+    its lemma, applied to v in place; no padded copy or chain table is
+    built.  Any other step counts R_a's chains with ``_chains``, and each
+    end u, trimmed, has coefficient plain + via_n - [u == v].  Both kinds
+    of end pass the same checks, in one loop.
     """
     v, b = _transition_window(w, a)
     if not _raises_length(t, v, a, b):
         raise AssertionError(f"{_perm(v)} * t_({a},{b}) = {_perm(w)} does not raise length by one")
-    x = w[a - 1]
-    bound = len(w) + a
     hit = _one_move(v, a)
     if hit is not None:
         q, y = hit
@@ -76,18 +76,17 @@ def _step(t: str, w: Window, a: int) -> list[tuple[Window, int, int]]:
         # u is trimmed: v(n) = n only when b = n and w(a) = n, and then
         # v(a+1..n-1) = w(a+1..n-1) < w(n) = z < 0, so the scan stops at
         # q = n; an appended entry is |z| <= n
-        u = tuple(v)
-        d = _least_descent(u)
-        if d > a or (d == a and u[d - 1] >= x):
-            raise AssertionError(f"transition produced {_perm(u)} not below {_perm(w)} in LD order")
-        if len(u) + d > bound:
-            raise AssertionError(f"{_perm(u)} escapes the support bound {bound} of {_perm(w)}")
-        return [(u, d, 1)]
-    v = tuple(v[: _support(v)])
+        ends = [(tuple(v), 1)]
+    else:
+        v = tuple(v[: _support(v)])
+        ends = []
+        for u, (plain, via_n) in _chains(t, a, v).items():
+            u = u[: _support(u)]
+            ends.append((u, plain + via_n - (u == v)))
+    x = w[a - 1]
+    bound = len(w) + a
     outputs = []
-    for u, (plain, via_n) in _chains(t, a, v).items():
-        u = u[: _support(u)]
-        coeff = plain + via_n - (u == v)
+    for u, coeff in ends:
         if not coeff:
             continue
         d = _least_descent(u)
@@ -161,26 +160,33 @@ def _expansion(t: str, u: Window, d: int) -> dict[Shape, int]:
     `_memo` by (t, u).  A Grassmannian u is the one term of its shape, and
     any other u is the sum of the expansions of its ``_step`` outputs, each
     strictly below u and keyed with the LD that ``_step`` computed.  Most
-    steps have one output with coefficient 1, so F_u = F_v: such a chain
-    is followed in a loop, and every key on it gets the dict at its end.
-    Only a step with several outputs recurses, so the depth counts those
-    steps alone.  `_cache` is not consulted here, so a persisted entry
-    serves its own key alone.  ``_step`` asserts the support bound of u at
-    every output; by induction, every intermediate of a root w stays within
-    support(w) + LD(w), memo hits included, so lambda_1 does too.
+    steps have one output with coefficient 1, so F_u = F_v: one loop
+    follows such a chain from u and probes `_memo` at one site.  A hit ends
+    the chain with its dict; a miss joins the chain and then ends it at a
+    leaf, ends it at a step with several outputs, which recurses, or moves
+    on to the step's one output.  Every key on the chain gets the dict at
+    its end, and the depth counts the steps with several outputs alone.
+    `_cache` is not consulted here, so a persisted entry serves its own key
+    alone.  ``_step`` asserts the support bound of u at every output; by
+    induction, every intermediate of a root w stays within support(w) +
+    LD(w), memo hits included, so lambda_1 does too.
 
     ``cache_info()`` and ``cache_clear()`` work as an lru_cache's would:
     every key looked up counts one hit or one miss, chain keys included.
     """
     memo, lookups = _memo, _lookups
-    key = (t, u)
-    total = memo.get(key)
-    if total is not None:
-        lookups[0] += 1
-        return total
-    lookups[1] += 1
-    chain = [key]
-    while d:
+    chain = []
+    while True:
+        key = (t, u)
+        total = memo.get(key)
+        if total is not None:
+            lookups[0] += 1
+            break
+        lookups[1] += 1
+        chain.append(key)
+        if not d:  # a Grassmannian leaf: the one term of its shape
+            total = {_shape(t, u): 1}
+            break
         outputs = _step(t, u, d)
         if len(outputs) != 1 or outputs[0][2] != 1:
             total = {}
@@ -189,15 +195,6 @@ def _expansion(t: str, u: Window, d: int) -> dict[Shape, int]:
                     total[lam] = total.get(lam, 0) + coeff * c
             break
         u, d, _ = outputs[0]
-        key = (t, u)
-        total = memo.get(key)
-        if total is not None:
-            lookups[0] += 1
-            break
-        lookups[1] += 1
-        chain.append(key)
-    else:  # a Grassmannian leaf: the one term of its shape
-        total = {_shape(t, u): 1}
     for key in chain:
         memo[key] = total
     return total

@@ -360,8 +360,9 @@ def _one_move(win: list[int] | tuple[int, ...], k: int) -> tuple[int, int] | Non
     """(q, y) when R_k, in type B, C or D, fires the one move t_{-k,q} on
     the window win and nothing else, where y = w(q); None otherwise.  win
     has its fixed points implied past its end: when the scan for q passes
-    the end, q = y = len(win) + 1.  The caller decides that the type is not
-    A, where no t_{-k,q} exists.
+    the end, q = y = len(win) + 1.  Its one caller, ``expand._step``, asks
+    it before it builds anything and applies a hit in place; the type there
+    is B, C or D, never A, where no t_{-k,q} exists.
 
     The lemma.  Let x = w(k) < 0 with every prefix entry w(1..k-1) of
     absolute value < |x|, let q be the first position past k with
@@ -421,21 +422,10 @@ def _chains(t: str, k: int, v: tuple[int, ...]) -> dict[tuple[int, ...], tuple[i
     types B and C; and t_{ik} for i from 1 to k-1.  Each family inlines its
     case of ``_raises_length``, applies its move as a swap or sign flip of
     the window, and hands the moved chains to ``_merge``.
-
-    When ``_one_move`` finds that R_k fires t_{-k,q} alone, the chains are
-    start and its one move, each counted once without the n-move; the lemma
-    and its proof are that helper's.
     """
     top = max(len(v), k) + 1
     start = (*v, *range(len(v) + 1, top + 1))
     k1 = k - 1
-    if t != "A":
-        hit = _one_move(start, k)
-        if hit is not None:
-            q, y = hit
-            u = list(start)
-            u[k1], u[q - 1] = -y, -start[k1]
-            return {start: (1, 0), tuple(u): (1, 0)}
     chains = {start: (1, 0)}
     if t == "B" and _raises_length("B", start, 0, k):
         u = list(start)
@@ -567,21 +557,16 @@ def reduced_word(t: str, w: SignedPermutation) -> list[int]:
 
 @lru_cache(maxsize=None)
 def elements_up_to_length(t: str, n: int, max_len: int) -> tuple[SignedPermutation, ...]:
-    """Elements of W^t_n with length <= max_len, found by raising BFS."""
+    """Elements of W^t_n with length <= max_len, ordered by (length, w),
+    found by raising BFS: each move raises length by one, so the layer
+    index is the length and each layer, sorted, is appended in turn."""
     gens = [(g, generator(t, g)) for g in generator_indices(t, n)]
-    seen = {IDENTITY}
-    frontier = [IDENTITY]
+    layer = [IDENTITY]
+    out = [IDENTITY]
     for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for g, tg in gens:
-                if right_ascent(w, g):
-                    u = w * tg
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda w: (length(t, w), w)))
+        layer = sorted({w * tg for w in layer for g, tg in gens if right_ascent(w, g)})
+        out += layer
+    return tuple(out)
 
 
 def group_elements(t: str, n: int) -> tuple[SignedPermutation, ...]:

@@ -175,6 +175,41 @@ class TestMemo:
         assert len(expand_mod._cache) == len(elements)
         _clear_memos()
 
+    def test_shared_memo_sweep_of_w5(self, monkeypatch):
+        # every element of W_5 in B, C and D through one memo: the documents'
+        # digest and the memo's counts pin the sweep, and no step that
+        # reaches the kernel is one that the step's one-move exit answers
+        import hashlib
+        import json
+
+        from ktrans import expand as expand_mod
+
+        chains = expand_mod._chains
+        misses = []
+
+        def checking_chains(t, k, v):
+            top = max(len(v), k) + 1
+            start = (*v, *range(len(v) + 1, top + 1))
+            if _one_move(start, k) is not None:
+                misses.append((t, k, v))
+            return chains(t, k, v)
+
+        monkeypatch.setattr(expand_mod, "_chains", checking_chains)
+        _clear_memos()
+        digest = hashlib.sha256()
+        for t in "BCD":
+            for w in group_elements(t, 5):
+                doc = expand_grassmannian(t, w).to_json_dict()
+                text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+                digest.update(text.encode())
+        info = expand_mod._expansion.cache_info()
+        _clear_memos()
+        assert digest.hexdigest() == (
+            "0f3c2cf66c86ac693c0306dbf9aca7cd786c469975dca3055156eee4aad3325e"
+        )
+        assert tuple(info) == (25_854, 13_975, None, 13_975)
+        assert misses == []
+
     def test_cache_holds_the_recursions_own_dict(self):
         # one copy of each expansion: `_cache` keeps the memo's dict, whose
         # keys are the leaves' shapes, plain tuples shared between roots

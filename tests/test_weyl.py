@@ -370,8 +370,8 @@ def generic_chains(t, k, v):
 
 
 def one_move_exit(t, k, v):
-    """The two chains of the kernel's one-move exit, if its lemma applies to
-    R_k on the trimmed window v, else None: start(k) = x < 0, the prefix
+    """The two chains of R_k by the one-move lemma, if it applies to R_k on
+    the trimmed window v, else None: start(k) = x < 0, the prefix
     below |x| in absolute value, q the first position past k holding
     y > |x|, and no entry past q strictly between |x| and y."""
     top = max(len(v), k) + 1
@@ -441,7 +441,8 @@ class TestRChains:
     def test_one_move_is_the_kernels_exit(self, t):
         # on every window of W_4 and every k up to its support + 1, the helper
         # hits exactly where the lemma applies, and there the generic loop
-        # and the kernel both give start and its one move, once each; an
+        # and the kernel's family loops both give start and its one move,
+        # once each, so the step's exit answers what the kernel would; an
         # untrimmed or padded copy of the window gives the same hit
         hits = passes_end = 0
         for w in group_elements(t, 4):
