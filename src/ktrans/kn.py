@@ -22,9 +22,10 @@ The sum factors through p: the half-sum K_p over the (sigma, u) with
 sigma^-1 o u = p is memoized by (t, p, N, D), so every w whose walk
 reaches p shares it.  Both levels are one Demazure fold, _fold: K_p folds
 G_sigma(y) against F_u(z) at p^-1, and kn_eval folds G_tau(x) against K_p
-at w.  The fold adds into one term table, and since codes sort x < y < z,
-a product of G_tau(x), G_sigma(y) and F_u(z) monomials is their code
-tuples joined.
+at w.  The fold adds into one term table through rings._mul_into, which
+joins codes already in order without a sort; since codes sort x < y < z,
+a product of G_tau(x), G_sigma(y) and F_u(z) monomials is always their
+code tuples joined.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from functools import lru_cache
 
 from .groth_a import groth_single
 from .hecke import fstanley
-from .rings import TruncPoly
+from .rings import TruncPoly, _mul_into
 from .weyl import (
     SignedPermutation,
     elements_up_to_length,
@@ -66,18 +67,6 @@ def _perms(n: int, cap: int) -> tuple:
                  for s in elements_up_to_length("A", n, cap))
 
 
-def _add_product(into: dict, left: dict, right: dict, shift: int, bound: int) -> None:
-    """Add beta^shift times the product of two term tables into the table
-    into, cut at degree bound.  Every code of left sorts before every code
-    of right (x < y < z), so a product's codes are the two tuples joined."""
-    for (b1, v1), c1 in left.items():
-        room, b1 = bound - len(v1), b1 + shift
-        for (b2, v2), c2 in right.items():
-            if len(v2) <= room:
-                m = (b1 + b2, v1 + v2)
-                into[m] = into.get(m, 0) + c1 * c2
-
-
 def _fold(t: str, y: SignedPermutation, family: str, inner, bound: int) -> dict:
     """The sum of beta^(l(s)+l(x)-l(y)) G_s(family) inner(x) over s in S_n,
     n the support of y, and the x with x o s = y, as a term table cut at
@@ -90,7 +79,7 @@ def _fold(t: str, y: SignedPermutation, family: str, inner, bound: int) -> dict:
         # G_s is built only for an s that some x meets
         for x, lx in _undo(t, {y: ly}, s_word).items():
             if ls + lx <= bound:
-                _add_product(table, groth_single(s, family).terms, inner(x), ls + lx - ly, bound)
+                _mul_into(table, groth_single(s, family).terms, inner(x), bound, ls + lx - ly)
     return {m: c for m, c in table.items() if c}
 
 

@@ -4,10 +4,10 @@ Monomials are tuples (beta_exp, vars) where vars is the sorted tuple of
 variable codes, each repeated as often as its exponent: x1^2*z3 is
 (c_x1, c_x1, c_z3).  Codes pack a variable family x / y / z with a
 positive index so the x-block sorts before y before z.  The total degree
-is len(vars), and a product's vars are one sort of the two factors' vars
-joined.  Truncation discards any monomial whose total degree across x, y,
-z exceeds the bound; beta is never truncated.  All coefficients are
-Python ints, so nothing overflows.
+is len(vars), and a product's vars are the two factors' vars joined,
+sorted only when they are not already in order.  Truncation discards any
+monomial whose total degree across x, y, z exceeds the bound; beta is
+never truncated.  All coefficients are Python ints, so nothing overflows.
 
 The module also provides the localized ring with inverted (1 + beta*y_i)
 factors (YRational), the isobaric divided difference, the signed star
@@ -65,16 +65,18 @@ Monomial = tuple[int, tuple[int, ...]]
 _ONE_MONO: Monomial = (0, ())
 
 
-def _mul_into(into: dict, left: dict, right: dict, bound: int | None) -> None:
-    """Add the product of the term tables left and right into the table
-    into, cut at degree bound.  A coefficient there may cancel to zero; the
-    caller drops it.  A monomial with no variables joins without a sort."""
+def _mul_into(into: dict, left: dict, right: dict, bound: int | None, shift: int = 0) -> None:
+    """Add beta^shift times the product of the term tables left and right
+    into the table into, cut at degree bound.  A coefficient there may cancel
+    to zero; the caller drops it.  Codes already in order (a side empty, or
+    the left's last code at most the right's first) are joined without a
+    sort; codes are positive, so an empty left reads as last code 0."""
     top = float("inf") if bound is None else bound
     for (b1, v1), c1 in left.items():
-        room = top - len(v1)
+        room, b1, last = top - len(v1), b1 + shift, v1[-1] if v1 else 0
         for (b2, v2), c2 in right.items():
             if len(v2) <= room:
-                m = (b1 + b2, tuple(sorted(v1 + v2)) if v1 and v2 else v1 or v2)
+                m = (b1 + b2, v1 + v2 if not v2 or last <= v2[0] else tuple(sorted(v1 + v2)))
                 into[m] = into.get(m, 0) + c1 * c2
 
 
@@ -83,7 +85,8 @@ class TruncPoly:
 
     It holds no monomial of degree above its bound: the constructor cuts what
     it is handed, and the arithmetic, whose results keep that property when
-    its operands have it, builds them through _within without a second scan."""
+    its operands have it, builds them through _within without a second scan.
+    A product of two polynomials is one _mul_into pass, whatever their sizes."""
 
     __slots__ = ("terms", "bound")
 
@@ -179,16 +182,6 @@ class TruncPoly:
         if not isinstance(other, TruncPoly):
             return NotImplemented
         bound = self._join_bound(self.bound, other.bound)
-        if len(self.terms) == 1 or len(other.terms) == 1:
-            # times one monomial: distinct monomials stay distinct and no
-            # coefficient is zero, so each term gives one term, unsorted
-            # when the monomial is a power of beta
-            many, one = (other, self) if len(self.terms) == 1 else (self, other)
-            ((b2, v2), c2), = one.terms.items()
-            cap = float("inf") if bound is None else bound - len(v2)
-            terms = {(b1 + b2, tuple(sorted(v1 + v2)) if v2 else v1): c1 * c2
-                     for (b1, v1), c1 in many.terms.items() if len(v1) <= cap}
-            return TruncPoly._within(terms, bound)
         terms: dict[Monomial, int] = {}
         _mul_into(terms, self.terms, other.terms, bound)
         return TruncPoly._within({m: c for m, c in terms.items() if c}, bound)
@@ -417,8 +410,6 @@ def star_action(w: SignedPermutation, f: YRational) -> YRational:
     A unit of f's denominator becomes 1/(1 + beta*y_{w(i)}), a unit of the
     denominator, when w(i) > 0, and 1 + beta*y_{-w(i)}, a unit of the
     numerator, when w(i) < 0; both join that one sum."""
-    if not f:
-        return f  # zero, at the truncation of f
     above: dict[int, int] = {}
     below: dict[int, int] = {}
     for i, e in f.den.items():

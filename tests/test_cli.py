@@ -1073,6 +1073,29 @@ class TestGolden:
         assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+# the triple-sum oracle past the goldens: the golden element (support 5,
+# sigma and tau in S_5) at N = 3, D = 8, pinned by the sha256 of stdout
+KN_DIGESTS = {
+    "B": "c7d9dffbd6c94574dc72878279c49cff01dc8f0334acaf151fe87b60933bd6d5",
+    "C": "956598c407445da5157aa82a5ece68b4f4b976af035203e12476e22c165a2952",
+    "D": "0b337b8f6982cd4a22e2f975b782dd563b7529d2ea18d8ab5c5827b1376ad129",
+}
+
+
+class TestKnDigest:
+    @pytest.mark.parametrize("t", sorted(KN_DIGESTS))
+    def test_golden_element_at_degree_eight(self, capsys, t):
+        import hashlib
+
+        from test_expand import _clear_memos
+
+        _clear_memos()
+        code, out = run(capsys, "kn-eval", "--type", t, "--w=-3,4,-1,5,2",
+                        "--N", "3", "--D", "8", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == KN_DIGESTS[t]
+
+
 class TestStats:
     """--stats writes one JSON line on stderr and leaves stdout as it was."""
 

@@ -137,8 +137,9 @@ class TestTruncPoly:
 
 
 class TestOneMonomialProduct:
-    """A factor with one term takes the one-pass path of TruncPoly.__mul__;
-    it must give the double loop's terms and bound, on either side."""
+    """A factor with one term, a power of beta or a monomial with variables,
+    runs the one product loop of TruncPoly.__mul__ as any factor does; it
+    must give the double loop's terms and bound, on either side."""
 
     @staticmethod
     def one_term_factors():
@@ -799,6 +800,58 @@ class TestProductKernel:
             _mul_into(into, a.terms, b.terms, bound)
             want = reference_product(a, b)
             assert {m: c for m, c in into.items() if c} == want.terms
+
+    @staticmethod
+    def kernel_cases():
+        """Pairs of term tables: x-only against z-only, whose codes are in
+        order and join; interleaved codes, which sort; and empty sides."""
+        rng = random.Random(45)
+        xs = [random_poly(rng, terms=5) for _ in range(2)]
+        zs = [random_poly(rng, terms=5, var=zvar) for _ in range(2)]
+        mixed = [random_poly(rng, terms=5, var=rng.choice((xvar, yvar, zvar)))
+                 + random_poly(rng, terms=4, var=yvar) for _ in range(2)]
+        empty = [TruncPoly.zero(), BETA ** 2 - 3, TruncPoly.const(4)]
+        return ([(x, z) for x in xs for z in zs]
+                + [(a, b) for a in mixed for b in mixed + xs]
+                + [(a, b) for a in empty for b in xs + zs + mixed]
+                + [(b, a) for a in empty for b in xs + zs + mixed])
+
+    @pytest.mark.parametrize("shift", [0, 3])
+    @pytest.mark.parametrize("bound", [None, 0, 3])
+    def test_matches_the_double_loop_shifted(self, shift, bound):
+        joined = interleaved = 0
+        for a, b in self.kernel_cases():
+            into = {}
+            _mul_into(into, a.terms, b.terms, bound, shift)
+            shifted = TruncPoly({(e + shift, v): c for (e, v), c in b.terms.items()})
+            want = reference_product(a.with_bound(bound), shifted)
+            assert {m: c for m, c in into.items() if c} == want.terms
+            for _, v1 in a.terms:
+                for _, v2 in b.terms:
+                    if v1 and v2:
+                        if v1[-1] <= v2[0]:
+                            joined += 1
+                        else:
+                            interleaved += 1
+        assert joined and interleaved
+
+    def test_ordered_codes_join_without_a_sort(self, monkeypatch):
+        # x-only times z-only and a side with no variables never sort
+        import builtins
+
+        import ktrans.rings as rings_mod
+
+        calls = []
+        monkeypatch.setattr(rings_mod, "sorted",
+                            lambda v: calls.append(v) or builtins.sorted(v), raising=False)
+        into = {}
+        x, z = xvar(1) * xvar(2) + BETA * xvar(3), zvar(1) + zvar(2) * zvar(2)
+        _mul_into(into, x.terms, z.terms, None, 1)
+        _mul_into(into, (BETA - 1).terms, z.terms, None)
+        _mul_into(into, z.terms, ONE.terms, None)
+        assert not calls
+        _mul_into({}, z.terms, x.terms, None)
+        assert calls
 
 
 def reference_sort_key(mono):
