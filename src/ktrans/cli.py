@@ -335,10 +335,7 @@ def _check_length_rule():
                 for i in range(-4, j):
                     if not weyl.is_valid_reflection(t, i, j):
                         continue
-                    wt = w * weyl.reflection(i, j)
-                    if not wt.in_group(t):
-                        continue
-                    direct = weyl.length(t, wt) == lw + 1
+                    direct = weyl.length(t, w * weyl.reflection(i, j)) == lw + 1
                     if direct != weyl.length_increment_ok(t, w, i, j):
                         return False, f"length rule disagrees at ({t}, {w}, t_({i},{j}))"
     return True, ""
@@ -461,35 +458,29 @@ def _run_check(index: int) -> tuple[str, bool, str]:
     return name, bool(ok), detail
 
 
-def _seed_checks(seed: int | None) -> None:
-    """Seed the pi-braid check, found by its name, so that a check added
-    after it keeps its place."""
-    if seed is not None:
-        at = [name for name, _ in CHECKS].index("pi-braid-relations")
-        CHECKS[at] = ("pi-braid-relations", functools.partial(_check_pi_braid, seed))
-
-
 def cmd_verify_suite(args) -> int:
     """Run the battery, or with --check only the named checks, in CHECKS
     order and in this process; each FAIL line is followed by the command
-    that reruns it. --stats adds one JSON line on stderr mapping each check
-    run to its wall seconds; _run_check is looked up at each call, so a
-    rebinding of it is timed too."""
+    that reruns it.  --seed rebinds the pi-braid check, found by its name,
+    for this run alone.  --stats adds one JSON line on stderr mapping each
+    check run to its wall seconds; _run_check is looked up at each call, so
+    a rebinding of it is timed too."""
     names = [name for name, _ in CHECKS]
-    indices = list(range(len(CHECKS)))
-    if args.check:
-        for name in args.check:
-            if name not in names:
-                raise ValueError(f"unknown check {name!r}; the checks are {', '.join(names)}")
-        indices = [i for i in indices if names[i] in args.check]
+    for name in args.check or ():
+        if name not in names:
+            raise ValueError(f"unknown check {name!r}; the checks are {', '.join(names)}")
     default = CHECKS[:]
-    _seed_checks(args.seed)
+    if args.seed is not None:
+        at = names.index("pi-braid-relations")
+        CHECKS[at] = ("pi-braid-relations", functools.partial(_check_pi_braid, args.seed))
     results, seconds = [], {}
     try:
-        for i in indices:
+        for i, name in enumerate(names):
+            if args.check and name not in args.check:
+                continue
             start = time.perf_counter()
             results.append(_run_check(i))
-            seconds[results[-1][0]] = round(time.perf_counter() - start, 6)
+            seconds[name] = round(time.perf_counter() - start, 6)
     finally:
         CHECKS[:] = default
     if args.stats:

@@ -34,7 +34,6 @@ from .weyl import (
     _support,
     _transition_window,
     length,
-    shape,
 )
 
 Window = tuple[int, ...]
@@ -380,7 +379,7 @@ def load_cache(path: str) -> int:
                 entries[lam] = coeff
             if not entries:
                 raise ValueError(f"the entry of {w} has no values")
-            if not d and entries != {shape(t, w): 1}:
+            if not d and entries != {_shape(t, w): 1}:
                 raise ValueError(f"the entry of the Grassmannian key {w} is not its shape alone")
             loaded[(t, w)] = entries
     except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as exc:

@@ -675,9 +675,9 @@ def _mono_str(mono: Monomial, coeff: int) -> str:
     return "*".join(parts)
 
 
-def _signed_terms(p: TruncPoly, suffix: str = "") -> str:
-    """The terms of p in canonical order, each followed by suffix, joined
-    with their signs."""
+def poly_str(p: TruncPoly, suffix: str = "") -> str:
+    """Canonical rendering: the terms of p in canonical order, each
+    followed by suffix, joined with their signs, e.g. "2*z1 + b*z1^2"."""
     if not p:
         return "0"
     out = []
@@ -691,11 +691,6 @@ def _signed_terms(p: TruncPoly, suffix: str = "") -> str:
     return " ".join(out)
 
 
-def poly_str(p: TruncPoly) -> str:
-    """Canonical rendering, e.g. "2*z1 + b*z1^2"."""
-    return _signed_terms(p)
-
-
 def yrational_str(f: YRational) -> str:
     """Canonical rendering with the denominator after every term, e.g.
     "b/(1+b*y1) + b^2*y1/(1+b*y1)"."""
@@ -706,4 +701,4 @@ def yrational_str(f: YRational) -> str:
             base = f"(1+b*y{i})"
             factors.append(base if e == 1 else f"{base}^{e}")
         den = "/" + "*".join(factors) if len(factors) == 1 else "/(" + "*".join(factors) + ")"
-    return _signed_terms(f.num, den)
+    return poly_str(f.num, den)

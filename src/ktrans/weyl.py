@@ -64,9 +64,8 @@ class SignedPermutation(tuple):
     @classmethod
     def _trusted(cls, win: list[int]) -> "SignedPermutation":
         """Wrap a window known to be a signed permutation of 1..len(win):
-        trim its trailing fixed points, validate nothing."""
-        while win and win[-1] == len(win):
-            win.pop()
+        trim its trailing fixed points by ``_support``, validate nothing."""
+        del win[_support(win):]
         return tuple.__new__(cls, win)
 
     def __reduce__(self):

@@ -1096,6 +1096,31 @@ class TestKnDigest:
         assert hashlib.sha256(out.encode()).hexdigest() == KN_DIGESTS[t]
 
 
+# README's other two slow rank-9 elements (the C one has a golden), cold,
+# pinned by the sha256 of stdout
+RANK9_DIGESTS = {
+    "B": ("2,7,-8,5,1,9,4,3,-6",
+          "e369d68f1536876bfcf15d026689c71b3c1c0428a9a93ee3288370b5fbcc0222"),
+    "D": ("4,7,-5,-1,9,2,-3,6,-8",
+          "3478a256f611b9218cd001c5d28b44680e4b3c04f41ceb5ede72a0786cfdb57f"),
+}
+
+
+class TestRank9Digest:
+    @pytest.mark.parametrize("t", sorted(RANK9_DIGESTS))
+    def test_slow_element_is_pinned(self, capsys, monkeypatch, t):
+        import hashlib
+
+        from test_expand import _clear_memos
+
+        monkeypatch.delenv("KTRANS_CACHE_DIR", raising=False)
+        _clear_memos()
+        window, digest = RANK9_DIGESTS[t]
+        code, out = run(capsys, "expand", "--type", t, f"--w={window}", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestStats:
     """--stats writes one JSON line on stderr and leaves stdout as it was."""
 
