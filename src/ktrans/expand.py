@@ -144,7 +144,8 @@ class ExpansionResult:
         return {**doc, "basis": self.basis, "terms": terms}
 
 
-_cache: dict[tuple[str, SignedPermutation], dict[Shape, int]] = {}
+# (t, w) -> (l(w), the expansion of F_w)
+_cache: dict[tuple[str, SignedPermutation], tuple[int, dict[Shape, int]]] = {}
 
 
 _memo: dict[tuple[str, Window], dict[Shape, int]] = {}
@@ -213,23 +214,24 @@ def expand_grassmannian(t: str, w: SignedPermutation) -> ExpansionResult:
 
     Two memos serve it.  `_expansion` keeps every key it expanded, in
     process; `_cache` keeps the requested keys alone, each mapped to the
-    dict that `_expansion` returned, serves each only for itself, and is
-    the one that `save_cache` persists.  Every step asserts that v * t_ab
-    raises length by one, nonnegativity, descent in the LD order and the
-    support bound.  A type other than B, C or D, or steps with several
-    outputs nested deeper than the interpreter's recursion limit, raises
-    ValueError.
+    pair of l(w) and the dict that `_expansion` returned.  It serves each
+    key only for itself, without recounting l(w), and is the one that
+    `save_cache` persists.  Every step asserts that v * t_ab raises length
+    by one, nonnegativity, descent in the LD order and the support bound.
+    A type other than B, C or D, or steps with several outputs nested
+    deeper than the interpreter's recursion limit, raises ValueError.
     """
     if t not in ("B", "C", "D"):
         raise ValueError(f"expansion needs type B, C, or D, not {t!r}")
-    lw = length(t, w)
     cached = _cache.get((t, w))
     if cached is None:
+        lw = length(t, w)  # raises for a w outside the group
         try:
-            cached = _cache[(t, w)] = _expansion(t, tuple(w), w.least_descent())
+            cached = _cache[(t, w)] = (lw, _expansion(t, tuple(w), w.least_descent()))
         except RecursionError:
             raise ValueError(f"the transition chain of {w} is too deep to expand") from None
-    return ExpansionResult(t, w, lw, "GQ" if t == "C" else "GP", dict(cached))
+    lw, terms = cached
+    return ExpansionResult(t, w, lw, "GQ" if t == "C" else "GP", dict(terms))
 
 
 def skew_expansion(basis: str, outer, inner=()) -> ExpansionResult:
@@ -295,7 +297,7 @@ def save_cache(path: str) -> int:
     """
     entries = [
         [t, list(w), sorted([list(lam), c] for lam, c in g.items())]
-        for (t, w), g in sorted(_cache.items())
+        for (t, w), (_, g) in sorted(_cache.items())
     ]
     text = json.dumps({"version": _VERSION, "entries": entries}, separators=(",", ":"))
     # a temp file of its own, so concurrent writers never share one; created
@@ -328,8 +330,12 @@ def load_cache(path: str) -> int:
     part exceeds support(w) + LD(w) of its key w or whose size |lambda| is
     below l(w), a coefficient that is not a positive int, a key or a value
     within one entry that repeats (keys compared after trimming), an entry
-    with no values, or a Grassmannian key whose entry is not its own shape
-    with coefficient 1 raises ValueError and merges no entry.
+    with no values, a Grassmannian key whose entry is not its own shape
+    with coefficient 1, or an entry with no shape of size l(w) raises
+    ValueError and merges no entry.  The last rule holds for every true
+    expansion: its beta^0 part is the nonzero Stanley function of w.  Each
+    key is stored with the l(w) that these rules computed, so a hit is
+    served without recounting it.
 
     A value is checked in one scan: every part p of its list must pass
     ``type(p) is int and 0 < p < prev``, where prev starts at support + LD
@@ -340,7 +346,7 @@ def load_cache(path: str) -> int:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    loaded: dict[tuple[str, SignedPermutation], dict[Shape, int]] = {}
+    loaded: dict[tuple[str, SignedPermutation], tuple[int, dict[Shape, int]]] = {}
     try:
         doc = json.loads(data)
         if doc.get("version") != _VERSION:
@@ -357,6 +363,7 @@ def load_cache(path: str) -> int:
             d = w.least_descent()
             lw, top = length(t, w), len(w) + d
             entries: dict[Shape, int] = {}
+            at_length = False  # whether a shape has |lambda| = l(w)
             for parts, coeff in _list(values):
                 if type(coeff) is not int or coeff <= 0:
                     raise ValueError(f"the coefficient {coeff!r} is not a positive integer")
@@ -372,8 +379,11 @@ def load_cache(path: str) -> int:
                         raise ValueError(f"the shape {lam} exceeds support + LD = {top} of {w}")
                     prev = p
                 lam = tuple(parts)
-                if sum(lam) < lw:
+                size = sum(lam)
+                if size < lw:
                     raise ValueError(f"the shape {lam} has |lambda| below l({w}) = {lw}")
+                if size == lw:
+                    at_length = True
                 if lam in entries:
                     raise ValueError(f"the shape {lam} repeats in the entry of {w}")
                 entries[lam] = coeff
@@ -381,9 +391,11 @@ def load_cache(path: str) -> int:
                 raise ValueError(f"the entry of {w} has no values")
             if not d and entries != {_shape(t, w): 1}:
                 raise ValueError(f"the entry of the Grassmannian key {w} is not its shape alone")
-            loaded[(t, w)] = entries
+            if not at_length:
+                raise ValueError(f"the entry of {w} has no shape of size l({w}) = {lw}")
+            loaded[(t, w)] = (lw, entries)
     except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as exc:
         raise ValueError(f"{path} is not an expansion cache: {type(exc).__name__}: {exc}") from exc
-    for key, entries in loaded.items():
-        _cache.setdefault(key, entries)
+    for key, value in loaded.items():
+        _cache.setdefault(key, value)
     return len(loaded)

@@ -14,6 +14,7 @@ window entries.
 
 from __future__ import annotations
 
+from bisect import bisect
 from functools import lru_cache
 from collections.abc import Iterable
 
@@ -253,21 +254,27 @@ def generator_indices(t: str, n: int) -> list[int]:
 
 
 def length(t: str, w: SignedPermutation) -> int:
-    """Coxeter length of w in the group of type t, read from the window:
-    inv + nsp + neg in types B and C, inv + nsp in type D, where inv counts
-    the pairs i < j with w(i) > w(j), nsp the pairs i < j with
-    w(i) + w(j) < 0, and neg the negative entries.  Type A windows have no
-    negative entries, so their length is inv."""
-    if not w.in_group(t):
+    """Coxeter length of w in the group of type t, read from the window in
+    one pass: inv(w) + sum over w(i) < 0 of (|w(i)| - [t = D]), where inv
+    counts the pairs i < j with w(i) > w(j) (Bjorner-Brenti, Combinatorics
+    of Coxeter Groups, Props. 8.1.1 and 8.2.1; types B and C share one
+    length).  The pass runs right to left and counts the entries already
+    seen below w(i) by bisection, so it takes O(n log n) comparisons.  A
+    type A window has no negative entries, and its length is inv(w)."""
+    if t not in ("A", "B", "C", "D"):
+        raise ValueError(f"unknown group type {t!r}")
+    seen: list[int] = []  # the entries right of w(i), sorted
+    total = negs = 0
+    for x in reversed(w):
+        k = bisect(seen, x)
+        seen.insert(k, x)
+        total += k
+        if x < 0:
+            total -= x
+            negs += 1
+    if negs and (t == "A" or (t == "D" and negs % 2)):
         raise ValueError(f"{w} is not in the group of type {t}")
-    total = w.num_negatives() if t in ("B", "C") else 0
-    for a, x in enumerate(w, start=1):
-        for y in w[a:]:
-            if x > y:
-                total += 1
-            if x + y < 0:
-                total += 1
-    return total
+    return total - negs if t == "D" else total
 
 
 def right_ascent(w: SignedPermutation, g: int) -> bool:

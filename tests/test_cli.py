@@ -691,13 +691,33 @@ class TestCache:
         monkeypatch.setenv("KTRANS_CACHE_DIR", str(tmp_path))
         run(capsys, "expand", "--type", "B", "--w", "2,1")
         key = ("B", (2, 1))
-        expand_mod._cache[key] = {u: -3 for u in expand_mod._cache[key]}
+        lw, terms = expand_mod._cache[key]
+        expand_mod._cache[key] = (lw, {u: -3 for u in terms})
         expand_mod.save_cache(str(tmp_path / "expansions.ktrx"))
         expand_mod._cache.clear()
         code = main(["expand", "--type", "B", "--w", "2,1", "--json"])
         captured = capsys.readouterr()
         assert code == 0
         assert "warning: ignoring cache" in captured.err
+        assert {(1,): 2, (2,): 1} == {
+            tuple(t["lambda"]): t["coeff"] for t in json.loads(captured.out)["terms"]
+        }
+
+    def test_entry_without_its_stanley_part_is_ignored(self, capsys, tmp_path, monkeypatch):
+        # a well-formed file whose B 2,1 holds only [[2],1]: no shape of size
+        # l(2,1) = 1, so the file is ignored and the expansion runs cold
+        from ktrans import expand as expand_mod
+
+        monkeypatch.setenv("KTRANS_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(expand_mod, "_cache", {})  # a fresh process
+        (tmp_path / "expansions.ktrx").write_text(
+            json.dumps({"version": 3, "entries": [["B", [2, 1], [[[2], 1]]]]})
+        )
+        code = main(["expand", "--type", "B", "--w", "2,1", "--json"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "warning: ignoring cache" in captured.err
+        assert "has no shape of size l(2,1) = 1" in captured.err
         assert {(1,): 2, (2,): 1} == {
             tuple(t["lambda"]): t["coeff"] for t in json.loads(captured.out)["terms"]
         }

@@ -200,6 +200,9 @@ class TestMemo:
         for t in "BCD":
             for w in group_elements(t, 5):
                 doc = expand_grassmannian(t, w).to_json_dict()
+                # the beta^0 part is the Stanley function of w, never zero,
+                # which load_cache relies on
+                assert any(term["beta_power"] == 0 for term in doc["terms"]), (t, w)
                 text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
                 digest.update(text.encode())
         info = expand_mod._expansion.cache_info()
@@ -220,13 +223,13 @@ class TestMemo:
         for t, w in (("B", GOLDEN_W), ("B", parse_oneline("-3,4,-2,1")), ("C", GOLDEN_W)):
             result = expand_grassmannian(t, w)
             found = expand_mod._expansion(t, tuple(w), w.least_descent())
-            assert expand_mod._cache[(t, w)] is found
+            assert expand_mod._cache[(t, w)][1] is found
             assert result.terms == found and result.terms is not found
             for lam in found:
                 assert type(lam) is tuple
                 assert leaves.setdefault((t, lam), lam) is lam
         # the two B roots share their leaves: fewer shapes than terms
-        assert len(leaves) < sum(len(g) for g in expand_mod._cache.values())
+        assert len(leaves) < sum(len(g) for _, g in expand_mod._cache.values())
         _clear_memos()
 
     def test_cached_entry_serves_only_its_key(self):
@@ -238,10 +241,11 @@ class TestMemo:
         inner = parse_oneline("-3,4,-2,1")
         assert inner in transition_step("B", GOLDEN_W)
         expand_grassmannian("B", inner)
-        poisoned = dict(expand_mod._cache[("B", inner)])
+        lw, terms = expand_mod._cache[("B", inner)]
+        poisoned = dict(terms)
         poisoned[next(iter(poisoned))] = 99
         _clear_memos()
-        expand_mod._cache[("B", inner)] = poisoned
+        expand_mod._cache[("B", inner)] = (lw, poisoned)
         try:
             assert expand_grassmannian("B", GOLDEN_W).terms == want
         finally:
@@ -603,7 +607,7 @@ class TestCachePersistence:
         assert save_cache(path) == 1
         expand_mod._cache.clear()
         assert load_cache(path) == 1
-        assert expand_mod._cache == {("B", (2, 1)): want}
+        assert expand_mod._cache == {("B", (2, 1)): (1, want)}
 
     def test_round_trip(self, tmp_path):
         want = expand_grassmannian("B", GOLDEN_W).terms
@@ -645,6 +649,49 @@ class TestCachePersistence:
             load_cache(str(path))
         assert expand_mod._cache == {}
         assert expand_grassmannian("B", GOLDEN_W).terms == want
+
+    def test_w3_sweep_bytes_and_lengths(self, tmp_path):
+        # the version 3 bytes of a W_3 sweep are pinned, and every key loaded
+        # back keeps l(w) beside its terms
+        import hashlib
+
+        from ktrans import expand as expand_mod
+
+        _clear_memos()
+        for t in "BCD":
+            for w in group_elements(t, 3):
+                expand_grassmannian(t, w)
+        path = tmp_path / "expansions.ktrx"
+        assert save_cache(str(path)) == 120
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "325f221ebf167e87c4668180f7974d7fd0e7b4e867201af1f05836ee1e402559"
+        )
+        _clear_memos()
+        assert load_cache(str(path)) == 120
+        for (t, w), (lw, _) in expand_mod._cache.items():
+            assert lw == length(t, w), (t, w)
+        _clear_memos()
+
+    @pytest.mark.parametrize("t", ["B", "C", "D"])
+    def test_served_hit_equals_cold(self, tmp_path, t):
+        # a hit, in process or loaded from a file, is the cold result: the
+        # same length, terms and document, served with no recursion
+        from ktrans import expand as expand_mod
+
+        _clear_memos()
+        cold = {w: expand_grassmannian(t, w) for w in group_elements(t, 4)}
+        path = str(tmp_path / "expansions.ktrx")
+        save_cache(path)
+        hits = {w: expand_grassmannian(t, w) for w in cold}
+        _clear_memos()
+        assert load_cache(path) == len(cold)
+        for w, want in cold.items():
+            for got in (hits[w], expand_grassmannian(t, w)):
+                assert got.length == want.length, str(w)
+                assert got.terms == want.terms, str(w)
+                assert got.to_json_dict() == want.to_json_dict(), str(w)
+        assert expand_mod._expansion.cache_info().currsize == 0
+        _clear_memos()
 
     def test_file_mode_follows_the_umask(self, tmp_path):
         import os
@@ -709,6 +756,10 @@ class TestCachePersistence:
             ["B", [2, 1], [[[1], 1], [[2], 1], [[1], 5]]], "the shape (1,) repeats in the entry of 2,1"
         ),
         "no-values": (["B", [2, 1], []], "the entry of 2,1 has no values"),
+        # F_{2,1} = 2 GP_1 + beta GP_2: its beta^0 part cannot be missing
+        "no-shape-at-length": (
+            ["B", [2, 1], [[[2], 1]]], "the entry of 2,1 has no shape of size l(2,1) = 1"
+        ),
         "parts-a-string": (["B", [2, 1], [["21", 1]]], "expected a list, not str"),
         "parts-empty-string": (["B", [2, 1], [["", 1]]], "expected a list, not str"),
         "parts-an-object": (["B", [2, 1], [[{}, 1]]], "expected a list, not dict"),
@@ -758,7 +809,7 @@ class TestCachePersistence:
     def test_each_rule_rejects_with_its_message(self, tmp_path, monkeypatch, record, message):
         from ktrans import expand as expand_mod
 
-        held = {("C", (2, 1)): {(1,): 2, (2,): 1}}
+        held = {("C", (2, 1)): (1, {(1,): 2, (2,): 1})}
         monkeypatch.setattr(expand_mod, "_cache", dict(held))
         path = self._write(tmp_path, record)
         with pytest.raises(ValueError) as err:
@@ -780,7 +831,7 @@ class TestCachePersistence:
         "record, key",
         [
             (["B", [], [[[], 1]]], ("B", ())),  # the identity is its own empty shape
-            (["B", [2, 1], [[[3], 1]]], ("B", (2, 1))),  # lambda_1 = support + LD
+            (["B", [2, 1], [[[1], 1], [[3], 1]]], ("B", (2, 1))),  # lambda_1 = support + LD
             (["B", [2, 1], [[[1], 1]]], ("B", (2, 1))),  # |lambda| = l(w)
             (["D", [-2, -1, 3], [[[1], 1]]], ("D", (-2, -1))),  # trimmed; (1,) is the shape of D -2,-1
         ],
@@ -791,6 +842,7 @@ class TestCachePersistence:
 
         monkeypatch.setattr(expand_mod, "_cache", {})
         assert load_cache(self._write(tmp_path, record)) == 2
+        lw = length(key[0], SignedPermutation(key[1]))
         assert expand_mod._cache == {
-            ("B", (-1,)): {(1,): 1}, key: {tuple(lam): c for lam, c in record[2]}
+            ("B", (-1,)): (1, {(1,): 1}), key: (lw, {tuple(lam): c for lam, c in record[2]})
         }

@@ -2,6 +2,7 @@
 
 import itertools
 import pickle
+import random
 from functools import lru_cache
 
 import pytest
@@ -113,6 +114,19 @@ class TestParse:
             SignedPermutation(bad)
 
 
+def reference_length(t, w):
+    """The reference for ``length``, counted pair by pair: inv + nsp + neg in
+    types B and C, inv + nsp in type D, where nsp counts the pairs i < j
+    with w(i) + w(j) < 0 and neg the negative entries; inv alone in type A."""
+    if not w.in_group(t):
+        raise ValueError(f"{w} is not in the group of type {t}")
+    total = w.num_negatives() if t in ("B", "C") else 0
+    for a, x in enumerate(w, start=1):
+        for y in w[a:]:
+            total += (x > y) + (x + y < 0)
+    return total
+
+
 class TestLength:
     def test_identity(self):
         assert length("B", IDENTITY) == 0
@@ -137,11 +151,36 @@ class TestLength:
                 raised = length(t, w * generator(t, g)) == lw + 1
                 assert right_ascent(w, g) == raised, (t, w, g)
 
+    @pytest.mark.parametrize("t", ["A", "B", "C", "D"])
+    def test_matches_reference_on_w5(self, t):
+        for w in windowed_elements(t, 5):
+            assert length(t, w) == reference_length(t, w), (t, w)
+
+    def test_matches_reference_on_wide_windows(self):
+        # 2,000 seeded windows of ranks 10-16, round-robin over B, C and D
+        rng = random.Random(47)
+        for k in range(2000):
+            t = "BCD"[k % 3]
+            perm = list(range(1, rng.randint(10, 16) + 1))
+            rng.shuffle(perm)
+            win = [p * rng.choice((1, -1)) for p in perm]
+            if t == "D" and sum(v < 0 for v in win) % 2:
+                win[0] = -win[0]
+            w = SignedPermutation(win)
+            assert length(t, w) == reference_length(t, w), (t, w)
+
     def test_type_membership(self):
-        with pytest.raises(ValueError):
-            length("D", parse_oneline("-1"))
-        with pytest.raises(ValueError):
-            length("A", parse_oneline("-2,1"))
+        # each ValueError keeps its message: D with an odd number of negative
+        # entries, A with a negative entry, and an unknown type
+        for t, w, message in [
+            ("D", "-1", "-1 is not in the group of type D"),
+            ("D", "-3,1,2", "-3,1,2 is not in the group of type D"),
+            ("A", "-2,1", "-2,1 is not in the group of type A"),
+            ("E", "2,1", "unknown group type 'E'"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                length(t, parse_oneline(w))
+            assert str(err.value) == message
 
     def test_elements_up_to_length(self):
         full = [w for w in group_elements("B", 3) if length("B", w) <= 2]
@@ -296,8 +335,6 @@ class TestLengthIncrement:
                     if not is_valid_reflection(t, i, j):
                         continue
                     wt = w * reflection(i, j)
-                    if not wt.in_group(t):
-                        continue
                     assert length_increment_ok(t, w, i, j) == (
                         length(t, wt) == lw + 1
                     ), (t, w, i, j)
