@@ -328,16 +328,18 @@ def _check_transitions(types, G, rank, monk_rank, ks):
 
 
 def _check_length_rule():
+    """length_increment_ok against the lengths themselves, at each element
+    of W_3 and each reflection t_ij of its type with j <= 4, the
+    reflections listed once per type."""
     for t in ("A", "B", "C", "D"):
+        reflections = [(i, j, weyl.reflection(i, j)) for j in range(1, 5) for i in range(-4, j)
+                       if weyl.is_valid_reflection(t, i, j)]
         for w in weyl.group_elements(t, 3):
             lw = weyl.length(t, w)
-            for j in range(1, 5):
-                for i in range(-4, j):
-                    if not weyl.is_valid_reflection(t, i, j):
-                        continue
-                    direct = weyl.length(t, w * weyl.reflection(i, j)) == lw + 1
-                    if direct != weyl.length_increment_ok(t, w, i, j):
-                        return False, f"length rule disagrees at ({t}, {w}, t_({i},{j}))"
+            for i, j, tij in reflections:
+                direct = weyl.length(t, w * tij) == lw + 1
+                if direct != weyl.length_increment_ok(t, w, i, j):
+                    return False, f"length rule disagrees at ({t}, {w}, t_({i},{j}))"
     return True, ""
 
 

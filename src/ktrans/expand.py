@@ -335,7 +335,9 @@ def load_cache(path: str) -> int:
     ValueError and merges no entry.  The last rule holds for every true
     expansion: its beta^0 part is the nonzero Stanley function of w.  Each
     key is stored with the l(w) that these rules computed, so a hit is
-    served without recounting it.
+    served without recounting it.  The count is also the membership test:
+    ``length`` rejects a key outside the group of its type, and that
+    rejection is reported as the key's.
 
     A value is checked in one scan: every part p of its list must pass
     ``type(p) is int and 0 < p < prev``, where prev starts at support + LD
@@ -358,10 +360,12 @@ def load_cache(path: str) -> int:
             w = SignedPermutation(_list(window))
             if (t, w) in loaded:
                 raise ValueError(f"the key {t} {w} repeats")
-            if not w.in_group(t):
-                raise ValueError(f"the key {w} is not in the group of type {t}")
+            try:  # length rejects a key outside the group of its type
+                lw = length(t, w)
+            except ValueError:
+                raise ValueError(f"the key {w} is not in the group of type {t}") from None
             d = w.least_descent()
-            lw, top = length(t, w), len(w) + d
+            top = len(w) + d
             entries: dict[Shape, int] = {}
             at_length = False  # whether a shape has |lambda| = l(w)
             for parts, coeff in _list(values):

@@ -231,7 +231,10 @@ def fstanley(
     must agree.  One `_walk` over the Demazure prefixes of w counts every
     sequence of every word; each partial sequence carries its monomial as
     sorted z codes, since b (and |b| in the unimodal order) weakly
-    increases.
+    increases.  The compat weights are summed scaled by 2^k, k the largest
+    -e the walk found, so the cost of a bound past the walk's last layer
+    does not grow with it; a sum that 2^k does not divide raises
+    AssertionError.
     """
     if method not in ("compat", "unimodal"):
         raise ValueError(f"unknown method {method!r}")
@@ -244,14 +247,17 @@ def fstanley(
         step, root = partial(_compat_step, t, z1 + num_vars - 1), ((), 0, False)
     else:
         step, root = partial(_unimodal_step, t, [z1 + i // 2 for i in range(2 * num_vars)]), ((), 0)
-    # A compatible sequence can carry a half-integer weight 2^e; accumulate
-    # everything scaled by 2^bound and divide back at the end.
+    seqs = _walk(*_prefix_moves(t, w), bound, {root: 1}, step)
+    # A compatible sequence can carry a weight 2^e with e < 0; accumulate
+    # everything scaled by 2^k, k the largest -e of the sequences found (at
+    # least 0), and divide back at the end.
+    k = max([0] + [-e for _, e, _ in seqs]) if compat else 0
     terms: dict[Monomial, int] = {}
-    for (b, e, *_), n in _walk(*_prefix_moves(t, w), bound, {root: 1}, step).items():
+    for (b, e, *_), n in seqs.items():
         m = (len(b) - lw, b)
-        terms[m] = terms.get(m, 0) + (n * 2 ** (bound + e) if compat else n)
-    if compat:
-        divisor = 2**bound
+        terms[m] = terms.get(m, 0) + (n << (k + e) if compat else n)
+    if k:
+        divisor = 1 << k
         for m, c in terms.items():
             q, r = divmod(c, divisor)
             if r:

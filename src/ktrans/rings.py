@@ -23,6 +23,7 @@ an argument.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import groupby
 from math import comb
@@ -231,36 +232,62 @@ def yvar(i: int) -> TruncPoly:
 # -- divided differences -----------------------------------------------
 
 
-def divided_difference(i: int, f: TruncPoly) -> TruncPoly:
-    """The Newton divided difference (f - s_i f) / (x_i - x_{i+1}).
+def _split(v: tuple[int, ...], ci: int, cj: int) -> tuple[tuple, tuple, int, int]:
+    """(lo, hi, p, q) for the sorted codes v of r * x_i^p * x_{i+1}^q, where
+    ci and cj are the codes of x_i and x_{i+1}: lo and hi are r's codes
+    below ci and above cj.  The two codes are adjacent, so the x_i and
+    x_{i+1} runs sit together between lo and hi."""
+    at = bisect_left(v, ci)
+    mid = bisect_right(v, ci, at)
+    end = bisect_right(v, cj, mid)
+    return v[:at], v[end:], mid - at, end - mid
 
-    Computed monomial by monomial, so the division is exact by construction:
-    (x^a y^b - x^b y^a)/(x - y) expands to a sum of x^k y^(a+b-1-k).
-    """
+
+def _divided_into(into: dict, ci: int, cj: int, b: int, lo: tuple, hi: tuple,
+                  p: int, q: int, c: int) -> None:
+    """Add the divided difference of c * beta^b * r * x_i^p * x_{i+1}^q,
+    with r's codes split as lo and hi by _split, into the table into,
+    dropping a coefficient that cancels.  (x^p y^q - x^q y^p)/(x - y) is the
+    sum of x^k y^(p+q-1-k) over q <= k < p, negated when p < q, so the
+    division is exact by construction and each monomial is joined in
+    order, with no sort."""
+    if p < q:
+        p, q, c = q, p, -c
+    for k in range(q, p):
+        m = (b, lo + (ci,) * k + (cj,) * (p + q - 1 - k) + hi)
+        new = into.get(m, 0) + c
+        if new:
+            into[m] = new
+        else:
+            del into[m]
+
+
+def divided_difference(i: int, f: TruncPoly) -> TruncPoly:
+    """The Newton divided difference (f - s_i f) / (x_i - x_{i+1}),
+    computed monomial by monomial by _divided_into."""
     ci, cj = var_code(X, i), var_code(X, i + 1)
     result: dict[Monomial, int] = {}
     for (b, v), c in f.terms.items():
-        a_exp, e_exp = v.count(ci), v.count(cj)
-        if a_exp == e_exp:
-            continue
-        rest = tuple(code for code in v if code != ci and code != cj)
-        sign = 1 if a_exp > e_exp else -1
-        lo, hi = min(a_exp, e_exp), max(a_exp, e_exp)
-        for k in range(lo, hi):
-            m = (b, tuple(sorted(rest + (ci,) * k + (cj,) * (a_exp + e_exp - 1 - k))))
-            new = result.get(m, 0) + sign * c
-            if new:
-                result[m] = new
-            else:
-                del result[m]
+        _divided_into(result, ci, cj, b, *_split(v, ci, cj), c)
     return TruncPoly(result, f.bound)
 
 
 def pi_operator(i: int, f: TruncPoly) -> TruncPoly:
-    """The isobaric operator ((1+bx_{i+1})f - (1+bx_i) s_i f)/(x_i - x_{i+1})."""
+    """The isobaric operator ((1+bx_{i+1})f - (1+bx_i) s_i f)/(x_i - x_{i+1}),
+    that is the divided difference of (1 + beta*x_{i+1}) f, in one pass over
+    f: each monomial m adds the divided differences of m and, within f's
+    bound, of beta*x_{i+1}*m into one table.  No product is built."""
     if i < 1:
         raise ValueError("pi_i needs a positive index")
-    return divided_difference(i, (ONE + BETA * xvar(i + 1)) * f)
+    ci, cj = var_code(X, i), var_code(X, i + 1)
+    top = float("inf") if f.bound is None else f.bound
+    result: dict[Monomial, int] = {}
+    for (b, v), c in f.terms.items():
+        lo, hi, p, q = _split(v, ci, cj)
+        _divided_into(result, ci, cj, b, lo, hi, p, q, c)
+        if len(v) < top:
+            _divided_into(result, ci, cj, b + 1, lo, hi, p, q + 1, c)
+    return TruncPoly(result, f.bound)
 
 
 # -- the localized coefficient ring --------------------------------------
@@ -595,11 +622,27 @@ def transition_residual(
     G(w) = ((1+beta*y_c)(1+beta*x_a) * R_a G(v) - G(v)) / beta, with y_c
     read as ominus y_{|c|} when c is negative; zero when it holds.  The
     certificate (v, a, c, R_a) is transition(t, w), which callers that
-    print it have already built.  The division by beta raises
-    ArithmeticError if it is not exact."""
+    print it have already built.
+
+    beta times the residual is one sum, as in monk_identity_holds: each
+    term of R_a joins it as the numerator of (1+beta*y_c)(1+beta*x_a) *
+    coeff_u, over its denominator, against G(u), and G(v) and G(w) join it
+    with the factors -1 and -beta.  The residual is that sum divided by
+    beta, which raises ArithmeticError exactly when the bracket above is
+    not divisible by beta."""
     v, a, c, combo = certificate
-    bracket = y_factor(c) * (ONE + BETA * xvar(a)) * combo_value(combo, G) - G(v)
-    return bracket.divide_beta() - G(w)
+    parts, bound = _combo_parts(combo, G)
+    gv, gw = G(v), G(w)
+    bound = TruncPoly._join_bound(bound, TruncPoly._join_bound(gv.bound, gw.bound))
+    unit = y_factor(c)
+    front = (unit.num * (ONE + BETA * xvar(a))).terms
+    for at, (den, num, g) in enumerate(parts):
+        scaled: dict[Monomial, int] = {}
+        _mul_into(scaled, front, num, bound)
+        parts[at] = ({i: den.get(i, 0) + unit.den.get(i, 0) for i in den.keys() | unit.den.keys()},
+                     scaled, g)
+    parts += [({}, {_ONE_MONO: -1}, gv.terms), ({}, {(1, ()): -1}, gw.terms)]
+    return _sum_by_den(parts, bound).divide_beta()
 
 
 # -- the K-supersymmetry check ---------------------------------------------

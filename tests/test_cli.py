@@ -77,6 +77,26 @@ class TestCommands:
         )
         assert code == 0 and out.strip() == "2*z1 + b*z1^2"
 
+    def test_large_degree_bound_answers_as_a_small_one(self, capsys):
+        # the compat weights are scaled by the sequences' own exponents, not
+        # by 2^D: in a new interpreter held to 2 GiB of address space, D up
+        # to 10^20 answers at once, with the output of a D past the walk
+        argv = {
+            ("fstanley", "--type", "B", "--w", "2,1", "--N", "2"): ("30", "1000000000000"),
+            ("fstanley", "--type", "D", "--w", "-1,-2", "--N", "2"): ("30", "1000000000000"),
+            ("kn-eval", "--type", "B", "--w", "2,1", "--N", "2"): ("40", str(10**20)),
+        }
+        for head, (small, large) in argv.items():
+            code, want = run(capsys, *head, "--D", small)
+            assert code == 0 and " + " in want, head
+            got = _fresh_stdout(
+                "import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
+                "from ktrans.cli import main\n"
+                f"sys.exit(main({[*head, '--D', large]!r}))\n"
+            )
+            assert got == want, head
+
     def test_groth_a_transition(self, capsys):
         code, out = run(capsys, "groth-a", "--w", "1,3,2", "--transition")
         assert code == 0

@@ -477,6 +477,39 @@ class TestMergedPass:
         assert len(calls) == steps
 
 
+class TestWeightScale:
+    """The compat weights are summed scaled by 2^k, k the largest -e of the
+    sequences found, and come out as the exact fractions of the tree walk."""
+
+    @pytest.mark.parametrize("t", ["B", "C", "D"])
+    def test_matches_tree_walk_on_w3_at_small_bounds(self, t):
+        for w in group_elements(t, 3):
+            for num_vars in (1, 2, 3):
+                for bound in (0, 1, 3, 5, 7):
+                    got = fstanley.__wrapped__(t, w, num_vars, bound).terms
+                    assert got == tree_fstanley(t, w, num_vars, bound, "compat"), (
+                        str(w), num_vars, bound)
+
+    def test_half_integer_weights_are_scaled(self, monkeypatch):
+        # type D's o-letters give e = -2 here, so the sum is taken at 2^2;
+        # one more sequence of that weight leaves a total 2^2 does not divide
+        w = parse_oneline("-1,-2")
+        seqs = hecke._walk(*hecke._prefix_moves("D", w), 5, {((), 0, False): 1},
+                           partial(hecke._compat_step, "D", var_code(Z, 2)))
+        assert min(e for _, e, _ in seqs) == -2
+        assert fstanley.__wrapped__("D", w, 2, 5).terms == tree_fstanley("D", w, 2, 5, "compat")
+        real = hecke._walk
+
+        def one_more(*args):
+            seqs = real(*args)
+            key = min(seqs, key=lambda s: s[1])
+            return {**seqs, key: seqs[key] + 1}
+
+        monkeypatch.setattr(hecke, "_walk", one_more)
+        with pytest.raises(AssertionError, match="did not sum to integers"):
+            fstanley.__wrapped__("D", w, 2, 5)
+
+
 class TestMoveTable:
     """Each Demazure prefix's moves are built on its first visit and kept
     per (t, w) for every later walk."""

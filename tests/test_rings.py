@@ -33,6 +33,7 @@ from ktrans.rings import (
     star_action,
     supersym_check,
     transition,
+    transition_residual,
     var_code,
     xvar,
     y_factor,
@@ -312,6 +313,18 @@ class TestPiOperator:
                 rhs = pi_operator(i + 1, pi_operator(i, pi_operator(i + 1, f)))
                 assert lhs == rhs
             assert pi_operator(1, pi_operator(3, f)) == pi_operator(3, pi_operator(1, f))
+
+    @pytest.mark.parametrize("bound", [None, *range(7)])
+    def test_matches_the_divided_difference_of_the_product(self, bound):
+        # the one pass against its definition: the product by
+        # 1 + beta*x_{i+1}, cut at f's bound, then the divided difference
+        rng = random.Random(48 + (bound or 0))
+        for _ in range(8):
+            f = random_poly(rng, max_deg=5, terms=8).with_bound(bound)
+            for i in (1, 2, 3):
+                got = pi_operator(i, f)
+                want = divided_difference(i, (ONE + BETA * xvar(i + 1)) * f)
+                assert (got.terms, got.bound) == (want.terms, want.bound), (i, poly_str(f))
 
 
 def ominus_series(a):
@@ -752,6 +765,78 @@ class TestOneDenominator:
                 for i, e in sorted(f.den.items()):
                     want = want * y_factor(w(i), -e)
                 assert same_fraction(star_action(w, f), want), (str(w), yrational_str(f))
+
+
+def reference_transition_residual(w, certificate, G):
+    """The transition residual as a chain of ring operations: the bracket
+    (1+beta*y_c)(1+beta*x_a) * sum_u coeff_u G(u) - G(v), divided by beta,
+    minus G(w)."""
+    v, a, c, combo = certificate
+    bracket = y_factor(c) * (ONE + BETA * xvar(a)) * combo_value(combo, G) - G(v)
+    return bracket.divide_beta() - G(w)
+
+
+def same_residual(w, certificate, G):
+    """Both residuals, checked to have the same numerator terms, bound and
+    denominator, and the same rendering; the new one is returned."""
+    got = transition_residual(w, certificate, G)
+    want = reference_transition_residual(w, certificate, G)
+    assert same_fraction(got, want) and yrational_str(got) == yrational_str(want), str(w)
+    return got
+
+
+class TestTransitionResidual:
+    """transition_residual, one sum over one denominator, against the chain
+    of ring operations it replaces, in value and in representation."""
+
+    def test_type_a_on_s4(self):
+        for w in group_elements("A", 4):
+            if w.least_descent():
+                assert not same_residual(w, transition("A", w), groth_poly)
+
+    @pytest.mark.parametrize("t", "BCD")
+    def test_on_w3_at_n2_d4(self, t):
+        G = lambda u: kn_eval(t, u, 2, 4)  # noqa: E731
+        for w in group_elements(t, 3):
+            if w.least_descent():
+                assert not same_residual(w, transition(t, w), G)
+
+    @pytest.mark.parametrize("t", "ABCD")
+    def test_a_bumped_coefficient(self, t):
+        # a beta-divisible bump breaks the identity: both residuals are
+        # the same nonzero fraction, rendered alike
+        G = groth_poly if t == "A" else (lambda u: kn_eval(t, u, 2, 4))  # noqa: E731
+        bump = YRational(BETA * xvar(1) + BETA * BETA * yvar(2), {1: 1})
+        seen = 0
+        for w in group_elements(t, 3):
+            if not w.least_descent():
+                continue
+            v, a, c, combo = transition(t, w)
+            for u in combo:
+                bumped = dict(combo)
+                bumped[u] = _lift(bumped[u]) + bump
+                seen += bool(same_residual(w, (v, a, c, bumped), G))
+        assert seen
+
+    @pytest.mark.parametrize("t", "ABCD")
+    def test_a_beta_free_bump_raises_in_both(self, t):
+        # bumping coeff_u by 1 adds G(u)'s beta-free part to the bracket,
+        # which G(u) has when it is not cut away at the bound
+        G = groth_poly if t == "A" else (lambda u: kn_eval(t, u, 2, 4))  # noqa: E731
+        seen = 0
+        for w in group_elements(t, 3):
+            if not w.least_descent():
+                continue
+            v, a, c, combo = transition(t, w)
+            for u in combo:
+                if not any(b == 0 for b, _ in G(u).terms):
+                    continue
+                bumped = {**combo, u: _lift(combo[u]) + 1}
+                for residual in (transition_residual, reference_transition_residual):
+                    with pytest.raises(ArithmeticError):
+                        residual(w, (v, a, c, bumped), G)
+                seen += 1
+        assert seen
 
 
 class TestUnitPower:
