@@ -82,17 +82,15 @@ def _pipe_dreams(w: SignedPermutation, family: str) -> TruncPoly:
 
 
 def groth_poly(w: SignedPermutation) -> TruncPoly:
-    """The double Grothendieck polynomial of a permutation, exact in beta, x, y."""
-    if not w.in_group("A"):
-        raise ValueError(f"{w} is not a type A element")
+    """The double Grothendieck polynomial of a permutation, exact in beta, x,
+    y; the pass refuses a non-member as every type A operator does."""
     return _pipe_dreams(w, "xy")
 
 
 def groth_single(w: SignedPermutation, family: str) -> TruncPoly:
     """The single Grothendieck polynomial G_w(x), the double one at y = 0;
-    in the y family, the same polynomial in y_i for each x_i."""
-    if not w.in_group("A"):
-        raise ValueError(f"{w} is not a type A element")
+    in the y family, the same polynomial in y_i for each x_i.  The family
+    is checked before w, which is refused as ``groth_poly`` refuses it."""
     if family not in ("x", "y"):
         raise ValueError(f"family must be x or y, got {family!r}")
     return _pipe_dreams(w, family)

@@ -168,8 +168,6 @@ class TruncPoly:
         return TruncPoly._within({m: -c for m, c in self.terms.items()}, self.bound)
 
     def __sub__(self, other) -> "TruncPoly":
-        if isinstance(other, int):
-            other = TruncPoly.const(other)
         return self + (-other)
 
     def __rsub__(self, other) -> "TruncPoly":
@@ -338,7 +336,7 @@ class YRational:
         return YRational(-self.num, dict(self.den))
 
     def __sub__(self, other) -> "YRational":
-        return self + (-_lift(other))
+        return self + (-other)
 
     def __mul__(self, other) -> "YRational":
         other = _lift(other)
@@ -534,14 +532,13 @@ def apply_M(t: str, k: int, u: SignedPermutation, bound: int | None = None) -> d
     finite, which holds in type A only.  In types B, C and D the u-moves
     never stop growing the support, so basis elements of length above the
     bound are dropped as they appear: their coefficients sit in degrees the
-    truncation cannot see.
+    truncation cannot see.  ``length`` refuses a u outside the group of
+    type t, before the bound is looked at.
     """
-    if not u.in_group(t):
-        raise ValueError(f"{u} is not in the group of type {t}")
+    lengths = {u: length(t, u)}
     if bound is None and t != "A":
         raise ValueError(f"the Monk operator of type {t} needs a length bound")
     out: dict = {}
-    lengths = {u: length(t, u)}
     if bound is None or lengths[u] <= bound:
         out[u] = y_factor(u(k), -1)
     j = k - 1
@@ -593,13 +590,6 @@ def _combo_parts(combo: dict, G) -> tuple[list, int | None]:
         if g:
             parts.append((c.den, c.num.terms, g.terms))
     return parts, bound
-
-
-def combo_value(combo: dict, G) -> YRational:
-    """Sum coeff_u * G(u) over the combination, over the least common
-    denominator of the coefficients: each numerator is scaled once by its
-    cofactor, and each product with G(u) adds into one term table."""
-    return _sum_by_den(*_combo_parts(combo, G))
 
 
 def monk_identity_holds(t: str, u: SignedPermutation, k: int, G) -> bool:

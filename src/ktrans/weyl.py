@@ -195,18 +195,10 @@ def is_valid_reflection(t: str, i: int, j: int) -> bool:
 
 @lru_cache(maxsize=None)
 def generator(t: str, g: int) -> SignedPermutation:
-    """The simple generator t_g (s_g in type A)."""
-    if g >= 1:
-        return reflection(g, g + 1)
-    if g == 0:
-        if t not in ("B", "C"):
-            raise ValueError(f"generator 0 is not in type {t}")
-        return reflection(0, 1)
-    if g == -1:
-        if t != "D":
-            raise ValueError("generator -1 only exists in type D")
-        return reflection(-1, 2)
-    raise ValueError(f"invalid generator index {g}")
+    """The simple generator t_g (s_g in type A): the one-letter word (g,)
+    applied by ``_apply_word`` to the identity, which also refuses a letter
+    that is not a generator of type t."""
+    return SignedPermutation._trusted(_apply_word(t, [], (g,)))
 
 
 def _apply_word(t: str, win: list[int], word: Iterable[int]) -> list[int]:
@@ -214,8 +206,7 @@ def _apply_word(t: str, win: list[int], word: Iterable[int]) -> list[int]:
     word, in order and in place, and return it: t_g for g >= 1 swaps
     entries g and g + 1, t_0 negates entry 1, and t_{-1} sends (w_1, w_2)
     to (-w_2, -w_1).  win is padded with fixed points when a letter reaches
-    past it.  A letter that is not a generator of type t raises ValueError,
-    as ``generator`` does."""
+    past it.  A letter that is not a generator of type t raises ValueError."""
     for g in word:
         if g >= 1:
             if g >= len(win):

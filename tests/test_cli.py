@@ -159,6 +159,15 @@ class TestCommands:
         assert len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("extra", [[], ["--transition"]])
+    def test_groth_a_non_member_is_one_usage_line(self, capsys, extra):
+        # the polynomial and the transition certificate refuse -1 alike
+        assert main(["groth-a", "--w", "-1", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "ktrans groth-a: error: -1 is not in the group of type A"]
+
     def test_deep_one_output_chain_answers(self, capsys, monkeypatch):
         # the first step of 2,3,...,600,1 has two outputs, and each heads a
         # chain of one-output steps (1,199 keys in all) that the recursion

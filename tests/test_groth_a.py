@@ -14,7 +14,6 @@ from ktrans.rings import (
     apply_M,
     apply_R,
     code_index,
-    combo_value,
     monk_identity_holds,
     pi_operator,
     transition,
@@ -32,7 +31,7 @@ from ktrans.weyl import (
     parse_oneline,
     reflection,
 )
-from test_rings import homogeneous_degree, mono_degree, reference_substitute
+from test_rings import combo_sum, homogeneous_degree, mono_degree, reference_substitute
 
 
 def x_to_y(p):
@@ -86,8 +85,10 @@ class TestGrothPoly:
         assert lhs == rhs
 
     def test_rejects_signed(self):
-        with pytest.raises(ValueError):
+        # worded as every other operator on a non-member words it
+        with pytest.raises(ValueError) as err:
             groth_poly(parse_oneline("-1"))
+        assert str(err.value) == "-1 is not in the group of type A"
 
     def test_cap_is_on_terms_held(self, monkeypatch):
         # s_3's last layer holds its 4^3 - 1 = 63 terms and nothing else: a
@@ -166,8 +167,10 @@ class TestGrothSingle:
             assert (got.terms, got.bound) == (want.terms, want.bound), str(w)
 
     def test_rejects_signed_element_and_unknown_family(self):
-        with pytest.raises(ValueError):
-            groth_single(parse_oneline("-1"), "x")
+        for family in ("x", "y"):
+            with pytest.raises(ValueError) as err:
+                groth_single(parse_oneline("-1"), family)
+            assert str(err.value) == "-1 is not in the group of type A"
         with pytest.raises(ValueError):
             groth_single(parse_oneline("2,1"), "z")
 
@@ -260,13 +263,13 @@ class TestOperators:
 
         k = 2
         for w in group_elements("A", 3):
-            lhs = YRational(ONE + BETA * xvar(k)) * combo_value(
+            lhs = YRational(ONE + BETA * xvar(k)) * combo_sum(
                 apply_R("A", k, w), groth_poly
             )
             out, lengths = {w: YRational(ONE, {w(k): 1})}, {w: length("A", w)}
             for l in range(max(k, w.support) + 1, k, -1):
                 out = _factor("A", out, lengths, k, l, lambda u, v, c: c * BETA)
-            assert lhs == combo_value(out, groth_poly), str(w)
+            assert lhs == combo_sum(out, groth_poly), str(w)
 
 
 class TestTransition:

@@ -15,7 +15,6 @@ from ktrans.rings import (
     _factor,
     apply_M,
     apply_R,
-    combo_value,
     monk_identity_holds,
     star_action,
     transition,
@@ -37,7 +36,7 @@ from ktrans.weyl import (
     parse_oneline,
 )
 from test_expand import _clear_memos
-from test_rings import homogeneous_degree
+from test_rings import combo_sum, homogeneous_degree
 from test_weyl import demazure_mul
 
 
@@ -299,8 +298,8 @@ class TestMOperator:
         for u in group_elements(t, 2):
             for k in (1, 2, 3):
                 cut = G(u).bound
-                value = combo_value(apply_M(t, k, u, cut), G)
-                assert value == combo_value(apply_M(t, k, u, cut + 2), G), (str(u), k)
+                value = combo_sum(apply_M(t, k, u, cut), G)
+                assert value == combo_sum(apply_M(t, k, u, cut + 2), G), (str(u), k)
                 assert monk_identity_holds(t, u, k, G), (str(u), k)
 
     def test_x_factor_absorbs_r_operator(self):
@@ -310,7 +309,7 @@ class TestMOperator:
             for w in group_elements(t, 2):
                 for k in (1, 2):
                     lhs_c = apply_R(t, k, w)
-                    lhs = YRational(ONE + BETA * xvar(k)) * combo_value(
+                    lhs = YRational(ONE + BETA * xvar(k)) * combo_sum(
                         lhs_c, kn_at(t, 2, bound)
                     )
                     wk = w(k)
@@ -322,7 +321,7 @@ class TestMOperator:
                     out, lengths = {w: coeff}, {w: length(t, w)}
                     for l in range(max(k, w.support) + 1, k, -1):
                         out = _factor(t, out, lengths, k, l, times_beta, bound)
-                    assert lhs == combo_value(out, kn_at(t, 2, bound)), (t, str(w), k)
+                    assert lhs == combo_sum(out, kn_at(t, 2, bound)), (t, str(w), k)
 
     def test_twisted_product_collapses_to_scaling(self):
         # (u-product . v_k . t-product-below-k) F == v_k F
@@ -354,7 +353,7 @@ class TestMOperator:
                         if wk > 0
                         else YRational(ONE + BETA * yvar(-wk))
                     )
-                    assert combo_value(out, kn_at(t, 2, bound)) == expect * kn_eval(
+                    assert combo_sum(out, kn_at(t, 2, bound)) == expect * kn_eval(
                         t, w, 2, bound
                     ), (t, str(w), k)
 

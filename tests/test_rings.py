@@ -16,16 +16,17 @@ from ktrans.rings import (
     TruncPoly,
     YRational,
     _add_term,
+    _combo_parts,
     _lift,
     _mono_sort_key,
     _mul_into,
+    _sum_by_den,
     _unit_power,
     _unit_product,
     apply_M,
     apply_R,
     code_family,
     code_index,
-    combo_value,
     divided_difference,
     monk_identity_holds,
     pi_operator,
@@ -634,6 +635,21 @@ class TestCombination:
         with pytest.raises(ValueError):
             transition(t, w)
 
+    @pytest.mark.parametrize(
+        "t, window, message",
+        [
+            ("A", "-2,1", "-2,1 is not in the group of type A"),
+            ("D", "-1", "-1 is not in the group of type D"),
+            ("E", "2,1", "unknown group type 'E'"),
+        ],
+    )
+    def test_monk_operator_names_what_it_refuses(self, t, window, message):
+        # the group is tested before the bound, with or without one
+        for bound in (None, 3):
+            with pytest.raises(ValueError) as err:
+                apply_M(t, 1, parse_oneline(window), bound)
+            assert str(err.value) == message
+
     def test_combo_value_matches_the_term_by_term_sum(self):
         # coefficients over four denominators (the empty one included) and
         # a plain polynomial; the groups must sum to what the terms do
@@ -650,7 +666,7 @@ class TestCombination:
         want = YRational.const(0)
         for u, c in combo.items():
             want = want + c * G(u)
-        got = combo_value(combo, G)
+        got = combo_sum(combo, G)
         assert (got.num.terms, got.num.bound, got.den) == (
             want.num.terms, want.num.bound, want.den)
 
@@ -667,7 +683,13 @@ def running_sum(groups):
     return total
 
 
-def reference_combo_value(combo, G):
+def combo_sum(combo, G):
+    """The sum of coeff_u * G(u) over the combination, as the Monk and
+    transition checks build theirs: one _sum_by_den over _combo_parts."""
+    return _sum_by_den(*_combo_parts(combo, G))
+
+
+def reference_combo_sum(combo, G):
     """The reference sum of coeff_u * G(u): each coefficient times G(u) as a
     product, the products added per denominator, then the running sum."""
     groups = {}
@@ -707,7 +729,7 @@ def monk_combinations(t, rank, bound):
 
 
 class TestOneDenominator:
-    """combo_value and star_action sum over the least common denominator to
+    """combo_sum and star_action sum over the least common denominator to
     what the running pairwise sum gives, in value and in representation."""
 
     @pytest.mark.parametrize("t, rank, bound", [(t, 3, 4) for t in "BCD"] + [("A", 4, None)])
@@ -717,7 +739,7 @@ class TestOneDenominator:
         assert any(len({tuple(sorted(c.den.items())) for c in combo.values()}) > 2
                    for combo in combos)
         for combo in combos:
-            assert same_fraction(combo_value(combo, G), reference_combo_value(combo, G))
+            assert same_fraction(combo_sum(combo, G), reference_combo_sum(combo, G))
 
     @pytest.mark.parametrize("t", "ABCD")
     def test_combo_value_on_every_transition_certificate(self, t):
@@ -725,7 +747,7 @@ class TestOneDenominator:
         for w in group_elements(t, 4 if t == "A" else 3):
             if w.least_descent():
                 combo = transition(t, w)[3]
-                assert same_fraction(combo_value(combo, G), reference_combo_value(combo, G)), str(w)
+                assert same_fraction(combo_sum(combo, G), reference_combo_sum(combo, G)), str(w)
 
     @pytest.mark.parametrize("t", "BCD")
     def test_monk_check_is_the_fraction_comparison(self, t):
@@ -740,15 +762,15 @@ class TestOneDenominator:
                 for k in (1, 2, 3):
                     for g in (G, bumped):
                         gu = g(u)
-                        want = YRational((ONE + BETA * xvar(k)) * gu) == combo_value(
+                        want = YRational((ONE + BETA * xvar(k)) * gu) == combo_sum(
                             apply_M(t, k, u, gu.bound), g)
                         assert monk_identity_holds(t, u, k, g) == want, (str(v), str(u), k)
                         answers.append(want)
         assert True in answers and False in answers
 
     def test_empty_combination_is_zero(self):
-        got = combo_value({}, lambda u: ONE)
-        assert same_fraction(got, reference_combo_value({}, lambda u: ONE))
+        got = combo_sum({}, lambda u: ONE)
+        assert same_fraction(got, reference_combo_sum({}, lambda u: ONE))
 
     def test_star_action_against_the_grouped_running_sum(self):
         # the grouped substitution summed pairwise, then times f's units
@@ -772,7 +794,7 @@ def reference_transition_residual(w, certificate, G):
     (1+beta*y_c)(1+beta*x_a) * sum_u coeff_u G(u) - G(v), divided by beta,
     minus G(w)."""
     v, a, c, combo = certificate
-    bracket = y_factor(c) * (ONE + BETA * xvar(a)) * combo_value(combo, G) - G(v)
+    bracket = y_factor(c) * (ONE + BETA * xvar(a)) * combo_sum(combo, G) - G(v)
     return bracket.divide_beta() - G(w)
 
 

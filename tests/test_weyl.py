@@ -239,6 +239,17 @@ class TestApplyWord:
                 assert _apply_word(t, win, [g]) is win
                 assert SignedPermutation._trusted(win) == w * generator(t, g), (w, g)
 
+    @pytest.mark.parametrize("t", ["A", "B", "C", "D"])
+    def test_each_generator_is_its_reflection(self, t):
+        # generator applies a one-letter word, so check it against the
+        # reflection each index names: t_g = t_{g,g+1}, t_0 = t_{01} and
+        # t_{-1} = t_{-1,2}, built from their windows
+        letters = generator_indices(t, 6)
+        assert letters and max(letters) == 5
+        for g in letters:
+            want = reflection(g, g + 1) if g >= 1 else reflection(g, 1 - g)
+            assert generator(t, g) == want, (t, g)
+
     @pytest.mark.parametrize(
         "t, g, message",
         [
