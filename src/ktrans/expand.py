@@ -108,11 +108,12 @@ def transition_step(t: str, w: SignedPermutation) -> dict[SignedPermutation, int
     counts give a = plain + via_n - [u == v]; since v * t_{ab} = w raises
     length by one, the division by beta lowers every exponent l(u) - l(v)
     to l(u) - l(w).  Wraps the outputs of ``_step``, the recursion's step.
+    ``length`` refuses a w outside the group of type t before the descent
+    test.
     """
     if t not in ("B", "C", "D"):
         raise ValueError(f"transition needs type B, C, or D, not {t!r}")
-    if not w.in_group(t):
-        raise ValueError(f"{w} is not in the group of type {t}")
+    length(t, w)  # raises for a w outside the group
     a = w.least_descent()
     if not a:
         raise ValueError(f"{w} has no descent")

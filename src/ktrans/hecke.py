@@ -35,7 +35,6 @@ from .weyl import (
     IDENTITY,
     SignedPermutation,
     generator,
-    length,
     reduced_word,
     right_ascent,
 )
@@ -53,12 +52,15 @@ class _PrefixMoves(dict):
     order, so a prefix p can still reach w iff p <= w in that order and
     l(w) - l(p) letters remain.  With w = p u and l(w) = l(p) + l(u), a
     letter g that raises p keeps p t_g below w iff g is a left descent of
-    u, that is a right descent of r = u^-1 = w^-1 p.
+    u, that is a right descent of r = u^-1 = w^-1 p.  l(w) is the length
+    of that reduced word, and ``reduced_word`` refuses a w outside the
+    group of type t.
     """
 
     def __init__(self, t: str, w: SignedPermutation):
-        self.gens = {g: generator(t, g) for g in sorted(set(reduced_word(t, w)))}
-        self.w_inv, self.lw = w.inverse(), length(t, w)
+        word = reduced_word(t, w)
+        self.gens = {g: generator(t, g) for g in sorted(set(word))}
+        self.w_inv, self.lw = w.inverse(), len(word)
 
     def __missing__(self, state: tuple) -> list:
         p, lp = state
@@ -234,20 +236,22 @@ def fstanley(
     increases.  The compat weights are summed scaled by 2^k, k the largest
     -e the walk found, so the cost of a bound past the walk's last layer
     does not grow with it; a sum that 2^k does not divide raises
-    AssertionError.
+    AssertionError.  l(w) is read off the machine's goal state, and a w
+    outside the group of type t raises ValueError there.
     """
     if method not in ("compat", "unimodal"):
         raise ValueError(f"unknown method {method!r}")
     if t not in ("B", "C", "D"):
         raise ValueError(f"K-Stanley functions need type B, C, or D, not {t!r}")
-    lw = length(t, w)
+    start, goal, moves = _prefix_moves(t, w)
+    lw = goal[1]
     z1 = var_code(Z, 1)
     compat = method == "compat"
     if compat:
         step, root = partial(_compat_step, t, z1 + num_vars - 1), ((), 0, False)
     else:
         step, root = partial(_unimodal_step, t, [z1 + i // 2 for i in range(2 * num_vars)]), ((), 0)
-    seqs = _walk(*_prefix_moves(t, w), bound, {root: 1}, step)
+    seqs = _walk(start, goal, moves, bound, {root: 1}, step)
     # A compatible sequence can carry a weight 2^e with e < 0; accumulate
     # everything scaled by 2^k, k the largest -e of the sequences found (at
     # least 0), and divide back at the end.

@@ -63,8 +63,8 @@ def _undo(t: str, ends: dict, word: tuple[int, ...]) -> dict:
 @lru_cache(maxsize=None)
 def _perms(n: int, cap: int) -> tuple:
     """(s, l(s), a reduced word of s) over the s in S_n of length <= cap."""
-    return tuple((s, length("A", s), tuple(reduced_word("A", s)))
-                 for s in elements_up_to_length("A", n, cap))
+    words = {s: tuple(reduced_word("A", s)) for s in elements_up_to_length("A", n, cap)}
+    return tuple((s, len(word), word) for s, word in words.items())
 
 
 def _fold(t: str, y: SignedPermutation, family: str, inner, bound: int) -> dict:

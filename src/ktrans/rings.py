@@ -170,9 +170,6 @@ class TruncPoly:
     def __sub__(self, other) -> "TruncPoly":
         return self + (-other)
 
-    def __rsub__(self, other) -> "TruncPoly":
-        return (-self) + other
-
     def __mul__(self, other) -> "TruncPoly":
         if isinstance(other, int):
             if other == 0:
@@ -562,10 +559,11 @@ def transition(t: str, w: SignedPermutation) -> tuple[SignedPermutation, int, in
 
     With G the double Grothendieck polynomial of the type, the identity is
     G_w = ((1+beta*y_c)(1+beta*x_a) * sum_u coeff_u G_u - G_v) / beta,
-    with y_c read as ominus y_{|c|} when c is negative.
+    with y_c read as ominus y_{|c|} when c is negative.  ``length`` refuses
+    a w outside the group of type t before the descent test; ``apply_R``
+    then counts l(v) for its own input.
     """
-    if not w.in_group(t):
-        raise ValueError(f"{w} is not in the group of type {t}")
+    length(t, w)  # raises for a w outside the group
     a = w.least_descent()
     if not a:
         raise ValueError(f"{w} has no descent")

@@ -9,7 +9,7 @@ Conventions: products compose as functions, (u*v)(i) = u(v(i)); the
 simple generators are t_0 = (-1,1), t_i = (i,i+1)(-i,-i-1) for i >= 1,
 and t_{-1} = (1,-2)(2,-1).  Type A elements are the signed permutations
 with all-positive windows; type D requires an even number of negative
-window entries.
+window entries.  ``length`` is the one test of that rule.
 """
 
 from __future__ import annotations
@@ -117,18 +117,6 @@ class SignedPermutation(tuple):
     def is_identity(self) -> bool:
         return not len(self)
 
-    def num_negatives(self) -> int:
-        return sum(1 for v in self if v < 0)
-
-    def in_group(self, t: str) -> bool:
-        if t == "A":
-            return all(v > 0 for v in self)
-        if t in ("B", "C"):
-            return True
-        if t == "D":
-            return self.num_negatives() % 2 == 0
-        raise ValueError(f"unknown group type {t!r}")
-
     least_descent = _least_descent
 
     def is_grassmannian(self) -> bool:
@@ -184,6 +172,11 @@ def reflection(i: int, j: int) -> SignedPermutation:
 
 
 def is_valid_reflection(t: str, i: int, j: int) -> bool:
+    """Whether t_{ij} is a reflection of type t: i < j, j > 0, i != -j, and
+    i > 0 in type A, i != 0 in type D.  A type outside A-D raises
+    ``length``'s ValueError."""
+    if t not in ("A", "B", "C", "D"):
+        raise ValueError(f"unknown group type {t!r}")
     if i >= j or j <= 0 or i == -j:
         return False
     if t == "A":
@@ -251,7 +244,12 @@ def length(t: str, w: SignedPermutation) -> int:
     of Coxeter Groups, Props. 8.1.1 and 8.2.1; types B and C share one
     length).  The pass runs right to left and counts the entries already
     seen below w(i) by bisection, so it takes O(n log n) comparisons.  A
-    type A window has no negative entries, and its length is inv(w)."""
+    type A window has no negative entries, and its length is inv(w).
+
+    This is the one membership test of the package: a negative entry in
+    type A, or an odd number of them in type D, raises ValueError
+    ("... is not in the group of type t"), as does a type outside A-D
+    ("unknown group type").  Callers that only validate call it for that."""
     if t not in ("A", "B", "C", "D"):
         raise ValueError(f"unknown group type {t!r}")
     seen: list[int] = []  # the entries right of w(i), sorted
@@ -534,10 +532,11 @@ def reduced_word(t: str, w: SignedPermutation) -> list[int]:
     """A reduced word (a_1, ..., a_l) with t_{a_1} ... t_{a_l} = w.
 
     Greedy right-descent stripping, preferring t_0 / t_{-1} and then the
-    smallest index.  Any reduced word works for the callers here.
+    smallest index.  Any reduced word works for the callers here, and its
+    length is l(w), which they read from it.  ``length`` refuses a w
+    outside the group of type t first.
     """
-    if not w.in_group(t):
-        raise ValueError(f"{w} is not in the group of type {t}")
+    length(t, w)  # raises for a w outside the group
     word: list[int] = []
     cur = w
     while not cur.is_identity():
@@ -575,9 +574,11 @@ def group_elements(t: str, n: int) -> tuple[SignedPermutation, ...]:
 
 
 def shape(t: str, w: SignedPermutation) -> tuple[int, ...]:
-    """The strict partition attached to a Grassmannian signed permutation."""
-    if not w.in_group(t):
-        raise ValueError(f"{w} is not in the group of type {t}")
+    """The strict partition attached to a Grassmannian signed permutation.
+    ``length`` refuses a w outside the group of type t before the
+    Grassmannian test, so D -1 is a non-member, not an element with a
+    descent."""
+    length(t, w)  # raises for a w outside the group
     if not w.is_grassmannian():
         raise ValueError(f"{w} has a descent; no Grassmannian shape")
     return _shape(t, w)

@@ -168,6 +168,16 @@ class TestCommands:
         assert captured.err.splitlines() == [
             "ktrans groth-a: error: -1 is not in the group of type A"]
 
+    @pytest.mark.parametrize("command", ["kn-transition", "fstanley"])
+    def test_d_non_member_is_one_usage_line(self, capsys, command):
+        # D -1 is Grassmannian, yet it is refused as a non-member, not as an
+        # element with no descent
+        assert main([command, "--type", "D", "--w", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"ktrans {command}: error: -1 is not in the group of type D"]
+
     def test_deep_one_output_chain_answers(self, capsys, monkeypatch):
         # the first step of 2,3,...,600,1 has two outputs, and each heads a
         # chain of one-output steps (1,199 keys in all) that the recursion
@@ -579,6 +589,23 @@ class TestVerifySuite:
         assert sum(line.startswith("FAIL") for line in lines) == 1
         assert lines[-1] == f"1 of {len(lines) - 2} checks failed"
 
+    def test_a_raising_check_is_a_failure(self, capsys, monkeypatch):
+        # a check that raises fails with the exception named, not an abort
+        from ktrans import cli
+
+        def boom():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "CHECKS", [
+            (name, boom if name == "transition-step" else fn) for name, fn in cli.CHECKS])
+        code, out = run(capsys, "verify-suite", "--check", "transition-step")
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL  transition-step  (raised RuntimeError('boom'))",
+            "  reproduce: ktrans verify-suite --check transition-step",
+            "1 of 1 checks failed",
+        ]
+
     @pytest.mark.parametrize("half", ["transition", "Monk identity"])
     def test_merged_identity_checks_fail_on_either_half(self, monkeypatch, half):
         # type A and types B/C/D share one check, which must still run both loops
@@ -895,6 +922,52 @@ class TestCache:
         expand_mod._cache.clear()
         assert load(str(path)) == 3
         assert set(expand_mod._cache) == {("B", (2, 1)), ("B", (1, 3, 2)), ("B", (3, 1, 2))}
+
+    def test_file_corrupted_after_the_load_is_replaced(self, capsys, tmp_path, monkeypatch):
+        # the file held B 2,1 when loaded; another writer left it unparseable
+        # before this command saves, so the save replaces it, silently
+        from ktrans import expand as expand_mod
+
+        monkeypatch.setenv("KTRANS_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(expand_mod, "_cache", {})  # a fresh process
+        run(capsys, "expand", "--type", "B", "--w", "2,1")
+        path = tmp_path / "expansions.ktrx"
+        monkeypatch.setattr(expand_mod, "_cache", {})
+        expand = expand_mod.expand_grassmannian
+
+        def corrupting(t, w):
+            path.write_bytes(b"not a cache")
+            return expand(t, w)
+
+        monkeypatch.setattr(expand_mod, "expand_grassmannian", corrupting)
+        code = main(["expand", "--type", "B", "--w", "3,1,2"])
+        assert code == 0 and capsys.readouterr().err == ""
+        document = json.loads(path.read_bytes())
+        assert document["version"] == 3
+        assert [entry[:2] for entry in document["entries"]] == [["B", [2, 1]], ["B", [3, 1, 2]]]
+        expand_mod._cache.clear()
+        assert expand_mod.load_cache(str(path)) == 2
+
+    def test_failed_replace_leaves_no_temp_file(self, capsys, tmp_path, monkeypatch):
+        # the temp file is removed when os.replace fails, and the command
+        # answers with one warning
+        import os
+
+        from ktrans import expand as expand_mod
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setenv("KTRANS_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(expand_mod, "_cache", {})
+        monkeypatch.setattr(os, "replace", refuse)
+        code = main(["expand", "--type", "B", "--w", "2,1", "--json"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err.splitlines() == [
+            f"warning: cannot write cache {tmp_path / 'expansions.ktrx'}: replace refused"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["expansions.ktrx.lock"]
+        assert json.loads(captured.out)["terms"]
 
     def test_concurrent_processes_keep_every_key(self, tmp_path):
         import os

@@ -1,5 +1,8 @@
 """The transition recursion and its Grassmannian expansions."""
 
+import json
+import sys
+
 import pytest
 
 from ktrans.expand import (
@@ -23,6 +26,7 @@ from ktrans.weyl import (
     parse_oneline,
     shape,
 )
+from test_cli import GOLDEN, _depth
 from test_tableaux import strict_partitions
 from test_weyl import ld_less  # the LD order, kept with its own tests
 
@@ -139,6 +143,35 @@ class TestWorklist:
         assert sum(calls.values()) == steps
         assert len(result.terms) == terms
         assert all(coeff > 0 for coeff in result.terms.values())
+
+    @pytest.mark.parametrize("margin, refused", [(10, True), (20, False)])
+    def test_too_deep_nesting_is_refused_and_not_kept(self, monkeypatch, margin, refused):
+        # B 4,7,2,6,-8,1,-5,-3 nests steps with several outputs 9 deep: with
+        # the recursion limit 10 frames past this test's depth the expansion
+        # is refused and nothing is memoized, and with 20 it answers
+        from ktrans import expand as expand_mod
+
+        monkeypatch.setattr(expand_mod, "_cache", {})
+        expand_mod._expansion.cache_clear()
+        w = parse_oneline("4,7,2,6,-8,1,-5,-3")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_depth() + margin)
+        try:
+            if refused:
+                with pytest.raises(ValueError) as err:
+                    expand_grassmannian("B", w)
+            else:
+                terms = expand_grassmannian("B", w).terms
+        finally:
+            sys.setrecursionlimit(limit)
+            expand_mod._expansion.cache_clear()
+        if refused:
+            assert str(err.value) == f"the transition chain of {w} is too deep to expand"
+            assert expand_mod._cache == {}
+        else:
+            golden = json.loads((GOLDEN / "expand-B-rank8.json").read_text(encoding="utf-8"))
+            assert terms == {tuple(t["lambda"]): t["coeff"] for t in golden["terms"]}
+            assert list(expand_mod._cache) == [("B", w)]
 
 
 class TestMemo:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ktrans.expand import transition_step
 from ktrans.groth_a import groth_poly
 from ktrans.hecke import fstanley, quasi
 from ktrans.kn import kn_eval
@@ -42,7 +43,15 @@ from ktrans.rings import (
     yvar,
 )
 from ktrans.tableaux import ShiftedSkewShape, gp, gq
-from ktrans.weyl import IDENTITY, SignedPermutation, group_elements, parse_oneline, reflection
+from ktrans.weyl import (
+    IDENTITY,
+    SignedPermutation,
+    group_elements,
+    parse_oneline,
+    reduced_word,
+    reflection,
+    shape,
+)
 
 
 def zvar(i, bound=None):
@@ -649,6 +658,36 @@ class TestCombination:
             with pytest.raises(ValueError) as err:
                 apply_M(t, 1, parse_oneline(window), bound)
             assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "t, window, message",
+        [
+            ("A", "-2,1", "-2,1 is not in the group of type A"),
+            ("D", "-1", "-1 is not in the group of type D"),
+            ("D", "-3,1,2", "-3,1,2 is not in the group of type D"),
+            ("D", "2,-1", "2,-1 is not in the group of type D"),
+            ("E", "-2,1", "unknown group type 'E'"),
+        ],
+    )
+    def test_membership_is_refused_before_the_descent_test(self, t, window, message):
+        # ``length`` is the one membership test, and each caller asks it
+        # before its descent or Grassmannian test: the Grassmannian D -1
+        # gets the group message, not "has no descent", and D 2,-1 not "has
+        # a descent"; transition_step and
+        # fstanley refuse a type outside B-D first, in their own words
+        w = parse_oneline(window)
+        calls = [
+            (transition_step, "transition needs type B, C, or D, not {t!r}"),
+            (lambda t, w: fstanley(t, w, 2, 4), "K-Stanley functions need type B, C, or D, not {t!r}"),
+            (transition, None),
+            (shape, None),
+            (reduced_word, None),
+        ]
+        for call, own_type in calls:
+            with pytest.raises(ValueError) as err:
+                call(t, w)
+            assert err.type is ValueError
+            assert str(err.value) == (own_type.format(t=t) if own_type and t not in "BCD" else message)
 
     def test_combo_value_matches_the_term_by_term_sum(self):
         # coefficients over four denominators (the empty one included) and

@@ -46,10 +46,20 @@ def demazure_apply(t, w, g):
     return w * generator(t, g) if right_ascent(w, g) else w
 
 
+def in_group(t, w):
+    """The membership rule spelled out for the references here, apart from
+    ``length``: no negative entry in type A, an even number of them in
+    type D, any window in types B and C."""
+    if t not in ("A", "B", "C", "D"):
+        raise ValueError(f"unknown group type {t!r}")
+    negs = sum(v < 0 for v in w)
+    return not negs if t == "A" else t != "D" or negs % 2 == 0
+
+
 @lru_cache(maxsize=None)
 def demazure_mul(t, u, v):
     """The Demazure (0-Hecke) product u o v, along a reduced word of v."""
-    if not (u.in_group(t) and v.in_group(t)):
+    if not (in_group(t, u) and in_group(t, v)):
         raise ValueError(f"operands must both lie in type {t}")
     for g in reduced_word(t, v):
         u = demazure_apply(t, u, g)
@@ -118,9 +128,9 @@ def reference_length(t, w):
     """The reference for ``length``, counted pair by pair: inv + nsp + neg in
     types B and C, inv + nsp in type D, where nsp counts the pairs i < j
     with w(i) + w(j) < 0 and neg the negative entries; inv alone in type A."""
-    if not w.in_group(t):
+    if not in_group(t, w):
         raise ValueError(f"{w} is not in the group of type {t}")
-    total = w.num_negatives() if t in ("B", "C") else 0
+    total = sum(v < 0 for v in w) if t in ("B", "C") else 0
     for a, x in enumerate(w, start=1):
         for y in w[a:]:
             total += (x > y) + (x + y < 0)
@@ -182,6 +192,20 @@ class TestLength:
                 length(t, parse_oneline(w))
             assert str(err.value) == message
 
+    def test_membership_matches_the_reference(self):
+        # on every signed window of rank 4, in each type and an unknown one,
+        # length and reference_length give one value or one message
+        for t in "ABCDE":
+            for w in windowed_elements("B", 4):
+                try:
+                    want = reference_length(t, w)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as err:
+                        length(t, w)
+                    assert str(err.value) == str(exc), (t, w)
+                else:
+                    assert length(t, w) == want, (t, w)
+
     def test_elements_up_to_length(self):
         full = [w for w in group_elements("B", 3) if length("B", w) <= 2]
         assert sorted(elements_up_to_length("B", 3, 2)) == sorted(full)
@@ -200,7 +224,7 @@ def windowed_elements(t, n):
     for perm in itertools.permutations(range(1, n + 1)):
         for signs in itertools.product((1, -1), repeat=n):
             w = SignedPermutation([p * s for p, s in zip(perm, signs)])
-            if w.in_group(t):
+            if in_group(t, w):
                 elems.append(w)
     return elems
 
@@ -330,6 +354,17 @@ class TestLengthIncrement:
     def test_forbidden_in_d(self):
         with pytest.raises(ValueError):
             length_increment_ok("D", IDENTITY, 0, 1)
+
+    @pytest.mark.parametrize("t", ["X", "Q", "E", "a"])
+    def test_unknown_type_is_refused(self, t):
+        # a type outside A-D gets length's message, as t_{-1,2} and t_{03}
+        # would be reflections of a type B or D
+        message = f"unknown group type {t!r}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            length_increment_ok(t, SignedPermutation([2, 1]), -1, 2)
+        for i, j in [(0, 3), (-1, 2), (1, 2), (2, 1)]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                is_valid_reflection(t, i, j)
 
     def test_spec_example_matches_direct(self):
         w = parse_oneline("-2,1")
