@@ -33,6 +33,7 @@ from .weyl import (
     _shape,
     _support,
     _transition_window,
+    check_classical,
     length,
 )
 
@@ -111,8 +112,7 @@ def transition_step(t: str, w: SignedPermutation) -> dict[SignedPermutation, int
     ``length`` refuses a w outside the group of type t before the descent
     test.
     """
-    if t not in ("B", "C", "D"):
-        raise ValueError(f"transition needs type B, C, or D, not {t!r}")
+    check_classical(t, "transition")
     length(t, w)  # raises for a w outside the group
     a = w.least_descent()
     if not a:
@@ -222,8 +222,7 @@ def expand_grassmannian(t: str, w: SignedPermutation) -> ExpansionResult:
     A type other than B, C or D, or steps with several outputs nested
     deeper than the interpreter's recursion limit, raises ValueError.
     """
-    if t not in ("B", "C", "D"):
-        raise ValueError(f"expansion needs type B, C, or D, not {t!r}")
+    check_classical(t, "expansion")
     cached = _cache.get((t, w))
     if cached is None:
         lw = length(t, w)  # raises for a w outside the group
@@ -356,8 +355,7 @@ def load_cache(path: str) -> int:
             return 0
         # unpacking rejects a record or pair of the wrong arity
         for t, window, values in _list(doc["entries"]):
-            if t not in ("B", "C", "D"):
-                raise ValueError(f"the group type {t!r} is not B, C or D")
+            check_classical(t, "a cache entry")
             w = SignedPermutation(_list(window))
             if (t, w) in loaded:
                 raise ValueError(f"the key {t} {w} repeats")

@@ -34,6 +34,7 @@ from .rings import Z, Monomial, TruncPoly, var_code
 from .weyl import (
     IDENTITY,
     SignedPermutation,
+    check_classical,
     generator,
     reduced_word,
     right_ascent,
@@ -237,15 +238,16 @@ def fstanley(
     -e the walk found, so the cost of a bound past the walk's last layer
     does not grow with it; a sum that 2^k does not divide raises
     AssertionError.  l(w) is read off the machine's goal state, and a w
-    outside the group of type t raises ValueError there.
+    outside the group of type t raises ValueError there.  z_1 is found from
+    z_N, so ``var_code`` refuses an N past rings.MAX_INDEX; N = 0 leaves no
+    z value.
     """
     if method not in ("compat", "unimodal"):
         raise ValueError(f"unknown method {method!r}")
-    if t not in ("B", "C", "D"):
-        raise ValueError(f"K-Stanley functions need type B, C, or D, not {t!r}")
+    check_classical(t, "fstanley")
     start, goal, moves = _prefix_moves(t, w)
     lw = goal[1]
-    z1 = var_code(Z, 1)
+    z1 = var_code(Z, num_vars) + 1 - num_vars if num_vars > 0 else 0
     compat = method == "compat"
     if compat:
         step, root = partial(_compat_step, t, z1 + num_vars - 1), ((), 0, False)
@@ -290,13 +292,15 @@ def quasi(pi: tuple[int, ...], num_vars: int, bound: int) -> TruncPoly:
     prefix ending in pi_j, the empty prefix at j = -1: the next letter pi_k
     repeats pi_j (k = j) or moves on (k = j + 1), and needs the r - k - 1
     letters after it.  The partial factorizations, with their counts, ride
-    along through `_unimodal_step`, as in `fstanley`."""
+    along through `_unimodal_step`, as in `fstanley`, which also checks N
+    the same way."""
     if mperm(pi) != tuple(pi):
         raise ValueError(f"{pi} is not a multi-permutation")
     r = len(pi)
     moves = {j: [(pi[k], k, r - k - 1) for k in range(max(j, 0), min(j + 2, r))]
              for j in range(-1, r)}
-    step = partial(_unimodal_step, "C", [var_code(Z, 1) + i // 2 for i in range(2 * num_vars)])
+    z1 = var_code(Z, num_vars) + 1 - num_vars if num_vars > 0 else 0
+    step = partial(_unimodal_step, "C", [z1 + i // 2 for i in range(2 * num_vars)])
     terms: dict[Monomial, int] = {}
     for (b, _), c in _walk(-1, r - 1, moves, bound, {((), 0): 1}, step).items():
         m = (len(b) - r, b)

@@ -37,6 +37,7 @@ from .hecke import fstanley
 from .rings import TruncPoly, _mul_into
 from .weyl import (
     SignedPermutation,
+    check_classical,
     elements_up_to_length,
     generator,
     length,
@@ -96,6 +97,5 @@ def _half_sum(t: str, p: SignedPermutation, num_vars: int, bound: int) -> dict:
 def kn_eval(t: str, w: SignedPermutation, num_vars: int, bound: int) -> TruncPoly:
     """The classical-type double Grothendieck series of w, truncated: the
     sum of beta^(l(p)+l(tau)-l(w)) G_tau(x) K_p over the p o tau = w."""
-    if t not in ("B", "C", "D"):
-        raise ValueError(f"type must be B, C, or D, not {t!r}")
+    check_classical(t, "kn_eval")
     return TruncPoly(_fold(t, w, "x", lambda p: _half_sum(t, p, num_vars, bound), bound), bound)

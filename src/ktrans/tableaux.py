@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .weyl import SignedPermutation, _apply_word
+from .weyl import SignedPermutation, _apply_word, check_classical
 
 
 def check_strict(parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -191,20 +191,13 @@ def reading_word(t: str, shape: ShiftedSkewShape) -> list[int]:
 
     Types B/C put j - i in cell (i, j).  Type D puts j - i + 1 off the
     diagonal and alternates +1, -1, +1, ... down the diagonal, matching the
-    worked tableau for (5,3,1)/(2).
+    worked tableau for (5,3,1)/(2).  Any other type raises ValueError, even
+    for the empty shape.
     """
-    word = []
-    for (i, j) in shape.cells():
-        if t in ("B", "C"):
-            word.append(j - i)
-        elif t == "D":
-            if i == j:
-                word.append(1 if i % 2 == 1 else -1)
-            else:
-                word.append(j - i + 1)
-        else:
-            raise ValueError(f"no reading word for type {t!r}")
-    return word
+    if t in ("B", "C"):
+        return [j - i for (i, j) in shape.cells()]
+    check_classical(t, "a reading word")
+    return [(1 if i % 2 else -1) if i == j else j - i + 1 for (i, j) in shape.cells()]
 
 
 def w_shape(t: str, shape: ShiftedSkewShape) -> SignedPermutation:

@@ -234,6 +234,14 @@ def generator_indices(t: str, n: int) -> list[int]:
     raise ValueError(f"unknown group type {t!r}")
 
 
+def check_classical(t: str, what: str) -> None:
+    """Refuse a type outside B, C and D, the classical types that the
+    transition recursion and the K-Stanley functions live in: raises
+    ValueError("<what> needs type B, C, or D, not <t>")."""
+    if t not in ("B", "C", "D"):
+        raise ValueError(f"{what} needs type B, C, or D, not {t!r}")
+
+
 # -- length ------------------------------------------------------------
 
 

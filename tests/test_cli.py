@@ -403,6 +403,53 @@ class TestEngineImports:
         assert set(_fresh_stdout(engine).split()) <= set(bare.split())
 
 
+# broken oracles for the battery's failure tests
+
+
+def _zero_at_bound(*args):
+    """An oracle answering 0, truncated at the bound, its last argument."""
+    from ktrans.rings import TruncPoly
+
+    return TruncPoly.zero(args[-1])
+
+
+def _unimodal_answers_zero(fstanley):
+    return lambda t, w, n, d, method="compat": (
+        fstanley(t, w, n, d) if method == "compat" else _zero_at_bound(d)
+    )
+
+
+def _z1_named_gp(shape, num_letters, bound):
+    """z_1, which is not supersymmetric; the check reports the function by
+    its __name__, set to gp below."""
+    from ktrans.rings import TruncPoly, Z, var_code
+
+    return TruncPoly({(0, (var_code(Z, 1),)): 1}, bound)
+
+
+_z1_named_gp.__name__ = "gp"
+
+
+def _times_x_i(i, f):
+    """pi_i as multiplication by x_i: x_1 x_2 x_1 != x_2 x_1 x_2."""
+    from ktrans.rings import xvar
+
+    return f * xvar(i)
+
+
+def _pi_without_commuting(pi):
+    """pi_1 as multiplication by x_3, pi_2 = 0 and pi_3 itself: each side
+    of both braid relations is 0, and pi_1 pi_3 != pi_3 pi_1."""
+    from ktrans.rings import xvar
+
+    def stand_in(i, f):
+        if i == 2:
+            return f * 0  # keeps the bound of f
+        return f * xvar(3) if i == 1 else pi(i, f)
+
+    return stand_in
+
+
 class TestVerifySuite:
     def test_cold_battery_computes_each_fstanley_once(self, capsys, monkeypatch):
         # lru_cache keys a call that spells out the default method apart from
@@ -558,6 +605,61 @@ class TestVerifySuite:
         code, out = run(capsys, "verify-suite", "--check", "golden-expansion-B")
         assert code == 0
         assert out == "PASS  golden-expansion-B\nall 1 checks passed\n"
+
+    @pytest.mark.parametrize(
+        "name, target, stand_in, detail",
+        [
+            ("transition-step", "expand.transition_step", lambda f: lambda t, w: {}, "B gave []"),
+            ("skew-consistency", "tableaux.w_shape", lambda f: lambda t, sh: f("B", sh),
+             "B and D routes disagree"),
+            ("gq-gp-relations", "tableaux.gq", lambda f: _zero_at_bound, "GQ relation fails at n=1"),
+            ("method-agreement", "hecke.fstanley", _unimodal_answers_zero,
+             "methods disagree at (B, 1)"),
+            ("grassmannian-law", "tableaux.gp", lambda f: _zero_at_bound, "law fails at (B, 1)"),
+            ("kn-oracle", "kn.kn_eval", lambda f: _zero_at_bound, "oracle fails in type B"),
+            ("length-rule-equivalence", "weyl.length_increment_ok",
+             lambda f: lambda t, w, i, j: not f(t, w, i, j),
+             "length rule disagrees at (A, 1, t_(1,2))"),
+            ("supersymmetry", "rings.supersym_check", lambda f: lambda p: False,
+             "F^B_1 not supersymmetric"),
+            ("supersymmetry", "tableaux.gp", lambda f: _z1_named_gp, "gp () not supersymmetric"),
+            ("quasisym-identity", "hecke.quasi", lambda f: _zero_at_bound, "K-expansion fails at 1"),
+            ("pi-braid-relations", "rings.pi_operator", lambda f: _times_x_i,
+             "braid relation fails (i=1)"),
+            ("pi-braid-relations", "rings.pi_operator", _pi_without_commuting,
+             "commuting relation fails"),
+        ],
+    )
+    def test_each_check_fails_with_its_own_detail(self, monkeypatch, name, target, stand_in, detail):
+        # break the one oracle a check compares, and its failure return runs;
+        # stand_in builds the broken oracle from the real one
+        import importlib
+
+        from ktrans import cli
+
+        module, attr = target.split(".")
+        mod = importlib.import_module(f"ktrans.{module}")
+        monkeypatch.setattr(mod, attr, stand_in(getattr(mod, attr)))
+        assert dict(cli.CHECKS)[name]() == (False, detail)
+
+    def test_a_negative_transition_count_fails_the_positivity_sweep(self, capsys, monkeypatch):
+        # _step raises on a negative coefficient, and _run_check reports it
+        from test_expand import _clear_memos
+
+        from ktrans import expand as expand_mod
+
+        _clear_memos()
+        monkeypatch.setattr(expand_mod, "_chains", lambda t, k, v: {v: (-1, 0)})
+        try:
+            code, out = run(capsys, "verify-suite", "--check", "positivity-sweep")
+        finally:
+            _clear_memos()
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL  positivity-sweep  (raised AssertionError('transition coefficient of 1 is -2 < 0'))",
+            "  reproduce: ktrans verify-suite --check positivity-sweep",
+            "1 of 1 checks failed",
+        ]
 
     def test_unknown_check_is_usage_error(self, capsys):
         code = main(["verify-suite", "--check", "golden-expansion-B", "--check", "no-such-check"])

@@ -406,6 +406,21 @@ class TestAssertions:
         with pytest.raises(AssertionError, match="-3,1,2 escapes the support bound 3 of 1,-2"):
             expand_grassmannian("B", parse_oneline("1,-2"))
 
+    def test_no_check_is_an_assert_statement(self):
+        # python -O strips assert statements; every engine and cache check
+        # is an explicit raise, so the package has none
+        import ast
+        from pathlib import Path
+
+        import ktrans
+
+        sources = sorted(Path(ktrans.__file__).parent.glob("*.py"))
+        assert {"cli.py", "expand.py", "weyl.py"} <= {path.name for path in sources}
+        for path in sources:
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            assert found == [], f"{path.name} asserts at lines {found}"
+
 
 class TestWindowStep:
     """The recursion's window step against the public, wrapped forms."""
@@ -559,6 +574,9 @@ class TestSkew:
     def test_rejects_non_contained(self):
         with pytest.raises(ValueError):
             skew_expansion("GP", (2,), (3,))
+        with pytest.raises(ValueError) as err:
+            skew_expansion("GX", (2,))
+        assert err.type is ValueError and str(err.value) == "basis must be GP or GQ, got 'GX'"
 
     @pytest.mark.parametrize("outer", [(2.0, 1), (True,), (2, True), ("2",)])
     def test_rejects_parts_that_are_not_ints(self, outer):
@@ -806,7 +824,7 @@ class TestCachePersistence:
         "key-D-odd-negatives": (
             ["D", [-1, 2], [[[1], 1]]], "the key -1 is not in the group of type D"
         ),
-        "key-type-A": (["A", [2, 1], [[[1], 1]]], "the group type 'A' is not B, C or D"),
+        "key-type-A": (["A", [2, 1], [[[1], 1]]], "a cache entry needs type B, C, or D, not 'A'"),
         "window-float": (
             ["B", [2.0, 1], [[[1], 1]]], "window entries must be nonzero integers: [2.0, 1]"
         ),

@@ -9,7 +9,7 @@ import pytest
 
 from ktrans import hecke
 from ktrans.hecke import _letter_key, _unimodal_step, fstanley, hecke_words, mperm, quasi
-from ktrans.rings import BETA, Z, TruncPoly, poly_str, supersym_check, var_code
+from ktrans.rings import BETA, MAX_INDEX, Z, TruncPoly, poly_str, supersym_check, var_code
 from ktrans.tableaux import ShiftedSkewShape, gp, gq, w_shape
 from ktrans.weyl import (
     IDENTITY,
@@ -375,6 +375,20 @@ class TestFStanley:
     def test_methods_agree_rank_two(self, t):
         for w in group_elements(t, 2):
             assert fstanley(t, w, 2, 4, "compat") == fstanley(t, w, 2, 4, "unimodal")
+        with pytest.raises(ValueError) as err:
+            fstanley(t, IDENTITY, 2, 4, "x")
+        assert err.type is ValueError and str(err.value) == "unknown method 'x'"
+
+    @pytest.mark.parametrize("method", ["compat", "unimodal"])
+    def test_num_vars_past_the_code_layout_is_refused(self, method):
+        # z_N must have a code of its own family, as in gp and gq; N = 0
+        # answers with no z variable at all
+        message = f"variable index must be at most {MAX_INDEX}, got {MAX_INDEX + 2}"
+        with pytest.raises(ValueError) as err:
+            fstanley("B", SignedPermutation([2, 1]), MAX_INDEX + 2, 1, method)
+        assert err.type is ValueError and str(err.value) == message
+        assert fstanley("B", SignedPermutation([2, 1]), 0, 3, method) == TruncPoly.zero(3)
+        assert fstanley("B", IDENTITY, 0, 3, method) == TruncPoly.const(1, 3)
 
     def test_d_square_terms(self):
         # F^D of t_{-1} t_1 is GP_(2), whose expansion has square terms;
@@ -547,6 +561,14 @@ class TestQuasisymmetric:
     def test_rejects_non_multipermutation(self):
         with pytest.raises(ValueError):
             quasi((1, 1), 2, 2)
+
+    def test_num_vars_past_the_code_layout_is_refused(self):
+        with pytest.raises(ValueError) as err:
+            quasi((1, 2), MAX_INDEX + 2, 2)
+        assert err.type is ValueError
+        assert str(err.value) == f"variable index must be at most {MAX_INDEX}, got {MAX_INDEX + 2}"
+        assert quasi((1, 2), 0, 2) == TruncPoly.zero(2)
+        assert quasi((), 0, 2) == TruncPoly.const(1, 2)
 
     def test_matches_reference(self):
         # every multi-permutation over {0,1,2} of length <= 4: 46 of them,

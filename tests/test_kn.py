@@ -7,6 +7,7 @@ from ktrans.hecke import fstanley
 from ktrans.kn import kn_eval
 from ktrans.rings import (
     BETA,
+    MAX_INDEX,
     ONE,
     TruncPoly,
     X,
@@ -79,6 +80,15 @@ def twisted(u, v, c):
 class TestKnEval:
     def test_identity(self):
         assert kn_eval("B", IDENTITY, 2, 4) == TruncPoly.const(1, 4)
+
+    def test_num_vars_past_the_code_layout_is_refused(self):
+        # fstanley refuses the N, and kn_eval passes its error on
+        w = parse_oneline("-2,1")
+        with pytest.raises(ValueError) as err:
+            kn_eval("B", w, MAX_INDEX + 2, 4)
+        assert err.type is ValueError
+        assert str(err.value) == f"variable index must be at most {MAX_INDEX}, got {MAX_INDEX + 2}"
+        assert kn_eval("B", IDENTITY, 0, 4) == TruncPoly.const(1, 4)
 
     def test_rank_two_sign_change_type_b(self):
         got = kn_eval("B", parse_oneline("-2,1"), 2, 4)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ktrans.expand import transition_step
+from ktrans.expand import expand_grassmannian, transition_step
 from ktrans.groth_a import groth_poly
 from ktrans.hecke import fstanley, quasi
 from ktrans.kn import kn_eval
@@ -108,6 +108,16 @@ class TestTruncPoly:
         assert (x1 + x2) * x1 == x1 * x1 + x2 * x1
         assert x1 - x1 == TruncPoly.zero()
         assert ONE * x1 == x1
+        # times 0 keeps the bound; an operand that is not a number is refused
+        p = x1.with_bound(3)
+        assert (p * 0).terms == {} and (p * 0).bound == 3
+        with pytest.raises(TypeError) as err:
+            p + object()
+        assert err.type is TypeError
+        assert str(err.value) == "unsupported operand type(s) for +: 'TruncPoly' and 'object'"
+        with pytest.raises(ValueError) as err:
+            p ** -1
+        assert err.type is ValueError and str(err.value) == "negative powers are not defined"
 
     def test_ring_laws_random(self):
         rng = random.Random(7)
@@ -261,6 +271,9 @@ class TestMonomialFormat:
         assert var_code(family, 2**20 - 1) == family * 2**20 + 2**20 - 1
         with pytest.raises(ValueError):
             var_code(family, 2**20)
+        with pytest.raises(ValueError) as err:
+            var_code(family, 0)
+        assert err.type is ValueError and str(err.value) == "variable index must be positive, got 0"
 
     def test_rename_into_a_present_family_merges_powers(self):
         renamed = reference_substitute(yvar(2) * zvar(2), {var_code(Y, 2): zvar(2)})
@@ -298,6 +311,9 @@ class TestRendering:
 class TestPiOperator:
     def test_kills_x1(self):
         assert pi_operator(1, xvar(1)) == ONE
+        with pytest.raises(ValueError) as err:
+            pi_operator(0, xvar(1))
+        assert err.type is ValueError and str(err.value) == "pi_i needs a positive index"
 
     def test_constant_gives_minus_beta(self):
         c = TruncPoly.const(5)
@@ -382,6 +398,13 @@ class TestYRational:
     def test_add_zero(self):
         f = YRational(yvar(1), {1: 1})
         assert f + YRational.const(0) == f
+        # an object that is not a number is unequal, and a negative
+        # multiplicity is refused
+        assert f.__eq__(object()) is NotImplemented and f != object()
+        with pytest.raises(ValueError) as err:
+            YRational(ONE, {1: -1})
+        assert err.type is ValueError
+        assert str(err.value) == "denominator multiplicities must be nonnegative"
 
     def test_unit_inverse(self):
         assert YRational(ONE, {1: 1}) * (ONE + BETA * yvar(1)) == YRational.const(1)
@@ -673,12 +696,14 @@ class TestCombination:
         # ``length`` is the one membership test, and each caller asks it
         # before its descent or Grassmannian test: the Grassmannian D -1
         # gets the group message, not "has no descent", and D 2,-1 not "has
-        # a descent"; transition_step and
-        # fstanley refuse a type outside B-D first, in their own words
+        # a descent"; transition_step, expand_grassmannian, fstanley and
+        # kn_eval refuse a type outside B-D first, each naming itself
         w = parse_oneline(window)
         calls = [
             (transition_step, "transition needs type B, C, or D, not {t!r}"),
-            (lambda t, w: fstanley(t, w, 2, 4), "K-Stanley functions need type B, C, or D, not {t!r}"),
+            (expand_grassmannian, "expansion needs type B, C, or D, not {t!r}"),
+            (lambda t, w: fstanley(t, w, 2, 4), "fstanley needs type B, C, or D, not {t!r}"),
+            (lambda t, w: kn_eval(t, w, 2, 4), "kn_eval needs type B, C, or D, not {t!r}"),
             (transition, None),
             (shape, None),
             (reduced_word, None),

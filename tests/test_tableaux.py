@@ -320,6 +320,16 @@ class TestReadingWords:
     def test_empty_shape(self):
         assert w_shape("B", ShiftedSkewShape(())) == IDENTITY
 
+    @pytest.mark.parametrize("t", ["A", "Q"])
+    @pytest.mark.parametrize("outer", [(), (3, 1)])
+    def test_a_type_outside_b_c_d_is_refused(self, t, outer):
+        # even for the empty shape, whose word has no letter to refuse
+        for call in (reading_word, w_shape):
+            with pytest.raises(ValueError) as err:
+                call(t, ShiftedSkewShape(outer))
+            assert err.type is ValueError
+            assert str(err.value) == f"a reading word needs type B, C, or D, not {t!r}"
+
     def test_length_equals_shape_size(self):
         for lam in strict_partitions(6):
             if not lam or lam[0] > 4 or len(lam) > 4:

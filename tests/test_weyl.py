@@ -289,6 +289,10 @@ class TestApplyWord:
             generator(t, g)
         with pytest.raises(ValueError, match=message):
             _apply_word(t, [2, 1], [1, g])
+        if g < -1:  # right_ascent reads the case off the index alone
+            with pytest.raises(ValueError) as err:
+                right_ascent(parse_oneline("2,1"), g)
+            assert err.type is ValueError and str(err.value) == message
 
 
 class TestElementType:
@@ -296,6 +300,12 @@ class TestElementType:
         w = parse_oneline("-3,4,-1,5,2")
         assert isinstance(w, tuple) and hash(w) == hash((-3, 4, -1, 5, 2))
         assert IDENTITY == () and IDENTITY.is_identity()
+        # w acts on the nonzero integers through its window, fixing the rest
+        assert (w(2), w(-3), w(7)) == (4, 1, 7)
+        with pytest.raises(ValueError) as err:
+            SignedPermutation([2, 1])(0)
+        assert err.type is ValueError
+        assert str(err.value) == "signed permutations act on nonzero integers"
 
     def test_immutable(self):
         w = parse_oneline("2,1")
@@ -365,6 +375,9 @@ class TestLengthIncrement:
         for i, j in [(0, 3), (-1, 2), (1, 2), (2, 1)]:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 is_valid_reflection(t, i, j)
+        with pytest.raises(ValueError) as err:
+            generator_indices(t, 3)
+        assert err.type is ValueError and str(err.value) == message
 
     def test_spec_example_matches_direct(self):
         w = parse_oneline("-2,1")
