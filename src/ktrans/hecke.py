@@ -18,10 +18,11 @@ ends in its letter pi_j.  Outside `_walk`, the Demazure-prefix machine
 also serves type A: `groth_a` runs it over the cells of the pipe dreams of
 w, so types A to D build their prefixes through `_prefix_moves` alone.
 `hecke_words` carries the words themselves.  `fstanley` and `quasi`
-carry the partial sequences valid for the prefix, each with its
-monomial, and extend them by one letter per edge through the method's
-one per-letter step, `_compat_step` or `_unimodal_step`, which reads
-only the last letter; a compatible sequence carries its own peak bit.
+are one sequence sum, `_sequence_sum`, on their two machines: it carries
+the partial sequences valid for the prefix, each with its monomial, and
+extends them by one letter per edge through the method's one per-letter
+step, `_compat_step` or `_unimodal_step`, which reads only the last
+letter; a compatible sequence carries its own peak bit.
 Every sequence rule looks only at earlier positions, so a state with no
 valid sequence is dropped, and the pass stops at its first empty layer.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 
-from .rings import Z, Monomial, TruncPoly, var_code
+from .rings import Monomial, TruncPoly, z_start
 from .weyl import (
     IDENTITY,
     SignedPermutation,
@@ -94,10 +95,11 @@ def _walk(start, goal, moves, max_len: int, root: dict, step) -> dict:
     needed after g); a move that needs more letters than remain is pruned.
     A prefix is keyed by its state and last letter, None for the empty
     word; step(last, g, value, into) adds its value, extended by g, into
-    the table into.  A state whose table stays empty is dropped.
+    the table into.  A state whose table stays empty is dropped, and a
+    negative max_len admits no word, not even the empty one.
     """
     done: dict = {}
-    layer = {(start, None): root}
+    layer = {(start, None): root} if max_len >= 0 else {}
     rem = max_len
     while layer:
         rem -= 1
@@ -132,20 +134,20 @@ def _is_o(t: str, g: int) -> bool:
     return (t == "B" and g == 0) or (t == "D" and abs(g) == 1)
 
 
-def _compat_step(t: str, top: int, last: int | None, g: int, seqs: dict, into: dict) -> None:
+def _compat_step(t: str, zs: range, last: int | None, g: int, seqs: dict, into: dict) -> None:
     """Extend each partial compatible sequence of a prefix ending in the
     letter last (None for the empty prefix) by the letter g, adding the
     counts into the table into.
 
-    A partial sequence is (b, e, rose): b its weakly increasing values, as z
-    codes up to top, e the exponent of its weight 2^e so far, and rose
-    whether |a_{i-1}| <= |a_i| at its last letter a_i; seqs maps each to its
-    count.  b_{i-1} < b_{i+1} at every weak peak |a_{i-1}| <= |a_i| >=
-    |a_{i+1}|, and b strictly increases across equal adjacent o-letters.
-    The exponent is e = |b| - gamma - o, where |b| counts the distinct
-    values of b, gamma the positions repeating both the previous letter and
-    the previous value, and o the o-letters.  New sequences enter into in
-    the order of seqs and, within one, of increasing values.
+    A partial sequence is (b, e, rose): b its weakly increasing values, as
+    codes from the alphabet zs of z codes, e the exponent of its weight 2^e
+    so far, and rose whether |a_{i-1}| <= |a_i| at its last letter a_i; seqs
+    maps each to its count.  b_{i-1} < b_{i+1} at every weak peak |a_{i-1}|
+    <= |a_i| >= |a_{i+1}|, and b strictly increases across equal adjacent
+    o-letters.  The exponent is e = |b| - gamma - o, where |b| counts the
+    distinct values of b, gamma the positions repeating both the previous
+    letter and the previous value, and o the o-letters.  New sequences
+    enter into in the order of seqs and, within one, of increasing values.
     """
     is_o = _is_o(t, g)
     rise = last is not None and abs(last) <= abs(g)  # not `last`: the letter 0 is falsy
@@ -158,12 +160,9 @@ def _compat_step(t: str, top: int, last: int | None, g: int, seqs: dict, into: d
             if not (rose and abs(last) >= abs(g) and b[-2] >= v) and not (repeat and is_o):
                 s = (b + (v,), e - repeat - is_o, rise)
                 into[s] = into.get(s, 0) + n
-            lo = v + 1
-        else:
-            lo = var_code(Z, 1)
-        # a new value rises past b[-1] >= b[-2], so a peak cannot stop it
+        # a new value is a letter of zs past b[-1] >= b[-2], so a peak cannot stop it
         grow = e + 1 - is_o
-        for c in range(lo, top + 1):
+        for c in range(b[-1] + 1, zs.stop) if b else zs:
             s = (b + (c,), grow, rise)
             into[s] = into.get(s, 0) + n
 
@@ -217,6 +216,47 @@ def _unimodal_step(t: str, symbols: list, last: int | None, g: int, seqs: dict, 
 # -- K-Stanley symmetric functions ----------------------------------------
 
 
+def _sequence_sum(t: str, start, goal, moves, length: int, num_vars: int, bound: int,
+                  compat: bool) -> TruncPoly:
+    """The sum of beta^(|a|-length) times the weights of the sequences of
+    the words a of length <= bound that lead the machine (start, goal,
+    moves) from start to goal, truncated to z_1..z_N and total degree <=
+    bound; length is the least |a|.
+
+    compat sums 2^(|b|-gamma-o) z^b over the compatible sequences b of
+    type t, through `_compat_step`; otherwise it sums z^|b| over the
+    unimodal factorizations, through `_unimodal_step`.  One `_walk`
+    counts every sequence of every word; each partial sequence carries its
+    monomial as sorted z codes, since b (and |b| in the unimodal order)
+    weakly increases.  The compat weights are summed scaled by 2^k, k the
+    largest -e the walk found, so the cost of a bound past the walk's last
+    layer does not grow with it; a sum that 2^k does not divide raises
+    AssertionError.  ``rings.z_start`` checks N and names z_1.
+    """
+    z1 = z_start(num_vars)
+    if compat:
+        step, root = partial(_compat_step, t, range(z1, z1 + num_vars)), ((), 0, False)
+    else:
+        step, root = partial(_unimodal_step, t, [z1 + i // 2 for i in range(2 * num_vars)]), ((), 0)
+    seqs = _walk(start, goal, moves, bound, {root: 1}, step)
+    # A compatible sequence can carry a weight 2^e with e < 0; accumulate
+    # everything scaled by 2^k, k the largest -e of the sequences found (at
+    # least 0), and divide back at the end.
+    k = max([0] + [-e for _, e, _ in seqs]) if compat else 0
+    terms: dict[Monomial, int] = {}
+    for (b, e, *_), n in seqs.items():
+        m = (len(b) - length, b)
+        terms[m] = terms.get(m, 0) + (n << (k + e) if compat else n)
+    if k:
+        divisor = 1 << k
+        for m, c in terms.items():
+            q, r = divmod(c, divisor)
+            if r:
+                raise AssertionError("compatible-sequence weights did not sum to integers")
+            terms[m] = q
+    return TruncPoly(terms, bound)
+
+
 @lru_cache(maxsize=None)
 def fstanley(
     t: str,
@@ -231,45 +271,16 @@ def fstanley(
 
     method "compat" sums 2^(|b|-gamma-o) z^b over compatible sequences;
     method "unimodal" sums z^|b| over unimodal factorizations.  The two
-    must agree.  One `_walk` over the Demazure prefixes of w counts every
-    sequence of every word; each partial sequence carries its monomial as
-    sorted z codes, since b (and |b| in the unimodal order) weakly
-    increases.  The compat weights are summed scaled by 2^k, k the largest
-    -e the walk found, so the cost of a bound past the walk's last layer
-    does not grow with it; a sum that 2^k does not divide raises
-    AssertionError.  l(w) is read off the machine's goal state, and a w
-    outside the group of type t raises ValueError there.  z_1 is found from
-    z_N, so ``var_code`` refuses an N past rings.MAX_INDEX; N = 0 leaves no
-    z value.
+    must agree.  Both are `_sequence_sum` over the Demazure prefixes of w,
+    with l(w) read off the machine's goal state; a w outside the group of
+    type t raises ValueError there, and ``rings.z_start`` refuses a
+    negative N or one past rings.MAX_INDEX.
     """
     if method not in ("compat", "unimodal"):
         raise ValueError(f"unknown method {method!r}")
     check_classical(t, "fstanley")
     start, goal, moves = _prefix_moves(t, w)
-    lw = goal[1]
-    z1 = var_code(Z, num_vars) + 1 - num_vars if num_vars > 0 else 0
-    compat = method == "compat"
-    if compat:
-        step, root = partial(_compat_step, t, z1 + num_vars - 1), ((), 0, False)
-    else:
-        step, root = partial(_unimodal_step, t, [z1 + i // 2 for i in range(2 * num_vars)]), ((), 0)
-    seqs = _walk(start, goal, moves, bound, {root: 1}, step)
-    # A compatible sequence can carry a weight 2^e with e < 0; accumulate
-    # everything scaled by 2^k, k the largest -e of the sequences found (at
-    # least 0), and divide back at the end.
-    k = max([0] + [-e for _, e, _ in seqs]) if compat else 0
-    terms: dict[Monomial, int] = {}
-    for (b, e, *_), n in seqs.items():
-        m = (len(b) - lw, b)
-        terms[m] = terms.get(m, 0) + (n << (k + e) if compat else n)
-    if k:
-        divisor = 1 << k
-        for m, c in terms.items():
-            q, r = divmod(c, divisor)
-            if r:
-                raise AssertionError("compatible-sequence weights did not sum to integers")
-            terms[m] = q
-    return TruncPoly(terms, bound)
+    return _sequence_sum(t, start, goal, moves, goal[1], num_vars, bound, method == "compat")
 
 
 # -- multi-permutations and quasisymmetric functions -------------------------
@@ -288,21 +299,14 @@ def quasi(pi: tuple[int, ...], num_vars: int, bound: int) -> TruncPoly:
     """The multi-peak quasisymmetric function attached to a
     multi-permutation, truncated: the sum of beta^(|a|-|pi|) z^|b| over the
     words a = pi_1^+ pi_2^+ ... of length <= bound and the type C unimodal
-    factorizations b of a.  The `_walk` machine's state is the j with the
-    prefix ending in pi_j, the empty prefix at j = -1: the next letter pi_k
-    repeats pi_j (k = j) or moves on (k = j + 1), and needs the r - k - 1
-    letters after it.  The partial factorizations, with their counts, ride
-    along through `_unimodal_step`, as in `fstanley`, which also checks N
-    the same way."""
+    factorizations b of a.  It is `_sequence_sum` on its own machine, whose
+    state is the j with the prefix ending in pi_j, the empty prefix at
+    j = -1: the next letter pi_k repeats pi_j (k = j) or moves on
+    (k = j + 1), and needs the r - k - 1 letters after it.  N is checked
+    as in `fstanley`."""
     if mperm(pi) != tuple(pi):
         raise ValueError(f"{pi} is not a multi-permutation")
     r = len(pi)
     moves = {j: [(pi[k], k, r - k - 1) for k in range(max(j, 0), min(j + 2, r))]
              for j in range(-1, r)}
-    z1 = var_code(Z, num_vars) + 1 - num_vars if num_vars > 0 else 0
-    step = partial(_unimodal_step, "C", [z1 + i // 2 for i in range(2 * num_vars)])
-    terms: dict[Monomial, int] = {}
-    for (b, _), c in _walk(-1, r - 1, moves, bound, {((), 0): 1}, step).items():
-        m = (len(b) - r, b)
-        terms[m] = terms.get(m, 0) + c
-    return TruncPoly(terms, bound)
+    return _sequence_sum("C", -1, r - 1, moves, r, num_vars, bound, False)

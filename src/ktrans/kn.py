@@ -34,7 +34,7 @@ from functools import lru_cache
 
 from .groth_a import groth_single
 from .hecke import fstanley
-from .rings import TruncPoly, _mul_into
+from .rings import TruncPoly, _mul_into, z_start
 from .weyl import (
     SignedPermutation,
     check_classical,
@@ -96,6 +96,9 @@ def _half_sum(t: str, p: SignedPermutation, num_vars: int, bound: int) -> dict:
 @lru_cache(maxsize=None)
 def kn_eval(t: str, w: SignedPermutation, num_vars: int, bound: int) -> TruncPoly:
     """The classical-type double Grothendieck series of w, truncated: the
-    sum of beta^(l(p)+l(tau)-l(w)) G_tau(x) K_p over the p o tau = w."""
+    sum of beta^(l(p)+l(tau)-l(w)) G_tau(x) K_p over the p o tau = w.
+    N is checked by ``rings.z_start`` here, for every w and bound, not
+    only where the fold reaches `fstanley`."""
     check_classical(t, "kn_eval")
+    z_start(num_vars)
     return TruncPoly(_fold(t, w, "x", lambda p: _half_sum(t, p, num_vars, bound), bound), bound)

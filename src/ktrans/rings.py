@@ -53,6 +53,16 @@ def var_code(family: int, index: int) -> int:
     return family * _STRIDE + index
 
 
+def z_start(num_vars: int) -> int:
+    """The code of z_1, for an oracle in the variables z_1..z_N: the one
+    rule for N.  A negative N raises ValueError, and so does an N past
+    MAX_INDEX, in ``var_code``'s words; N = 0 is a real input, with no z
+    variable at all."""
+    if num_vars < 0:
+        raise ValueError(f"the number of variables must be nonnegative, got {num_vars}")
+    return var_code(Z, num_vars) + 1 - num_vars if num_vars else var_code(Z, 1)
+
+
 def code_family(code: int) -> int:
     return code // _STRIDE
 

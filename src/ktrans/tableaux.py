@@ -116,9 +116,12 @@ def _generating_function(
     row i - 1 still waiting are in columns >= j) and its left neighbour at
     the back, drops the one and, if it has no cell below, the other, and
     joins the back itself if a cell lies to its right or below.
+    ``rings.z_start`` checks num_letters once per call, whatever the shape
+    and the bound, and names z_1; the letters 2v - 1 and 2v read as z_v.
     """
-    from .rings import Z, TruncPoly, var_code
+    from .rings import TruncPoly, z_start
 
+    z1 = z_start(num_letters)
     cells = shape.cells()
     skew = set(cells)
     k = len(cells)
@@ -136,7 +139,7 @@ def _generating_function(
             for c in range(top, max(left, above, 1) - 1, -1) if budget > 0 else ():
                 if diag and c % 2:
                     continue  # flavor P keeps primed letters off the diagonal
-                z = (var_code(Z, (c + 1) // 2),)
+                z = (z1 + (c - 1) // 2,)
                 grown = [
                     ((high or c, size + 1, z + zs), n) for (high, size, zs), n in tails.items()
                 ]

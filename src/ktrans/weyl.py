@@ -174,9 +174,8 @@ def reflection(i: int, j: int) -> SignedPermutation:
 def is_valid_reflection(t: str, i: int, j: int) -> bool:
     """Whether t_{ij} is a reflection of type t: i < j, j > 0, i != -j, and
     i > 0 in type A, i != 0 in type D.  A type outside A-D raises
-    ``length``'s ValueError."""
-    if t not in ("A", "B", "C", "D"):
-        raise ValueError(f"unknown group type {t!r}")
+    ``check_type``'s ValueError."""
+    check_type(t)
     if i >= j or j <= 0 or i == -j:
         return False
     if t == "A":
@@ -199,7 +198,9 @@ def _apply_word(t: str, win: list[int], word: Iterable[int]) -> list[int]:
     word, in order and in place, and return it: t_g for g >= 1 swaps
     entries g and g + 1, t_0 negates entry 1, and t_{-1} sends (w_1, w_2)
     to (-w_2, -w_1).  win is padded with fixed points when a letter reaches
-    past it.  A letter that is not a generator of type t raises ValueError."""
+    past it.  A type outside A-D raises ``check_type``'s ValueError, and a
+    letter that is not a generator of type t raises ValueError."""
+    check_type(t)
     for g in word:
         if g >= 1:
             if g >= len(win):
@@ -224,14 +225,21 @@ def _apply_word(t: str, win: list[int], word: Iterable[int]) -> list[int]:
 
 def generator_indices(t: str, n: int) -> list[int]:
     """Simple generators of W^t_n, affecting positions <= n."""
+    check_type(t)
     if t == "A":
         return list(range(1, n))
-    if t in ("B", "C"):
-        return list(range(0, n))
     if t == "D":
         # t_{-1} moves position 2, so W^D_0 and W^D_1 are trivial
         return [-1] + list(range(1, n)) if n >= 2 else []
-    raise ValueError(f"unknown group type {t!r}")
+    return list(range(0, n))
+
+
+def check_type(t: str) -> None:
+    """The one rule for a group type: refuse a type outside A-D, raising
+    ValueError("unknown group type <t>").  ``length``, ``generator_indices``,
+    ``is_valid_reflection`` and ``_apply_word`` (so ``generator``) call it."""
+    if t not in ("A", "B", "C", "D"):
+        raise ValueError(f"unknown group type {t!r}")
 
 
 def check_classical(t: str, what: str) -> None:
@@ -257,9 +265,9 @@ def length(t: str, w: SignedPermutation) -> int:
     This is the one membership test of the package: a negative entry in
     type A, or an odd number of them in type D, raises ValueError
     ("... is not in the group of type t"), as does a type outside A-D
-    ("unknown group type").  Callers that only validate call it for that."""
-    if t not in ("A", "B", "C", "D"):
-        raise ValueError(f"unknown group type {t!r}")
+    ("unknown group type", by ``check_type``).  Callers that only validate
+    call it for that."""
+    check_type(t)
     seen: list[int] = []  # the entries right of w(i), sorted
     total = negs = 0
     for x in reversed(w):
@@ -563,10 +571,11 @@ def reduced_word(t: str, w: SignedPermutation) -> list[int]:
 def elements_up_to_length(t: str, n: int, max_len: int) -> tuple[SignedPermutation, ...]:
     """Elements of W^t_n with length <= max_len, ordered by (length, w),
     found by raising BFS: each move raises length by one, so the layer
-    index is the length and each layer, sorted, is appended in turn."""
+    index is the length and each layer, sorted, is appended in turn.  A
+    negative max_len keeps no element, not even the identity."""
     gens = [(g, generator(t, g)) for g in generator_indices(t, n)]
     layer = [IDENTITY]
-    out = [IDENTITY]
+    out = [IDENTITY] if max_len >= 0 else []
     for _ in range(max_len):
         layer = sorted({w * tg for w in layer for g, tg in gens if right_ascent(w, g)})
         out += layer

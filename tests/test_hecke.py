@@ -183,7 +183,7 @@ def tree_fstanley(t, w, num_vars, bound, method):
     each weight is an exact fraction."""
     z1 = var_code(Z, 1)
     if method == "compat":
-        step = partial(hecke._compat_step, t, z1 + num_vars - 1)
+        step = partial(hecke._compat_step, t, range(z1, z1 + num_vars))
     else:
         step = partial(hecke._unimodal_step, t, [z1 + i // 2 for i in range(2 * num_vars)])
     lw = length(t, w)
@@ -509,7 +509,7 @@ class TestWeightScale:
         # one more sequence of that weight leaves a total 2^2 does not divide
         w = parse_oneline("-1,-2")
         seqs = hecke._walk(*hecke._prefix_moves("D", w), 5, {((), 0, False): 1},
-                           partial(hecke._compat_step, "D", var_code(Z, 2)))
+                           partial(hecke._compat_step, "D", range(var_code(Z, 1), var_code(Z, 3))))
         assert min(e for _, e, _ in seqs) == -2
         assert fstanley.__wrapped__("D", w, 2, 5).terms == tree_fstanley("D", w, 2, 5, "compat")
         real = hecke._walk

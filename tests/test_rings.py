@@ -6,10 +6,11 @@ import pytest
 
 from ktrans.expand import expand_grassmannian, transition_step
 from ktrans.groth_a import groth_poly
-from ktrans.hecke import fstanley, quasi
+from ktrans.hecke import fstanley, hecke_words, quasi
 from ktrans.kn import kn_eval
 from ktrans.rings import (
     BETA,
+    MAX_INDEX,
     ONE,
     X,
     Y,
@@ -41,11 +42,13 @@ from ktrans.rings import (
     y_factor,
     yrational_str,
     yvar,
+    z_start,
 )
 from ktrans.tableaux import ShiftedSkewShape, gp, gq
 from ktrans.weyl import (
     IDENTITY,
     SignedPermutation,
+    elements_up_to_length,
     group_elements,
     parse_oneline,
     reduced_word,
@@ -223,11 +226,81 @@ class TestNegativeBound:
         for p in objects:
             assert not p and p.bound == -1, p.terms
 
+    def test_a_negative_bound_admits_no_word_and_no_element(self):
+        # the empty word has length 0 > bound, as the identity has
+        for bound in (-1, -2):
+            assert hecke_words("B", IDENTITY, bound) == []
+            assert hecke_words("C", parse_oneline("-2,1"), bound) == []
+            for t in "ABCD":
+                assert elements_up_to_length(t, 2, bound) == ()
+        assert hecke_words("B", IDENTITY, 0) == [()]
+        assert all(elements_up_to_length(t, 2, 0) == (IDENTITY,) for t in "ABCD")
+
     def test_compat_weights_stay_integers(self):
         # the compatible-sequence sum divides by 2**bound at the end
         one = fstanley("B", IDENTITY, 2, 0)
         assert one.terms == {(0, ()): 1}
         assert all(type(c) is int for c in one.terms.values())
+
+
+# each oracle in the variables z_1..z_N, at (N, D)
+Z_ORACLES = {
+    "fstanley-compat": lambda n, d: fstanley("B", parse_oneline("-2,1"), n, d),
+    "fstanley-unimodal": lambda n, d: fstanley("D", parse_oneline("-1,-2"), n, d, "unimodal"),
+    "quasi": lambda n, d: quasi((1, 2), n, d),
+    "kn_eval": lambda n, d: kn_eval("B", parse_oneline("-2,1"), n, d),
+    # l(w) = 6 > D, so no term of the fold reaches fstanley
+    "kn_eval-long": lambda n, d: kn_eval("C", parse_oneline("-3,-2,1"), n, d),
+    "gp": lambda n, d: gp(ShiftedSkewShape((2, 1)), n, d),
+    "gq": lambda n, d: gq(ShiftedSkewShape((2, 1)), n, d),
+    "gp-empty": lambda n, d: gp(ShiftedSkewShape(()), n, d),
+    "gq-empty": lambda n, d: gq(ShiftedSkewShape(()), n, d),
+}
+
+
+class TestVariableCount:
+    """rings.z_start is the one rule for the number N of z variables."""
+
+    def test_z_start_names_z1_and_refuses_a_bad_count(self):
+        for n in (0, 1, 5, MAX_INDEX):
+            assert z_start(n) == var_code(Z, 1)
+        with pytest.raises(ValueError) as err:
+            z_start(-1)
+        assert err.type is ValueError
+        assert str(err.value) == "the number of variables must be nonnegative, got -1"
+        with pytest.raises(ValueError) as err:
+            z_start(MAX_INDEX + 1)
+        assert err.type is ValueError
+        assert str(err.value) == f"variable index must be at most {MAX_INDEX}, got {MAX_INDEX + 1}"
+
+    @pytest.mark.parametrize("bound", [3, -1])
+    @pytest.mark.parametrize("oracle", list(Z_ORACLES))
+    def test_every_oracle_refuses_a_negative_count(self, oracle, bound):
+        with pytest.raises(ValueError) as err:
+            Z_ORACLES[oracle](-1, bound)
+        assert err.type is ValueError
+        assert str(err.value) == "the number of variables must be nonnegative, got -1"
+
+    @pytest.mark.parametrize("bound", [3, -1])
+    @pytest.mark.parametrize("oracle", list(Z_ORACLES))
+    def test_every_oracle_refuses_a_count_past_the_code_layout(self, oracle, bound):
+        # for every shape and bound: the empty shape, and D = -1, use no letter
+        with pytest.raises(ValueError) as err:
+            Z_ORACLES[oracle](MAX_INDEX + 1, bound)
+        assert err.type is ValueError
+        assert str(err.value) == f"variable index must be at most {MAX_INDEX}, got {MAX_INDEX + 1}"
+
+    @pytest.mark.parametrize("oracle", list(Z_ORACLES))
+    def test_no_variable_is_a_real_count(self, oracle):
+        # N = 0 answers: each w here has a negative entry, which only a term
+        # with a z variable carries, so only the empty shapes keep a term
+        want = TruncPoly.const(1, 3) if oracle.endswith("empty") else TruncPoly.zero(3)
+        assert Z_ORACLES[oracle](0, 3) == want
+
+    def test_the_largest_count_answers(self):
+        one = TruncPoly.const(1, 3)
+        assert gp(ShiftedSkewShape(()), MAX_INDEX, 3) == gq(ShiftedSkewShape(()), MAX_INDEX, 3) == one
+        assert fstanley("B", IDENTITY, MAX_INDEX, 3) == one
 
 
 class TestMonomialFormat:
@@ -306,6 +379,7 @@ class TestRendering:
     def test_yrational_rendering(self):
         f = YRational(yvar(1) * BETA * 5, {1: 1})
         assert yrational_str(f) == "5*b*y1/(1+b*y1)"
+        assert repr(f) == "YRational('5*b*y1/(1+b*y1)')"
 
 
 class TestPiOperator:

@@ -274,6 +274,15 @@ class TestApplyWord:
             want = reflection(g, g + 1) if g >= 1 else reflection(g, 1 - g)
             assert generator(t, g) == want, (t, g)
 
+    @pytest.mark.parametrize("t, g", [("Q", 1), ("E", 2), ("Q", 0), ("E", -1), ("a", 3)])
+    def test_an_unknown_type_is_refused(self, t, g):
+        # whatever the letter, by the rule length and generator_indices use
+        message = f"unknown group type {t!r}"
+        for call in (lambda: generator(t, g), lambda: _apply_word(t, [2, 1], [g])):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert err.type is ValueError and str(err.value) == message
+
     @pytest.mark.parametrize(
         "t, g, message",
         [
@@ -306,6 +315,8 @@ class TestElementType:
             SignedPermutation([2, 1])(0)
         assert err.type is ValueError
         assert str(err.value) == "signed permutations act on nonzero integers"
+        assert repr(w) == "SignedPermutation([-3, 4, -1, 5, 2])"
+        assert repr(IDENTITY) == "SignedPermutation([])"
 
     def test_immutable(self):
         w = parse_oneline("2,1")
