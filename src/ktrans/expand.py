@@ -54,12 +54,14 @@ def _step(t: str, w: Window, a: int) -> list[tuple[Window, int, int]]:
     coefficient is positive, every u lies below w in the LD order, and
     support(u) + LD(u) <= support(w) + LD(w).
 
-    Most steps fire one move: when ``_one_move`` finds that R_a fires
-    t_{-a,q} alone on v, the one end is that move, with coefficient 1 by
-    its lemma, applied to v in place; no padded copy or chain table is
-    built.  Any other step counts R_a's chains with ``_chains``, and each
-    end u, trimmed, has coefficient plain + via_n - [u == v].  Both kinds
-    of end pass the same checks, in one loop.
+    Most steps fire one move: v increases past a, as ``_transition_window``
+    builds it, which is the precondition of ``_one_move``, and when that
+    finds that R_a fires t_{-a,q} alone on v, the one end is that move,
+    with coefficient 1 by its lemma, applied to v in place; no padded copy
+    or chain table is built.  Any other step counts R_a's chains with
+    ``_chains``, and each end u, trimmed, has coefficient
+    plain + via_n - [u == v].  Both kinds of end pass the same checks, in
+    one loop.
     """
     v, b = _transition_window(w, a)
     if not _raises_length(t, v, a, b):
@@ -74,7 +76,7 @@ def _step(t: str, w: Window, a: int) -> list[tuple[Window, int, int]]:
             v[q - 1] = -z
         v[a - 1] = -y
         # u is trimmed: v(n) = n only when b = n and w(a) = n, and then
-        # v(a+1..n-1) = w(a+1..n-1) < w(n) = z < 0, so the scan stops at
+        # v(a+1..n-1) = w(a+1..n-1) < w(n) = z < 0, so the bisection gives
         # q = n; an appended entry is |z| <= n
         ends = [(tuple(v), 1)]
     else:

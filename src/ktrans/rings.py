@@ -493,7 +493,10 @@ def _add_term(terms: dict, w: SignedPermutation, coeff) -> None:
 def apply_R(t: str, k: int, w: SignedPermutation) -> dict:
     """R_k on the element w from the chain counts of weyl._chains: a chain
     end u gets beta^(l(u)-l(w)) * (plain + via_n / (1 + beta*y_{w(k)})); the
-    chains share one padded length, so distinct ends are distinct elements."""
+    chains share one padded length, so distinct ends are distinct elements.
+    An index k < 1 names no operator and raises ValueError."""
+    if k < 1:
+        raise ValueError(f"R_k needs a positive index, got {k}")
     lw = length(t, w)
     out: dict = {}
     for u, (plain, via_n) in _chains(t, k, w).items():
@@ -539,9 +542,12 @@ def apply_M(t: str, k: int, u: SignedPermutation, bound: int | None = None) -> d
     finite, which holds in type A only.  In types B, C and D the u-moves
     never stop growing the support, so basis elements of length above the
     bound are dropped as they appear: their coefficients sit in degrees the
-    truncation cannot see.  ``length`` refuses a u outside the group of
+    truncation cannot see.  An index k < 1 names no operator and raises
+    ValueError first; ``length`` then refuses a u outside the group of
     type t, before the bound is looked at.
     """
+    if k < 1:
+        raise ValueError(f"M_k needs a positive index, got {k}")
     lengths = {u: length(t, u)}
     if bound is None and t != "A":
         raise ValueError(f"the Monk operator of type {t} needs a length bound")
@@ -566,6 +572,8 @@ def apply_M(t: str, k: int, u: SignedPermutation, bound: int | None = None) -> d
 def transition(t: str, w: SignedPermutation) -> tuple[SignedPermutation, int, int, dict]:
     """The transition certificate (v, a, c, R_a v): a = LD(w), v = w * t_{ab}
     as in weyl._transition_window, and c = w(b) = v(a), which may be negative.
+    In every type A-D, w increases past its last descent a, so b is a
+    bisection of that run and v increases past a too.
 
     With G the double Grothendieck polynomial of the type, the identity is
     G_w = ((1+beta*y_c)(1+beta*x_a) * sum_u coeff_u G_u - G_v) / beta,

@@ -356,12 +356,13 @@ def length_increment_ok(t: str, w: SignedPermutation, i: int, j: int) -> bool:
 
 def _transition_window(w: tuple[int, ...], a: int) -> tuple[list[int], int]:
     """(untrimmed window of v, b) for the trimmed window w with LD a > 0: b
-    is the largest index past a with w(b) < w(a), inside the window as
-    w(i) = i > w(a) past it, and v = w * t_{ab} swaps entries a, b."""
+    is the largest index past a with w(b) < w(a), and v = w * t_{ab} swaps
+    entries a and b.  As a is the last descent, w increases past a, so b is
+    a bisection of that run (and stays inside the window, as w(i) = i >
+    w(a) past it); w(b-1) < w(b) < w(a) < w(b+1), so v increases past a
+    too, which is the precondition of ``_one_move``."""
     x = w[a - 1]
-    b = len(w)
-    while w[b - 1] >= x:  # stops at a + 1, as a is a descent
-        b -= 1
+    b = bisect(w, x, a)
     v = list(w)
     v[a - 1], v[b - 1] = w[b - 1], x
     return v, b
@@ -370,22 +371,23 @@ def _transition_window(w: tuple[int, ...], a: int) -> tuple[list[int], int]:
 def _one_move(win: list[int] | tuple[int, ...], k: int) -> tuple[int, int] | None:
     """(q, y) when R_k, in type B, C or D, fires the one move t_{-k,q} on
     the window win and nothing else, where y = w(q); None otherwise.  win
-    has its fixed points implied past its end: when the scan for q passes
-    the end, q = y = len(win) + 1.  Its one caller, ``expand._step``, asks
+    has its fixed points implied past its end, k <= len(win), and the
+    entries past k increase, as on every window of ``_transition_window``:
+    q is then a bisection of that run, and q = y = len(win) + 1 when every
+    entry past k lies below |w(k)|.  Its one caller, ``expand._step``, asks
     it before it builds anything and applies a hit in place; the type there
     is B, C or D, never A, where no t_{-k,q} exists.
 
-    The lemma.  Let x = w(k) < 0 with every prefix entry w(1..k-1) of
-    absolute value < |x|, let q be the first position past k with
-    y = w(q) > |x|, and let no position past q hold an entry strictly
-    between |x| and y.  Then R_k fires exactly one move, t_{-k,q}, and
-    u = w with u(k) = -y, u(q) = -x fires nothing after it, so the chains
-    of ``_chains`` are w and u, each once without the n-move.  Proof, one
-    family of R_k's factors at a time:
+    The lemma.  Let the entries past k increase, let x = w(k) < 0 with
+    every prefix entry w(1..k-1) of absolute value < |x|, and let q be the
+    first position past k with y = w(q) > |x|.  Then R_k fires exactly one
+    move, t_{-k,q}, and u = w with u(k) = -y, u(q) = -x fires nothing after
+    it, so the chains of ``_chains`` are w and u, each once without the
+    n-move.  Proof, one family of R_k's factors at a time:
     - the B n-move needs w(k) > 0, so it does not fire;
     - t_{-k,q'} with q' > q runs first, on w alone: it needs
-      w(q') > |x|, hence w(q') > y, and then y lies in its middle scan,
-      strictly between -x and w(q');
+      w(q') > |x|, and w(q') > y as the run increases, so y lies in its
+      middle scan, strictly between -x and w(q');
     - t_{-k,q} fires on w: no prefix entry lies in (-y, x) or (|x|, y),
       and no middle entry exceeds |x|;
     - t_{-k,q'} with k < q' < q needs w'(q') > -w'(k): on w
@@ -394,25 +396,14 @@ def _one_move(win: list[int] | tuple[int, ...], k: int) -> tuple[int, int] | Non
       needs w'(i) < w'(k): on w every |w(p)| < |x| and w(k) = x < 0, and
       on u every |w(p)| < |x| < y and u(k) = -y < 0.
     """
-    n = len(win)
-    if k > n:
-        return None  # w(k) = k > 0
     x = win[k - 1]
     if x > 0:
         return None
     for e in win[: k - 1]:
         if e <= x or e >= -x:
             return None
-    q = k + 1
-    while q <= n and win[q - 1] < -x:
-        q += 1
-    if q > n:
-        return q, q
-    y = win[q - 1]
-    for e in win[q:]:
-        if -x < e < y:
-            return None
-    return q, y
+    q = bisect(win, -x, k) + 1
+    return (q, win[q - 1]) if q <= len(win) else (q, q)
 
 
 def _chains(t: str, k: int, v: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, int]]:

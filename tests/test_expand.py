@@ -28,7 +28,7 @@ from ktrans.weyl import (
 )
 from test_cli import GOLDEN, _depth
 from test_tableaux import strict_partitions
-from test_weyl import ld_less  # the LD order, kept with its own tests
+from test_weyl import increases_past, ld_less  # kept with their own tests
 
 GOLDEN_W = parse_oneline("-3,4,-1,5,2")
 
@@ -245,6 +245,29 @@ class TestMemo:
         )
         assert tuple(info) == (25_854, 13_975, None, 13_975)
         assert misses == []
+
+    def test_one_move_is_asked_inside_its_domain(self, monkeypatch):
+        # every call the engine makes over W_5 in B, C and D, through one
+        # memo, passes a window whose entries past k increase, with k inside
+        # the window: the precondition that lets _one_move bisect for q
+        from ktrans import expand as expand_mod
+
+        one_move = expand_mod._one_move
+        calls = []
+
+        def recording_one_move(win, k):
+            calls.append((tuple(win), k))
+            return one_move(win, k)
+
+        monkeypatch.setattr(expand_mod, "_one_move", recording_one_move)
+        _clear_memos()
+        for t in "BCD":
+            for w in group_elements(t, 5):
+                expand_grassmannian(t, w)
+        _clear_memos()
+        assert calls
+        for win, k in calls:
+            assert 1 <= k <= len(win) and increases_past(win, k), (win, k)
 
     def test_cache_holds_the_recursions_own_dict(self):
         # one copy of each expansion: `_cache` keeps the memo's dict, whose

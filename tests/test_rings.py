@@ -741,6 +741,21 @@ class TestCombination:
         with pytest.raises(ValueError):
             transition(t, w)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("t", ["A", "B", "C", "D"])
+    def test_operators_refuse_an_index_that_names_no_operator(self, t, k):
+        # R_k and M_k exist for k >= 1 only; the refusal comes before any
+        # chain is counted, also at a bound below l(u), which would keep
+        # nothing
+        w = parse_oneline("2,1")
+        with pytest.raises(ValueError) as err:
+            apply_R(t, k, w)
+        assert err.type is ValueError and str(err.value) == f"R_k needs a positive index, got {k}"
+        for bound in (None, 3, 0) if t == "A" else (3, 0):
+            with pytest.raises(ValueError) as err:
+                apply_M(t, k, w, bound)
+            assert err.type is ValueError and str(err.value) == f"M_k needs a positive index, got {k}"
+
     @pytest.mark.parametrize(
         "t, window, message",
         [

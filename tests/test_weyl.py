@@ -476,6 +476,12 @@ def generic_chains(t, k, v):
     return chains
 
 
+def increases_past(win, k):
+    """Whether the entries of win past position k increase: the domain of
+    ``_one_move``."""
+    return all(x < y for x, y in zip(win[k:], win[k + 1 :]))
+
+
 def one_move_exit(t, k, v):
     """The two chains of R_k by the one-move lemma, if it applies to R_k on
     the trimmed window v, else None: start(k) = x < 0, the prefix
@@ -546,26 +552,28 @@ class TestRChains:
 
     @pytest.mark.parametrize("t", ["B", "C", "D"])
     def test_one_move_is_the_kernels_exit(self, t):
-        # on every window of W_4 and every k up to its support + 1, the helper
-        # hits exactly where the lemma applies, and there the generic loop
-        # and the kernel's family loops both give start and its one move,
-        # once each, so the step's exit answers what the kernel would; an
-        # untrimmed or padded copy of the window gives the same hit
+        # on every window of W_5 and every k up to its support whose entries
+        # past k increase (the helper's precondition, which every step
+        # window meets), the helper hits exactly where the lemma applies, and
+        # there the generic loop and the kernel's family loops both give
+        # start and its one move, once each, so the step's exit answers what
+        # the kernel would; a padded copy of the window gives the same hit
         hits = passes_end = 0
-        for w in group_elements(t, 4):
-            for k in range(1, w.support + 2):
+        for w in group_elements(t, 5):
+            for k in range(1, w.support + 1):
+                if not increases_past(w, k):
+                    continue
                 hit = _one_move(w, k)
                 lemma = one_move_exit(t, k, w)
                 assert (hit is None) == (lemma is None), (t, w, k)
-                top = max(len(w), k) + 1
-                start = (*w, *range(len(w) + 1, top + 1))
+                start = (*w, len(w) + 1)
                 assert _one_move(list(start), k) == hit, (t, w, k)
                 if hit is None:
                     continue
                 hits += 1
                 q, y = hit
                 passes_end += q == len(w) + 1
-                assert y == (start[q - 1] if q <= len(w) else q), (t, w, k)
+                assert y == start[q - 1], (t, w, k)
                 u = list(start)
                 u[k - 1], u[q - 1] = -y, -start[k - 1]
                 want = [(start, (1, 0)), (tuple(u), (1, 0))]
@@ -581,10 +589,20 @@ class TestRChains:
         assert _one_move((-1, -2), 2) == (3, 3)
         assert _one_move((-2, -1), 2) is None  # |w(1)| = 2 > 1
         assert _one_move((3, -1, 2), 2) is None  # |w(1)| = 3 > 1
-        assert _one_move((-3, 2, 1), 1) == (4, 4)
-        assert _one_move((-2, 3, 1), 1) == (2, 3)
-        assert _one_move((-1, 3, 2), 1) is None  # 2 lies between 1 and 3, past q = 2
-        assert _one_move((1, 2), 3) is None  # w(3) = 3 > 0
+
+    @pytest.mark.parametrize("t", ["A", "B", "C", "D"])
+    def test_transition_window_is_its_definition(self, t):
+        # every element of W_5 with a descent, against a plain scan for b:
+        # the largest index past a = LD(w) with w(b) < w(a), then
+        # v = w * t_ab, and v increases past a, as _one_move requires
+        for w in group_elements(t, 5):
+            a = w.least_descent()
+            if not a:
+                continue
+            v, b = _transition_window(w, a)
+            assert b == max(i for i in range(a + 1, len(w) + 1) if w(i) < w(a)), (t, w)
+            assert SignedPermutation(v) == w * reflection(a, b), (t, w)
+            assert increases_past(v, a), (t, w)
 
     def test_merge(self):
         # a held window gains both counts in place, a new one goes last;
