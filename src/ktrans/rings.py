@@ -7,7 +7,9 @@ positive index so the x-block sorts before y before z.  The total degree
 is len(vars), and a product's vars are the two factors' vars joined,
 sorted only when they are not already in order.  Truncation discards any
 monomial whose total degree across x, y, z exceeds the bound; beta is
-never truncated.  All coefficients are Python ints, so nothing overflows.
+never truncated.  An untruncated polynomial has the bound math.inf, so
+bounds combine by min and compare by <= with no special case.  All
+coefficients are Python ints, so nothing overflows.
 
 The module also provides the localized ring with inverted (1 + beta*y_i)
 factors (YRational), the isobaric divided difference, the signed star
@@ -26,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import groupby
-from math import comb
+from math import comb, inf
 from collections.abc import Iterable
 
 from .weyl import (
@@ -76,15 +78,14 @@ Monomial = tuple[int, tuple[int, ...]]
 _ONE_MONO: Monomial = (0, ())
 
 
-def _mul_into(into: dict, left: dict, right: dict, bound: int | None, shift: int = 0) -> None:
+def _mul_into(into: dict, left: dict, right: dict, bound: float, shift: int = 0) -> None:
     """Add beta^shift times the product of the term tables left and right
     into the table into, cut at degree bound.  A coefficient there may cancel
     to zero; the caller drops it.  Codes already in order (a side empty, or
     the left's last code at most the right's first) are joined without a
     sort; codes are positive, so an empty left reads as last code 0."""
-    top = float("inf") if bound is None else bound
     for (b1, v1), c1 in left.items():
-        room, b1, last = top - len(v1), b1 + shift, v1[-1] if v1 else 0
+        room, b1, last = bound - len(v1), b1 + shift, v1[-1] if v1 else 0
         for (b2, v2), c2 in right.items():
             if len(v2) <= room:
                 m = (b1 + b2, v1 + v2 if not v2 or last <= v2[0] else tuple(sorted(v1 + v2)))
@@ -92,7 +93,8 @@ def _mul_into(into: dict, left: dict, right: dict, bound: int | None, shift: int
 
 
 class TruncPoly:
-    """Sparse polynomial in beta and the x/y/z families, optionally truncated.
+    """Sparse polynomial in beta and the x/y/z families, truncated at its
+    bound, which is math.inf when nothing is cut.
 
     It holds no monomial of degree above its bound: the constructor cuts what
     it is handed, and the arithmetic, whose results keep that property when
@@ -101,9 +103,9 @@ class TruncPoly:
 
     __slots__ = ("terms", "bound")
 
-    def __init__(self, terms: dict[Monomial, int] | None = None, bound: int | None = None):
+    def __init__(self, terms: dict[Monomial, int] | None = None, bound: float = inf):
         terms = terms or {}
-        if bound is not None and any(len(v) > bound for _, v in terms):
+        if bound < inf and any(len(v) > bound for _, v in terms):
             # a monomial above the bound is not in the truncated series; a
             # negative bound keeps none, since no monomial has negative degree
             terms = {m: c for m, c in terms.items() if len(m[1]) <= bound}
@@ -111,7 +113,7 @@ class TruncPoly:
         self.bound = bound
 
     @staticmethod
-    def _within(terms: dict[Monomial, int], bound: int | None) -> "TruncPoly":
+    def _within(terms: dict[Monomial, int], bound: float) -> "TruncPoly":
         """A TruncPoly of terms already of degree at most bound."""
         p = object.__new__(TruncPoly)
         p.terms = terms
@@ -121,11 +123,11 @@ class TruncPoly:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero(bound: int | None = None) -> "TruncPoly":
+    def zero(bound: float = inf) -> "TruncPoly":
         return TruncPoly({}, bound)
 
     @staticmethod
-    def const(c: int, bound: int | None = None) -> "TruncPoly":
+    def const(c: int, bound: float = inf) -> "TruncPoly":
         return TruncPoly({_ONE_MONO: c} if c else {}, bound)
 
     @staticmethod
@@ -134,15 +136,7 @@ class TruncPoly:
 
     # -- helpers ----------------------------------------------------------
 
-    @staticmethod
-    def _join_bound(a: int | None, b: int | None) -> int | None:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b)
-
-    def with_bound(self, bound: int | None) -> "TruncPoly":
+    def with_bound(self, bound: float) -> "TruncPoly":
         return TruncPoly(dict(self.terms), bound)
 
     def __bool__(self) -> bool:
@@ -160,7 +154,7 @@ class TruncPoly:
             other = TruncPoly.const(other)
         if not isinstance(other, TruncPoly):
             return NotImplemented
-        bound = self._join_bound(self.bound, other.bound)
+        bound = min(self.bound, other.bound)
         terms = dict(self.terms)
         for m, c in other.terms.items():
             new = terms.get(m, 0) + c
@@ -187,7 +181,7 @@ class TruncPoly:
             return TruncPoly._within({m: c * other for m, c in self.terms.items()}, self.bound)
         if not isinstance(other, TruncPoly):
             return NotImplemented
-        bound = self._join_bound(self.bound, other.bound)
+        bound = min(self.bound, other.bound)
         terms: dict[Monomial, int] = {}
         _mul_into(terms, self.terms, other.terms, bound)
         return TruncPoly._within({m: c for m, c in terms.items() if c}, bound)
@@ -285,12 +279,11 @@ def pi_operator(i: int, f: TruncPoly) -> TruncPoly:
     if i < 1:
         raise ValueError("pi_i needs a positive index")
     ci, cj = var_code(X, i), var_code(X, i + 1)
-    top = float("inf") if f.bound is None else f.bound
     result: dict[Monomial, int] = {}
     for (b, v), c in f.terms.items():
         lo, hi, p, q = _split(v, ci, cj)
         _divided_into(result, ci, cj, b, lo, hi, p, q, c)
-        if len(v) < top:
+        if len(v) < f.bound:
             _divided_into(result, ci, cj, b + 1, lo, hi, p, q + 1, c)
     return TruncPoly(result, f.bound)
 
@@ -392,7 +385,7 @@ def _unit_power(items: tuple[tuple[int, int], ...]) -> TruncPoly:
         code = var_code(Y, i)
         terms = {(b + k, v + (code,) * k): c * comb(e, k)
                  for (b, v), c in terms.items() for k in range(e + 1)}
-    return TruncPoly._within(terms, None)
+    return TruncPoly._within(terms, inf)
 
 
 def _unit_product(exps: dict[int, int]) -> TruncPoly:
@@ -404,14 +397,15 @@ def y_factor(c: int, e: int = 1) -> YRational:
     """(1 + beta*y_c)^e for a signed index c and any integer e.  Reading
     y_{-i} as the ominus of y_i makes 1 + beta*y_{-i} = 1/(1 + beta*y_i), so
     the power is a polynomial when c and e have the same sign and an
-    inverted unit otherwise; this is the one place that reading is applied
-    to a unit."""
+    inverted unit otherwise.  apply_R, apply_M and transition_residual read
+    a signed index's unit here; star_action reads the units of f's
+    denominator and numerator itself, through its above and below tables."""
     if (c > 0) == (e > 0):
         return YRational(_unit_product({abs(c): abs(e)}))
     return YRational(ONE, {abs(c): abs(e)})
 
 
-def _sum_by_den(parts: list, bound: int | None) -> YRational:
+def _sum_by_den(parts: list, bound: float) -> YRational:
     """The sum of left * right / den over parts, triples (den, left, right)
     of a denominator (a dict from index to multiplicity) and two term
     tables, cut at degree bound.  The sum stands over the least common
@@ -477,8 +471,8 @@ def _times_beta(c: YRational, sign: int) -> YRational:
 # -- the operators on one group element -----------------------------------
 #
 # An operator acts on one element, checked to lie in its group, and returns
-# a plain dict from group elements to coefficients (TruncPoly or YRational,
-# never zero); its terms are that element times reflections of its type.
+# a plain dict from group elements to YRational coefficients, never zero;
+# its terms are that element times reflections of its type.
 
 
 def _add_term(terms: dict, w: SignedPermutation, coeff) -> None:
@@ -510,7 +504,7 @@ def apply_R(t: str, k: int, w: SignedPermutation) -> dict:
 
 
 def _factor(t: str, combo: dict, lengths: dict, i: int, j: int, weight,
-            bound: int | None = None) -> dict:
+            bound: float = inf) -> dict:
     """One factor of M_k on a combination: each term c*u of the input also
     adds weight(u, v, c) at v = u * t_{ij}, when t_{ij} is a reflection of
     type t that raises the length of u by one and v has length at most
@@ -524,7 +518,7 @@ def _factor(t: str, combo: dict, lengths: dict, i: int, j: int, weight,
     out = dict(combo)
     for u, c in combo.items():
         lv = lengths[u] + 1
-        if (bound is None or lv <= bound) and _raises_length(
+        if lv <= bound and _raises_length(
                 t, u + tuple(range(len(u) + 1, j + 1)), i, j):
             v = u * tij
             lengths[v] = lv
@@ -532,27 +526,27 @@ def _factor(t: str, combo: dict, lengths: dict, i: int, j: int, weight,
     return out
 
 
-def apply_M(t: str, k: int, u: SignedPermutation, bound: int | None = None) -> dict:
+def apply_M(t: str, k: int, u: SignedPermutation, bound: float = inf) -> dict:
     """The Monk-type operator M_k, which acts on the double Grothendieck
     polynomial of the element u as multiplication by 1 + beta*x_k.
 
     Factors act rightmost first: the v-scaling by 1/(1 + beta*y_{u(k)}), the
     twisted u-moves for j descending below k, the o-correction (type B only),
-    then the t-moves for l above k.  With bound=None the result is exact and
-    finite, which holds in type A only.  In types B, C and D the u-moves
-    never stop growing the support, so basis elements of length above the
-    bound are dropped as they appear: their coefficients sit in degrees the
-    truncation cannot see.  An index k < 1 names no operator and raises
-    ValueError first; ``length`` then refuses a u outside the group of
-    type t, before the bound is looked at.
+    then the t-moves for l above k.  With the default bound, math.inf, the
+    result is exact and finite, which holds in type A only.  In types B, C
+    and D the u-moves never stop growing the support, so basis elements of
+    length above the bound are dropped as they appear: their coefficients
+    sit in degrees the truncation cannot see.  An index k < 1 names no
+    operator and raises ValueError first; ``length`` then refuses a u
+    outside the group of type t, before the bound is looked at.
     """
     if k < 1:
         raise ValueError(f"M_k needs a positive index, got {k}")
     lengths = {u: length(t, u)}
-    if bound is None and t != "A":
+    if bound == inf and t != "A":
         raise ValueError(f"the Monk operator of type {t} needs a length bound")
     out: dict = {}
-    if bound is None or lengths[u] <= bound:
+    if lengths[u] <= bound:
         out[u] = y_factor(u(k), -1)
     j = k - 1
     while j >= -(max([k] + [u.support for u in out]) + 1):
@@ -595,14 +589,14 @@ def transition(t: str, w: SignedPermutation) -> tuple[SignedPermutation, int, in
 # groth_a.groth_poly in type A, kn.kn_eval at a fixed (t, N, D) in B, C, D.
 
 
-def _combo_parts(combo: dict, G) -> tuple[list, int | None]:
+def _combo_parts(combo: dict, G) -> tuple[list, float]:
     """The parts (den, numerator, G(u)) of the sum of coeff_u * G(u) over
     the combination, for _sum_by_den, and the bound of that sum.  A zero
     G(u) adds no part, so its denominator is not in the sum's."""
-    parts, bound = [], None
+    parts, bound = [], inf
     for u, c in combo.items():
         c, g = _lift(c), G(u)
-        bound = TruncPoly._join_bound(bound, TruncPoly._join_bound(c.num.bound, g.bound))
+        bound = min(bound, c.num.bound, g.bound)
         if g:
             parts.append((c.den, c.num.terms, g.terms))
     return parts, bound
@@ -618,7 +612,7 @@ def monk_identity_holds(t: str, u: SignedPermutation, k: int, G) -> bool:
     gu = G(u)
     parts, bound = _combo_parts(apply_M(t, k, u, gu.bound), G)
     parts.append(({}, (-(ONE + BETA * xvar(k))).terms, gu.terms))
-    return not _sum_by_den(parts, TruncPoly._join_bound(bound, gu.bound))
+    return not _sum_by_den(parts, min(bound, gu.bound))
 
 
 def transition_residual(
@@ -639,7 +633,7 @@ def transition_residual(
     v, a, c, combo = certificate
     parts, bound = _combo_parts(combo, G)
     gv, gw = G(v), G(w)
-    bound = TruncPoly._join_bound(bound, TruncPoly._join_bound(gv.bound, gw.bound))
+    bound = min(bound, gv.bound, gw.bound)
     unit = y_factor(c)
     front = (unit.num * (ONE + BETA * xvar(a))).terms
     for at, (den, num, g) in enumerate(parts):
@@ -665,7 +659,7 @@ def supersym_check(f: TruncPoly) -> bool:
     a + b <= k <= D - deg(r).  The t^0 part is f(0, 0, z_3, ...), so f
     passes when every sum at t^k, k >= 1, is zero."""
     bound = f.bound
-    if bound is None:
+    if bound == inf:
         raise ValueError("the supersymmetry check needs a truncated series")
     z1, z2 = var_code(Z, 1), var_code(Z, 2)
     sums: dict[tuple[int, Monomial], int] = {}

@@ -118,10 +118,14 @@ def _generating_function(
     joins the back itself if a cell lies to its right or below.
     ``rings.z_start`` checks num_letters once per call, whatever the shape
     and the bound, and names z_1; the letters 2v - 1 and 2v read as z_v.
+    Every tableau has at least |shape| entries, so a shape larger than the
+    bound gives zero before any cell is listed.
     """
     from .rings import TruncPoly, z_start
 
     z1 = z_start(num_letters)
+    if shape.size() > bound:
+        return TruncPoly({}, bound)
     cells = shape.cells()
     skew = set(cells)
     k = len(cells)

@@ -1,5 +1,7 @@
 """Classical-type double Grothendieck series and their operator calculus."""
 
+from math import inf
+
 import pytest
 
 from ktrans.groth_a import groth_single
@@ -392,6 +394,18 @@ class TestTransition:
             if not w.is_grassmannian():
                 residual = transition_residual(w, transition(t, w), kn_at(t, 2, 4))
                 assert not residual, (t, str(w))
+
+    # bcd-transitions checks W_2 at D = 4; at D = inf the identity is exact,
+    # and the residual is the untruncated zero
+    @pytest.mark.parametrize("t", ["B", "C", "D"])
+    def test_identity_is_exact_on_w3(self, t):
+        zero, checked = TruncPoly.zero(), 0
+        for w in group_elements(t, 3):
+            if not w.is_grassmannian():
+                residual = transition_residual(w, transition(t, w), kn_at(t, 2, inf))
+                assert (residual.num.terms, residual.num.bound) == (zero.terms, zero.bound), str(w)
+                checked += 1
+        assert checked == (20 if t == "D" else 40)
 
     # 7 of W_2's 10 steps leave _step through its one-move exit; W_3 and
     # W_4 bring the kernel's family loops (588 of W_4's 920 steps)

@@ -1,6 +1,7 @@
 """Polynomial arithmetic, the pi operators, and the localized y-ring."""
 
 import random
+from math import inf
 
 import pytest
 
@@ -57,7 +58,7 @@ from ktrans.weyl import (
 )
 
 
-def zvar(i, bound=None):
+def zvar(i, bound=inf):
     """The variable z_i, cut at the bound if one is given."""
     return TruncPoly({(0, (var_code(Z, i),)): 1}, bound)
 
@@ -94,11 +95,11 @@ def reference_product(a, b):
     """The product by the generic double loop: every pair of terms, with
     coefficients accumulated, cancellations dropped, and the degree filter
     of the joined bound."""
-    bound = TruncPoly._join_bound(a.bound, b.bound)
+    bound = min(a.bound, b.bound)
     terms = {}
     for (b1, v1), c1 in a.terms.items():
         for (b2, v2), c2 in b.terms.items():
-            if bound is None or len(v1) + len(v2) <= bound:
+            if len(v1) + len(v2) <= bound:
                 m = (b1 + b2, tuple(sorted(v1 + v2)))
                 terms[m] = terms.get(m, 0) + c1 * c2
     return TruncPoly({m: c for m, c in terms.items() if c}, bound)
@@ -182,7 +183,7 @@ class TestOneMonomialProduct:
         mixed = (ONE + BETA * yvar(2)) * (xvar(1) + zvar(3)) ** 2 - BETA ** 2 * xvar(1)
         return polys + [mixed, xvar(1) * yvar(2)]
 
-    @pytest.mark.parametrize("bounds", [(None, None), (None, 3), (3, None), (2, 4), (4, 2)])
+    @pytest.mark.parametrize("bounds", [(inf, inf), (inf, 3), (3, inf), (2, 4), (4, 2)])
     def test_matches_the_double_loop(self, bounds):
         for one in self.one_term_factors():
             for many in self.many_term_factors():
@@ -303,6 +304,50 @@ class TestVariableCount:
         assert fstanley("B", IDENTITY, MAX_INDEX, 3) == one
 
 
+def assert_exact(got, truncated, top=40):
+    """got, an oracle at D = inf, is the untruncated series (bound inf) with
+    the terms of its truncation at top, which lies past got's top degree."""
+    assert all(len(v) < top for _, v in got.terms)
+    want = TruncPoly(dict(truncated.terms))
+    assert (got.terms, got.bound) == (want.terms, want.bound)
+
+
+class TestUntruncated:
+    """An untruncated series has the bound inf, and every oracle answers
+    exactly at D = inf: each pass stops at its first empty layer."""
+
+    def test_an_untruncated_series_has_bound_inf(self):
+        assert TruncPoly().bound == TruncPoly.zero().bound == TruncPoly.const(3).bound == inf
+        assert ONE.bound == BETA.bound == xvar(1).bound == inf
+        assert groth_poly(parse_oneline("2,4,1,3")).bound == inf
+        assert (ONE + xvar(1).with_bound(3)).bound == (xvar(1).with_bound(3) * ONE).bound == 3
+        with pytest.raises(ValueError) as err:
+            apply_M("B", 1, parse_oneline("2,1"))
+        assert str(err.value) == "the Monk operator of type B needs a length bound"
+        with pytest.raises(ValueError) as err:
+            supersym_check(ONE)
+        assert str(err.value) == "the supersymmetry check needs a truncated series"
+
+    @pytest.mark.parametrize("t", ["B", "C", "D"])
+    def test_fstanley_is_exact_on_w3(self, t):
+        # both sequence rules, which agree
+        elements = group_elements(t, 3)
+        assert len(elements) == (48 if t != "D" else 24)
+        for w in elements:
+            compat = fstanley(t, w, 2, inf)
+            assert_exact(compat, fstanley(t, w, 2, 40))
+            assert_exact(fstanley(t, w, 2, inf, "unimodal"), compat)
+
+    @pytest.mark.parametrize("pi", [(1,), (1, 2), (2, 1, 2), (0, 1, 0)])
+    def test_quasi_is_exact(self, pi):
+        assert_exact(quasi(pi, 2, inf), quasi(pi, 2, 40))
+
+    @pytest.mark.parametrize("t", ["B", "C", "D"])
+    def test_kn_eval_is_exact_on_w2(self, t):
+        for w in group_elements(t, 2):
+            assert_exact(kn_eval(t, w, 2, inf), kn_eval(t, w, 2, 40))
+
+
 class TestMonomialFormat:
     """A monomial's variables are its sorted codes, each repeated as often
     as its exponent, so its degree is their number."""
@@ -414,11 +459,11 @@ class TestPiOperator:
                 assert lhs == rhs
             assert pi_operator(1, pi_operator(3, f)) == pi_operator(3, pi_operator(1, f))
 
-    @pytest.mark.parametrize("bound", [None, *range(7)])
+    @pytest.mark.parametrize("bound", [inf, *range(7)])
     def test_matches_the_divided_difference_of_the_product(self, bound):
         # the one pass against its definition: the product by
         # 1 + beta*x_{i+1}, cut at f's bound, then the divided difference
-        rng = random.Random(48 + (bound or 0))
+        rng = random.Random(48 + (0 if bound == inf else bound))
         for _ in range(8):
             f = random_poly(rng, max_deg=5, terms=8).with_bound(bound)
             for i in (1, 2, 3):
@@ -431,7 +476,7 @@ def ominus_series(a):
     """The series -a + beta a^2 - beta^2 a^3 + ... truncated at the bound of
     a.  Each power of a raises the least degree, so the sum ends when a is
     truncated and has no term of degree 0 (a constant or a power of beta)."""
-    if a.bound is None or any(not v for _, v in a.terms):
+    if a.bound == inf or any(not v for _, v in a.terms):
         raise ValueError("ominus needs a truncated series with no term of degree 0")
     acc = TruncPoly.zero(a.bound)
     power = a
@@ -558,7 +603,7 @@ def random_fraction(rng):
 
 class TestStarAction:
     @pytest.mark.parametrize(
-        "t, rank, bound", [(t, rank, 4) for t in "BCD" for rank in (2, 3)] + [("A", 4, None)]
+        "t, rank, bound", [(t, rank, 4) for t in "BCD" for rank in (2, 3)] + [("A", 4, inf)]
     )
     def test_matches_reference_inside_monk(self, monkeypatch, t, rank, bound):
         # every (w, f) that apply_M hands to star_action: each answer is the
@@ -733,7 +778,7 @@ class TestCombination:
         w = SignedPermutation([-1])
         with pytest.raises(ValueError):
             apply_R(t, 1, w)
-        for bound in (None, 3) if t == "A" else (3,):
+        for bound in (inf, 3) if t == "A" else (3,):
             with pytest.raises(ValueError):
                 apply_M(t, 1, w, bound)
             with pytest.raises(ValueError):
@@ -751,7 +796,7 @@ class TestCombination:
         with pytest.raises(ValueError) as err:
             apply_R(t, k, w)
         assert err.type is ValueError and str(err.value) == f"R_k needs a positive index, got {k}"
-        for bound in (None, 3, 0) if t == "A" else (3, 0):
+        for bound in (inf, 3, 0) if t == "A" else (3, 0):
             with pytest.raises(ValueError) as err:
                 apply_M(t, k, w, bound)
             assert err.type is ValueError and str(err.value) == f"M_k needs a positive index, got {k}"
@@ -766,7 +811,7 @@ class TestCombination:
     )
     def test_monk_operator_names_what_it_refuses(self, t, window, message):
         # the group is tested before the bound, with or without one
-        for bound in (None, 3):
+        for bound in (inf, 3):
             with pytest.raises(ValueError) as err:
                 apply_M(t, 1, parse_oneline(window), bound)
             assert str(err.value) == message
@@ -885,7 +930,7 @@ class TestOneDenominator:
     """combo_sum and star_action sum over the least common denominator to
     what the running pairwise sum gives, in value and in representation."""
 
-    @pytest.mark.parametrize("t, rank, bound", [(t, 3, 4) for t in "BCD"] + [("A", 4, None)])
+    @pytest.mark.parametrize("t, rank, bound", [(t, 3, 4) for t in "BCD"] + [("A", 4, inf)])
     def test_combo_value_on_every_monk_combination(self, t, rank, bound):
         G = groth_poly if t == "A" else (lambda u: kn_eval(t, u, 2, bound))  # noqa: E731
         combos = monk_combinations(t, rank, bound)
@@ -1049,12 +1094,12 @@ class TestProductKernel:
     def test_adds_into_the_table_it_is_given(self):
         # cancellation leaves a zero coefficient, which the caller drops
         into = {(0, (var_code(X, 1),)): 5, (1, ()): -1}
-        _mul_into(into, ONE.terms, (xvar(1) + BETA).terms, None)
+        _mul_into(into, ONE.terms, (xvar(1) + BETA).terms, inf)
         assert into == {(0, (var_code(X, 1),)): 6, (1, ()): 0}
 
     def test_cut_at_the_bound(self):
         rng = random.Random(38)
-        for bound in (None, 0, 2, 5):
+        for bound in (inf, 0, 2, 5):
             a, b = random_poly(rng).with_bound(bound), random_poly(rng)
             into = {}
             _mul_into(into, a.terms, b.terms, bound)
@@ -1077,7 +1122,7 @@ class TestProductKernel:
                 + [(b, a) for a in empty for b in xs + zs + mixed])
 
     @pytest.mark.parametrize("shift", [0, 3])
-    @pytest.mark.parametrize("bound", [None, 0, 3])
+    @pytest.mark.parametrize("bound", [inf, 0, 3])
     def test_matches_the_double_loop_shifted(self, shift, bound):
         joined = interleaved = 0
         for a, b in self.kernel_cases():
@@ -1106,11 +1151,11 @@ class TestProductKernel:
                             lambda v: calls.append(v) or builtins.sorted(v), raising=False)
         into = {}
         x, z = xvar(1) * xvar(2) + BETA * xvar(3), zvar(1) + zvar(2) * zvar(2)
-        _mul_into(into, x.terms, z.terms, None, 1)
-        _mul_into(into, (BETA - 1).terms, z.terms, None)
-        _mul_into(into, z.terms, ONE.terms, None)
+        _mul_into(into, x.terms, z.terms, inf, 1)
+        _mul_into(into, (BETA - 1).terms, z.terms, inf)
+        _mul_into(into, z.terms, ONE.terms, inf)
         assert not calls
-        _mul_into({}, z.terms, x.terms, None)
+        _mul_into({}, z.terms, x.terms, inf)
         assert calls
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import pickle
+from math import inf
 from typing import Iterator
 
 import pytest
@@ -18,7 +19,7 @@ from ktrans.tableaux import (
     w_shape,
 )
 from ktrans.weyl import IDENTITY, SignedPermutation, generator, length, parse_oneline
-from test_rings import homogeneous_degree, reference_substitute, zvar
+from test_rings import assert_exact, homogeneous_degree, reference_substitute, zvar
 
 Tableau = dict[tuple[int, int], frozenset[int]]
 
@@ -294,6 +295,38 @@ class TestTransferMatrix:
             for bound, want in tableau_sums(sh, flavor, num_letters, bounds).items():
                 got = oracle(sh, num_letters, bound)
                 assert (got.terms, got.bound) == (want.terms, want.bound), (str(sh), bound)
+
+    def test_a_shape_past_the_bound_lists_no_cell(self, monkeypatch):
+        # every tableau has at least |shape| entries, so at D = |shape| - 1
+        # the answer is zero before any cell is listed; at D = |shape| the
+        # transfer matrix runs and gives the exact series cut at D, which
+        # three letters keep nonzero on these shapes of at most three rows
+        shapes = [sh for sh in SKEW_SHAPES if sh.size()]
+        want = {(oracle, sh): oracle(sh, 3, inf).with_bound(sh.size())
+                for oracle in (gp, gq) for sh in shapes}
+        _generating_function.cache_clear()
+        for (oracle, sh), series in want.items():
+            got = oracle(sh, 3, sh.size())
+            assert (got.terms, got.bound) == (series.terms, series.bound), str(sh)
+            assert got, str(sh)
+        _generating_function.cache_clear()
+
+        def no_cells(shape):
+            raise AssertionError(f"{shape} listed its cells")
+
+        monkeypatch.setattr(ShiftedSkewShape, "cells", no_cells)
+        for oracle in (gp, gq):
+            for sh in shapes:
+                got = oracle(sh, 3, sh.size() - 1)
+                assert not got and got.bound == sh.size() - 1, str(sh)
+            assert not oracle(ShiftedSkewShape((100_000_000,)), 1, 3)
+        _generating_function.cache_clear()
+
+    @pytest.mark.parametrize("oracle", [gp, gq], ids=["gp", "gq"])
+    def test_exact_at_an_unbounded_degree(self, oracle):
+        # every strict lam/mu with |lam| <= 6, past its top degree at D = 40
+        for sh in SKEW_SHAPES:
+            assert_exact(oracle(sh, 2, inf), oracle(sh, 2, 40))
 
     def test_long_row_is_homogeneous_and_symmetric(self):
         # exponents past 255 and a degree bound past the row: a packed
